@@ -9,12 +9,11 @@ and its "northeast neighbor" is the previous one (one column further east).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .insdiag import InsertionDiagram, alpha_arrow, bump_arrow, diagram
-from .lattice import Geometry, LatticeError, Point, Shape, alternation
+from .lattice import Geometry, Point, Shape, deletion_points, insertion_points
 from .wdgg import BUILTIN_INSTANTIATIONS, Instantiation
 
 
@@ -23,78 +22,75 @@ class CatalogError(ValueError):
 
 
 def _points(shape: Shape):
-    """Insertion points, deletion points, and both neighbor maps."""
-    alt = alternation(shape)
-    ins = [p for k, p in alt if k == "+"]
-    dels = [p for k, p in alt if k == "-"]
-    sw, ne = {}, {}
-    for idx, (kind, p) in enumerate(alt):
-        if kind == "-":
-            ne[p] = alt[idx - 1][1]
-            if idx + 1 < len(alt):
-                sw[p] = alt[idx + 1][1]
-    return ins, dels, sw, ne
+    """Insertion points, and each deletion point with its northeast and
+    southwest neighbors (None past the last insertion point).
+
+    The two kinds alternate northeast to southwest, so deletion point k sits
+    between insertion points k and k + 1.
+    """
+    ins = insertion_points(shape)
+    return ins, list(zip(deletion_points(shape), ins, ins[1:] + [None]))
 
 
 def _gen_rs_row(shape: Shape) -> InsertionDiagram:
     """New values enter the first row; every bump moves one row south."""
-    ins, dels, sw, _ = _points(shape)
+    ins, dels = _points(shape)
     arrows = [alpha_arrow(1, ins[0], 1, 1)]
-    arrows += [bump_arrow(p, 1, 1, sw[p], 1, 1) for p in dels]
+    arrows += [bump_arrow(p, 1, 1, sw, 1, 1) for p, _, sw in dels]
     return diagram(shape, arrows)
 
 
 def _gen_rs_col(shape: Shape) -> InsertionDiagram:
     """Transpose of row insertion: enter the first column, bump east."""
-    ins, dels, _, ne = _points(shape)
+    ins, dels = _points(shape)
     arrows = [alpha_arrow(1, ins[-1], 1, 1)]
-    arrows += [bump_arrow(p, 1, 1, ne[p], 1, 1) for p in dels]
+    arrows += [bump_arrow(p, 1, 1, ne, 1, 1) for p, ne, _ in dels]
     return diagram(shape, arrows)
 
 
 def _gen_left_right(shape: Shape) -> InsertionDiagram:
     """Uncircled values row-insert (U chain south), circled column-insert (C east)."""
-    ins, dels, sw, ne = _points(shape)
+    ins, dels = _points(shape)
     arrows = [alpha_arrow(1, ins[0], 1, 1), alpha_arrow(2, ins[-1], 1, 2)]
-    for p in dels:
-        arrows.append(bump_arrow(p, 1, 1, sw[p], 1, 1))
-        arrows.append(bump_arrow(p, 1, 2, ne[p], 1, 2))
+    for p, ne, sw in dels:
+        arrows.append(bump_arrow(p, 1, 1, sw, 1, 1))
+        arrows.append(bump_arrow(p, 1, 2, ne, 1, 2))
     return diagram(shape, arrows)
 
 
 def _gen_mclarnan(shape: Shape) -> InsertionDiagram:
     """Order-reversing matching: southmost removable box bumps to the highest
     addible box below the reserved first-row alpha point, and so on."""
-    ins, dels, _, _ = _points(shape)
+    ins, dels = _points(shape)
     arrows = [alpha_arrow(1, ins[0], 1, 1)]
     k = len(dels)
-    for j, p in enumerate(dels, start=1):
+    for j, (p, _, _) in enumerate(dels, start=1):
         arrows.append(bump_arrow(p, 1, 1, ins[k + 1 - j], 1, 1))
     return diagram(shape, arrows)
 
 
 def _gen_jitter(shape: Shape) -> InsertionDiagram:
     """Left-right geometry, but every insertion and bump flips the circling."""
-    ins, dels, sw, ne = _points(shape)
+    ins, dels = _points(shape)
     arrows = [alpha_arrow(1, ins[0], 1, 2), alpha_arrow(2, ins[-1], 1, 1)]
-    for p in dels:
-        arrows.append(bump_arrow(p, 1, 1, sw[p], 1, 2))
-        arrows.append(bump_arrow(p, 1, 2, ne[p], 1, 1))
+    for p, ne, sw in dels:
+        arrows.append(bump_arrow(p, 1, 1, sw, 1, 2))
+        arrows.append(bump_arrow(p, 1, 2, ne, 1, 1))
     return diagram(shape, arrows)
 
 
 def _gen_sagan1(shape: Shape) -> InsertionDiagram:
     """Shifted row insertion; a value bumped off the diagonal restarts in the
     first row as a red insertion, and red bumps never land on the diagonal."""
-    ins, dels, sw, _ = _points(shape)
+    ins, dels = _points(shape)
     top = ins[0]
     arrows = [alpha_arrow(1, top, 1, 1)]
-    for p in dels:
+    for p, _, sw in dels:
         if p.diagonal:
             arrows.append(bump_arrow(p, 1, 1, top, 1, 2))
         else:
-            arrows.append(bump_arrow(p, 1, 1, sw[p], 1, 1))
-            red_target = top if sw[p].diagonal else sw[p]
+            arrows.append(bump_arrow(p, 1, 1, sw, 1, 1))
+            red_target = top if sw.diagonal else sw
             arrows.append(bump_arrow(p, 1, 2, red_target, 1, 2))
     return diagram(shape, arrows)
 
@@ -102,81 +98,81 @@ def _gen_sagan1(shape: Shape) -> InsertionDiagram:
 def _gen_worley_sagan(shape: Shape) -> InsertionDiagram:
     """Shifted row insertion; a value bumped off the diagonal column-inserts,
     moving east (red) until it lands in an empty box."""
-    ins, dels, sw, ne = _points(shape)
+    ins, dels = _points(shape)
     arrows = [alpha_arrow(1, ins[0], 1, 1)]
-    for p in dels:
+    for p, ne, sw in dels:
         if p.diagonal:
-            arrows.append(bump_arrow(p, 1, 1, ne[p], 1, 2))
+            arrows.append(bump_arrow(p, 1, 1, ne, 1, 2))
         else:
-            arrows.append(bump_arrow(p, 1, 1, sw[p], 1, 1))
-            arrows.append(bump_arrow(p, 1, 2, ne[p], 1, 2))
+            arrows.append(bump_arrow(p, 1, 1, sw, 1, 1))
+            arrows.append(bump_arrow(p, 1, 2, ne, 1, 2))
     return diagram(shape, arrows)
 
 
 def _gen_mixed(shape: Shape) -> InsertionDiagram:
     """Inversion-dual of left-right: the circling lives on the ascending
     channel, so circles land in the P tableau."""
-    ins, dels, sw, ne = _points(shape)
+    ins, dels = _points(shape)
     arrows = [alpha_arrow(1, ins[0], 1, 1), alpha_arrow(2, ins[-1], 2, 1)]
-    for p in dels:
-        arrows.append(bump_arrow(p, 1, 1, sw[p], 1, 1))
-        arrows.append(bump_arrow(p, 2, 1, ne[p], 2, 1))
+    for p, ne, sw in dels:
+        arrows.append(bump_arrow(p, 1, 1, sw, 1, 1))
+        arrows.append(bump_arrow(p, 2, 1, ne, 2, 1))
     return diagram(shape, arrows)
 
 
 def _gen_double_circle(shape: Shape) -> InsertionDiagram:
     """Two circle families: UU and CC chains run southwestward, UC and CU
     chains run northeastward."""
-    ins, dels, sw, ne = _points(shape)
+    ins, dels = _points(shape)
     arrows = [
         alpha_arrow(1, ins[0], 1, 1),
         alpha_arrow(4, ins[0], 2, 2),
         alpha_arrow(3, ins[-1], 1, 2),
         alpha_arrow(2, ins[-1], 2, 1),
     ]
-    for p in dels:
-        arrows.append(bump_arrow(p, 1, 1, sw[p], 1, 1))
-        arrows.append(bump_arrow(p, 2, 2, sw[p], 2, 2))
-        arrows.append(bump_arrow(p, 1, 2, ne[p], 1, 2))
-        arrows.append(bump_arrow(p, 2, 1, ne[p], 2, 1))
+    for p, ne, sw in dels:
+        arrows.append(bump_arrow(p, 1, 1, sw, 1, 1))
+        arrows.append(bump_arrow(p, 2, 2, sw, 2, 2))
+        arrows.append(bump_arrow(p, 1, 2, ne, 1, 2))
+        arrows.append(bump_arrow(p, 2, 1, ne, 2, 1))
     return diagram(shape, arrows)
 
 
 def _gen_shifted_mixed(shape: Shape) -> InsertionDiagram:
     """Mixed insertion on the octant: an uncircled value bumped from a
     diagonal box acquires a circle and moves to the next column."""
-    ins, dels, sw, ne = _points(shape)
+    ins, dels = _points(shape)
     arrows = [alpha_arrow(1, ins[0], 1, 1)]
-    for p in dels:
+    for p, ne, sw in dels:
         if p.diagonal:
-            arrows.append(bump_arrow(p, 1, 1, ne[p], 2, 1))
+            arrows.append(bump_arrow(p, 1, 1, ne, 2, 1))
         else:
-            arrows.append(bump_arrow(p, 1, 1, sw[p], 1, 1))
-            arrows.append(bump_arrow(p, 2, 1, ne[p], 2, 1))
+            arrows.append(bump_arrow(p, 1, 1, sw, 1, 1))
+            arrows.append(bump_arrow(p, 2, 1, ne, 2, 1))
     return diagram(shape, arrows)
 
 
 def _gen_shifted_column(shape: Shape) -> InsertionDiagram:
     """Column insertion starting at the first column that can take the value,
     circled in P when that start is off-diagonal; bumps move east unchanged."""
-    ins, dels, _, ne = _points(shape)
+    ins, dels = _points(shape)
     bottom = ins[-1]
     arrows = [alpha_arrow(1, bottom, 1 if bottom.diagonal else 2, 1)]
-    for p in dels:
+    for p, ne, _ in dels:
         for c in range(1, (1 if p.diagonal else 2) + 1):
-            arrows.append(bump_arrow(p, c, 1, ne[p], c, 1))
+            arrows.append(bump_arrow(p, c, 1, ne, c, 1))
     return diagram(shape, arrows)
 
 
 def _gen_dual_shifted_column(shape: Shape) -> InsertionDiagram:
     """Shifted column insertion with the labels moved to the descending
     channel, so circles land in the Q tableau."""
-    ins, dels, _, ne = _points(shape)
+    ins, dels = _points(shape)
     bottom = ins[-1]
     arrows = [alpha_arrow(1, bottom, 1, 1 if bottom.diagonal else 2)]
-    for p in dels:
+    for p, ne, _ in dels:
         for c in range(1, (1 if p.diagonal else 2) + 1):
-            arrows.append(bump_arrow(p, 1, c, ne[p], 1, c))
+            arrows.append(bump_arrow(p, 1, c, ne, 1, c))
     return diagram(shape, arrows)
 
 
@@ -221,7 +217,6 @@ class AlgorithmSpec:
     p_suffixes: dict[int, str] = field(default_factory=lambda: {1: "", 2: "o"})
     q_suffixes: dict[int, str] = field(default_factory=lambda: {1: "", 2: "o"})
     _cache: dict = field(default_factory=dict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     @property
     def r(self) -> int:
@@ -240,15 +235,15 @@ class AlgorithmSpec:
         return _ALPHA_SUFFIXES[self.r]
 
     def diagram(self, shape: Shape) -> InsertionDiagram:
-        """Generate-and-memoize; the cache is shared across threads."""
-        if shape.geometry is not self.geometry:
-            raise CatalogError(
-                f"{self.name} runs on the {self.geometry}, got a {shape.geometry} shape")
-        with self._lock:
-            d = self._cache.get(shape)
-            if d is None:
-                d = self.generator(shape)
-                self._cache[shape] = d
+        """Generate-and-memoize.  The cache is shared across threads without a
+        lock: generators are pure, so two threads that miss on one shape at
+        once each generate an equal diagram and one of them is kept."""
+        d = self._cache.get(shape)
+        if d is None:
+            if shape.geometry is not self.geometry:
+                raise CatalogError(
+                    f"{self.name} runs on the {self.geometry}, got a {shape.geometry} shape")
+            d = self._cache[shape] = self.generator(shape)
         return d
 
 

@@ -17,10 +17,11 @@ from .lattice import parse_shape
 
 
 def _workers() -> int:
+    text = os.environ.get("GROWTHKIT_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("GROWTHKIT_THREADS", "1")))
+        return max(1, int(text))
     except ValueError:
-        return 1
+        raise ValueError(f"GROWTHKIT_THREADS must be an integer, got {text!r}") from None
 
 
 def _alg(name: str):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .insdiag import ColorPair, psi_bump, psi_insert, psi_inverse
+from .insdiag import ColorPair, color_pair, psi_bump, psi_insert, psi_inverse
 from .lattice import (
     Geometry, Point, Shape, add_box, added_box, empty_shape, join, meet,
     remove_box,
@@ -61,9 +61,6 @@ class GeneralizedPermutation:
             if vj == j:
                 return vi, c
         return None
-
-    def max_color(self) -> int:
-        return max((c for _, _, c in self.entries), default=1)
 
     def inverse(self) -> "GeneralizedPermutation":
         return GeneralizedPermutation(
@@ -124,15 +121,6 @@ class ColoredTableau:
 
     def is_standard(self) -> bool:
         return sorted(v for _, v, _ in self.cells) == list(range(1, self.size + 1))
-
-    def value_at(self, p: Point) -> int:
-        return next(v for q, v, _ in self.cells if q == p)
-
-    def color_of_value(self, v: int) -> int:
-        return next(c for _, w, c in self.cells if w == v)
-
-    def point_of_value(self, v: int) -> Point:
-        return next(p for p, w, _ in self.cells if w == v)
 
     def values(self) -> list[int]:
         return sorted(v for _, v, _ in self.cells)
@@ -225,52 +213,46 @@ def cell_forward(alg, t: Shape, x: Shape, y: Shape,
     and, when the east edge is nondegenerate, the pair (north g1, east g2)
     with g1 absent when the north edge is degenerate.
     """
-    if (a is not None) != (y != t):
+    x_moved, y_moved = x != t, y != t
+    if (a is not None) != y_moved:
         raise GrowthError("west colors must be present exactly when y != t")
     if a is not None:
         if a.g2 is None:
             raise GrowthError("west descending color missing")
-        if a.g1 is None and x != t:
+        if a.g1 is None and x_moved:
             raise GrowthError("south ascending color missing")
     if alpha != 0:
-        if not (x == y == t):
+        if x_moved or y_moved:
             raise GrowthError(
                 f"alpha={alpha} requires t = x = y; got t={t} x={x} y={y} "
                 "(malformed generalized permutation)")
         if not 1 <= alpha <= alg.instantiation.r:
             raise GrowthError(f"alpha color {alpha} out of range [1,{alg.instantiation.r}]")
-        z, out = psi_insert(alg.diagram(x), alpha)
-        return z, out
-    if x == y == t:
-        return t, None
-    if x != t and y == t:
-        return x, None
-    if y != t and x == t:
-        return y, ColorPair(None, a.g2)
+        return psi_insert(alg.diagram(x), alpha)
+    if not y_moved:
+        return (x if x_moved else t), None
+    if not x_moved:
+        return y, color_pair(None, a.g2)
     if x == y:
-        p = added_box(t, x)
-        z, out = psi_bump(alg.diagram(x), p, ColorPair(a.g1, a.g2))
-        return z, out
-    return join(x, y), ColorPair(a.g1, a.g2)
+        return psi_bump(alg.diagram(x), added_box(t, x), a)
+    return join(x, y), a
 
 
 def cell_inverse(alg, x: Shape, y: Shape, z: Shape,
                  b: Optional[ColorPair]) -> tuple[Shape, Optional[ColorPair], int]:
     """Invert one cell: recover (t, west/south colors, alpha) from the
     northeast data.  ``b`` mirrors cell_forward's return convention."""
-    if (b is not None) != (z != x):
+    z_moved_x, z_moved_y = z != x, z != y
+    if (b is not None) != z_moved_x:
         raise GrowthError("east colors must be present exactly when z != x")
-    if z == x == y:
-        return z, None, 0
-    if z == x and y != z:
+    if not z_moved_x:
         return y, None, 0
-    if z == y and x != z:
-        return x, ColorPair(None, b.g2), 0
+    if not z_moved_y:
+        return x, color_pair(None, b.g2), 0
     if x != y:
-        return meet(x, y), ColorPair(b.g1, b.g2), 0
+        return meet(x, y), b, 0
     # x = y, z covers x: an insertion or a bump happened here
-    q = added_box(x, z)
-    got = psi_inverse(alg.diagram(x), q, ColorPair(b.g1, b.g2))
+    got = psi_inverse(alg.diagram(x), added_box(x, z), b)
     if isinstance(got, int):
         return x, None, got
     p, pair = got
@@ -283,17 +265,21 @@ def run_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
     if any(c > r for _, _, c in gp.entries):
         raise GrowthError(f"alpha colors must be <= r={r} for {alg.name}")
     n, m = gp.n, gp.m
+    # Value i has at most one entry: its (time, color), looked up once per
+    # column of cells.  Built per call and not kept on gp.
+    entry_of = {i: (j, c) for i, j, c in gp.entries}
     empty = empty_shape(alg.geometry)
     nodes = [[empty] * (m + 1) for _ in range(n + 1)]
     hcol = [[None] * (m + 1) for _ in range(n + 1)]
     vcol = [[None] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
+        time, color = entry_of.get(i, (0, 0))
         for j in range(1, m + 1):
             t, x, y = nodes[i - 1][j - 1], nodes[i][j - 1], nodes[i - 1][j]
-            a = ColorPair(hcol[i][j - 1], vcol[i - 1][j]) if y != t else None
+            a = color_pair(hcol[i][j - 1], vcol[i - 1][j]) if y != t else None
             try:
-                z, b = cell_forward(alg, t, x, y, a, gp.alpha(i, j))
-            except GrowthError as e:
+                z, b = cell_forward(alg, t, x, y, a, color if j == time else 0)
+            except ValueError as e:
                 raise GrowthError(f"cell ({i},{j}): {e}") from None
             nodes[i][j] = z
             vcol[i][j] = b.g2 if b is not None else None
@@ -327,12 +313,12 @@ def extract_Q(g: GrowthDiagram) -> ColoredTableau:
 
 def _chain_from_tableau(t: ColoredTableau, geometry: Geometry, length: int) -> list[Shape]:
     """Shapes of the sub-tableaux on values <= i, for i = 0..length."""
+    point_of = {v: p for p, v, _ in t.cells}
     chain = [empty_shape(geometry)]
     current = chain[0]
     for i in range(1, length + 1):
-        pts = [p for p, v, _ in t.cells if v == i]
-        if pts:
-            current = add_box(current, pts[0])
+        if i in point_of:
+            current = add_box(current, point_of[i])
         chain.append(current)
     return chain
 
@@ -347,43 +333,44 @@ def invert_growth(alg, P: ColoredTableau, Q: ColoredTableau) -> GeneralizedPermu
     P.validate_colors(inst, inst.w1)
     Q.validate_colors(inst, inst.w2)
     n, m = P.size, Q.size
-    nodes: dict[tuple[int, int], Shape] = {}
-    hcol: dict[tuple[int, int], Optional[int]] = {}
-    vcol: dict[tuple[int, int], Optional[int]] = {}
+    nodes: list[list[Optional[Shape]]] = [[None] * (m + 1) for _ in range(n + 1)]
+    hcol: list[list[Optional[int]]] = [[None] * (m + 1) for _ in range(n + 1)]
+    vcol: list[list[Optional[int]]] = [[None] * (m + 1) for _ in range(n + 1)]
 
     north = _chain_from_tableau(P, alg.geometry, n)
     east = _chain_from_tableau(Q, alg.geometry, m)
     for i in range(n + 1):
-        nodes[i, m] = north[i]
-    for j in range(m + 1):
-        nodes[n, j] = east[j]
+        nodes[i][m] = north[i]
+    nodes[n] = east
+    p_color = {v: c for _, v, c in P.cells}
+    q_color = {v: c for _, v, c in Q.cells}
     for i in range(1, n + 1):
-        hcol[i, m] = P.color_of_value(i) if north[i] != north[i - 1] else None
+        hcol[i][m] = p_color[i] if north[i] != north[i - 1] else None
     for j in range(1, m + 1):
-        vcol[n, j] = Q.color_of_value(j) if east[j] != east[j - 1] else None
+        vcol[n][j] = q_color[j] if east[j] != east[j - 1] else None
 
     entries = set()
     for i in range(n, 0, -1):
         for j in range(m, 0, -1):
-            x, y, z = nodes[i, j - 1], nodes[i - 1, j], nodes[i, j]
-            b = ColorPair(hcol[i, j], vcol[i, j]) if z != x else None
+            x, y, z = nodes[i][j - 1], nodes[i - 1][j], nodes[i][j]
+            b = color_pair(hcol[i][j], vcol[i][j]) if z != x else None
             try:
                 t, a, alpha = cell_inverse(alg, x, y, z, b)
             except ValueError as e:
                 raise GrowthError(f"cell ({i},{j}) is outside the image: {e}") from None
-            nodes[i - 1, j - 1] = t
-            vcol[i - 1, j] = a.g2 if a is not None else None
+            nodes[i - 1][j - 1] = t
+            vcol[i - 1][j] = a.g2 if a is not None else None
             if t == x:
-                hcol[i, j - 1] = None
+                hcol[i][j - 1] = None
             elif a is not None and a.g1 is not None:
-                hcol[i, j - 1] = a.g1
+                hcol[i][j - 1] = a.g1
             else:
-                hcol[i, j - 1] = hcol[i, j]
+                hcol[i][j - 1] = hcol[i][j]
             if alpha:
                 entries.add((i, j, alpha))
 
     for i in range(n + 1):
-        if nodes[i, 0].size:
+        if nodes[i][0].size:
             raise GrowthError("P/Q pair is outside the image (south border not empty)")
     return GeneralizedPermutation(n, m, frozenset(entries))
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Optional, Union
 
-from .lattice import Point, Shape, add_box, deletion_points, insertion_points, parse_shape
+from .lattice import Point, Shape, add_box, deletion_points, insertion_points
 from .wdgg import Instantiation
 
 
@@ -22,7 +22,7 @@ class DiagramError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ColorPair:
     """An ascending (g1) and a descending (g2) edge color.
 
@@ -43,11 +43,16 @@ class ColorPair:
         return f"<{show(self.g1)},{show(self.g2)}>"
 
 
+# ColorPair is immutable and takes few values, so the growth engine and the
+# generators share one instance per pair instead of building one per use.
+color_pair = lru_cache(maxsize=256)(ColorPair)
+
+
 ALPHA = "alpha"
 BUMP = "bump"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arrow:
     """One arrow of an insertion diagram.
 
@@ -81,13 +86,13 @@ class Arrow:
 
 
 def alpha_arrow(color: int, target: Point, out_g1: int, out_g2: int) -> Arrow:
-    return Arrow(ALPHA, target, ColorPair(out_g1, out_g2), alpha_color=color)
+    return Arrow(ALPHA, target, color_pair(out_g1, out_g2), alpha_color=color)
 
 
 def bump_arrow(source: Point, in_g1: int, in_g2: int,
                target: Point, out_g1: int, out_g2: int) -> Arrow:
-    return Arrow(BUMP, target, ColorPair(out_g1, out_g2),
-                 source=(source, ColorPair(in_g1, in_g2)))
+    return Arrow(BUMP, target, color_pair(out_g1, out_g2),
+                 source=(source, color_pair(in_g1, in_g2)))
 
 
 @dataclass(frozen=True)
@@ -232,7 +237,3 @@ def format_diagram(d: InsertionDiagram) -> str:
     bumps = sorted((a for a in d.arrows if a.kind == BUMP),
                    key=lambda a: (a.source[0], a.source[1]))
     return "\n".join(str(a) for a in alphas + bumps)
-
-
-def parse_diagram_file(text: str, shape_text: str, shape_geometry) -> InsertionDiagram:
-    return parse_diagram(text, parse_shape(shape_text, shape_geometry))

@@ -4,20 +4,45 @@ Points use English orientation: ``row`` counts from the top, ``col`` from the
 left, both 1-based.  A quadrant shape is a partition (weakly decreasing row
 lengths); an octant shape is a strict partition whose row ``k`` occupies
 columns ``k .. k + length - 1``.
+
+Canonical shapes.  ``empty_shape``, ``add_box``, ``remove_box``, ``join``,
+``meet``, ``transpose``, ``parse_shape`` and ``shapes_of_size`` return the
+canonical instance of their result: one shared ``Shape`` per (geometry,
+rows).  The module's table finds it but holds it weakly, so a canonical
+shape lives only as long as something else holds it (a growth diagram, a
+tableau, an algorithm's diagram cache) and is built again when next needed.
+A shape is validated once, when it is built, and carries its hash and size.
+
+Every shape caches its cover structure: its insertion and deletion points,
+computed together in one pass the first time ``add_box``, ``remove_box``,
+``insertion_points``, ``deletion_points`` or ``alternation`` asks for them,
+and kept on the shape for its lifetime.  It holds points only, never other
+shapes, so no shape keeps another alive, and shapes share those points
+through a bounded cache of recently used ones.  ``added_box`` needs one
+point and takes it from the rows instead, so that it computes no cover for
+the many shapes it meets that need no other corner.
+
+Canonical instances change no result.  ``Shape(geometry, rows)`` still
+builds a fresh validated shape, and equality and hashing stay by value:
+such a shape equals the canonical one and hashes the same.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, lru_cache
+from itertools import compress, count
+from operator import ge, gt, ne
+from typing import Optional
 
 
 class LatticeError(ValueError):
     pass
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Point:
     row: int
     col: int
@@ -35,6 +60,12 @@ class Point:
 
     def __str__(self):
         return f"({self.row},{self.col})"
+
+
+# Points are immutable, and the corners of the shapes a growth meets take
+# few distinct values, so cover structures and added_box share one instance
+# per point.
+_point = lru_cache(maxsize=4096)(Point)
 
 
 class Geometry(Enum):
@@ -68,27 +99,55 @@ class Geometry(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
 class Shape:
-    """A finite order ideal of the geometry, stored by row lengths."""
+    """A finite order ideal of the geometry, stored by row lengths.
 
-    geometry: Geometry
-    rows: tuple[int, ...]
+    Immutable.  Equality and hashing are by value, (geometry, rows), so a
+    shape built here equals the canonical instance of the same rows (see the
+    module docstring) and hashes like it.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if any(r < 1 for r in self.rows):
-            raise LatticeError(f"row lengths must be positive: {self.rows}")
-        if self.geometry is Geometry.QUADRANT:
-            if any(a < b for a, b in zip(self.rows, self.rows[1:])):
-                raise LatticeError(f"quadrant rows must weakly decrease: {self.rows}")
+    __slots__ = ("geometry", "rows", "size", "_hash", "_cover", "__weakref__")
+
+    def __init__(self, geometry: Geometry, rows):
+        rows = tuple(rows)
+        if rows and min(rows) < 1:
+            raise LatticeError(f"row lengths must be positive: {rows}")
+        if geometry is Geometry.QUADRANT:
+            if not all(map(ge, rows, rows[1:])):
+                raise LatticeError(f"quadrant rows must weakly decrease: {rows}")
         else:
-            if any(a <= b for a, b in zip(self.rows, self.rows[1:])):
-                raise LatticeError(f"octant rows must strictly decrease: {self.rows}")
+            if not all(map(gt, rows, rows[1:])):
+                raise LatticeError(f"octant rows must strictly decrease: {rows}")
+        init = object.__setattr__
+        init(self, "geometry", geometry)
+        init(self, "rows", rows)
+        init(self, "size", sum(rows))
+        init(self, "_hash", hash((geometry, rows)))
+        init(self, "_cover", None)
 
-    @property
-    def size(self) -> int:
-        return sum(self.rows)
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Shape:
+            return NotImplemented
+        return (self._hash == other._hash and self.rows == other.rows
+                and self.geometry is other.geometry)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Shape, (self.geometry, self.rows)
+
+    def __repr__(self):
+        return f"Shape(geometry={self.geometry!r}, rows={self.rows!r})"
 
     def row_start(self, r: int) -> int:
         """First occupied column of 1-based row r."""
@@ -123,8 +182,61 @@ class Shape:
         return format_shape(self)
 
 
+# The canonical instances, one per (geometry, rows).  Weak values: an entry
+# lives only as long as something outside the table holds its shape.
+_CANONICAL: "weakref.WeakValueDictionary[tuple[Geometry, tuple[int, ...]], Shape]" = \
+    weakref.WeakValueDictionary()
+
+
+def _canonical(geometry: Geometry, rows: tuple[int, ...]) -> Shape:
+    """The canonical shape with these rows, built and validated on a miss."""
+    key = (geometry, rows)
+    s = _CANONICAL.get(key)
+    if s is None:
+        s = _CANONICAL[key] = Shape(geometry, rows)
+    return s
+
+
+_ByRow = tuple[Optional[Point], ...]
+
+
+def _cover(s: Shape) -> tuple[_ByRow, _ByRow]:
+    """The cover structure of s: its insertion points and its deletion
+    points, each indexed by 0-based row, None where a row has none.  It is
+    computed in one pass on first use and holds points only, so it keeps no
+    other shape alive.
+
+    Row r gets an insertion point when it is the first row or ends left of
+    row r - 1, which is also when row r - 1 has a deletion point.  The last
+    row always has a deletion point, and the row below the shape has an
+    insertion point unless the octant excludes it.  Rows run northeast to
+    southwest, so filtering out the Nones leaves each kind in order.
+    """
+    c = s._cover
+    if c is not None:
+        return c
+    rows, k = s.rows, len(s.rows)
+    shifted = s.geometry is Geometry.OCTANT
+    ins_by_row = [None] * (k + 1)
+    del_by_row = [None] * k
+    end = 0
+    for r in range(1, k + 1):
+        prev, end = end, (r if shifted else 1) + rows[r - 1] - 1
+        if r == 1 or prev > end:
+            ins_by_row[r - 1] = _point(r, end + 1)
+            if r > 1:
+                del_by_row[r - 2] = _point(r - 1, prev)
+    if k:
+        del_by_row[k - 1] = _point(k, end)
+    if not shifted or k == 0 or rows[-1] >= 2:
+        ins_by_row[k] = _point(k + 1, k + 1 if shifted else 1)
+    c = tuple(ins_by_row), tuple(del_by_row)
+    object.__setattr__(s, "_cover", c)
+    return c
+
+
 def empty_shape(geometry: Geometry) -> Shape:
-    return Shape(geometry, ())
+    return _canonical(geometry, ())
 
 
 def shape_size(s: Shape) -> int:
@@ -134,86 +246,79 @@ def shape_size(s: Shape) -> int:
 
 def deletion_points(s: Shape) -> list[Point]:
     """Maximal boxes of s, ordered northeast to southwest."""
-    pts = []
-    k = len(s.rows)
-    for r in range(1, k + 1):
-        if r == k or s.row_end(r) > s.row_end(r + 1):
-            pts.append(Point(r, s.row_end(r)))
-    return sorted(pts, key=_ne_to_sw)
+    return [p for p in _cover(s)[1] if p is not None]
 
 
 def insertion_points(s: Shape) -> list[Point]:
     """Minimal points of the complement of s, ordered northeast to southwest."""
-    k = len(s.rows)
-    if k == 0:
-        return [Point(1, 1)]
-    pts = [Point(1, s.row_end(1) + 1)]
-    for r in range(2, k + 1):
-        if s.row_end(r - 1) > s.row_end(r):
-            pts.append(Point(r, s.row_end(r) + 1))
-    if s.geometry is Geometry.QUADRANT:
-        pts.append(Point(k + 1, 1))
-    elif s.rows[-1] >= 2:
-        pts.append(Point(k + 1, k + 1))
-    return sorted(pts, key=_ne_to_sw)
-
-
-def _ne_to_sw(p: Point):
-    return (-p.col, p.row)
+    return [p for p in _cover(s)[0] if p is not None]
 
 
 def alternation(s: Shape) -> list[tuple[str, Point]]:
-    """Insertion ("+") and deletion ("-") points merged northeast to southwest."""
-    pts = [("+", p) for p in insertion_points(s)] + [("-", p) for p in deletion_points(s)]
-    return sorted(pts, key=lambda kp: _ne_to_sw(kp[1]))
+    """Insertion ("+") and deletion ("-") points merged northeast to southwest.
+
+    The two kinds alternate, starting with an insertion point; an octant
+    shape whose last row has one box ends with a deletion point.
+    """
+    ins, dels = insertion_points(s), deletion_points(s)
+    out = []
+    for k, p in enumerate(ins):
+        if k:
+            out.append(("-", dels[k - 1]))
+        out.append(("+", p))
+    if len(dels) == len(ins):
+        out.append(("-", dels[-1]))
+    return out
+
+
+def _at_row(by_row: _ByRow, p: Point) -> Optional[Point]:
+    """The cached point in p's row if it is p, else None."""
+    q = by_row[p.row - 1] if p.row <= len(by_row) else None
+    return q if q is not None and q.col == p.col else None
 
 
 def add_box(s: Shape, p: Point) -> Shape:
-    if p not in insertion_points(s):
+    if _at_row(_cover(s)[0], p) is None:
         raise LatticeError(f"{p} is not an insertion point of {s}")
-    if p.row == len(s.rows) + 1:
-        return Shape(s.geometry, s.rows + (1,))
-    rows = list(s.rows)
-    rows[p.row - 1] += 1
-    return Shape(s.geometry, rows)
+    rows, r = s.rows, p.row
+    if r > len(rows):
+        return _canonical(s.geometry, rows + (1,))
+    return _canonical(s.geometry, rows[:r - 1] + (rows[r - 1] + 1,) + rows[r:])
 
 
 def remove_box(s: Shape, p: Point) -> Shape:
-    if p not in deletion_points(s):
+    if _at_row(_cover(s)[1], p) is None:
         raise LatticeError(f"{p} is not a deletion point of {s}")
-    rows = list(s.rows)
-    rows[p.row - 1] -= 1
-    if rows[p.row - 1] == 0:
-        rows.pop()
-    return Shape(s.geometry, rows)
+    rows, r = s.rows, p.row
+    if rows[r - 1] == 1:    # only the last row can have a removable single box
+        return _canonical(s.geometry, rows[:-1])
+    return _canonical(s.geometry, rows[:r - 1] + (rows[r - 1] - 1,) + rows[r:])
 
 
 def added_box(lower: Shape, upper: Shape) -> Point:
     """The single box of a cover upper = lower + box."""
-    if not upper.covers(lower):
-        raise LatticeError(f"{upper} does not cover {lower}")
-    for r in range(1, len(upper.rows) + 1):
-        old = lower.rows[r - 1] if r <= len(lower.rows) else 0
-        if upper.rows[r - 1] != old:
-            return Point(r, upper.row_end(r))
-    raise AssertionError("cover without a differing row")
+    if upper.geometry is lower.geometry and upper.size == lower.size + 1:
+        a, b = lower.rows, upper.rows
+        # the first row where they differ; past the end of a, the new last row
+        r = next(compress(count(1), map(ne, a, b)), len(a) + 1)
+        if r > len(a) or (b[r - 1] == a[r - 1] + 1 and a[r:] == b[r:]):
+            return _point(r, upper.row_start(r) + b[r - 1] - 1)
+    raise LatticeError(f"{upper} does not cover {lower}")
 
 
 def join(a: Shape, b: Shape) -> Shape:
     """Least upper bound: rowwise maximum (union of ideals)."""
     if a.geometry is not b.geometry:
         raise LatticeError("cannot join shapes from different geometries")
-    n = max(len(a.rows), len(b.rows))
-    pad = lambda s: s.rows + (0,) * (n - len(s.rows))
-    return Shape(a.geometry, [max(x, y) for x, y in zip(pad(a), pad(b))])
+    x, y = (a.rows, b.rows) if len(a.rows) >= len(b.rows) else (b.rows, a.rows)
+    return _canonical(a.geometry, tuple(map(max, x, y)) + x[len(y):])
 
 
 def meet(a: Shape, b: Shape) -> Shape:
     """Greatest lower bound: rowwise minimum (intersection of ideals)."""
     if a.geometry is not b.geometry:
         raise LatticeError("cannot meet shapes from different geometries")
-    rows = [min(x, y) for x, y in zip(a.rows, b.rows)]
-    return Shape(a.geometry, rows)
+    return _canonical(a.geometry, tuple(map(min, a.rows, b.rows)))
 
 
 def transpose(s: Shape) -> Shape:
@@ -221,12 +326,12 @@ def transpose(s: Shape) -> Shape:
     if s.geometry is not Geometry.QUADRANT:
         raise LatticeError("transpose is only defined on quadrant shapes")
     if not s.rows:
-        return s
+        return _canonical(s.geometry, ())
     out = [0] * s.rows[0]
     for length in s.rows:
         for c in range(length):
             out[c] += 1
-    return Shape(s.geometry, out)
+    return _canonical(s.geometry, tuple(out))
 
 
 @cache
@@ -239,7 +344,7 @@ def shapes_of_size(geometry: Geometry, n: int) -> tuple[Shape, ...]:
 
     def extend(prefix, remaining, maxpart):
         if remaining == 0:
-            found.append(Shape(geometry, prefix))
+            found.append(_canonical(geometry, tuple(prefix)))
             return
         cap = min(remaining, maxpart)
         for part in range(cap, 0, -1):
@@ -270,4 +375,4 @@ def parse_shape(text: str, geometry: Geometry) -> Shape:
         rows = [int(t) for t in text.split(",")]
     except ValueError:
         raise LatticeError(f"malformed shape {text!r}") from None
-    return Shape(geometry, rows)
+    return _canonical(geometry, tuple(rows))

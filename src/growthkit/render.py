@@ -191,7 +191,7 @@ def render_growth(g: GrowthDiagram, fmt: str = "text", alg=None) -> str:
     raise ParseError(f"unknown format {fmt!r}")
 
 
-def _edge_label(labels, g, lower, upper, color) -> str:
+def _edge_label(labels, lower, upper, color) -> str:
     if color is None or labels is None:
         return ""
     from .lattice import added_box
@@ -211,10 +211,10 @@ def _growth_text(g: GrowthDiagram, alg) -> str:
             grid[rr][2 * i] = format_shape(g.node(i, j))
             if i >= 1:
                 grid[rr][2 * i - 1] = _edge_label(
-                    g1_labels, g, g.node(i - 1, j), g.node(i, j), g.hcolor(i, j))
+                    g1_labels, g.node(i - 1, j), g.node(i, j), g.hcolor(i, j))
         if j >= 1:
             for i in range(g.n + 1):
-                lab = _edge_label(g2_labels, g, g.node(i, j - 1), g.node(i, j),
+                lab = _edge_label(g2_labels, g.node(i, j - 1), g.node(i, j),
                                   g.vcolor(i, j))
                 grid[rr + 1][2 * i] = lab or "|"
                 if i >= 1:
@@ -251,7 +251,7 @@ def _growth_records(g: GrowthDiagram, alg=None) -> str:
 
     def edge(kind, i, j, color, labels, lower, upper):
         rec = {"kind": kind, "i": i, "j": j, "color": color}
-        label = _edge_label(labels, g, lower, upper, color)
+        label = _edge_label(labels, lower, upper, color)
         if label:
             rec["label"] = label
         return json.dumps(rec, sort_keys=True)
@@ -328,11 +328,11 @@ def _growth_latex(g: GrowthDiagram, alg) -> str:
             node = "\\emptyset" if shape == "0" else shape.replace(",", "")
             arrows = []
             if i < g.n:
-                lab = _edge_label(g1_labels, g, g.node(i, j), g.node(i + 1, j),
+                lab = _edge_label(g1_labels, g.node(i, j), g.node(i + 1, j),
                                   g.hcolor(i + 1, j))
                 arrows.append(f'\\ar[rr, "{lab}"]' if lab else "\\ar[rr]")
             if j > 0:
-                lab = _edge_label(g2_labels, g, g.node(i, j - 1), g.node(i, j),
+                lab = _edge_label(g2_labels, g.node(i, j - 1), g.node(i, j),
                                   g.vcolor(i, j))
                 arrows.append(f'\\ar[dd, "{lab}"]' if lab else "\\ar[dd]")
             cells.append(" ".join([node] + arrows))

@@ -1,0 +1,147 @@
+"""Canonical shapes: the cover structure each shape caches agrees with a
+from-scratch computation, the lattice operations share one instance per
+value without keeping it alive, and long seeded round trips still recover
+their input."""
+
+import copy
+import gc
+import pickle
+import random
+import sys
+import weakref
+
+import pytest
+
+from growthkit.catalog import AlgorithmSpec, get_algorithm, list_algorithms
+from growthkit.growth import (
+    GeneralizedPermutation, extract_P, extract_Q, invert_growth, run_growth,
+)
+from growthkit.lattice import (
+    Geometry, Point, Shape, add_box, alternation, deletion_points, empty_shape,
+    insertion_points, join, meet, remove_box, shapes_up_to,
+)
+from growthkit.oracle import check_bijection
+
+Q, O = Geometry.QUADRANT, Geometry.OCTANT
+
+
+def reference_corners(s: Shape):
+    """Insertion points, deletion points and their alternation, recomputed
+    from the row ends and put in northeast-to-southwest order by sorting."""
+    k = len(s.rows)
+    ends = [s.row_end(r) for r in range(1, k + 1)]
+    dels = [Point(r, ends[r - 1]) for r in range(1, k + 1)
+            if r == k or ends[r - 1] > ends[r]]
+    if k == 0:
+        ins = [Point(1, 1)]
+    else:
+        ins = [Point(1, ends[0] + 1)]
+        ins += [Point(r, ends[r - 1] + 1) for r in range(2, k + 1)
+                if ends[r - 2] > ends[r - 1]]
+        if s.geometry is Q:
+            ins.append(Point(k + 1, 1))
+        elif s.rows[-1] >= 2:
+            ins.append(Point(k + 1, k + 1))
+    ne_to_sw = lambda p: (-p.col, p.row)
+    alt = sorted([("+", p) for p in ins] + [("-", p) for p in dels],
+                 key=lambda kp: ne_to_sw(kp[1]))
+    return sorted(ins, key=ne_to_sw), sorted(dels, key=ne_to_sw), alt
+
+
+class TestCoverStructure:
+    @pytest.mark.parametrize("geometry", [Q, O])
+    def test_matches_reference(self, geometry):
+        for s in shapes_up_to(geometry, 10):
+            ins, dels, alt = reference_corners(s)
+            for shape in (s, Shape(geometry, s.rows)):   # canonical and hand-built
+                assert insertion_points(shape) == ins
+                assert deletion_points(shape) == dels
+                assert alternation(shape) == alt
+
+    def test_point_lists_are_copies(self):
+        s = Shape(Q, (2, 1))
+        insertion_points(s).clear()
+        deletion_points(s).clear()
+        assert insertion_points(s) == [Point(1, 3), Point(2, 2), Point(3, 1)]
+        assert deletion_points(s) == [Point(1, 2), Point(2, 1)]
+
+
+class TestCanonicalInstances:
+    @pytest.mark.parametrize("geometry", [Q, O])
+    def test_add_and_remove_share_instances(self, geometry):
+        for s in shapes_up_to(geometry, 7):
+            hand = Shape(geometry, s.rows)
+            for p in insertion_points(s):
+                grown = add_box(s, p)
+                assert add_box(hand, p) is grown
+                assert remove_box(grown, p) is remove_box(add_box(hand, p), p)
+
+    @pytest.mark.parametrize("geometry", [Q, O])
+    def test_join_and_meet_share_instances(self, geometry):
+        shapes = list(shapes_up_to(geometry, 5))
+        for a in shapes:
+            for b in shapes:
+                assert join(a, b) is join(b, a)
+                assert meet(a, b) is meet(b, a)
+                assert join(a, b) is join(Shape(geometry, a.rows), Shape(geometry, b.rows))
+
+    def test_equal_values_from_different_operations(self):
+        assert add_box(empty_shape(Q), Point(1, 1)) is remove_box(Shape(Q, (2,)), Point(1, 2))
+        assert join(Shape(Q, (2,)), Shape(Q, (1, 1))) is add_box(Shape(Q, (2,)), Point(2, 1))
+
+    def test_hand_built_shape_equals_canonical(self):
+        canonical = add_box(Shape(Q, (2, 1)), Point(1, 3))
+        hand = Shape(Q, (3, 1))
+        assert hand is not canonical
+        assert hand == canonical and hash(hand) == hash(canonical)
+        assert {hand: "found"}[canonical] == "found"
+        assert Shape(O, (3, 1)) != Shape(Q, (3, 1))
+
+    def test_shapes_are_immutable(self):
+        s = empty_shape(Q)
+        with pytest.raises(AttributeError):
+            s.rows = (1,)
+
+    def test_copy_and_pickle_keep_the_value(self):
+        s = add_box(Shape(O, (3, 1)), Point(2, 3))
+        assert copy.deepcopy(s) == s and pickle.loads(pickle.dumps(s)) == s
+        g = run_growth(get_algorithm("sagan1"), GeneralizedPermutation.from_word(
+            [(2, 1), (3, 1), (1, 1)]))
+        assert pickle.loads(pickle.dumps(extract_P(g))) == extract_P(g)
+
+    def test_table_keeps_no_shape_alive(self):
+        s = join(Shape(Q, (91,)), Shape(Q, (1,) * 91))
+        ref = weakref.ref(s)
+        del s
+        gc.collect()
+        assert ref() is None
+
+
+class TestLongRoundTrips:
+    @pytest.mark.parametrize("name", sorted(list_algorithms()))
+    def test_n100_recovers_input(self, name):
+        alg = get_algorithm(name)
+        rng = random.Random(name)
+        values = list(range(1, 101))
+        rng.shuffle(values)
+        gp = GeneralizedPermutation.from_word(
+            [(v, rng.randint(1, alg.r)) for v in values], n=100)
+        g = run_growth(alg, gp)
+        assert invert_growth(alg, extract_P(g), extract_Q(g)) == gp
+
+
+def test_threads_racing_on_cold_caches_agree_with_serial():
+    """Worker threads share a cold diagram cache (no lock) and the canonical
+    shape table; switching threads every microsecond must not change the
+    report."""
+    base = get_algorithm("left-right")
+    fresh = lambda: AlgorithmSpec(base.name, base.instantiation, base.generator,
+                                  base.description)
+    serial = check_bijection(fresh(), 4, workers=1)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = check_bijection(fresh(), 4, workers=4)
+    finally:
+        sys.setswitchinterval(old)
+    assert serial.ok and threaded == serial

@@ -139,6 +139,12 @@ class TestVerify:
         rc, out, _ = run_cli("verify", "bijection", "--algorithm", "rs-row", "--n", "3")
         assert rc == 0 and "PASS" in out
 
+    def test_threads_env_must_be_an_integer(self):
+        rc, out, err = run_cli("verify", "bijection", "--algorithm", "rs-row",
+                               "--n", "3", env={"GROWTHKIT_THREADS": "abc"})
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and "GROWTHKIT_THREADS" in err
+
     def test_bijection_with_threads_env(self):
         rc, out, _ = run_cli("verify", "bijection", "--algorithm", "left-right",
                              "--n", "3", env={"GROWTHKIT_THREADS": "4"})

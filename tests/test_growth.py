@@ -1,11 +1,11 @@
 import pytest
 
-from growthkit.catalog import get_algorithm, list_algorithms
+from growthkit.catalog import AlgorithmSpec, get_algorithm, list_algorithms
 from growthkit.growth import (
     ColoredTableau, GeneralizedPermutation, GrowthError, cell_forward,
     cell_inverse, extract_P, extract_Q, invert_growth, restrict, run_growth,
 )
-from growthkit.insdiag import ColorPair
+from growthkit.insdiag import ALPHA, ColorPair, diagram
 from growthkit.lattice import Geometry, Point, Shape, empty_shape
 from growthkit.render import parse_gp, parse_tableau
 from figures import FIGURES
@@ -172,6 +172,16 @@ class TestRunGrowth:
     def test_color_out_of_range_for_algorithm(self):
         with pytest.raises(GrowthError):
             run_growth(RS, parse_gp("1o 2", r=2))
+
+    def test_broken_generator_error_names_the_cell(self):
+        def no_alpha(shape):
+            arrows = RS.generator(shape).arrows
+            return diagram(shape, [a for a in arrows if a.kind != ALPHA])
+
+        broken = AlgorithmSpec("broken", RS.instantiation, no_alpha,
+                               "rs-row without its alpha arrows")
+        with pytest.raises(GrowthError, match=r"^cell \(1,1\): no alpha arrow for color 1"):
+            run_growth(broken, gp_of(RS, "1 2"))
 
     def test_structural_check_passes(self):
         for name, alg in list_algorithms().items():
