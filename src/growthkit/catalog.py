@@ -235,7 +235,9 @@ class AlgorithmSpec:
         return _ALPHA_SUFFIXES[self.r]
 
     def diagram(self, shape: Shape) -> InsertionDiagram:
-        """Generate-and-memoize.  The cache is shared across threads without a
+        """Generate-and-memoize, one cache per process.  A sweep's forked
+        worker processes start from a copy of this cache and fill their own;
+        what they generate is not returned to the parent.  There is no
         lock: generators are pure, so two threads that miss on one shape at
         once each generate an equal diagram and one of them is kept."""
         d = self._cache.get(shape)

@@ -2,7 +2,9 @@
 
 Commands: run, invert, verify (weights | diagram | bijection | duality),
 list, render.  Exit status is 0 on success or a passing check, 1 on a failing
-check, 2 on bad input.  GROWTHKIT_THREADS caps verification workers.
+check, 2 on bad input.  ``verify bijection`` and ``verify duality`` end with
+one sorted-key JSON summary line.  GROWTHKIT_THREADS sets how many processes
+the exhaustive sweeps fork (default 1; serial where fork is unavailable).
 """
 
 from __future__ import annotations
@@ -53,12 +55,20 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _read_tableau(path: str, geometry):
+    """A tableau file in the text grammar, or as records (a file whose first
+    non-blank character is "{")."""
+    with open(path) as fh:
+        text = fh.read()
+    if text.lstrip().startswith("{"):
+        return render.parse_tableau_records(text)
+    return render.parse_tableau(text, geometry)
+
+
 def cmd_invert(args) -> int:
     alg = _alg(args.algorithm)
-    with open(args.p) as fh:
-        P = render.parse_tableau(fh.read(), alg.geometry)
-    with open(args.q) as fh:
-        Q = render.parse_tableau(fh.read(), alg.geometry)
+    P = _read_tableau(args.p, alg.geometry)
+    Q = _read_tableau(args.q, alg.geometry)
     gp = invert_growth(alg, P, Q)
     print(f"permutation: {render.format_gp(gp, alg.r)}")
     return 0
@@ -132,18 +142,24 @@ def cmd_verify_diagram(args) -> int:
     return 0 if not bad else 1
 
 
-def cmd_verify_bijection(args) -> int:
+def _summary(**fields) -> None:
+    """The one JSON summary line of a verify subcommand.  It holds no
+    timings, so the output is the same on every run."""
     import json
+    print(json.dumps(fields, sort_keys=True))
+
+
+def cmd_verify_bijection(args) -> int:
     from math import factorial
     alg = _alg(args.algorithm)
+    workers = _workers()
     inputs = factorial(args.n) * alg.r ** args.n
-    print(f"running algorithm={alg.name} n={args.n} inputs={inputs} workers={_workers()}")
-    report = oracle.check_bijection(alg, args.n, workers=_workers())
+    print(f"running algorithm={alg.name} n={args.n} inputs={inputs} workers={workers}")
+    report = oracle.check_bijection(alg, args.n, workers=workers)
     print(report)
-    print(json.dumps({"check": "bijection", "algorithm": alg.name, "n": args.n,
-                      "inputs": report.gp_count, "image": report.image_count,
-                      "expected": report.expected_count, "ok": report.ok,
-                      "failures": list(report.failures)}, sort_keys=True))
+    _summary(check="bijection", algorithm=alg.name, n=args.n, inputs=report.gp_count,
+             image=report.image_count, expected=report.expected_count, ok=report.ok,
+             failures=list(report.failures), workers=workers)
     return 0 if report.ok else 1
 
 
@@ -157,13 +173,17 @@ _ALPHA_MAPS = {
 def cmd_verify_duality(args) -> int:
     a, b = _alg(args.a), _alg(args.b or args.a)
     n = args.n if args.n is not None else (3 if a.r == 4 else 4)
+    workers = _workers()
     if args.kind == "inversion":
-        report = duality.check_inversion_duality(a, b, n, workers=_workers())
+        report = duality.check_inversion_duality(a, b, n, workers=workers)
     else:
         f = _ALPHA_MAPS[args.alpha_map]
         g = _ALPHA_MAPS[args.edge_map]
-        report = duality.check_transpose_duality(a, b, f, g, n, workers=_workers())
+        report = duality.check_transpose_duality(a, b, f, g, n, workers=workers)
     print(report)
+    _summary(check="duality", kind=report.kind, a=report.a, b=report.b, n=report.n,
+             checked=report.checked, ok=report.ok,
+             counterexamples=list(report.counterexamples[:10]), workers=workers)
     return 0 if report.ok else 1
 
 

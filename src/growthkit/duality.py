@@ -3,7 +3,6 @@ checks of the tableau-level relationships they induce."""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -13,7 +12,7 @@ from .growth import (
     ColoredTableau, GeneralizedPermutation, extract_P, extract_Q, run_growth,
 )
 from .lattice import Geometry, Shape, shapes_up_to, transpose
-from .oracle import enumerate_gps
+from .oracle import sweep
 
 
 class DualityError(ValueError):
@@ -115,8 +114,9 @@ def check_transpose_duality(algA: AlgorithmSpec, algB: AlgorithmSpec,
         raise DualityError("transpose duality requires matching differential degrees")
     instB = algB.instantiation
 
-    def run_one(gp):
-        ga = run_growth(algA, gp)
+    def visit(leaf):
+        ga = leaf.growth()
+        gp = ga.alphas
         gb = run_growth(algB, _recolor(gp, f))
         want_p = _transpose_with(extract_P(ga), g, instB.w1)
         want_q = _transpose_with(extract_Q(ga), g, instB.w2)
@@ -124,7 +124,7 @@ def check_transpose_duality(algA: AlgorithmSpec, algB: AlgorithmSpec,
             return f"gp={sorted(gp.entries)}"
         return None
 
-    return _sweep("transpose", algA, algB, n, run_one, workers)
+    return _sweep("transpose", algA, algB, n, visit, workers)
 
 
 # Inversion-duality color maps: how P/Q of the inverse relate to Q/P of the
@@ -168,8 +168,9 @@ def check_inversion_duality(algA: AlgorithmSpec, algB: AlgorithmSpec, n: int,
             raise DualityError(
                 f"no declared inversion color map for ({algA.name}, {algB.name})")
 
-    def run_one(gp):
-        ga = run_growth(algA, gp)
+    def visit(leaf):
+        ga = leaf.growth()
+        gp = ga.alphas
         gb = run_growth(algB, _recolor(invert_gp(gp), color_map.alpha_map))
         pa, qa = extract_P(ga), extract_Q(ga)
         pb, qb = extract_P(gb), extract_Q(gb)
@@ -192,35 +193,27 @@ def check_inversion_duality(algA: AlgorithmSpec, algB: AlgorithmSpec, n: int,
             return f"gp={sorted(gp.entries)} (circles landed on {sorted(got)}, expected {sorted(want)})"
         return None
 
-    return _sweep("inversion", algA, algB, n, run_one, workers)
+    return _sweep("inversion", algA, algB, n, visit, workers)
 
 
 def check_inversion_nodes(alg: AlgorithmSpec, n: int) -> DualityReport:
     """Node-level inversion duality for trivially-colored algorithms:
     the inverse gp grows the same node values in transposed grid locations."""
 
-    def run_one(gp):
-        ga = run_growth(alg, gp)
+    def visit(leaf):
+        gp = leaf.gp()
         gb = run_growth(alg, invert_gp(gp))
-        for i in range(gp.n + 1):
-            for j in range(gp.m + 1):
-                if gb.node(j, i) != ga.node(i, j):
+        for i, (nodes, _, _) in enumerate(leaf.columns):
+            for j, node in enumerate(nodes):
+                if gb.node(j, i) != node:
                     return f"gp={sorted(gp.entries)} node ({i},{j})"
         return None
 
-    return _sweep("inversion-nodes", alg, alg, n, run_one, 1)
+    return _sweep("inversion-nodes", alg, alg, n, visit, 1)
 
 
-def _sweep(kind, algA, algB, n, run_one, workers) -> DualityReport:
-    counterexamples = []
-    checked = 0
-    for size in range(1, n + 1):
-        gps = list(enumerate_gps(size, algA.instantiation.r))
-        checked += len(gps)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_one, gps))
-        else:
-            results = [run_one(gp) for gp in gps]
-        counterexamples += [r for r in results if r is not None]
+def _sweep(kind, algA, algB, n, visit, workers) -> DualityReport:
+    """Sweep A over every full gp of each size <= n; each visit returns a
+    counterexample or None."""
+    checked, counterexamples = sweep(algA, range(1, n + 1), visit, workers)
     return DualityReport(kind, algA.name, algB.name, n, checked, tuple(counterexamples))

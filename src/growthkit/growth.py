@@ -259,34 +259,55 @@ def cell_inverse(alg, x: Shape, y: Shape, z: Shape,
     return remove_box(x, p), pair, 0
 
 
+Column = tuple[tuple[Shape, ...], tuple[Optional[int], ...], tuple[Optional[int], ...]]
+
+
+def border_column(alg, m: int) -> Column:
+    """Column 0 of an m-tall growth: empty shapes, no colors."""
+    return (empty_shape(alg.geometry),) * (m + 1), (None,) * (m + 1), (None,) * (m + 1)
+
+
+def grow_column(alg, i: int, west: Column, time: int, color: int) -> Column:
+    """Column i of a growth from column i - 1: the cells (i, 1..m), bottom
+    to top, with value i inserted at ``time`` in ``color`` (time 0: value i
+    is absent).  A column is its (nodes, hcolors, vcolors) at j = 0..m, laid
+    out as in GrowthDiagram."""
+    west_nodes, _, west_v = west
+    x = west_nodes[0]
+    nodes, hcol, vcol = [x], [None], [None]
+    # Ascending color of the north edge of the cell below.  North edges are
+    # degenerate (no color) up to the time value i enters and never after.
+    h = None
+    for j in range(1, len(west_nodes)):
+        t, y = west_nodes[j - 1], west_nodes[j]
+        a = color_pair(h, west_v[j]) if y != t else None
+        try:
+            z, b = cell_forward(alg, t, x, y, a, color if j == time else 0)
+        except ValueError as e:
+            raise GrowthError(f"cell ({i},{j}): {e}") from None
+        nodes.append(z)
+        vcol.append(b.g2 if b is not None else None)
+        if b is not None and b.g1 is not None:
+            h = b.g1
+        hcol.append(h)
+        x = z
+    return tuple(nodes), tuple(hcol), tuple(vcol)
+
+
 def run_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
-    """Evaluate all cells in a wave from the southwest."""
+    """Grow the diagram column by column from the west border."""
     r = alg.instantiation.r
     if any(c > r for _, _, c in gp.entries):
         raise GrowthError(f"alpha colors must be <= r={r} for {alg.name}")
-    n, m = gp.n, gp.m
     # Value i has at most one entry: its (time, color), looked up once per
-    # column of cells.  Built per call and not kept on gp.
+    # column.  Built per call and not kept on gp.
     entry_of = {i: (j, c) for i, j, c in gp.entries}
-    empty = empty_shape(alg.geometry)
-    nodes = [[empty] * (m + 1) for _ in range(n + 1)]
-    hcol = [[None] * (m + 1) for _ in range(n + 1)]
-    vcol = [[None] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
+    columns = [border_column(alg, gp.m)]
+    for i in range(1, gp.n + 1):
         time, color = entry_of.get(i, (0, 0))
-        for j in range(1, m + 1):
-            t, x, y = nodes[i - 1][j - 1], nodes[i][j - 1], nodes[i - 1][j]
-            a = color_pair(hcol[i][j - 1], vcol[i - 1][j]) if y != t else None
-            try:
-                z, b = cell_forward(alg, t, x, y, a, color if j == time else 0)
-            except ValueError as e:
-                raise GrowthError(f"cell ({i},{j}): {e}") from None
-            nodes[i][j] = z
-            vcol[i][j] = b.g2 if b is not None else None
-            if z != y:
-                hcol[i][j] = b.g1 if b is not None and b.g1 is not None else hcol[i][j - 1]
-    freeze = lambda grid: tuple(tuple(col) for col in grid)
-    return GrowthDiagram(n, m, freeze(nodes), freeze(hcol), freeze(vcol), gp)
+        columns.append(grow_column(alg, i, columns[-1], time, color))
+    nodes, hcols, vcols = zip(*columns)
+    return GrowthDiagram(gp.n, gp.m, nodes, hcols, vcols, gp)
 
 
 def extract_P(g: GrowthDiagram) -> ColoredTableau:

@@ -1,17 +1,27 @@
 """Exhaustive small-n verification: bijectivity onto same-shape standard
-colored tableau pairs, and the counting identity sum f1*f2 = n! * r^n."""
+colored tableau pairs, and the counting identity sum f1*f2 = n! * r^n.
+
+The checks run on ``sweep``, which grows every full colored permutation of a
+size depth-first by value.  Columns 0..i of a growth depend only on where
+values 1..i sit (restriction coherence), so inputs that agree on values
+1..i share those columns, and each node of the search tree grows just one
+new column.
+"""
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
 
 from .growth import (
-    ColoredTableau, GeneralizedPermutation, extract_P, extract_Q, run_growth,
+    ColoredTableau, GeneralizedPermutation, GrowthDiagram, border_column,
+    grow_column,
 )
-from .lattice import Shape, deletion_points, remove_box, shapes_of_size
+from .lattice import (
+    Shape, add_box, added_box, deletion_points, empty_shape, remove_box,
+    shapes_of_size,
+)
 from .wdgg import Channel, Instantiation
 
 
@@ -65,8 +75,166 @@ def sct_count(inst: Instantiation, channel: Channel, shape: Shape) -> int:
     return f(shape)
 
 
-def _tableau_key(t: ColoredTableau):
-    return (t.shape.rows, tuple((p.row, p.col, v, c) for p, v, c in t.cells))
+def _word_gp(n: int, word) -> GeneralizedPermutation:
+    """The full n x n input whose value i sits at word[i - 1] = (time, color)."""
+    return GeneralizedPermutation(
+        n, n, frozenset((i, t, c) for i, (t, c) in enumerate(word, start=1)))
+
+
+class SweepLeaf:
+    """One full input of a sweep, with its growth.
+
+    ``word[i - 1]`` is the (time, color) of value i and ``columns[i]`` is
+    column i of the growth, as growth.grow_column returns it.  The sweep
+    reuses this object and its two lists from leaf to leaf, so read them
+    during the visit only; the columns themselves are tuples and may be kept.
+    """
+
+    __slots__ = ("n", "word", "columns")
+
+    def __init__(self, n: int, word: list, columns: list):
+        self.n, self.word, self.columns = n, word, columns
+
+    def gp(self) -> GeneralizedPermutation:
+        return _word_gp(self.n, self.word)
+
+    def growth(self) -> GrowthDiagram:
+        nodes, hcols, vcols = zip(*self.columns)
+        return GrowthDiagram(self.n, self.n, nodes, hcols, vcols, self.gp())
+
+
+def _sweep_branch(alg, size: int, branch: int, visit) -> tuple[int, list]:
+    """Visit the inputs of one size whose value 1 takes the branch-th
+    (time, color) placement: their number, and the visits' non-None results
+    in sweep order."""
+    colors = range(1, alg.instantiation.r + 1)
+    leaf = SweepLeaf(size, [], [border_column(alg, size)])
+    word, columns = leaf.word, leaf.columns
+    if size == 0:
+        got = visit(leaf)
+        return 1, [] if got is None else [got]
+    results = []
+    count = 0
+
+    def place(time, color, free):
+        # one tree node: value len(word) + 1 goes to (time, color)
+        nonlocal count
+        word.append((time, color))
+        columns.append(grow_column(alg, len(word), columns[-1], time, color))
+        if free:
+            for k, t in enumerate(free):
+                rest = free[:k] + free[k + 1:]
+                for c in colors:
+                    place(t, c, rest)
+        else:
+            count += 1
+            got = visit(leaf)
+            if got is not None:
+                results.append(got)
+        word.pop()
+        columns.pop()
+
+    time, color = divmod(branch, len(colors))
+    place(time + 1, color + 1, [t for t in range(1, size + 1) if t != time + 1])
+    return count, results
+
+
+# The sweep in progress: (alg, visit, branches, stride).  It is set before
+# the worker processes fork, so they inherit it and nothing in it needs to
+# pickle (visits are closures, specs may hold closures).
+_SWEEP = None
+
+
+def _run_shard(k: int) -> list[tuple[int, list]]:
+    alg, visit, branches, stride = _SWEEP
+    return [_sweep_branch(alg, size, b, visit) for size, b in branches[k::stride]]
+
+
+def _fork_context():
+    """The fork start method, or None on a platform without it."""
+    import multiprocessing
+    if "fork" in multiprocessing.get_all_start_methods():
+        return multiprocessing.get_context("fork")
+    return None
+
+
+def sweep(alg, sizes, visit, workers: int = 1) -> tuple[int, list]:
+    """Grow every full input of each size in ``sizes`` (n! * r^n of size n)
+    and call ``visit`` on each as a SweepLeaf.
+
+    Inputs come by size, then depth-first by value: value 1's time and
+    color, then value 2's, and so on, each tree node growing one column.
+    Returns the number of inputs and the visits' non-None results in that
+    order.  With workers > 1 the (size, value-1 placement) branches are dealt
+    round-robin to that many forked processes, each with its own copy of the
+    diagram caches, and the results are merged back in order, so they do not
+    depend on the worker count.  Where fork is unavailable the sweep runs in
+    this process.
+    """
+    global _SWEEP
+    branches = [(size, b) for size in sizes
+                for b in range(size * alg.instantiation.r or 1)]
+    context = _fork_context() if workers > 1 and len(branches) > 1 else None
+    stride = min(workers, len(branches)) if context else 1
+    _SWEEP = (alg, visit, branches, stride)
+    try:
+        if context:
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(stride, mp_context=context) as pool:
+                shards = list(pool.map(_run_shard, range(stride)))
+        else:
+            shards = [_run_shard(0)]
+    finally:
+        _SWEEP = None
+    count, results = 0, []
+    for k in range(len(branches)):
+        n, got = shards[k % stride][k // stride]
+        count += n
+        results += got
+    return count, results
+
+
+def _image_entry(leaf: SweepLeaf):
+    """The leaf's (P, Q) key and its word.  P is the north edge and Q the
+    east column, each as a chain: the shapes at 0..n and the colors of the
+    edges into them (None into the first)."""
+    m = leaf.n
+    columns = leaf.columns
+    east = columns[-1]
+    p = (tuple(c[0][m] for c in columns), tuple(c[1][m] for c in columns))
+    return (p, (east[0], east[2])), tuple(leaf.word)
+
+
+def _chain_key(t: ColoredTableau):
+    """A standard tableau as the chain of _image_entry: the shapes of its
+    sub-tableaux on values <= 0..n and the colors of the boxes added."""
+    chain, colors = [empty_shape(t.shape.geometry)], [None]
+    for p, _, c in sorted(t.cells, key=lambda cell: cell[1]):
+        chain.append(add_box(chain[-1], p))
+        colors.append(c)
+    return tuple(chain), tuple(colors)
+
+
+def _chain_text(chain, colors) -> str:
+    """The tableau a chain encodes, rows joined by "/"; a color other than
+    1 follows its value as "^c"."""
+    rows: dict[int, list] = {}
+    for v in range(1, len(chain)):
+        if chain[v] != chain[v - 1]:
+            p = added_box(chain[v - 1], chain[v])
+            mark = "" if colors[v] == 1 else f"^{colors[v]}"
+            rows.setdefault(p.row, []).append((p.col, f"{v}{mark}"))
+    return "/".join(" ".join(e for _, e in sorted(rows[r])) for r in sorted(rows)) or "(empty)"
+
+
+def _pair_text(key) -> str:
+    (p_chain, p_colors), (q_chain, q_colors) = key
+    return f"P={_chain_text(p_chain, p_colors)} Q={_chain_text(q_chain, q_colors)}"
+
+
+def _pair_order(key):
+    return [(tuple(s.rows for s in chain), tuple(c or 0 for c in colors))
+            for chain, colors in key]
 
 
 @dataclass(frozen=True)
@@ -90,24 +258,26 @@ class BijectionReport:
 
 
 def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
-    """Run every full gp and compare the image with all same-shape pairs of
-    standard colored tableaux (set equality, not just counts)."""
+    """Grow every full gp and compare the image with all same-shape pairs of
+    standard colored tableaux (set equality, not just counts).  Failures
+    name witnesses: the first two inputs that collide, and the smallest
+    missing and extra pair."""
     inst = alg.instantiation
     failures = []
-    gps = list(enumerate_gps(n, inst.r))
-
-    def run_one(gp):
-        g = run_growth(alg, gp)
-        return _tableau_key(extract_P(g)), _tableau_key(extract_Q(g))
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            image = list(pool.map(run_one, gps))
-    else:
-        image = [run_one(gp) for gp in gps]
-
-    if len(set(image)) != len(image):
-        failures.append("two inputs map to the same (P, Q) pair")
+    count, entries = sweep(alg, [n], _image_entry, workers)
+    image: dict = {}
+    collision = None
+    for key, word in entries:
+        if key not in image:
+            image[key] = word
+        elif collision is None:
+            collision = key, image[key], word
+    if collision is not None:
+        key, first, second = collision
+        failures.append(
+            f"two inputs map to the same (P, Q) pair: "
+            f"gp={sorted(_word_gp(n, first).entries)} and "
+            f"gp={sorted(_word_gp(n, second).entries)} both give {_pair_text(key)}")
 
     expected = set()
     expected_count = 0
@@ -120,20 +290,22 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
                 f"tableau counts disagree with the chain recurrence on {shape}: "
                 f"{len(ps)} vs {f1}, {len(qs)} vs {f2}")
         expected_count += f1 * f2
+        q_keys = [_chain_key(q) for q in qs]
         for p in ps:
-            kp = _tableau_key(p)
-            for q in qs:
-                expected.add((kp, _tableau_key(q)))
+            kp = _chain_key(p)
+            expected.update((kp, kq) for kq in q_keys)
 
-    if expected_count != len(gps):
+    if expected_count != count:
         failures.append(
             f"counting identity fails: sum f1*f2 = {expected_count}, "
-            f"n!*r^n = {len(gps)}")
-    missing = expected - set(image)
-    extra = set(image) - expected
+            f"n!*r^n = {count}")
+    missing = expected - image.keys()
+    extra = image.keys() - expected
     if missing:
-        failures.append(f"{len(missing)} same-shape pairs are not reached")
+        failures.append(f"{len(missing)} same-shape pairs are not reached, e.g. "
+                        f"{_pair_text(min(missing, key=_pair_order))}")
     if extra:
-        failures.append(f"{len(extra)} outputs are not valid same-shape pairs")
-    return BijectionReport(alg.name, n, len(gps), len(set(image)), expected_count,
-                           tuple(failures))
+        key = min(extra, key=_pair_order)
+        failures.append(f"{len(extra)} outputs are not valid same-shape pairs, e.g. "
+                        f"{_pair_text(key)} from gp={sorted(_word_gp(n, image[key]).entries)}")
+    return BijectionReport(alg.name, n, count, len(image), expected_count, tuple(failures))

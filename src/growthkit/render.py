@@ -65,11 +65,8 @@ def parse_gp(text: str, r: int = 1, n: Optional[int] = None) -> GeneralizedPermu
 def format_gp(gp: GeneralizedPermutation, r: int) -> str:
     """Inverse of parse_gp."""
     suffix = alpha_suffixes(r)
-    parts = []
-    for j in range(1, gp.m + 1):
-        entry = gp.column_of(j)
-        parts.append("_" if entry is None else f"{entry[0]}{suffix[entry[1]]}")
-    return " ".join(parts)
+    token = {j: f"{i}{suffix[c]}" for i, j, c in gp.entries}
+    return " ".join(token.get(j, "_") for j in range(1, gp.m + 1))
 
 
 _TABLEAU_TOKEN = re.compile(r"^(\d+)(o|b)?$")
@@ -165,17 +162,52 @@ def _tableau_latex(t, suffixes) -> str:
     return "\n".join(lines)
 
 
+def _records(text: str):
+    """Each non-blank line's JSON object, with the line's 1-based number."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError as e:
+            raise ParseError(f"line {number}: not JSON ({e})") from None
+        if not isinstance(rec, dict):
+            raise ParseError(f"line {number}: a record must be a JSON object")
+        yield number, rec
+
+
+_KIND_NAMES = {int: "an integer", str: "a string"}
+
+
+def _field(number: int, rec: dict, name: str, kind: type):
+    """A record's field, which must be present and of this type (an int
+    field rejects true/false)."""
+    value = rec.get(name)
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"line {number}: field {name!r} must be {_KIND_NAMES[kind]}, "
+                         f"got {value!r}")
+    return value
+
+
+def _geometry(number: int, rec: dict) -> Geometry:
+    text = _field(number, rec, "geometry", str)
+    try:
+        return Geometry(text)
+    except ValueError:
+        raise ParseError(f"line {number}: unknown geometry {text!r}") from None
+
+
 def parse_tableau_records(text: str) -> ColoredTableau:
     shape = None
     cells = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        if rec["kind"] == "tableau":
-            shape = parse_shape(rec["shape"], Geometry(rec["geometry"]))
-        elif rec["kind"] == "cell":
-            cells.append((Point(rec["row"], rec["col"]), rec["value"], rec["color"]))
+    for number, rec in _records(text):
+        kind = _field(number, rec, "kind", str)
+        if kind == "tableau":
+            shape = parse_shape(_field(number, rec, "shape", str), _geometry(number, rec))
+        elif kind == "cell":
+            row, col, value, color = (_field(number, rec, name, int)
+                                      for name in ("row", "col", "value", "color"))
+            cells.append((Point(row, col), value, color))
     if shape is None:
         raise ParseError("missing tableau header record")
     return ColoredTableau(shape, tuple(cells))
@@ -203,6 +235,7 @@ def _growth_text(g: GrowthDiagram, alg) -> str:
     g1_labels = alg.g1_labels if alg else None
     g2_labels = alg.g2_labels if alg else None
     alpha_names = alg.alpha_names if alg else {}
+    alpha_at = {(i, j): c for i, j, c in g.alphas.entries}
     nrows, ncols = 2 * g.m + 1, 2 * g.n + 1
     grid = [["" for _ in range(ncols)] for _ in range(nrows)]
     for j in range(g.m, -1, -1):
@@ -218,7 +251,7 @@ def _growth_text(g: GrowthDiagram, alg) -> str:
                                   g.vcolor(i, j))
                 grid[rr + 1][2 * i] = lab or "|"
                 if i >= 1:
-                    a = g.alphas.alpha(i, j)
+                    a = alpha_at.get((i, j))
                     grid[rr + 1][2 * i - 1] = alpha_names.get(a, str(a)) if a else ""
     widths = [max([len(grid[r][c]) for r in range(nrows)] + [3 if c % 2 else 1])
               for c in range(ncols)]
@@ -280,29 +313,30 @@ def parse_growth_records(text: str) -> GrowthDiagram:
     hcol = {}
     vcol = {}
     alphas = set()
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        kind = rec["kind"]
+    for number, rec in _records(text):
+        kind = _field(number, rec, "kind", str)
         if kind == "growth":
-            header = rec
-        elif kind == "node":
+            header = (_field(number, rec, "n", int), _field(number, rec, "m", int),
+                      _geometry(number, rec))
+            if min(header[:2]) < 0:
+                raise ParseError(f"line {number}: n and m must be >= 0")
+            continue
+        if kind not in ("node", "hedge", "vedge", "alpha"):
+            raise ParseError(f"unknown record kind {kind!r}")
+        at = _field(number, rec, "i", int), _field(number, rec, "j", int)
+        if kind == "node":
             if header is None:
                 raise ParseError("node record before the growth header")
-            geometry = Geometry(header["geometry"])
-            nodes[rec["i"], rec["j"]] = parse_shape(rec["shape"], geometry)
+            nodes[at] = parse_shape(_field(number, rec, "shape", str), header[2])
         elif kind == "hedge":
-            hcol[rec["i"], rec["j"]] = rec["color"]
+            hcol[at] = _field(number, rec, "color", int)
         elif kind == "vedge":
-            vcol[rec["i"], rec["j"]] = rec["color"]
-        elif kind == "alpha":
-            alphas.add((rec["i"], rec["j"], rec["color"]))
+            vcol[at] = _field(number, rec, "color", int)
         else:
-            raise ParseError(f"unknown record kind {kind!r}")
+            alphas.add(at + (_field(number, rec, "color", int),))
     if header is None:
         raise ParseError("missing growth header record")
-    n, m = header["n"], header["m"]
+    n, m, _ = header
     try:
         node_grid = tuple(tuple(nodes[i, j] for j in range(m + 1)) for i in range(n + 1))
     except KeyError as e:
@@ -319,6 +353,7 @@ def _growth_latex(g: GrowthDiagram, alg) -> str:
     g1_labels = alg.g1_labels if alg else None
     g2_labels = alg.g2_labels if alg else None
     alpha_names = alg.alpha_names if alg else {}
+    alpha_at = {(i, j): c for i, j, c in g.alphas.entries}
     lines = ["\\begin{tikzcd}[sep=small]"]
     rows = []
     for j in range(g.m, -1, -1):
@@ -340,7 +375,7 @@ def _growth_latex(g: GrowthDiagram, alg) -> str:
         if j > 0:
             marks = []
             for i in range(1, g.n + 1):
-                a = g.alphas.alpha(i, j)
+                a = alpha_at.get((i, j))
                 marks.append(alpha_names.get(a, str(a)) if a else "")
             rows.append("& " + " && ".join(marks) + " &")
     lines.append(" \\\\\n".join(rows))

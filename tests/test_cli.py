@@ -40,6 +40,22 @@ class TestRunGoldens:
         assert out == (GOLDEN / f"{name}.txt").read_text()
 
 
+GROWTH_GOLDENS = [("growth-left-right", "left-right", "6o 4o 7 5 2 3 1o"),
+                  ("growth-double-circle", "double-circle", "6o 4ob 7 5b 2 3b 1o"),
+                  ("growth-rs-row-gaps", "rs-row", "2 _ 5 1")]
+
+
+class TestRenderGrowthGoldens:
+    @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("latex", "tex")])
+    @pytest.mark.parametrize("case", GROWTH_GOLDENS, ids=[c[0] for c in GROWTH_GOLDENS])
+    def test_byte_exact(self, case, fmt, ext):
+        name, alg, perm = case
+        rc, out, _ = run_cli("render", "--algorithm", alg, "--perm", perm,
+                             "--what", "growth", "--format", fmt)
+        assert rc == 0
+        assert out == (GOLDEN / f"{name}.{ext}").read_text()
+
+
 class TestRunAndRender:
     def test_run_with_diagram(self):
         rc, out, _ = run_cli("run", "--algorithm", "rs-row", "--perm", "2 3 4 1",
@@ -65,6 +81,24 @@ class TestRunAndRender:
         assert rc == 0
         parse_growth_records(out).check()
 
+    @pytest.mark.parametrize("edit", [
+        lambda recs: [{k: v for k, v in recs[0].items() if k != "m"}] + recs[1:],
+        lambda recs: recs[:3] + [{**recs[3], "shape": 21}] + recs[4:],
+        lambda recs: [{**r, "color": "1"} if r["kind"] == "hedge" else r for r in recs],
+        lambda recs: recs + [[1, 2]],
+        lambda recs: recs + [{"i": 1, "j": 1}],
+        lambda recs: [{**recs[0], "n": -1}] + recs[1:],
+    ], ids=["missing-m", "shape-not-string", "color-not-integer", "not-an-object",
+            "no-kind", "negative-n"])
+    def test_render_growth_records_reader_rejects_bad_fields(self, edit):
+        from growthkit.render import ParseError, parse_growth_records
+        rc, out, _ = run_cli("render", "--algorithm", "rs-row",
+                             "--perm", "2 3 1", "--format", "records")
+        assert rc == 0
+        recs = edit([json.loads(line) for line in out.splitlines()])
+        with pytest.raises(ParseError):
+            parse_growth_records("\n".join(json.dumps(r) for r in recs))
+
     def test_bad_permutation_is_reported(self):
         rc, _, err = run_cli("run", "--algorithm", "rs-row", "--perm", "1 1")
         assert rc == 2 and "error:" in err
@@ -85,6 +119,43 @@ class TestInvert:
                              "--p", str(p_file), "--q", str(q_file))
         assert rc == 0
         assert out.strip() == f"permutation: {perm}"
+
+    @staticmethod
+    def _record_files(tmp_path, algorithm, perm):
+        """P and Q files cut from the records output of run."""
+        rc, out, _ = run_cli("run", "--algorithm", algorithm, "--perm", perm,
+                             "--format", "records")
+        assert rc == 0
+        lines = out.splitlines()
+        q_start = max(k for k, line in enumerate(lines) if '"tableau"' in line)
+        p_file, q_file = tmp_path / "p.jsonl", tmp_path / "q.jsonl"
+        p_file.write_text("\n".join(lines[:q_start]) + "\n")
+        q_file.write_text("\n".join(lines[q_start:]) + "\n")
+        return p_file, q_file
+
+    def test_round_trip_through_record_files(self, tmp_path):
+        p_file, q_file = self._record_files(tmp_path, "left-right", "6o 4o 7 5 2 3 1o")
+        rc, out, _ = run_cli("invert", "--algorithm", "left-right",
+                             "--p", str(p_file), "--q", str(q_file))
+        assert rc == 0 and out.strip() == "permutation: 6o 4o 7 5 2 3 1o"
+
+    @pytest.mark.parametrize("bad", [
+        '{"kind": "cell", "row": 1, "col": 1, "value": 1}',
+        '{"kind": "cell", "row": "1", "col": 1, "value": 1, "color": 1}',
+        '{"kind": "tableau", "geometry": "quadrant"}',
+        '{"kind": "tableau", "geometry": "plane", "shape": "1"}',
+        '{"row": 1}',
+        '[1, 2]',
+        '{"kind": ',
+    ], ids=["missing-color", "row-not-integer", "missing-shape", "unknown-geometry",
+            "no-kind", "not-an-object", "not-json"])
+    def test_malformed_record_file_exits_2(self, tmp_path, bad):
+        p_file, q_file = self._record_files(tmp_path, "rs-row", "2 3 1")
+        p_file.write_text(p_file.read_text() + bad + "\n")
+        rc, out, err = run_cli("invert", "--algorithm", "rs-row",
+                               "--p", str(p_file), "--q", str(q_file))
+        assert rc == 2 and out == ""
+        assert err.startswith("error: line 5: ")
 
     def test_shape_mismatch_rejected(self, tmp_path):
         (tmp_path / "p.txt").write_text("1 2")
@@ -149,6 +220,32 @@ class TestVerify:
         rc, out, _ = run_cli("verify", "bijection", "--algorithm", "left-right",
                              "--n", "3", env={"GROWTHKIT_THREADS": "4"})
         assert rc == 0 and "PASS" in out
+
+    def test_bijection_summary_names_workers(self):
+        rc, out, _ = run_cli("verify", "bijection", "--algorithm", "rs-row",
+                             "--n", "3", env={"GROWTHKIT_THREADS": "2"})
+        summary = json.loads(out.splitlines()[-1])
+        assert rc == 0 and summary["workers"] == 2 and summary["ok"] is True
+
+    def test_duality_summary_line(self):
+        outs = []
+        for threads in ("1", "3"):
+            rc, out, _ = run_cli("verify", "duality", "--kind", "transpose",
+                                 "--a", "rs-row", "--b", "rs-row", "--n", "4",
+                                 env={"GROWTHKIT_THREADS": threads})
+            assert rc == 1
+            outs.append(out.splitlines())
+        line = outs[0][-1]
+        summary = json.loads(line)
+        assert line == json.dumps(summary, sort_keys=True)
+        assert sorted(summary) == ["a", "b", "check", "checked", "counterexamples",
+                                   "kind", "n", "ok", "workers"]
+        assert summary["check"] == "duality" and summary["kind"] == "transpose"
+        assert summary["checked"] == 33 and summary["ok"] is False
+        assert summary["counterexamples"] == [c.strip() for c in outs[0][1:11]]
+        # the report does not depend on the worker count
+        assert outs[1][:-1] == outs[0][:-1]
+        assert json.loads(outs[1][-1]) == {**summary, "workers": 3}
 
     def test_duality_inversion(self):
         rc, out, _ = run_cli("verify", "duality", "--kind", "inversion",

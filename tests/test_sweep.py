@@ -1,0 +1,164 @@
+"""The incremental sweep behind the exhaustive checks: it must visit every
+full input once, grow the same diagrams run_growth does, and give reports
+that do not depend on the worker count."""
+
+import os
+from math import factorial, perm
+
+import pytest
+
+from growthkit import oracle
+from growthkit.catalog import AlgorithmSpec, get_algorithm, list_algorithms
+from growthkit.duality import (
+    InversionColorMap, check_inversion_duality, check_transpose_duality,
+    transpose_dual,
+)
+from growthkit.growth import run_growth
+from growthkit.insdiag import alpha_arrow, bump_arrow, diagram
+from growthkit.lattice import deletion_points, insertion_points
+from growthkit.oracle import check_bijection, enumerate_gps, sweep
+from growthkit.wdgg import BUILTIN_INSTANTIATIONS
+
+
+def _sizes(alg):
+    return range(0, 4 if alg.r == 4 else 5)
+
+
+@pytest.mark.parametrize("name", sorted(list_algorithms()))
+def test_visits_every_input_once_with_its_growth(name):
+    alg = get_algorithm(name)
+    for n in _sizes(alg):
+        def visit(leaf):
+            gp = leaf.gp()
+            assert leaf.growth() == run_growth(alg, gp)
+            return gp
+
+        count, gps = sweep(alg, [n], visit)
+        assert count == len(gps) == factorial(n) * alg.r ** n
+        assert len(set(gps)) == len(gps)
+        assert set(gps) == set(enumerate_gps(n, alg.r))
+
+
+def test_each_tree_node_grows_one_column(monkeypatch):
+    """Inputs that agree on values 1..i share columns 0..i: a size-n sweep
+    grows n!/(n-d)! * r^d columns at depth d, not n per input."""
+    calls = []
+    real = oracle.grow_column
+    monkeypatch.setattr(oracle, "grow_column",
+                        lambda *args: calls.append(args[1]) or real(*args))
+    alg = get_algorithm("left-right")
+    count, _ = sweep(alg, [4], lambda leaf: None)
+    assert count == 24 * 16
+    assert sorted(calls) == sorted(
+        d for d in range(1, 5) for _ in range(perm(4, d) * 2 ** d))
+
+
+def test_sizes_come_in_order_and_results_keep_sweep_order():
+    alg = get_algorithm("rs-row")
+    count, words = sweep(alg, [2, 1], lambda leaf: tuple(leaf.word))
+    assert count == 3
+    assert words == [((1, 1), (2, 1)), ((2, 1), (1, 1)), ((1, 1),)]
+
+
+@pytest.mark.parametrize("run", [
+    lambda w: check_bijection(get_algorithm("left-right"), 4, workers=w),
+    lambda w: check_inversion_duality(get_algorithm("left-right"), get_algorithm("mixed"),
+                                      4, workers=w),
+    lambda w: check_transpose_duality(get_algorithm("rs-row"), get_algorithm("rs-col"),
+                                      n=4, workers=w),
+    # wrong pairings: the counterexamples and their order must not move
+    lambda w: check_transpose_duality(get_algorithm("rs-row"), get_algorithm("rs-row"),
+                                      n=4, workers=w),
+    lambda w: check_inversion_duality(get_algorithm("sagan1"), get_algorithm("sagan1"), 4,
+                                      color_map=InversionColorMap(), workers=w),
+], ids=["bijection", "inversion", "transpose", "transpose-wrong", "inversion-wrong"])
+def test_reports_do_not_depend_on_workers(run):
+    serial = run(1)
+    assert run(2) == serial and run(3) == serial
+
+
+def test_workers_are_forked_processes_unless_fork_is_missing(monkeypatch):
+    alg = get_algorithm("rs-row")
+    pid = lambda leaf: os.getpid()
+    count, pids = sweep(alg, [3], pid, workers=2)
+    assert count == 6 and os.getpid() not in pids
+    monkeypatch.setattr(oracle, "_fork_context", lambda: None)
+    assert sweep(alg, [3], pid, workers=2) == (6, [os.getpid()] * 6)
+
+
+def test_wrong_pairing_reports_are_not_empty():
+    report = check_transpose_duality(get_algorithm("rs-row"), get_algorithm("rs-row"),
+                                     n=4, workers=2)
+    assert not report.ok and len(report.counterexamples) > 10
+
+
+def test_transpose_dual_spec_runs_in_worker_processes():
+    # the derived spec holds closures, which cannot be pickled
+    dual = transpose_dual(get_algorithm("rs-row"))
+    report = check_transpose_duality(get_algorithm("rs-row"), dual, n=4, workers=2)
+    assert report.ok and report.checked == 1 + 2 + 6 + 24
+
+
+def test_worker_failure_reaches_the_caller():
+    base = get_algorithm("rs-row")
+
+    def gen(shape):
+        if shape.size == 3:
+            raise ValueError("generator broke")
+        return base.generator(shape)
+
+    broken = AlgorithmSpec("broken", base.instantiation, gen, "fails on size 3")
+    with pytest.raises(ValueError, match="generator broke"):
+        check_bijection(broken, 4, workers=2)
+
+
+def test_size_zero_is_one_empty_input():
+    report = check_bijection(get_algorithm("rs-row"), 0, workers=2)
+    assert report.ok and report.gp_count == report.expected_count == 1
+
+
+# Broken algorithms for the failure witnesses.
+
+def _color_blind(shape):
+    """Row insertion for both alpha colors: inputs that differ only in
+    color collide, and no pair with a color-2 box is reached."""
+    ins = insertion_points(shape)
+    arrows = [alpha_arrow(1, ins[0], 1, 1), alpha_arrow(2, ins[0], 1, 1)]
+    arrows += [bump_arrow(p, 1, 1, ins[k + 1], 1, 1)
+               for k, p in enumerate(deletion_points(shape))]
+    return diagram(shape, arrows)
+
+
+def _overcolored(shape):
+    """Row insertion whose descending colors are all 2 on a weight-1
+    instantiation: every Q tableau is invalid."""
+    ins = insertion_points(shape)
+    arrows = [alpha_arrow(1, ins[0], 1, 2)]
+    arrows += [bump_arrow(p, 1, 2, ins[k + 1], 1, 2)
+               for k, p in enumerate(deletion_points(shape))]
+    return diagram(shape, arrows)
+
+
+def test_collision_names_both_inputs_and_the_pair():
+    alg = AlgorithmSpec("color-blind", BUILTIN_INSTANTIATIONS["unshifted-2"],
+                        _color_blind, "ignores alpha colors")
+    report = check_bijection(alg, 2)
+    assert not report.ok
+    collision, missing = report.failures
+    assert collision == ("two inputs map to the same (P, Q) pair: "
+                         "gp=[(1, 1, 1), (2, 2, 1)] and gp=[(1, 1, 1), (2, 2, 2)] "
+                         "both give P=1 2 Q=1 2")
+    assert missing == "6 same-shape pairs are not reached, e.g. P=1/2 Q=1/2^2"
+    for workers in (2, 3):
+        assert check_bijection(alg, 2, workers=workers) == report
+
+
+def test_extra_output_names_a_pair_and_its_input():
+    alg = AlgorithmSpec("overcolored", BUILTIN_INSTANTIATIONS["unshifted-1"],
+                        _overcolored, "descending colors out of range")
+    report = check_bijection(alg, 2)
+    assert report.failures == (
+        "2 same-shape pairs are not reached, e.g. P=1/2 Q=1/2",
+        "2 outputs are not valid same-shape pairs, e.g. P=1/2 Q=1^2/2^2 "
+        "from gp=[(1, 2, 1), (2, 1, 1)]",
+    )
