@@ -197,12 +197,6 @@ _ALPHA_NAMES = {
     4: {1: "UU", 2: "CU", 3: "UC", 4: "CC"},
 }
 
-_ALPHA_SUFFIXES = {
-    1: {1: ""},
-    2: {1: "", 2: "o"},
-    4: {1: "", 2: "o", 3: "b", 4: "ob"},
-}
-
 
 @dataclass
 class AlgorithmSpec:
@@ -229,10 +223,6 @@ class AlgorithmSpec:
     @property
     def alpha_names(self) -> dict[int, str]:
         return _ALPHA_NAMES[self.r]
-
-    @property
-    def alpha_suffixes(self) -> dict[int, str]:
-        return _ALPHA_SUFFIXES[self.r]
 
     def diagram(self, shape: Shape) -> InsertionDiagram:
         """Generate-and-memoize, one cache per process.  A sweep's forked

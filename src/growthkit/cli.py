@@ -2,9 +2,10 @@
 
 Commands: run, invert, verify (weights | diagram | bijection | duality),
 list, render.  Exit status is 0 on success or a passing check, 1 on a failing
-check, 2 on bad input.  ``verify bijection`` and ``verify duality`` end with
-one sorted-key JSON summary line.  GROWTHKIT_THREADS sets how many processes
-the exhaustive sweeps fork (default 1; serial where fork is unavailable).
+check, 2 on bad input.  Every ``verify`` subcommand that runs its check ends
+with one sorted-key JSON summary line.  GROWTHKIT_THREADS sets how many
+processes the exhaustive sweeps fork (default 1; serial where fork is
+unavailable).
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def cmd_render(args) -> int:
 
 def cmd_verify_weights(args) -> int:
     names = [args.instantiation] if args.instantiation else list(wdgg.BUILTIN_INSTANTIATIONS)
-    status = 0
+    checked, failures = 0, []
     for name in names:
         inst = wdgg.BUILTIN_INSTANTIATIONS.get(name)
         if inst is None:
@@ -105,8 +106,11 @@ def cmd_verify_weights(args) -> int:
             return 2
         report = wdgg.verify_instantiation(inst, args.max_size)
         print(report)
-        status |= 0 if report.ok else 1
-    return status
+        checked += report.checked
+        failures += [f"instantiation={name} {f}" for f in report.failures]
+    _summary(check="weights", instantiations=names, max_size=args.max_size,
+             checked=checked, ok=not failures, failures=failures)
+    return 1 if failures else 0
 
 
 def cmd_verify_diagram(args) -> int:
@@ -123,6 +127,8 @@ def cmd_verify_diagram(args) -> int:
             d = insdiag.parse_diagram(fh.read(), shape)
         report = insdiag.validate(inst, d)
         print(report)
+        _summary(check="diagram", instantiation=inst.name, shape=str(shape), checked=1,
+                 ok=report.ok, failures=list(report.failures))
         return 0 if report.ok else 1
     if not args.algorithm:
         print("error: need --algorithm or --file", file=sys.stderr)
@@ -131,14 +137,18 @@ def cmd_verify_diagram(args) -> int:
     from .lattice import shapes_up_to
     bad = 0
     checked = 0
+    failures = []
     for shape in shapes_up_to(alg.geometry, args.max_size):
         checked += 1
         report = insdiag.validate(alg.instantiation, alg.diagram(shape))
         if not report.ok:
             bad += 1
             print(report)
+            failures += [f"shape={shape} {f}" for f in report.failures]
     print(f"{'PASS' if not bad else 'FAIL'} diagrams algorithm={alg.name} "
           f"shapes<= {args.max_size} checked={checked} failures={bad}")
+    _summary(check="diagram", algorithm=alg.name, max_size=args.max_size,
+             checked=checked, ok=not bad, failures=failures)
     return 0 if not bad else 1
 
 

@@ -4,15 +4,15 @@ checks of the tableau-level relationships they induce."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from math import factorial
 from typing import Callable, Optional
 
 from .catalog import AlgorithmSpec
 from .insdiag import ALPHA, InsertionDiagram, alpha_arrow, bump_arrow, diagram
-from .growth import (
-    ColoredTableau, GeneralizedPermutation, extract_P, extract_Q, run_growth,
-)
-from .lattice import Geometry, Shape, shapes_up_to, transpose
-from .oracle import sweep
+from .growth import GeneralizedPermutation
+from .lattice import Geometry, Point, Shape, added_box, shapes_up_to, transpose
+from .oracle import _rank, sweep
 
 
 class DualityError(ValueError):
@@ -94,14 +94,57 @@ class DualityReport:
         return "\n".join([head] + [f"  {c}" for c in self.counterexamples[:10]])
 
 
-def _recolor(gp: GeneralizedPermutation, f) -> GeneralizedPermutation:
-    return GeneralizedPermutation(
-        gp.n, gp.m, frozenset((i, j, f(c)) for i, j, c in gp.entries))
+def _steps(chain, colors=None) -> list[int]:
+    """Each step of a chain of shapes as the row, column and color of the box
+    it adds; (0, 0, 0) for a step that adds none, and color 0 without colors."""
+    out = []
+    for k in range(1, len(chain)):
+        if chain[k] == chain[k - 1]:
+            out += (0, 0, 0)
+        else:
+            p = added_box(chain[k - 1], chain[k])
+            out += (p.row, p.col, colors[k] if colors else 0)
+    return out
 
 
-def _transpose_with(t: ColoredTableau, g, weight) -> ColoredTableau:
-    out = t.transpose()
-    return out.map_colors(lambda p, c: g(c) if weight(p) > 1 else c)
+def _tableaux_key(leaf) -> bytes:
+    """The leaf's P and Q as one key: the row, column and color of the box of
+    each value of P (its north edge), then of each time of Q (its east
+    column)."""
+    m = leaf.n
+    columns = leaf.columns
+    east = columns[-1]
+    return bytes(_steps([c[0][m] for c in columns], [c[1][m] for c in columns])
+                 + _steps(east[0], east[2]))
+
+
+def _nodes_key(leaf) -> bytes:
+    """Every node of the leaf's growth: for each column, the steps of its
+    chain from south to north, without colors."""
+    return bytes(x for nodes, _, _ in leaf.columns[1:] for x in _steps(nodes))
+
+
+def _inverse(word, alpha: dict[int, int]) -> list:
+    """The word of the inverse input, its colors mapped by ``alpha``."""
+    out = [None] * len(word)
+    for i, (t, c) in enumerate(word, start=1):
+        out[t - 1] = (i, alpha[c])
+    return out
+
+
+def _color_map(f, r_a: int, r_b: int) -> dict[int, int]:
+    """The alpha map f on A's colors 1..r_a, each of which it must send into
+    B's colors 1..r_b."""
+    out = {}
+    for c in range(1, r_a + 1):
+        try:
+            out[c] = f(c)
+        except (LookupError, ValueError):
+            raise DualityError(f"the alpha map is not defined on color {c}") from None
+        if not 1 <= out[c] <= r_b:
+            raise DualityError(
+                f"the alpha map sends color {c} to {out[c]}, outside 1..{r_b}")
+    return out
 
 
 def check_transpose_duality(algA: AlgorithmSpec, algB: AlgorithmSpec,
@@ -112,19 +155,25 @@ def check_transpose_duality(algA: AlgorithmSpec, algB: AlgorithmSpec,
     produce the transposes of A's tableaux, with edge colors mapped by g."""
     if algA.instantiation.r != algB.instantiation.r:
         raise DualityError("transpose duality requires matching differential degrees")
+    for alg in (algA, algB):
+        if alg.geometry is not Geometry.QUADRANT:
+            raise DualityError("transpose duality is only defined on the quadrant; "
+                               f"{alg.name} runs on the {alg.geometry}")
+    alpha = _color_map(f, algA.r, algB.r)
     instB = algB.instantiation
 
-    def visit(leaf):
-        ga = leaf.growth()
-        gp = ga.alphas
-        gb = run_growth(algB, _recolor(gp, f))
-        want_p = _transpose_with(extract_P(ga), g, instB.w1)
-        want_q = _transpose_with(extract_Q(ga), g, instB.w2)
-        if extract_P(gb) != want_p or extract_Q(gb) != want_q:
-            return f"gp={sorted(gp.entries)}"
+    def visit(image, leaf):
+        key = _tableaux_key(leaf)
+        want = bytearray()
+        for k in range(0, len(key), 3):
+            row, col, color = key[k:k + 3]
+            w = instB.w1 if k < len(key) // 2 else instB.w2
+            want += bytes((col, row, g(color) if w(Point(col, row)) > 1 else color))
+        if image[leaf.n][_rank([(t, alpha[c]) for t, c in leaf.word], algB.r)] != want:
+            return f"gp={sorted(leaf.gp().entries)}"
         return None
 
-    return _sweep("transpose", algA, algB, n, visit, workers)
+    return _check("transpose", algA, algB, n, _tableaux_key, visit, workers)
 
 
 # Inversion-duality color maps: how P/Q of the inverse relate to Q/P of the
@@ -167,53 +216,69 @@ def check_inversion_duality(algA: AlgorithmSpec, algB: AlgorithmSpec, n: int,
         if color_map is None:
             raise DualityError(
                 f"no declared inversion color map for ({algA.name}, {algB.name})")
+    alpha = _color_map(color_map.alpha_map, algA.r, algB.r)
+    apart = algA.geometry is not algB.geometry  # then no two tableaux are equal
 
-    def visit(leaf):
-        ga = leaf.growth()
-        gp = ga.alphas
-        gb = run_growth(algB, _recolor(invert_gp(gp), color_map.alpha_map))
-        pa, qa = extract_P(ga), extract_Q(ga)
-        pb, qb = extract_P(gb), extract_Q(gb)
+    def visit(image, leaf):
+        key, word = _tableaux_key(leaf), leaf.word
+        inverse = _inverse(word, alpha)
+        got = image[leaf.n][_rank(inverse, algB.r)]
+        half = len(key) // 2
+        want = key[half:] + key[:half]
         if color_map.compare == "exact":
-            if pb != qa or qb != pa:
-                return f"gp={sorted(gp.entries)}"
-            return None
-        if (pb.strip_colors() != qa.strip_colors()
-                or qb.strip_colors() != pa.strip_colors()):
-            return f"gp={sorted(gp.entries)} (underlying tableaux differ)"
-        time_of = {i: j for i, j, _ in gp.entries}
-        value_at = {j: i for i, j, _ in gp.entries}
-        if color_map.circled_tableau == "P":
-            want = {time_of[v] for v in pa.circled_values()}
-            got = pb.circled_values()
-        else:
-            want = {value_at[j] for j in qa.circled_values()}
-            got = qb.circled_values()
-        if got != want:
-            return f"gp={sorted(gp.entries)} (circles landed on {sorted(got)}, expected {sorted(want)})"
+            return None if got == want and not apart else f"gp={sorted(leaf.gp().entries)}"
+        if apart or got[0::3] != want[0::3] or got[1::3] != want[1::3]:
+            return f"gp={sorted(leaf.gp().entries)} (underlying tableaux differ)"
+        # A circled value of A's P lands on its time; a circled time of
+        # A's Q lands on the value inserted then.
+        start, place = (0, word) if color_map.circled_tableau == "P" else (half, inverse)
+        circled = lambda pq: [v for v in range(len(word)) if pq[start + 3 * v + 2] == 2]
+        want_circles = sorted(place[v][0] for v in circled(key))
+        got_circles = [v + 1 for v in circled(got)]
+        if got_circles != want_circles:
+            return (f"gp={sorted(leaf.gp().entries)} (circles landed on {got_circles}, "
+                    f"expected {want_circles})")
         return None
 
-    return _sweep("inversion", algA, algB, n, visit, workers)
+    return _check("inversion", algA, algB, n, _tableaux_key, visit, workers)
 
 
 def check_inversion_nodes(alg: AlgorithmSpec, n: int) -> DualityReport:
     """Node-level inversion duality for trivially-colored algorithms:
     the inverse gp grows the same node values in transposed grid locations."""
+    same = {c: c for c in range(1, alg.r + 1)}
 
-    def visit(leaf):
-        gp = leaf.gp()
-        gb = run_growth(alg, invert_gp(gp))
-        for i, (nodes, _, _) in enumerate(leaf.columns):
-            for j, node in enumerate(nodes):
-                if gb.node(j, i) != node:
-                    return f"gp={sorted(gp.entries)} node ({i},{j})"
+    def visit(image, leaf):
+        # Row j of A's growth, west to east, must be column j of B's, south
+        # to north.  Both start empty, so the first step to differ (i outer,
+        # j inner) is at the first node to differ.
+        size, columns = leaf.n, leaf.columns
+        want = bytes(x for j in range(1, size + 1) for x in _steps([c[0][j] for c in columns]))
+        got = image[leaf.n][_rank(_inverse(leaf.word, same), alg.r)]
+        for i in range(1, size + 1):
+            for j in range(1, size + 1):
+                k = 3 * (size * (j - 1) + i - 1)
+                if want[k:k + 3] != got[k:k + 3]:
+                    return f"gp={sorted(leaf.gp().entries)} node ({i},{j})"
         return None
 
-    return _sweep("inversion-nodes", alg, alg, n, visit, 1)
+    return _check("inversion-nodes", alg, alg, n, _nodes_key, visit, 1)
 
 
-def _sweep(kind, algA, algB, n, visit, workers) -> DualityReport:
-    """Sweep A over every full gp of each size <= n; each visit returns a
-    counterexample or None."""
-    checked, counterexamples = sweep(algA, range(1, n + 1), visit, workers)
+def _check(kind, algA, algB, n, key, visit, workers) -> DualityReport:
+    """Sweep B over the sizes 1..n for its image, then sweep A over them.
+
+    ``image[size]`` lists ``key`` of each input of that size in sweep order,
+    a compact bytes key.  ``visit(image, leaf)`` maps A's input to B's,
+    finds B's key at that input's sweep rank, compares it with A's own key
+    transformed as the duality says, and returns a counterexample or None.
+    One sweep per side, not one per size: each sweep with workers forks a
+    pool."""
+    sizes = range(1, n + 1)
+    _, keys = sweep(algB, sizes, key, workers)
+    image, start = {}, 0
+    for size in sizes:
+        count = factorial(size) * algB.r ** size
+        image[size], start = keys[start:start + count], start + count
+    checked, counterexamples = sweep(algA, sizes, partial(visit, image), workers)
     return DualityReport(kind, algA.name, algB.name, n, checked, tuple(counterexamples))

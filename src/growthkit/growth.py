@@ -125,26 +125,11 @@ class ColoredTableau:
     def values(self) -> list[int]:
         return sorted(v for _, v, _ in self.cells)
 
-    def strip_colors(self) -> "ColoredTableau":
-        return ColoredTableau(self.shape, tuple((p, v, 1) for p, v, _ in self.cells))
-
-    def circled_values(self) -> set[int]:
-        return {v for _, v, c in self.cells if c == 2}
-
     def validate_colors(self, inst, channel_w) -> None:
         """channel_w is inst.w1 for P tableaux, inst.w2 for Q tableaux."""
         for p, v, c in self.cells:
             if c > channel_w(p):
                 raise GrowthError(f"color {c} exceeds weight {channel_w(p)} at {p}")
-
-    def transpose(self) -> "ColoredTableau":
-        from .lattice import transpose as transpose_shape
-        return ColoredTableau(
-            transpose_shape(self.shape),
-            tuple((p.transpose(), v, c) for p, v, c in self.cells))
-
-    def map_colors(self, f) -> "ColoredTableau":
-        return ColoredTableau(self.shape, tuple((p, v, f(p, c)) for p, v, c in self.cells))
 
 
 @dataclass(frozen=True)

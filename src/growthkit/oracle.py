@@ -194,6 +194,17 @@ def sweep(alg, sizes, visit, workers: int = 1) -> tuple[int, list]:
     return count, results
 
 
+def _rank(word, r: int) -> int:
+    """The index of ``word`` among the inputs of its size in sweep order: a
+    mixed-radix number whose digit for value i is its placement, the number
+    of times still free before its time, times r, plus its color - 1."""
+    rank = 0
+    for i, (t, c) in enumerate(word):
+        earlier = sum(1 for u, _ in word[:i] if u < t)
+        rank = (rank * (len(word) - i) + t - 1 - earlier) * r + c - 1
+    return rank
+
+
 def _image_entry(leaf: SweepLeaf):
     """The leaf's (P, Q) key and its word.  P is the north edge and Q the
     east column, each as a chain: the shapes at 0..n and the colors of the

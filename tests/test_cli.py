@@ -264,6 +264,43 @@ class TestVerify:
                              "--a", "rs-row", "--b", "rs-row", "--n", "3")
         assert rc == 1 and "FAIL" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--a", "double-circle", "--alpha-map", "swap-uc"],
+         "the alpha map is not defined on color 3"),
+        (["--a", "rs-row", "--b", "rs-col", "--alpha-map", "swap-uc"],
+         "the alpha map sends color 1 to 2, outside 1..1"),
+        (["--a", "sagan1"], "sagan1 runs on the octant"),
+        (["--a", "rs-row", "--b", "worley-sagan"], "worley-sagan runs on the octant"),
+    ], ids=["map-raises", "map-out-of-range", "a-octant", "b-octant"])
+    def test_duality_argument_errors_exit_2(self, argv, message):
+        rc, out, err = run_cli("verify", "duality", "--kind", "transpose", *argv, "--n", "2")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_weights_summary_line(self):
+        rc, out, _ = run_cli("verify", "weights", "--instantiation", "shifted-1",
+                             "--max-size", "3")
+        line = out.splitlines()[-1]
+        assert rc == 0 and line == json.dumps(
+            {"check": "weights", "checked": 5, "failures": [],
+             "instantiations": ["shifted-1"], "max_size": 3, "ok": True}, sort_keys=True)
+
+    def test_diagram_summary_lines(self, tmp_path):
+        rc, out, _ = run_cli("verify", "diagram", "--algorithm", "rs-row", "--max-size", "3")
+        assert rc == 0 and json.loads(out.splitlines()[-1]) == {
+            "algorithm": "rs-row", "check": "diagram", "checked": 7, "failures": [],
+            "max_size": 3, "ok": True}
+        f = tmp_path / "psi.txt"
+        f.write_text("alpha 1 -> (1,2) <1,1>\n")
+        rc, out, _ = run_cli("verify", "diagram", "--file", str(f),
+                             "--shape", "1", "--instantiation", "unshifted-1")
+        lines = out.splitlines()
+        summary = json.loads(lines[-1])
+        assert rc == 1 and lines[-1] == json.dumps(summary, sort_keys=True)
+        assert summary["ok"] is False and summary["shape"] == "1"
+        assert summary["failures"] == [l.strip() for l in lines[1:-1]]
+
     def test_duality_default_bound_shrinks_for_four_colors(self):
         rc, out, _ = run_cli("verify", "duality", "--kind", "inversion",
                              "--a", "double-circle")

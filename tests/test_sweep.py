@@ -162,3 +162,11 @@ def test_extra_output_names_a_pair_and_its_input():
         "2 outputs are not valid same-shape pairs, e.g. P=1/2 Q=1^2/2^2 "
         "from gp=[(1, 2, 1), (2, 1, 1)]",
     )
+
+
+@pytest.mark.parametrize("name", ["rs-row", "left-right", "double-circle"])
+def test_rank_is_the_sweep_index(name):
+    alg = get_algorithm(name)
+    for n in range(5):
+        count, ranks = sweep(alg, [n], lambda leaf: oracle._rank(leaf.word, alg.r))
+        assert ranks == list(range(count))
