@@ -2,9 +2,11 @@
 
 Commands: run, invert, verify (weights | diagram | bijection | duality),
 list, render.  Exit status is 0 on success or a passing check, 1 on a failing
-check, 2 on bad input.  Every ``verify`` subcommand that runs its check ends
-with one sorted-key JSON summary line.  GROWTHKIT_THREADS sets how many
-processes the exhaustive sweeps fork (default 1; serial where fork is
+check, 2 on bad input.  When the reader of standard output goes away (as
+``head`` does), the command stops quietly with status 1, as Python's own
+handling of a broken pipe does.  Every ``verify`` subcommand that runs its
+check ends with one sorted-key JSON summary line.  GROWTHKIT_THREADS sets how
+many processes the exhaustive sweeps fork (default 1; serial where fork is
 unavailable).
 """
 
@@ -263,7 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Python's documented recipe: send what is left to devnull, so that
+        # the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -10,18 +10,12 @@ from typing import Callable, Optional
 
 from .catalog import AlgorithmSpec
 from .insdiag import ALPHA, InsertionDiagram, alpha_arrow, bump_arrow, diagram
-from .growth import GeneralizedPermutation
 from .lattice import Geometry, Point, Shape, added_box, shapes_up_to, transpose
 from .oracle import _rank, sweep
 
 
 class DualityError(ValueError):
     pass
-
-
-def invert_gp(gp: GeneralizedPermutation) -> GeneralizedPermutation:
-    """Transpose the alpha matrix; colors ride along with the entries."""
-    return gp.inverse()
 
 
 def identity(c: int) -> int:

@@ -1,5 +1,5 @@
-"""The growth process: local cell rule (forward and inverse), whole-diagram
-computation, P/Q extraction, inversion, and restriction.
+"""The growth process: the local cell rule (forward and inverse), the grid
+it fills, and the event engine that runs and inverts whole inputs.
 
 Cell corners follow the convention
 
@@ -11,16 +11,26 @@ The forward rule computes (z, north color, east color) from
 (t, x, y, south color, west color, alpha); six cases apply depending on which
 corners coincide.  All state an insertion needs flows east along a row of
 cells (descending colors) and north along a column (ascending colors).
+
+Only insertion cells (alpha nonzero) and bump cells (x = y, one box above t)
+read an insertion diagram; every other cell passes its box and colors on, so
+a row of cells is one insertion.  ``run_growth`` and ``invert_growth`` visit
+those cells only, time by time, with P as a box -> (value, color) map.  The
+diagram ``run_growth`` returns carries P and Q, and builds its grid by the
+``border_column`` + ``grow_column`` fold the sweeps use when first read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from itertools import takewhile
+from operator import itemgetter
 from typing import Optional
 
 from .insdiag import ColorPair, color_pair, psi_bump, psi_insert, psi_inverse
 from .lattice import (
-    Geometry, Point, Shape, add_box, added_box, empty_shape, join, meet,
+    Geometry, Point, Shape, added_box, canonical, empty_shape, join, meet,
     remove_box,
 )
 
@@ -48,19 +58,6 @@ class GeneralizedPermutation:
                 raise GrowthError(f"entry ({i},{j}) outside the {self.n}x{self.m} grid")
             if c < 1:
                 raise GrowthError(f"alpha colors must be >= 1, got {c}")
-
-    def alpha(self, i: int, j: int) -> int:
-        for vi, vj, c in self.entries:
-            if vi == i and vj == j:
-                return c
-        return 0
-
-    def column_of(self, j: int) -> Optional[tuple[int, int]]:
-        """(value, color) inserted at time j, if any."""
-        for vi, vj, c in self.entries:
-            if vj == j:
-                return vi, c
-        return None
 
     def inverse(self) -> "GeneralizedPermutation":
         return GeneralizedPermutation(
@@ -132,7 +129,6 @@ class ColoredTableau:
                 raise GrowthError(f"color {c} exceeds weight {channel_w(p)} at {p}")
 
 
-@dataclass(frozen=True)
 class GrowthDiagram:
     """Node shapes plus optional edge colors on an (n+1) x (m+1) grid.
 
@@ -141,27 +137,57 @@ class GrowthDiagram:
     (i, j) (valid for i >= 1); vcolors[i][j] colors the descending edge
     between (i, j) and (i, j-1) (valid for j >= 1).  Degenerate edges carry
     None.
+
+    A diagram from ``run_growth`` holds its P and Q and builds the grid from
+    its algorithm and alphas the first time ``nodes``, ``hcolors`` or
+    ``vcolors`` is read, then keeps it.  Equality compares the grids.
     """
 
-    n: int
-    m: int
-    nodes: tuple[tuple[Shape, ...], ...]
-    hcolors: tuple[tuple[Optional[int], ...], ...]
-    vcolors: tuple[tuple[Optional[int], ...], ...]
-    alphas: GeneralizedPermutation
+    __slots__ = ("n", "m", "alphas", "_grid", "_run")
 
+    def __init__(self, n: int, m: int, nodes, hcolors, vcolors,
+                 alphas: GeneralizedPermutation):
+        self.n, self.m, self.alphas = n, m, alphas
+        self._grid = None if nodes is None else (nodes, hcolors, vcolors)
+        self._run = None    # (algorithm, P, Q) of a diagram run_growth made
+
+    def _built(self):
+        """(nodes, hcolors, vcolors), grown by the fold on first use."""
+        if self._grid is None:
+            alg = self._run[0]
+            entry_of = {i: (j, c) for i, j, c in self.alphas.entries}
+            columns = [border_column(alg, self.m)]
+            for i in range(1, self.n + 1):
+                columns.append(grow_column(alg, i, columns[-1], *entry_of.get(i, (0, 0))))
+            self._grid = tuple(zip(*columns))
+        return self._grid
+
+    nodes = property(lambda self: self._built()[0])
+    hcolors = property(lambda self: self._built()[1])
+    vcolors = property(lambda self: self._built()[2])
+
+    def __eq__(self, other):
+        if other.__class__ is not GrowthDiagram:
+            return NotImplemented
+        return ((self.n, self.m, self.alphas, self._built())
+                == (other.n, other.m, other.alphas, other._built()))
+
+    def __hash__(self):
+        return hash((self.n, self.m, self.alphas))
+
+    # Renderers read the grid cell by cell, so these skip the properties.
     def node(self, i: int, j: int) -> Shape:
-        return self.nodes[i][j]
+        return (self._grid or self._built())[0][i][j]
 
     def hcolor(self, i: int, j: int) -> Optional[int]:
-        return self.hcolors[i][j]
+        return (self._grid or self._built())[1][i][j]
 
     def vcolor(self, i: int, j: int) -> Optional[int]:
-        return self.vcolors[i][j]
+        return (self._grid or self._built())[2][i][j]
 
     @property
     def final_shape(self) -> Shape:
-        return self.nodes[self.n][self.m]
+        return self._run[1].shape if self._run else self.nodes[self.n][self.m]
 
     def check(self) -> None:
         """Structural sanity: borders empty, adjacent nodes equal-or-cover,
@@ -279,58 +305,109 @@ def grow_column(alg, i: int, west: Column, time: int, color: int) -> Column:
     return tuple(nodes), tuple(hcol), tuple(vcol)
 
 
+class _Filling:
+    """A tableau changed in place: box -> (value, color), and each row's
+    values in ascending order, which is column order."""
+
+    def __init__(self, geometry: Geometry, cells=()):
+        self.geometry, self.at, self.rows = geometry, {}, []
+        for p, v, c in cells:
+            self.put(p, v, c)
+
+    def put(self, box: Point, value: int, color: int) -> Optional[tuple[int, int]]:
+        """Fill box and return the (value, color) it held, if any."""
+        old = self.pop(box)
+        self.at[box] = value, color
+        if box.row > len(self.rows):
+            self.rows.append([])
+        insort(self.rows[box.row - 1], value)
+        return old
+
+    def pop(self, box: Point) -> Optional[tuple[int, int]]:
+        old = self.at.pop(box, None)
+        if old is not None:
+            self.rows[box.row - 1].remove(old[0])
+        return old
+
+    def shape_below(self, u: int) -> Shape:
+        """The shape of the values < u: a prefix of every row."""
+        lengths = takewhile(bool, (bisect_left(row, u) for row in self.rows))
+        return canonical(self.geometry, tuple(lengths))
+
+
 def run_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
-    """Grow the diagram column by column from the west border."""
+    """The growth of gp, one insertion per time: the value follows its alpha
+    arrow, then each occupant it lands on follows its bump arrow.  A failing
+    cell ends the run of its value and the larger ones, as it ends those
+    columns of the fold, so the failure raised is the one the fold meets
+    first: the westmost, then the earliest."""
     r = alg.instantiation.r
     if any(c > r for _, _, c in gp.entries):
         raise GrowthError(f"alpha colors must be <= r={r} for {alg.name}")
-    # Value i has at most one entry: its (time, color), looked up once per
-    # column.  Built per call and not kept on gp.
-    entry_of = {i: (j, c) for i, j, c in gp.entries}
-    columns = [border_column(alg, gp.m)]
-    for i in range(1, gp.n + 1):
-        time, color = entry_of.get(i, (0, 0))
-        columns.append(grow_column(alg, i, columns[-1], time, color))
-    nodes, hcols, vcols = zip(*columns)
-    return GrowthDiagram(gp.n, gp.m, nodes, hcols, vcols, gp)
+    P, Q = _Filling(alg.geometry), {}
+    limit, error = gp.n + 1, None      # values from limit on are dropped
+    for v, j, c in sorted(gp.entries, key=itemgetter(1)):
+        if v >= limit:
+            continue
+        u = v
+        try:
+            x = P.shape_below(v)
+            z, out = psi_insert(alg.diagram(x), c)
+            while True:
+                box = added_box(x, z)
+                old = P.put(box, v, out.g1)
+                if old is None:
+                    break
+                # u leaves box: the values <= u fill what they filled at j - 1
+                u, color = old
+                x = P.shape_below(u)
+                z, out = psi_bump(alg.diagram(x), box, color_pair(color, out.g2))
+                v = u
+            Q[box] = j, out.g2
+        except ValueError as e:
+            error, limit = GrowthError(f"cell ({u},{j}): {e}"), u
+            for box in [b for b, (w, _) in P.at.items() if w >= u]:
+                P.pop(box)
+    if error is not None:
+        raise error
+    shape = P.shape_below(gp.n + 1)
+    g = GrowthDiagram(gp.n, gp.m, None, None, None, gp)
+    g._run = (alg, ColoredTableau(shape, tuple((b, v, c) for b, (v, c) in P.at.items())),
+              ColoredTableau(shape, tuple((b, j, d) for b, (j, d) in Q.items())))
+    return g
+
+
+def _chain_tableau(g: GrowthDiagram, chain, colors) -> ColoredTableau:
+    """Box k holds k and colors[k], where it is added between chain[k - 1]
+    and chain[k]."""
+    return ColoredTableau(g.final_shape, tuple(
+        (added_box(lo, hi), k, colors[k])
+        for k, (lo, hi) in enumerate(zip(chain, chain[1:]), start=1) if lo != hi))
 
 
 def extract_P(g: GrowthDiagram) -> ColoredTableau:
     """North-edge chain: the box added at column i holds value i and the
     ascending color of that edge."""
-    cells = []
-    for i in range(1, g.n + 1):
-        lo, hi = g.nodes[i - 1][g.m], g.nodes[i][g.m]
-        if lo != hi:
-            cells.append((added_box(lo, hi), i, g.hcolors[i][g.m]))
-    return ColoredTableau(g.final_shape, tuple(cells))
+    if g._run:
+        return g._run[1]
+    return _chain_tableau(g, [col[g.m] for col in g.nodes], [col[g.m] for col in g.hcolors])
 
 
 def extract_Q(g: GrowthDiagram) -> ColoredTableau:
     """East-edge chain: the box added at row j holds value j and the
     descending color of that edge."""
-    cells = []
-    for j in range(1, g.m + 1):
-        lo, hi = g.nodes[g.n][j - 1], g.nodes[g.n][j]
-        if lo != hi:
-            cells.append((added_box(lo, hi), j, g.vcolors[g.n][j]))
-    return ColoredTableau(g.final_shape, tuple(cells))
-
-
-def _chain_from_tableau(t: ColoredTableau, geometry: Geometry, length: int) -> list[Shape]:
-    """Shapes of the sub-tableaux on values <= i, for i = 0..length."""
-    point_of = {v: p for p, v, _ in t.cells}
-    chain = [empty_shape(geometry)]
-    current = chain[0]
-    for i in range(1, length + 1):
-        if i in point_of:
-            current = add_box(current, point_of[i])
-        chain.append(current)
-    return chain
+    if g._run:
+        return g._run[2]
+    return _chain_tableau(g, g.nodes[g.n], g.vcolors[g.n])
 
 
 def invert_growth(alg, P: ColoredTableau, Q: ColoredTableau) -> GeneralizedPermutation:
-    """Southwestward sweep of cell_inverse from the chains P and Q encode."""
+    """The input whose growth has these P and Q: from the last time down,
+    the value in Q's box at that time is unbumped through psi_inverse until
+    an alpha arrow names its color.  A failing cell gives up its value and
+    the smaller ones, whose boxes then only count as a shape, as the cell
+    sweep from the northeast would, so the failure raised is the one that
+    sweep meets first: the eastmost, then the latest."""
     if P.shape != Q.shape:
         raise GrowthError("P and Q must have the same shape")
     if not P.is_standard() or not Q.is_standard():
@@ -338,47 +415,30 @@ def invert_growth(alg, P: ColoredTableau, Q: ColoredTableau) -> GeneralizedPermu
     inst = alg.instantiation
     P.validate_colors(inst, inst.w1)
     Q.validate_colors(inst, inst.w2)
-    n, m = P.size, Q.size
-    nodes: list[list[Optional[Shape]]] = [[None] * (m + 1) for _ in range(n + 1)]
-    hcol: list[list[Optional[int]]] = [[None] * (m + 1) for _ in range(n + 1)]
-    vcol: list[list[Optional[int]]] = [[None] * (m + 1) for _ in range(n + 1)]
-
-    north = _chain_from_tableau(P, alg.geometry, n)
-    east = _chain_from_tableau(Q, alg.geometry, m)
-    for i in range(n + 1):
-        nodes[i][m] = north[i]
-    nodes[n] = east
-    p_color = {v: c for _, v, c in P.cells}
-    q_color = {v: c for _, v, c in Q.cells}
-    for i in range(1, n + 1):
-        hcol[i][m] = p_color[i] if north[i] != north[i - 1] else None
-    for j in range(1, m + 1):
-        vcol[n][j] = q_color[j] if east[j] != east[j - 1] else None
-
+    filling = _Filling(alg.geometry, P.cells)
+    q_at = {j: (p, d) for p, j, d in Q.cells}
     entries = set()
-    for i in range(n, 0, -1):
-        for j in range(m, 0, -1):
-            x, y, z = nodes[i][j - 1], nodes[i - 1][j], nodes[i][j]
-            b = color_pair(hcol[i][j], vcol[i][j]) if z != x else None
+    limit, error = 0, None             # values up to limit are given up
+    for j in range(Q.size, 0, -1):
+        box, d = q_at[j]
+        u, color = filling.pop(box)
+        while u > limit:
             try:
-                t, a, alpha = cell_inverse(alg, x, y, z, b)
+                x = filling.shape_below(u)
+                got = psi_inverse(alg.diagram(x), box, color_pair(color, d))
+                if isinstance(got, int):
+                    entries.add((u, j, got))
+                    break
+                box, pair = got
+                remove_box(x, box)
+                # u was at box at time j - 1; box's occupant at j is next
+                u, color = filling.put(box, u, pair.g1)
+                d = pair.g2
             except ValueError as e:
-                raise GrowthError(f"cell ({i},{j}) is outside the image: {e}") from None
-            nodes[i - 1][j - 1] = t
-            vcol[i - 1][j] = a.g2 if a is not None else None
-            if t == x:
-                hcol[i][j - 1] = None
-            elif a is not None and a.g1 is not None:
-                hcol[i][j - 1] = a.g1
-            else:
-                hcol[i][j - 1] = hcol[i][j]
-            if alpha:
-                entries.add((i, j, alpha))
-
-    for i in range(n + 1):
-        if nodes[i][0].size:
-            raise GrowthError("P/Q pair is outside the image (south border not empty)")
-    return GeneralizedPermutation(n, m, frozenset(entries))
+                error, limit = GrowthError(f"cell ({u},{j}) is outside the image: {e}"), u
+    if error is not None:
+        raise error
+    return GeneralizedPermutation(P.size, Q.size, frozenset(entries))
 
 
 def restrict(g: GrowthDiagram, i_max: int) -> GrowthDiagram:

@@ -7,11 +7,12 @@ columns ``k .. k + length - 1``.
 
 Canonical shapes.  ``empty_shape``, ``add_box``, ``remove_box``, ``join``,
 ``meet``, ``transpose``, ``parse_shape`` and ``shapes_of_size`` return the
-canonical instance of their result: one shared ``Shape`` per (geometry,
-rows).  The module's table finds it but holds it weakly, so a canonical
-shape lives only as long as something else holds it (a growth diagram, a
-tableau, an algorithm's diagram cache) and is built again when next needed.
-A shape is validated once, when it is built, and carries its hash and size.
+canonical instance of their result, as ``canonical`` does for given rows:
+one shared ``Shape`` per (geometry, rows).  The module's table finds it but
+holds it weakly, so a canonical shape lives only as long as something else
+holds it (a growth diagram, a tableau, an algorithm's diagram cache) and is
+built again when next needed.  A shape is validated once, when it is built,
+and carries its hash and size.
 
 Every shape caches its cover structure: its insertion and deletion points,
 computed together in one pass the first time ``add_box``, ``remove_box``,
@@ -188,7 +189,7 @@ _CANONICAL: "weakref.WeakValueDictionary[tuple[Geometry, tuple[int, ...]], Shape
     weakref.WeakValueDictionary()
 
 
-def _canonical(geometry: Geometry, rows: tuple[int, ...]) -> Shape:
+def canonical(geometry: Geometry, rows: tuple[int, ...]) -> Shape:
     """The canonical shape with these rows, built and validated on a miss."""
     key = (geometry, rows)
     s = _CANONICAL.get(key)
@@ -236,7 +237,7 @@ def _cover(s: Shape) -> tuple[_ByRow, _ByRow]:
 
 
 def empty_shape(geometry: Geometry) -> Shape:
-    return _canonical(geometry, ())
+    return canonical(geometry, ())
 
 
 def shape_size(s: Shape) -> int:
@@ -282,8 +283,8 @@ def add_box(s: Shape, p: Point) -> Shape:
         raise LatticeError(f"{p} is not an insertion point of {s}")
     rows, r = s.rows, p.row
     if r > len(rows):
-        return _canonical(s.geometry, rows + (1,))
-    return _canonical(s.geometry, rows[:r - 1] + (rows[r - 1] + 1,) + rows[r:])
+        return canonical(s.geometry, rows + (1,))
+    return canonical(s.geometry, rows[:r - 1] + (rows[r - 1] + 1,) + rows[r:])
 
 
 def remove_box(s: Shape, p: Point) -> Shape:
@@ -291,8 +292,8 @@ def remove_box(s: Shape, p: Point) -> Shape:
         raise LatticeError(f"{p} is not a deletion point of {s}")
     rows, r = s.rows, p.row
     if rows[r - 1] == 1:    # only the last row can have a removable single box
-        return _canonical(s.geometry, rows[:-1])
-    return _canonical(s.geometry, rows[:r - 1] + (rows[r - 1] - 1,) + rows[r:])
+        return canonical(s.geometry, rows[:-1])
+    return canonical(s.geometry, rows[:r - 1] + (rows[r - 1] - 1,) + rows[r:])
 
 
 def added_box(lower: Shape, upper: Shape) -> Point:
@@ -311,14 +312,14 @@ def join(a: Shape, b: Shape) -> Shape:
     if a.geometry is not b.geometry:
         raise LatticeError("cannot join shapes from different geometries")
     x, y = (a.rows, b.rows) if len(a.rows) >= len(b.rows) else (b.rows, a.rows)
-    return _canonical(a.geometry, tuple(map(max, x, y)) + x[len(y):])
+    return canonical(a.geometry, tuple(map(max, x, y)) + x[len(y):])
 
 
 def meet(a: Shape, b: Shape) -> Shape:
     """Greatest lower bound: rowwise minimum (intersection of ideals)."""
     if a.geometry is not b.geometry:
         raise LatticeError("cannot meet shapes from different geometries")
-    return _canonical(a.geometry, tuple(map(min, a.rows, b.rows)))
+    return canonical(a.geometry, tuple(map(min, a.rows, b.rows)))
 
 
 def transpose(s: Shape) -> Shape:
@@ -326,12 +327,12 @@ def transpose(s: Shape) -> Shape:
     if s.geometry is not Geometry.QUADRANT:
         raise LatticeError("transpose is only defined on quadrant shapes")
     if not s.rows:
-        return _canonical(s.geometry, ())
+        return canonical(s.geometry, ())
     out = [0] * s.rows[0]
     for length in s.rows:
         for c in range(length):
             out[c] += 1
-    return _canonical(s.geometry, tuple(out))
+    return canonical(s.geometry, tuple(out))
 
 
 @cache
@@ -344,7 +345,7 @@ def shapes_of_size(geometry: Geometry, n: int) -> tuple[Shape, ...]:
 
     def extend(prefix, remaining, maxpart):
         if remaining == 0:
-            found.append(_canonical(geometry, tuple(prefix)))
+            found.append(canonical(geometry, tuple(prefix)))
             return
         cap = min(remaining, maxpart)
         for part in range(cap, 0, -1):
@@ -375,4 +376,4 @@ def parse_shape(text: str, geometry: Geometry) -> Shape:
         rows = [int(t) for t in text.split(",")]
     except ValueError:
         raise LatticeError(f"malformed shape {text!r}") from None
-    return _canonical(geometry, tuple(rows))
+    return canonical(geometry, tuple(rows))

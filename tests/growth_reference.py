@@ -1,0 +1,109 @@
+"""The grid engine as a reference for the event engine in growthkit.growth.
+
+``fold_growth`` grows every cell, column by column, with
+``border_column`` + ``grow_column``; ``invert_grid`` sweeps ``cell_inverse``
+over every cell from the northeast.  Both are the engines ``run_growth``
+and ``invert_growth`` used before they visited only insertion and bump
+cells, kept here so that tests can compare the two on any input.
+"""
+
+from typing import Optional
+
+from growthkit.growth import (
+    ColoredTableau, GeneralizedPermutation, GrowthDiagram, GrowthError,
+    border_column, cell_inverse, grow_column,
+)
+from growthkit.insdiag import color_pair
+from growthkit.lattice import Geometry, Shape, add_box, empty_shape
+
+
+def alpha(gp: GeneralizedPermutation, i: int, j: int) -> int:
+    """The color of the entry at (value i, time j), 0 where there is none."""
+    for vi, vj, c in gp.entries:
+        if vi == i and vj == j:
+            return c
+    return 0
+
+
+def column_of(gp: GeneralizedPermutation, j: int) -> Optional[tuple[int, int]]:
+    """(value, color) inserted at time j, if any."""
+    for vi, vj, c in gp.entries:
+        if vj == j:
+            return vi, c
+    return None
+
+
+def fold_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
+    """Every cell of the growth, grown column by column from the west border;
+    a diagram built from its grid, so extract_P/extract_Q read the grid."""
+    entry_of = {i: (j, c) for i, j, c in gp.entries}
+    columns = [border_column(alg, gp.m)]
+    for i in range(1, gp.n + 1):
+        time, color = entry_of.get(i, (0, 0))
+        columns.append(grow_column(alg, i, columns[-1], time, color))
+    nodes, hcols, vcols = zip(*columns)
+    return GrowthDiagram(gp.n, gp.m, nodes, hcols, vcols, gp)
+
+
+def _chain_from_tableau(t: ColoredTableau, geometry: Geometry, length: int) -> list[Shape]:
+    """Shapes of the sub-tableaux on values <= i, for i = 0..length."""
+    point_of = {v: p for p, v, _ in t.cells}
+    chain = [empty_shape(geometry)]
+    current = chain[0]
+    for i in range(1, length + 1):
+        if i in point_of:
+            current = add_box(current, point_of[i])
+        chain.append(current)
+    return chain
+
+
+def invert_grid(alg, P: ColoredTableau, Q: ColoredTableau) -> GeneralizedPermutation:
+    """Southwestward sweep of cell_inverse from the chains P and Q encode."""
+    if P.shape != Q.shape:
+        raise GrowthError("P and Q must have the same shape")
+    if not P.is_standard() or not Q.is_standard():
+        raise GrowthError("P and Q must be standard")
+    inst = alg.instantiation
+    P.validate_colors(inst, inst.w1)
+    Q.validate_colors(inst, inst.w2)
+    n, m = P.size, Q.size
+    nodes: list[list[Optional[Shape]]] = [[None] * (m + 1) for _ in range(n + 1)]
+    hcol: list[list[Optional[int]]] = [[None] * (m + 1) for _ in range(n + 1)]
+    vcol: list[list[Optional[int]]] = [[None] * (m + 1) for _ in range(n + 1)]
+
+    north = _chain_from_tableau(P, alg.geometry, n)
+    east = _chain_from_tableau(Q, alg.geometry, m)
+    for i in range(n + 1):
+        nodes[i][m] = north[i]
+    nodes[n] = east
+    p_color = {v: c for _, v, c in P.cells}
+    q_color = {v: c for _, v, c in Q.cells}
+    for i in range(1, n + 1):
+        hcol[i][m] = p_color[i] if north[i] != north[i - 1] else None
+    for j in range(1, m + 1):
+        vcol[n][j] = q_color[j] if east[j] != east[j - 1] else None
+
+    entries = set()
+    for i in range(n, 0, -1):
+        for j in range(m, 0, -1):
+            x, y, z = nodes[i][j - 1], nodes[i - 1][j], nodes[i][j]
+            b = color_pair(hcol[i][j], vcol[i][j]) if z != x else None
+            try:
+                t, a, alpha_color = cell_inverse(alg, x, y, z, b)
+            except ValueError as e:
+                raise GrowthError(f"cell ({i},{j}) is outside the image: {e}") from None
+            nodes[i - 1][j - 1] = t
+            vcol[i - 1][j] = a.g2 if a is not None else None
+            if t == x:
+                hcol[i][j - 1] = None
+            elif a is not None and a.g1 is not None:
+                hcol[i][j - 1] = a.g1
+            else:
+                hcol[i][j - 1] = hcol[i][j]
+            if alpha_color:
+                entries.add((i, j, alpha_color))
+
+    for i in range(n + 1):
+        if nodes[i][0].size:
+            raise GrowthError("P/Q pair is outside the image (south border not empty)")
+    return GeneralizedPermutation(n, m, frozenset(entries))

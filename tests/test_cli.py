@@ -1,13 +1,19 @@
 import io
 import json
 import os
+import random
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from growthkit.catalog import get_algorithm
 from growthkit.cli import main
+from growthkit.render import parse_gp, render_growth
 from figures import FIGURES
+from growth_reference import fold_growth
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -305,3 +311,43 @@ class TestVerify:
         rc, out, _ = run_cli("verify", "duality", "--kind", "inversion",
                              "--a", "double-circle")
         assert rc == 0 and "n<=3" in out
+
+
+LAZY_GRID_CASES = [("rs-row", "9 _ 1"), ("sagan1", "1 2 5 4 3"),
+                   ("double-circle", "6o 4ob 7 5b 2 3b 1o"), ("jitter", "3o _ 1 _ 5")]
+
+
+class TestGrowthGridWhenRead:
+    """run_growth builds its grid only when read; what the CLI prints of it
+    is the grid of the cell-by-cell fold."""
+
+    @pytest.mark.parametrize("fmt", ["text", "records", "latex"])
+    @pytest.mark.parametrize("case", LAZY_GRID_CASES, ids=[c[0] for c in LAZY_GRID_CASES])
+    def test_render_growth_prints_the_fold(self, case, fmt):
+        name, perm = case
+        alg = get_algorithm(name)
+        want = render_growth(fold_growth(alg, parse_gp(perm, alg.r)), fmt, alg)
+        rc, out, _ = run_cli("render", "--algorithm", name, "--perm", perm,
+                             "--what", "growth", "--format", fmt)
+        assert rc == 0 and out == want + "\n"
+        rc, out, _ = run_cli("run", "--algorithm", name, "--perm", perm,
+                             "--format", fmt, "--diagram")
+        assert rc == 0 and out.endswith("\n" + want + "\n")
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_quietly(self):
+        values = list(range(1, 151))
+        random.Random(3).shuffle(values)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        # the growth text of n = 150 is far larger than a pipe's buffer
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "growthkit.cli", "render", "--algorithm", "rs-row",
+             "--perm", " ".join(map(str, values)), "--what", "growth"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(b"0 --- 1")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""

@@ -3,7 +3,7 @@ import pytest
 from growthkit.catalog import get_algorithm
 from growthkit.duality import (
     DualityError, check_inversion_duality, check_inversion_nodes,
-    check_transpose_duality, diagrams_equal, identity, invert_gp, swap_uc,
+    check_transpose_duality, diagrams_equal, identity, swap_uc,
     transpose_dual,
 )
 from growthkit.render import parse_gp
@@ -16,17 +16,17 @@ def alg(name):
 class TestInvertGp:
     def test_paper_example(self):
         gp = parse_gp("2 3 4 1", 1)
-        assert invert_gp(gp) == parse_gp("4 1 2 3", 1)
+        assert gp.inverse() == parse_gp("4 1 2 3", 1)
 
     def test_involution_and_identity(self):
         gp = parse_gp("6o 4o 7 5 2 3 1o", 2)
-        assert invert_gp(invert_gp(gp)) == gp
+        assert gp.inverse().inverse() == gp
         ident = parse_gp("1 2 3", 1)
-        assert invert_gp(ident) == ident
+        assert ident.inverse() == ident
 
     def test_colors_ride_along(self):
         gp = parse_gp("6o 4o 7 5 2 3 1o", 2)
-        assert invert_gp(gp) == parse_gp("7o 5 6 2o 4 1o 3", 2)
+        assert gp.inverse() == parse_gp("7o 5 6 2o 4 1o 3", 2)
 
 
 class TestTransposeDual:

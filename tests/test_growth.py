@@ -9,6 +9,7 @@ from growthkit.insdiag import ALPHA, ColorPair, diagram
 from growthkit.lattice import Geometry, Point, Shape, empty_shape
 from growthkit.render import parse_gp, parse_tableau
 from figures import FIGURES
+from growth_reference import alpha
 
 Q, O = Geometry.QUADRANT, Geometry.OCTANT
 E = empty_shape(Q)
@@ -38,7 +39,7 @@ class TestGeneralizedPermutation:
     def test_compact_with_skip(self):
         gp = parse_gp("1 3 2 _ 4o", r=2)
         assert gp.n == 4 and gp.m == 5
-        assert gp.alpha(4, 5) == 2 and gp.alpha(2, 4) == 0
+        assert alpha(gp, 4, 5) == 2 and alpha(gp, 2, 4) == 0
 
 
 class TestColoredTableau:
@@ -131,9 +132,9 @@ class TestCellInverse:
                     x, y, z = g.node(i, j - 1), g.node(i - 1, j), g.node(i, j)
                     b = (ColorPair(g.hcolor(i, j), g.vcolor(i, j))
                          if z != x else None)
-                    t, a, alpha = cell_inverse(alg, x, y, z, b)
+                    t, a, got = cell_inverse(alg, x, y, z, b)
                     assert t == g.node(i - 1, j - 1)
-                    assert alpha == gp.alpha(i, j)
+                    assert got == alpha(gp, i, j)
 
 
 class TestRunGrowth:
@@ -290,7 +291,7 @@ def _recompute_row(alg, south_nodes, south_hcols, alphas, j):
     for i in range(1, len(south_nodes)):
         t, x, y = south_nodes[i - 1], south_nodes[i], north[i - 1]
         a = ColorPair(south_hcols[i], east_v[i - 1]) if y != t else None
-        z, b = cell_forward(alg, t, x, y, a, alphas.alpha(i, j))
+        z, b = cell_forward(alg, t, x, y, a, alpha(alphas, i, j))
         north.append(z)
         east_v.append(b.g2 if b else None)
         if z != y:

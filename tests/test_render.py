@@ -8,6 +8,7 @@ from growthkit.render import (
     parse_tableau_records, render_growth, render_tableau,
 )
 from figures import FIGURES
+from growth_reference import alpha, column_of
 
 Q = Geometry.QUADRANT
 
@@ -19,15 +20,15 @@ class TestParseGp:
 
     def test_left_right_example(self):
         gp = parse_gp("6o 4o 7 5 2 3 1o", 2)
-        assert gp.alpha(6, 1) == 2 and gp.alpha(7, 3) == 1 and gp.alpha(1, 7) == 2
+        assert alpha(gp, 6, 1) == 2 and alpha(gp, 7, 3) == 1 and alpha(gp, 1, 7) == 2
 
     def test_compact_with_empty_step(self):
         gp = parse_gp("1 3 2 _ 4o", 2)
-        assert gp.column_of(4) is None and gp.alpha(4, 5) == 2
+        assert column_of(gp, 4) is None and alpha(gp, 4, 5) == 2
 
     def test_four_color_suffixes(self):
         gp = parse_gp("1 2o 3b 4ob", 4)
-        assert [gp.alpha(i, i) for i in range(1, 5)] == [1, 2, 3, 4]
+        assert [alpha(gp, i, i) for i in range(1, 5)] == [1, 2, 3, 4]
 
     @pytest.mark.parametrize("bad,r", [
         ("1 1", 1), ("1 2o", 1), ("1 x", 1), ("0", 1), ("2ob 1", 2)])
