@@ -2,14 +2,14 @@
 
 from .lattice import Geometry, Point, Shape
 from .wdgg import Instantiation, BUILTIN_INSTANTIATIONS
-from .insdiag import Arrow, ColorPair, InsertionDiagram
+from .insdiag import Arrow, ColorPair, InsertionDiagram, Rule
 from .growth import ColoredTableau, GeneralizedPermutation, GrowthDiagram, run_growth
 from .catalog import list_algorithms, get_algorithm, generate
 
 __all__ = [
     "Geometry", "Point", "Shape",
     "Instantiation", "BUILTIN_INSTANTIATIONS",
-    "Arrow", "ColorPair", "InsertionDiagram",
+    "Arrow", "ColorPair", "InsertionDiagram", "Rule",
     "ColoredTableau", "GeneralizedPermutation", "GrowthDiagram", "run_growth",
     "list_algorithms", "get_algorithm", "generate",
 ]

@@ -1,10 +1,10 @@
-"""The built-in insertion algorithms: a generator producing the insertion
-diagram of each algorithm for any shape, plus display palettes.
+"""The built-in insertion algorithms, each a local rule (``insdiag.Rule``),
+plus display palettes.
 
-All generators work off the northeast-to-southwest alternation of insertion
-("+") and deletion ("-") points.  For a deletion point, its "southwest
-neighbor" is the next insertion point in that order (one row further south)
-and its "northeast neighbor" is the previous one (one column further east).
+A rule reads only the corners of a shape it needs: the first and last
+insertion points, a deletion point's northeast and southwest neighbors (the
+insertion points before and after it, northeast to southwest), and for
+mclarnan-fairy the index of the deletion point.
 """
 
 from __future__ import annotations
@@ -12,8 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .insdiag import InsertionDiagram, alpha_arrow, bump_arrow, diagram
-from .lattice import Geometry, Point, Shape, deletion_points, insertion_points
+from .insdiag import (
+    ColorPair, DiagramError, InsertionDiagram, Move, Rule, color_pair, psi_bump,
+    psi_insert, psi_inverse,
+)
+from .lattice import (
+    Geometry, Point, Shape, added_box, deletion_points, first_insertion_point,
+    insertion_points, last_insertion_point, neighbors, remove_box,
+)
 from .wdgg import BUILTIN_INSTANTIATIONS, Instantiation
 
 
@@ -21,159 +27,120 @@ class CatalogError(ValueError):
     pass
 
 
-def _points(shape: Shape):
-    """Insertion points, and each deletion point with its northeast and
-    southwest neighbors (None past the last insertion point).
-
-    The two kinds alternate northeast to southwest, so deletion point k sits
-    between insertion points k and k + 1.
-    """
-    ins = insertion_points(shape)
-    return ins, list(zip(deletion_points(shape), ins, ins[1:] + [None]))
+_11, _12, _21, _22 = (color_pair(a, b) for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)))
+FIRST, LAST = first_insertion_point, last_insertion_point
+NE, SW = 0, 1     # index into neighbors(shape, p)
 
 
-def _gen_rs_row(shape: Shape) -> InsertionDiagram:
-    """New values enter the first row; every bump moves one row south."""
-    ins, dels = _points(shape)
-    arrows = [alpha_arrow(1, ins[0], 1, 1)]
-    arrows += [bump_arrow(p, 1, 1, sw, 1, 1) for p, _, sw in dels]
-    return diagram(shape, arrows)
+def _alphas(table) -> Callable:
+    """The alpha rule of a table color -> (FIRST or LAST, out colors)."""
+    def alpha(shape, color):
+        hit = table.get(color)
+        return hit and (hit[0](shape), hit[1])
+    return alpha
 
 
-def _gen_rs_col(shape: Shape) -> InsertionDiagram:
-    """Transpose of row insertion: enter the first column, bump east."""
-    ins, dels = _points(shape)
-    arrows = [alpha_arrow(1, ins[-1], 1, 1)]
-    arrows += [bump_arrow(p, 1, 1, ne, 1, 1) for p, ne, _ in dels]
-    return diagram(shape, arrows)
+def _bumps(table) -> Callable:
+    """The bump rule of a table pair -> (NE or SW neighbor, out colors)."""
+    def bump(shape, p, pair):
+        hit = table.get(pair)
+        near = hit and neighbors(shape, p)
+        return near and (near[hit[0]], hit[1])
+    return bump
 
 
-def _gen_left_right(shape: Shape) -> InsertionDiagram:
-    """Uncircled values row-insert (U chain south), circled column-insert (C east)."""
-    ins, dels = _points(shape)
-    arrows = [alpha_arrow(1, ins[0], 1, 1), alpha_arrow(2, ins[-1], 1, 2)]
-    for p, ne, sw in dels:
-        arrows.append(bump_arrow(p, 1, 1, sw, 1, 1))
-        arrows.append(bump_arrow(p, 1, 2, ne, 1, 2))
-    return diagram(shape, arrows)
+_ROW_ALPHA = _alphas({1: (FIRST, _11)})
+
+# New values enter the first row; every bump moves one row south.
+RS_ROW = Rule(_ROW_ALPHA, _bumps({_11: (SW, _11)}))
+
+# Transpose of row insertion: enter the first column, bump east.
+RS_COL = Rule(_alphas({1: (LAST, _11)}), _bumps({_11: (NE, _11)}))
+
+# Uncircled values row-insert (U chain south), circled column-insert (C east).
+LEFT_RIGHT = Rule(_alphas({1: (FIRST, _11), 2: (LAST, _12)}),
+                  _bumps({_11: (SW, _11), _12: (NE, _12)}))
+
+# Left-right geometry, but every insertion and bump flips the circling.
+JITTER = Rule(_alphas({1: (FIRST, _12), 2: (LAST, _11)}),
+              _bumps({_11: (SW, _12), _12: (NE, _11)}))
+
+# Inversion-dual of left-right: the circling lives on the ascending channel,
+# so circles land in the P tableau.
+MIXED = Rule(_alphas({1: (FIRST, _11), 2: (LAST, _21)}),
+             _bumps({_11: (SW, _11), _21: (NE, _21)}))
+
+# Two circle families: UU and CC chains run southwestward, UC and CU chains
+# run northeastward.
+DOUBLE_CIRCLE = Rule(
+    _alphas({1: (FIRST, _11), 4: (FIRST, _22), 3: (LAST, _12), 2: (LAST, _21)}),
+    _bumps({_11: (SW, _11), _22: (SW, _22), _12: (NE, _12), _21: (NE, _21)}))
 
 
-def _gen_mclarnan(shape: Shape) -> InsertionDiagram:
+def _mclarnan_bump(shape, p, pair):
     """Order-reversing matching: southmost removable box bumps to the highest
     addible box below the reserved first-row alpha point, and so on."""
-    ins, dels = _points(shape)
-    arrows = [alpha_arrow(1, ins[0], 1, 1)]
-    k = len(dels)
-    for j, (p, _, _) in enumerate(dels, start=1):
-        arrows.append(bump_arrow(p, 1, 1, ins[k + 1 - j], 1, 1))
-    return diagram(shape, arrows)
+    dels = deletion_points(shape)
+    if pair == _11 and p in dels:
+        return insertion_points(shape)[len(dels) - dels.index(p)], _11
 
 
-def _gen_jitter(shape: Shape) -> InsertionDiagram:
-    """Left-right geometry, but every insertion and bump flips the circling."""
-    ins, dels = _points(shape)
-    arrows = [alpha_arrow(1, ins[0], 1, 2), alpha_arrow(2, ins[-1], 1, 1)]
-    for p, ne, sw in dels:
-        arrows.append(bump_arrow(p, 1, 1, sw, 1, 2))
-        arrows.append(bump_arrow(p, 1, 2, ne, 1, 1))
-    return diagram(shape, arrows)
+MCLARNAN = Rule(_ROW_ALPHA, _mclarnan_bump)
 
 
-def _gen_sagan1(shape: Shape) -> InsertionDiagram:
+def _sagan1_bump(shape, p, pair):
     """Shifted row insertion; a value bumped off the diagonal restarts in the
     first row as a red insertion, and red bumps never land on the diagonal."""
-    ins, dels = _points(shape)
-    top = ins[0]
-    arrows = [alpha_arrow(1, top, 1, 1)]
-    for p, _, sw in dels:
-        if p.diagonal:
-            arrows.append(bump_arrow(p, 1, 1, top, 1, 2))
-        else:
-            arrows.append(bump_arrow(p, 1, 1, sw, 1, 1))
-            red_target = top if sw.diagonal else sw
-            arrows.append(bump_arrow(p, 1, 2, red_target, 1, 2))
-    return diagram(shape, arrows)
+    near = neighbors(shape, p)
+    if not near:
+        return None
+    sw = near[SW]
+    if pair == _11:
+        return (FIRST(shape), _12) if p.diagonal else (sw, _11)
+    if pair == _12 and not p.diagonal:
+        return (FIRST(shape) if sw.diagonal else sw), _12
 
 
-def _gen_worley_sagan(shape: Shape) -> InsertionDiagram:
-    """Shifted row insertion; a value bumped off the diagonal column-inserts,
-    moving east (red) until it lands in an empty box."""
-    ins, dels = _points(shape)
-    arrows = [alpha_arrow(1, ins[0], 1, 1)]
-    for p, ne, sw in dels:
-        if p.diagonal:
-            arrows.append(bump_arrow(p, 1, 1, ne, 1, 2))
-        else:
-            arrows.append(bump_arrow(p, 1, 1, sw, 1, 1))
-            arrows.append(bump_arrow(p, 1, 2, ne, 1, 2))
-    return diagram(shape, arrows)
+SAGAN1 = Rule(_ROW_ALPHA, _sagan1_bump)
 
 
-def _gen_mixed(shape: Shape) -> InsertionDiagram:
-    """Inversion-dual of left-right: the circling lives on the ascending
-    channel, so circles land in the P tableau."""
-    ins, dels = _points(shape)
-    arrows = [alpha_arrow(1, ins[0], 1, 1), alpha_arrow(2, ins[-1], 2, 1)]
-    for p, ne, sw in dels:
-        arrows.append(bump_arrow(p, 1, 1, sw, 1, 1))
-        arrows.append(bump_arrow(p, 2, 1, ne, 2, 1))
-    return diagram(shape, arrows)
+def _diagonal_bumps(on, off) -> Callable:
+    """The bump rule of two tables as in ``_bumps``: ``on`` for a diagonal
+    deletion point, ``off`` for the others."""
+    on, off = _bumps(on), _bumps(off)
+    return lambda shape, p, pair: (on if p.diagonal else off)(shape, p, pair)
 
 
-def _gen_double_circle(shape: Shape) -> InsertionDiagram:
-    """Two circle families: UU and CC chains run southwestward, UC and CU
-    chains run northeastward."""
-    ins, dels = _points(shape)
-    arrows = [
-        alpha_arrow(1, ins[0], 1, 1),
-        alpha_arrow(4, ins[0], 2, 2),
-        alpha_arrow(3, ins[-1], 1, 2),
-        alpha_arrow(2, ins[-1], 2, 1),
-    ]
-    for p, ne, sw in dels:
-        arrows.append(bump_arrow(p, 1, 1, sw, 1, 1))
-        arrows.append(bump_arrow(p, 2, 2, sw, 2, 2))
-        arrows.append(bump_arrow(p, 1, 2, ne, 1, 2))
-        arrows.append(bump_arrow(p, 2, 1, ne, 2, 1))
-    return diagram(shape, arrows)
+# Shifted row insertion; a value bumped off the diagonal column-inserts,
+# moving east (red) until it lands in an empty box.
+WORLEY_SAGAN = Rule(_ROW_ALPHA, _diagonal_bumps(
+    {_11: (NE, _12)}, {_11: (SW, _11), _12: (NE, _12)}))
+
+# Mixed insertion on the octant: an uncircled value bumped from a diagonal
+# box acquires a circle and moves to the next column.
+SHIFTED_MIXED = Rule(_ROW_ALPHA, _diagonal_bumps(
+    {_11: (NE, _21)}, {_11: (SW, _11), _21: (NE, _21)}))
 
 
-def _gen_shifted_mixed(shape: Shape) -> InsertionDiagram:
-    """Mixed insertion on the octant: an uncircled value bumped from a
-    diagonal box acquires a circle and moves to the next column."""
-    ins, dels = _points(shape)
-    arrows = [alpha_arrow(1, ins[0], 1, 1)]
-    for p, ne, sw in dels:
-        if p.diagonal:
-            arrows.append(bump_arrow(p, 1, 1, ne, 2, 1))
-        else:
-            arrows.append(bump_arrow(p, 1, 1, sw, 1, 1))
-            arrows.append(bump_arrow(p, 2, 1, ne, 2, 1))
-    return diagram(shape, arrows)
-
-
-def _gen_shifted_column(shape: Shape) -> InsertionDiagram:
+def _column_alpha(circled: ColorPair) -> Callable:
     """Column insertion starting at the first column that can take the value,
-    circled in P when that start is off-diagonal; bumps move east unchanged."""
-    ins, dels = _points(shape)
-    bottom = ins[-1]
-    arrows = [alpha_arrow(1, bottom, 1 if bottom.diagonal else 2, 1)]
-    for p, ne, _ in dels:
-        for c in range(1, (1 if p.diagonal else 2) + 1):
-            arrows.append(bump_arrow(p, c, 1, ne, c, 1))
-    return diagram(shape, arrows)
+    with ``circled`` colors when that start is off the diagonal."""
+    def alpha(shape, color):
+        if color == 1:
+            bottom = LAST(shape)
+            return bottom, (_11 if bottom.diagonal else circled)
+    return alpha
 
 
-def _gen_dual_shifted_column(shape: Shape) -> InsertionDiagram:
-    """Shifted column insertion with the labels moved to the descending
-    channel, so circles land in the Q tableau."""
-    ins, dels = _points(shape)
-    bottom = ins[-1]
-    arrows = [alpha_arrow(1, bottom, 1, 1 if bottom.diagonal else 2)]
-    for p, ne, _ in dels:
-        for c in range(1, (1 if p.diagonal else 2) + 1):
-            arrows.append(bump_arrow(p, 1, c, ne, 1, c))
-    return diagram(shape, arrows)
+# Shifted column insertion: circled in P when the start is off-diagonal;
+# bumps move east unchanged.
+SHIFTED_COLUMN = Rule(_column_alpha(_21), _diagonal_bumps(
+    {_11: (NE, _11)}, {_11: (NE, _11), _21: (NE, _21)}))
+
+# Shifted column insertion with the labels moved to the descending channel,
+# so circles land in the Q tableau.
+DUAL_SHIFTED_COLUMN = Rule(_column_alpha(_12), _diagonal_bumps(
+    {_11: (NE, _11)}, {_11: (NE, _11), _12: (NE, _12)}))
 
 
 # Edge-label palettes.  A palette maps (box, color) to a display label, or the
@@ -200,17 +167,29 @@ _ALPHA_NAMES = {
 
 @dataclass
 class AlgorithmSpec:
-    """A named algorithm: instantiation, diagram generator, display palettes."""
+    """A named algorithm: instantiation, insertion diagrams, display palettes.
+
+    The diagrams come from ``rule``, or, for an algorithm given by whole
+    diagrams, from ``generator``; with a rule, ``generator`` may be None and
+    then maps the rule over each shape's corners."""
 
     name: str
     instantiation: Instantiation
-    generator: Callable[[Shape], InsertionDiagram]
+    generator: Optional[Callable[[Shape], InsertionDiagram]]
     description: str
     g1_labels: Optional[Callable[[Point, int], str]] = None
     g2_labels: Optional[Callable[[Point, int], str]] = None
     p_suffixes: dict[int, str] = field(default_factory=lambda: {1: "", 2: "o"})
     q_suffixes: dict[int, str] = field(default_factory=lambda: {1: "", 2: "o"})
-    _cache: dict = field(default_factory=dict, repr=False)
+    rule: Optional[Rule] = None
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.generator is None:
+            if self.rule is None:
+                raise CatalogError(f"{self.name} needs a rule or a diagram generator")
+            rule, inst = self.rule, self.instantiation
+            self.generator = lambda shape: rule.diagram(inst, shape)
 
     @property
     def r(self) -> int:
@@ -225,11 +204,14 @@ class AlgorithmSpec:
         return _ALPHA_NAMES[self.r]
 
     def diagram(self, shape: Shape) -> InsertionDiagram:
-        """Generate-and-memoize, one cache per process.  A sweep's forked
-        worker processes start from a copy of this cache and fill their own;
-        what they generate is not returned to the parent.  There is no
-        lock: generators are pure, so two threads that miss on one shape at
-        once each generate an equal diagram and one of them is kept."""
+        """Generate-and-memoize, one memo per process.  Only the grid engine
+        (the sweeps, a growth's grid), ``validate`` and the renderers fill
+        it; ``run_growth`` and ``invert_growth`` ask ``insert``, ``bump`` and
+        ``unbump`` instead.  A sweep's forked worker processes start from a
+        copy of this memo and fill their own; what they generate is not
+        returned to the parent.  There is no lock: generators are pure, so
+        two threads that miss on one shape at once each generate an equal
+        diagram and one of them is kept."""
         d = self._cache.get(shape)
         if d is None:
             if shape.geometry is not self.geometry:
@@ -238,39 +220,75 @@ class AlgorithmSpec:
             d = self._cache[shape] = self.generator(shape)
         return d
 
+    # One arrow per event: through the rule, or through psi on the memoized
+    # diagram of an algorithm given by whole diagrams, with psi's errors.
+
+    def insert(self, shape: Shape, color: int) -> Move:
+        """The alpha arrow of color on shape: the box it fills, its out colors."""
+        if self.rule is None:
+            z, out = psi_insert(self.diagram(shape), color)
+            return added_box(shape, z), out
+        move = self.rule.alpha(shape, color)
+        if move is None:
+            raise DiagramError(f"no alpha arrow for color {color} on {shape}")
+        return move
+
+    def bump(self, shape: Shape, p: Point, pair: ColorPair) -> Move:
+        """The bump arrow out of (p, pair) on shape: the box it fills, its out colors."""
+        if self.rule is None:
+            z, out = psi_bump(self.diagram(shape), p, pair)
+            return added_box(shape, z), out
+        move = self.rule.bump(shape, p, pair)
+        if move is None:
+            raise DiagramError(f"no bump arrow from {p} {pair} on {shape}")
+        return move
+
+    def unbump(self, shape: Shape, q: Point, out: ColorPair):
+        """The alpha color or the bump source (p, pair) of the arrow into
+        (q, out) on shape."""
+        if self.rule is None:
+            got = psi_inverse(self.diagram(shape), q, out)
+            if not isinstance(got, int):
+                remove_box(shape, got[0])   # raises unless p is a deletion point
+            return got
+        got = self.rule.unbump(self.instantiation, shape, q, out)
+        if got is None:
+            raise DiagramError(f"no arrow into {q} {out} on {shape}")
+        return got
+
 
 def _make_registry() -> dict[str, AlgorithmSpec]:
     inst = BUILTIN_INSTANTIATIONS
+
+    def spec(name, inst, rule, description, **palettes):
+        return AlgorithmSpec(name, inst, None, description, rule=rule, **palettes)
+
     algs = [
-        AlgorithmSpec("rs-row", inst["unshifted-1"], _gen_rs_row,
-                      "Robinson-Schensted row insertion"),
-        AlgorithmSpec("rs-col", inst["unshifted-1"], _gen_rs_col,
-                      "column insertion into unshifted tableaux"),
-        AlgorithmSpec("left-right", inst["unshifted-2"], _gen_left_right,
-                      "Haiman's left-right insertion", g2_labels=_uc),
-        AlgorithmSpec("mclarnan-fairy", inst["unshifted-1"], _gen_mclarnan,
-                      "McLarnan's order-reversing fairy insertion"),
-        AlgorithmSpec("jitter", inst["unshifted-2"], _gen_jitter,
-                      "left-right with the circling flipped on every move",
-                      g2_labels=_uc),
-        AlgorithmSpec("sagan1", inst["shifted-1"], _gen_sagan1,
-                      "Sagan's first shifted insertion", g2_labels=_br_diag),
-        AlgorithmSpec("worley-sagan", inst["shifted-1"], _gen_worley_sagan,
-                      "the Worley/Sagan shifted insertion", g2_labels=_br_diag),
-        AlgorithmSpec("mixed", inst["unshifted-mixed"], _gen_mixed,
-                      "Haiman's mixed insertion", g1_labels=_uc),
-        AlgorithmSpec("double-circle", inst["unshifted-4"], _gen_double_circle,
-                      "left-right mixed insertion with two circle families",
-                      g1_labels=_uc, g2_labels=_uc,
-                      q_suffixes={1: "", 2: "b"}),
-        AlgorithmSpec("shifted-mixed", inst["shifted-mixed"], _gen_shifted_mixed,
-                      "Haiman's shifted mixed insertion", g1_labels=_uc_diag),
-        AlgorithmSpec("shifted-column", inst["shifted-column"], _gen_shifted_column,
-                      "McLarnan's shifted column insertion", g1_labels=_uc_diag),
-        AlgorithmSpec("dual-shifted-column", inst["shifted-column-dual"],
-                      _gen_dual_shifted_column,
-                      "shifted column insertion with labels on the descending channel",
-                      g2_labels=_uc_diag),
+        spec("rs-row", inst["unshifted-1"], RS_ROW, "Robinson-Schensted row insertion"),
+        spec("rs-col", inst["unshifted-1"], RS_COL,
+             "column insertion into unshifted tableaux"),
+        spec("left-right", inst["unshifted-2"], LEFT_RIGHT,
+             "Haiman's left-right insertion", g2_labels=_uc),
+        spec("mclarnan-fairy", inst["unshifted-1"], MCLARNAN,
+             "McLarnan's order-reversing fairy insertion"),
+        spec("jitter", inst["unshifted-2"], JITTER,
+             "left-right with the circling flipped on every move", g2_labels=_uc),
+        spec("sagan1", inst["shifted-1"], SAGAN1,
+             "Sagan's first shifted insertion", g2_labels=_br_diag),
+        spec("worley-sagan", inst["shifted-1"], WORLEY_SAGAN,
+             "the Worley/Sagan shifted insertion", g2_labels=_br_diag),
+        spec("mixed", inst["unshifted-mixed"], MIXED,
+             "Haiman's mixed insertion", g1_labels=_uc),
+        spec("double-circle", inst["unshifted-4"], DOUBLE_CIRCLE,
+             "left-right mixed insertion with two circle families",
+             g1_labels=_uc, g2_labels=_uc, q_suffixes={1: "", 2: "b"}),
+        spec("shifted-mixed", inst["shifted-mixed"], SHIFTED_MIXED,
+             "Haiman's shifted mixed insertion", g1_labels=_uc_diag),
+        spec("shifted-column", inst["shifted-column"], SHIFTED_COLUMN,
+             "McLarnan's shifted column insertion", g1_labels=_uc_diag),
+        spec("dual-shifted-column", inst["shifted-column-dual"], DUAL_SHIFTED_COLUMN,
+             "shifted column insertion with labels on the descending channel",
+             g2_labels=_uc_diag),
     ]
     return {a.name: a for a in algs}
 

@@ -33,6 +33,12 @@ def _alg(name: str):
     return catalog.get_algorithm(name)
 
 
+def _size(value: int, flag: str) -> int:
+    if value < 0:
+        raise ValueError(f"{flag} must be >= 0")
+    return value
+
+
 def cmd_run(args) -> int:
     alg = _alg(args.algorithm)
     gp = render.parse_gp(args.perm, alg.r)
@@ -99,6 +105,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify_weights(args) -> int:
+    _size(args.max_size, "--max-size")
     names = [args.instantiation] if args.instantiation else list(wdgg.BUILTIN_INSTANTIATIONS)
     checked, failures = 0, []
     for name in names:
@@ -116,6 +123,7 @@ def cmd_verify_weights(args) -> int:
 
 
 def cmd_verify_diagram(args) -> int:
+    _size(args.max_size, "--max-size")
     if args.file:
         if not (args.shape and args.instantiation):
             print("error: --file needs --shape and --instantiation", file=sys.stderr)
@@ -165,7 +173,7 @@ def cmd_verify_bijection(args) -> int:
     from math import factorial
     alg = _alg(args.algorithm)
     workers = _workers()
-    inputs = factorial(args.n) * alg.r ** args.n
+    inputs = factorial(_size(args.n, "--n")) * alg.r ** args.n
     print(f"running algorithm={alg.name} n={args.n} inputs={inputs} workers={workers}")
     report = oracle.check_bijection(alg, args.n, workers=workers)
     print(report)
@@ -184,7 +192,7 @@ _ALPHA_MAPS = {
 
 def cmd_verify_duality(args) -> int:
     a, b = _alg(args.a), _alg(args.b or args.a)
-    n = args.n if args.n is not None else (3 if a.r == 4 else 4)
+    n = _size(args.n, "--n") if args.n is not None else (3 if a.r == 4 else 4)
     workers = _workers()
     if args.kind == "inversion":
         report = duality.check_inversion_duality(a, b, n, workers=workers)

@@ -9,8 +9,8 @@ from math import factorial
 from typing import Callable, Optional
 
 from .catalog import AlgorithmSpec
-from .insdiag import ALPHA, InsertionDiagram, alpha_arrow, bump_arrow, diagram
-from .lattice import Geometry, Point, Shape, added_box, shapes_up_to, transpose
+from .insdiag import Rule, color_pair, color_pairs
+from .lattice import Geometry, Point, added_box, shapes_up_to, transpose
 from .oracle import _rank, sweep
 
 
@@ -30,36 +30,42 @@ def transpose_dual(alg: AlgorithmSpec, f: Callable[[int], int] = identity,
                    g: Callable[[int], int] = identity,
                    name: Optional[str] = None) -> AlgorithmSpec:
     """The algorithm obtained by conjugating every shape and arrow, recoloring
-    alpha values by f and edge colors by g (skipped on weight-1 boxes)."""
+    alpha values by f and edge colors by g (skipped on weight-1 boxes): the
+    transposed local rule of alg."""
     if alg.geometry is not Geometry.QUADRANT:
         raise DualityError("transpose duality is only defined on the quadrant")
-    inst = alg.instantiation
-    f_inv = {f(c): c for c in range(1, inst.r + 1)}
+    if alg.rule is None:
+        raise DualityError(f"{alg.name} has no local rule to transpose")
+    inst, rule = alg.instantiation, alg.rule
+    base_color = {c: f(c) for c in range(1, inst.r + 1)}
 
-    def map_pair(pair, box):
-        g1 = g(pair.g1) if inst.w1(box) > 1 else pair.g1
-        g2 = g(pair.g2) if inst.w2(box) > 1 else pair.g2
-        return g1, g2
+    def recolor(pair, box):
+        return color_pair(g(pair.g1) if inst.w1(box) > 1 else pair.g1,
+                          g(pair.g2) if inst.w2(box) > 1 else pair.g2)
 
-    def gen(shape: Shape) -> InsertionDiagram:
-        base = alg.diagram(transpose(shape))
-        arrows = []
-        for a in base.arrows:
-            target = a.target.transpose()
-            og1, og2 = map_pair(a.out, target)
-            if a.kind == ALPHA:
-                arrows.append(alpha_arrow(f_inv[a.alpha_color], target, og1, og2))
-            else:
-                p, pair = a.source
-                ig1, ig2 = map_pair(pair, p.transpose())
-                arrows.append(bump_arrow(p.transpose(), ig1, ig2, target, og1, og2))
-        return diagram(shape, arrows)
+    def transposed(move):
+        if move is None:
+            return None
+        target = move[0].transpose()
+        return target, recolor(move[1], target)
+
+    def alpha(shape, color):
+        c = base_color.get(color)
+        return None if c is None else transposed(rule.alpha(transpose(shape), c))
+
+    def bump(shape, p, pair):
+        base = p.transpose()
+        for base_pair in color_pairs(inst, base):
+            if recolor(base_pair, p) == pair:
+                return transposed(rule.bump(transpose(shape), base, base_pair))
+        return None
 
     return AlgorithmSpec(
-        name or f"transpose-dual({alg.name})", inst, gen,
+        name or f"transpose-dual({alg.name})", inst, None,
         f"transpose dual of {alg.name}",
         g1_labels=alg.g1_labels, g2_labels=alg.g2_labels,
-        p_suffixes=dict(alg.p_suffixes), q_suffixes=dict(alg.q_suffixes))
+        p_suffixes=dict(alg.p_suffixes), q_suffixes=dict(alg.q_suffixes),
+        rule=Rule(alpha, bump))
 
 
 def diagrams_equal(a: AlgorithmSpec, b: AlgorithmSpec, max_size: int) -> bool:

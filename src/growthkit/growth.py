@@ -15,22 +15,25 @@ cells (descending colors) and north along a column (ascending colors).
 Only insertion cells (alpha nonzero) and bump cells (x = y, one box above t)
 read an insertion diagram; every other cell passes its box and colors on, so
 a row of cells is one insertion.  ``run_growth`` and ``invert_growth`` visit
-those cells only, time by time, with P as a box -> (value, color) map.  The
+those cells only, time by time, with P as a box -> (value, color) map, and
+ask the algorithm for the one arrow each cell follows (``insert``, ``bump``,
+``unbump``), which its local rule answers without building a diagram.  The
 diagram ``run_growth`` returns carries P and Q, and builds its grid by the
 ``border_column`` + ``grow_column`` fold the sweeps use when first read.
+The cells of that fold read whole diagrams from the algorithm's memo.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from itertools import takewhile
+from itertools import repeat, takewhile
 from operator import itemgetter
 from typing import Optional
 
 from .insdiag import ColorPair, color_pair, psi_bump, psi_insert, psi_inverse
 from .lattice import (
-    Geometry, Point, Shape, added_box, canonical, empty_shape, join, meet,
+    Geometry, Point, Shape, added_box, empty_shape, join, meet,
     remove_box,
 )
 
@@ -330,17 +333,18 @@ class _Filling:
         return old
 
     def shape_below(self, u: int) -> Shape:
-        """The shape of the values < u: a prefix of every row."""
-        lengths = takewhile(bool, (bisect_left(row, u) for row in self.rows))
-        return canonical(self.geometry, tuple(lengths))
+        """The shape of the values < u: a prefix of every row.  It is read
+        for one arrow and dropped, so it is not made canonical."""
+        return Shape(self.geometry, takewhile(bool, map(bisect_left, self.rows, repeat(u))))
 
 
 def run_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
     """The growth of gp, one insertion per time: the value follows its alpha
-    arrow, then each occupant it lands on follows its bump arrow.  A failing
-    cell ends the run of its value and the larger ones, as it ends those
-    columns of the fold, so the failure raised is the one the fold meets
-    first: the westmost, then the earliest."""
+    arrow, then each occupant it lands on follows its bump arrow, each arrow
+    asked of alg (``insert``, ``bump``).  A failing cell ends the run of its
+    value and the larger ones, as it ends those columns of the fold, so the
+    failure raised is the one the fold meets first: the westmost, then the
+    earliest."""
     r = alg.instantiation.r
     if any(c > r for _, _, c in gp.entries):
         raise GrowthError(f"alpha colors must be <= r={r} for {alg.name}")
@@ -351,17 +355,14 @@ def run_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
             continue
         u = v
         try:
-            x = P.shape_below(v)
-            z, out = psi_insert(alg.diagram(x), c)
+            box, out = alg.insert(P.shape_below(v), c)
             while True:
-                box = added_box(x, z)
                 old = P.put(box, v, out.g1)
                 if old is None:
                     break
                 # u leaves box: the values <= u fill what they filled at j - 1
                 u, color = old
-                x = P.shape_below(u)
-                z, out = psi_bump(alg.diagram(x), box, color_pair(color, out.g2))
+                box, out = alg.bump(P.shape_below(u), box, color_pair(color, out.g2))
                 v = u
             Q[box] = j, out.g2
         except ValueError as e:
@@ -403,8 +404,8 @@ def extract_Q(g: GrowthDiagram) -> ColoredTableau:
 
 def invert_growth(alg, P: ColoredTableau, Q: ColoredTableau) -> GeneralizedPermutation:
     """The input whose growth has these P and Q: from the last time down,
-    the value in Q's box at that time is unbumped through psi_inverse until
-    an alpha arrow names its color.  A failing cell gives up its value and
+    the value in Q's box at that time is unbumped (``alg.unbump``) until an
+    alpha arrow names its color.  A failing cell gives up its value and
     the smaller ones, whose boxes then only count as a shape, as the cell
     sweep from the northeast would, so the failure raised is the one that
     sweep meets first: the eastmost, then the latest."""
@@ -424,13 +425,11 @@ def invert_growth(alg, P: ColoredTableau, Q: ColoredTableau) -> GeneralizedPermu
         u, color = filling.pop(box)
         while u > limit:
             try:
-                x = filling.shape_below(u)
-                got = psi_inverse(alg.diagram(x), box, color_pair(color, d))
+                got = alg.unbump(filling.shape_below(u), box, color_pair(color, d))
                 if isinstance(got, int):
                     entries.add((u, j, got))
                     break
                 box, pair = got
-                remove_box(x, box)
                 # u was at box at time j - 1; box's occupant at j is next
                 u, color = filling.put(box, u, pair.g1)
                 d = pair.g2

@@ -4,6 +4,8 @@ For a shape x the diagram holds one unanchored "alpha" arrow per insertion
 color and, for every deletion point p, one "bump" arrow per color pair on p.
 Together they define a bijection from (down-edges of x) + (alpha colors) onto
 the up-edges into x, which is exactly what the growth process consumes.
+
+A ``Rule`` gives the same arrows one at a time.
 """
 
 from __future__ import annotations
@@ -11,10 +13,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
-from typing import Optional, Union
+from itertools import chain, product
+from typing import Callable, Optional, Union
 
-from .lattice import Point, Shape, add_box, deletion_points, insertion_points
+from .lattice import (
+    Point, Shape, add_box, deletion_points, flanks, insertion_points,
+)
 from .wdgg import Instantiation
 
 
@@ -100,13 +104,16 @@ class InsertionDiagram:
     shape: Shape
     arrows: frozenset[Arrow]
 
+    # The forward indexes hold each arrow with the shape it grows, found on
+    # the first lookup of the arrow and kept.  A target that is not an
+    # insertion point raises at every lookup of its arrow and at no other.
     @cached_property
-    def _by_alpha(self) -> dict[int, Arrow]:
-        return {a.alpha_color: a for a in self.arrows if a.kind == ALPHA}
+    def _by_alpha(self) -> dict[int, list]:
+        return {a.alpha_color: [a, None] for a in self.arrows if a.kind == ALPHA}
 
     @cached_property
-    def _by_source(self) -> dict[tuple[Point, ColorPair], Arrow]:
-        return {a.source: a for a in self.arrows if a.kind == BUMP}
+    def _by_source(self) -> dict[tuple[Point, ColorPair], list]:
+        return {a.source: [a, None] for a in self.arrows if a.kind == BUMP}
 
     @cached_property
     def _by_target(self) -> dict[tuple[Point, ColorPair], Arrow]:
@@ -143,17 +150,13 @@ def validate(inst: Instantiation, d: InsertionDiagram) -> DiagramReport:
         failures.append(
             f"alpha arrows must cover colors 1..{inst.r} exactly once, got {seen_colors}")
 
-    def color_grid(p: Point) -> set[ColorPair]:
-        return {ColorPair(a, b)
-                for a, b in product(range(1, inst.w1(p) + 1), range(1, inst.w2(p) + 1))}
-
     bumps = [a for a in d.arrows if a.kind == BUMP]
     for a in bumps:
         if a.source[0] not in dels:
             failures.append(f"bump source {a.source[0]} is not a deletion point")
     for p in dels:
         pairs = [a.source[1] for a in bumps if a.source[0] == p]
-        if len(pairs) != len(set(pairs)) or set(pairs) != color_grid(p):
+        if len(pairs) != len(set(pairs)) or set(pairs) != set(color_pairs(inst, p)):
             failures.append(
                 f"deletion point {p} must emit one bump per pair in "
                 f"[{inst.w1(p)}]x[{inst.w2(p)}], got {sorted(map(str, pairs))}")
@@ -163,7 +166,7 @@ def validate(inst: Instantiation, d: InsertionDiagram) -> DiagramReport:
             failures.append(f"arrow target {a.target} is not an insertion point")
     for q in ins:
         outs = [a.out for a in d.arrows if a.target == q]
-        if len(outs) != len(set(outs)) or set(outs) != color_grid(q):
+        if len(outs) != len(set(outs)) or set(outs) != set(color_pairs(inst, q)):
             failures.append(
                 f"insertion point {q} must receive one arrow per pair in "
                 f"[{inst.w1(q)}]x[{inst.w2(q)}], got {sorted(map(str, outs))}")
@@ -171,20 +174,27 @@ def validate(inst: Instantiation, d: InsertionDiagram) -> DiagramReport:
     return DiagramReport(d.shape, tuple(failures))
 
 
+def _follow(d: InsertionDiagram, hit: list) -> tuple[Shape, ColorPair]:
+    arrow, grown = hit
+    if grown is None:
+        grown = hit[1] = add_box(d.shape, arrow.target)
+    return grown, arrow.out
+
+
 def psi_insert(d: InsertionDiagram, alpha_color: int) -> tuple[Shape, ColorPair]:
     """Follow the alpha arrow: the shape grown by one box and the out colors."""
-    arrow = d._by_alpha.get(alpha_color)
-    if arrow is None:
+    hit = d._by_alpha.get(alpha_color)
+    if hit is None:
         raise DiagramError(f"no alpha arrow for color {alpha_color} on {d.shape}")
-    return add_box(d.shape, arrow.target), arrow.out
+    return _follow(d, hit)
 
 
 def psi_bump(d: InsertionDiagram, p: Point, colors: ColorPair) -> tuple[Shape, ColorPair]:
     """Follow the unique bump arrow out of (p, colors)."""
-    arrow = d._by_source.get((p, colors))
-    if arrow is None:
+    hit = d._by_source.get((p, colors))
+    if hit is None:
         raise DiagramError(f"no bump arrow from {p} {colors} on {d.shape}")
-    return add_box(d.shape, arrow.target), arrow.out
+    return _follow(d, hit)
 
 
 def psi_inverse(d: InsertionDiagram, q: Point,
@@ -196,6 +206,61 @@ def psi_inverse(d: InsertionDiagram, q: Point,
     if arrow.kind == ALPHA:
         return arrow.alpha_color
     return arrow.source
+
+
+Move = tuple[Point, ColorPair]
+
+
+def color_pairs(inst: Instantiation, p: Point) -> tuple[ColorPair, ...]:
+    """The pairs [w1(p)] x [w2(p)] of colors an edge at p can carry."""
+    return _color_grid(inst.w1(p), inst.w2(p))
+
+
+@lru_cache(maxsize=None)
+def _color_grid(w1: int, w2: int) -> tuple[ColorPair, ...]:
+    return tuple(color_pair(a, b) for a, b in product(range(1, w1 + 1), range(1, w2 + 1)))
+
+
+class Rule:
+    """A local insertion rule: every shape's insertion diagram, one arrow at
+    a time.  ``alpha(shape, color)`` is where the alpha arrow of that color
+    lands and ``bump(shape, p, pair)`` where the bump arrow out of (p, pair)
+    lands, each as (target, out colors), or None where the diagram has no
+    such arrow."""
+
+    __slots__ = ("alpha", "bump")
+
+    def __init__(self, alpha: Callable[[Shape, int], Optional[Move]],
+                 bump: Callable[[Shape, Point, ColorPair], Optional[Move]]):
+        self.alpha, self.bump = alpha, bump
+
+    def diagram(self, inst: Instantiation, shape: Shape) -> InsertionDiagram:
+        """The rule mapped over the alpha colors and over the color grid of
+        each deletion point of shape."""
+        arrows = [Arrow(ALPHA, *move, alpha_color=c) for c in range(1, inst.r + 1)
+                  if (move := self.alpha(shape, c))]
+        arrows += [Arrow(BUMP, *move, source=(p, pair)) for p in deletion_points(shape)
+                   for pair in color_pairs(inst, p) if (move := self.bump(shape, p, pair))]
+        return diagram(shape, arrows)
+
+    def unbump(self, inst: Instantiation, shape: Shape, q: Point,
+               out: ColorPair) -> Union[int, tuple[Point, ColorPair], None]:
+        """The alpha color or the bump source whose arrow ends at (q, out),
+        None if no arrow does.  It tries the alpha colors, then the
+        deletion points next to q, where most bumps come from, then the
+        rest.  The diagram of a valid rule is a bijection, so the first
+        match is the only one."""
+        move = (q, out)
+        for c in range(1, inst.r + 1):
+            if self.alpha(shape, c) == move:
+                return c
+        near = flanks(shape, q)
+        rest = (p for p in deletion_points(shape) if p not in near)
+        for p in chain(near, rest):
+            for pair in color_pairs(inst, p):
+                if self.bump(shape, p, pair) == move:
+                    return p, pair
+        return None
 
 
 _POINT = r"\((\d+)\s*,\s*(\d+)\)"

@@ -16,8 +16,10 @@ and carries its hash and size.
 
 Every shape caches its cover structure: its insertion and deletion points,
 computed together in one pass the first time ``add_box``, ``remove_box``,
-``insertion_points``, ``deletion_points`` or ``alternation`` asks for them,
-and kept on the shape for its lifetime.  It holds points only, never other
+``insertion_points``, ``deletion_points``, ``alternation`` or one of the
+single-corner reads a local rule makes (``first_insertion_point``,
+``last_insertion_point``, ``neighbors``, ``flanks``) asks for them, and kept
+on the shape for its lifetime.  It holds points only, never other
 shapes, so no shape keeps another alive, and shapes share those points
 through a bounded cache of recently used ones.  ``added_box`` needs one
 point and takes it from the rows instead, so that it computes no cover for
@@ -276,6 +278,40 @@ def _at_row(by_row: _ByRow, p: Point) -> Optional[Point]:
     """The cached point in p's row if it is p, else None."""
     q = by_row[p.row - 1] if p.row <= len(by_row) else None
     return q if q is not None and q.col == p.col else None
+
+
+def first_insertion_point(s: Shape) -> Point:
+    """The northeastmost insertion point, at the end of the first row."""
+    return _cover(s)[0][0]
+
+
+def last_insertion_point(s: Shape) -> Point:
+    """The southwestmost insertion point."""
+    return next(q for q in reversed(_cover(s)[0]) if q is not None)
+
+
+def neighbors(s: Shape, p: Point) -> Optional[tuple[Point, Optional[Point]]]:
+    """The insertion points on either side of deletion point p in the
+    alternation: its northeast neighbor, one column further east, and its
+    southwest neighbor, one row further south (None past the last insertion
+    point).  None when p is not a deletion point of s."""
+    ins, dels = _cover(s)
+    if _at_row(dels, p) is None:
+        return None
+    r = p.row - 1
+    while ins[r] is None:
+        r -= 1
+    return ins[r], ins[p.row]
+
+
+def flanks(s: Shape, q: Point) -> list[Point]:
+    """The deletion points on either side of insertion point q in the
+    alternation, northeast first: those whose southwest and whose northeast
+    neighbor q is."""
+    dels, r = _cover(s)[1], q.row - 1
+    before = dels[r - 1] if 0 < r <= len(dels) else None
+    after = next((p for p in dels[r:] if p is not None), None)
+    return [p for p in (before, after) if p is not None]
 
 
 def add_box(s: Shape, p: Point) -> Shape:

@@ -265,6 +265,16 @@ class TestVerify:
                              "--n", "3")
         assert rc == 0 and "PASS" in out
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["bijection", "--algorithm", "rs-row", "--n", "-1"], "--n"),
+        (["duality", "--kind", "inversion", "--a", "rs-row", "--n", "-2"], "--n"),
+        (["diagram", "--algorithm", "rs-row", "--max-size", "-3"], "--max-size"),
+        (["weights", "--max-size", "-1"], "--max-size"),
+    ], ids=["bijection", "duality", "diagram", "weights"])
+    def test_negative_size_exits_2(self, argv, flag):
+        rc, out, err = run_cli("verify", *argv)
+        assert (rc, out, err) == (2, "", f"error: {flag} must be >= 0\n")
+
     def test_duality_failure_exit_code(self):
         rc, out, _ = run_cli("verify", "duality", "--kind", "transpose",
                              "--a", "rs-row", "--b", "rs-row", "--n", "3")

@@ -95,6 +95,26 @@ class TestPsiEvaluation:
         with pytest.raises(DiagramError):
             psi_bump(alg.diagram(Shape(Q, (1,))), Point(1, 1), ColorPair(1, 2))
 
+    def test_each_arrow_grows_its_shape_once(self, monkeypatch):
+        from growthkit import insdiag
+        grown = []
+        add_box = insdiag.add_box
+        monkeypatch.setattr(insdiag, "add_box", lambda s, p: grown.append(p) or add_box(s, p))
+        d = get_algorithm("left-right").generator(Shape(Q, (3, 1)))
+        for _ in range(3):
+            assert psi_insert(d, 2) == (Shape(Q, (3, 1, 1)), ColorPair(1, 2))
+            assert psi_bump(d, Point(2, 1), ColorPair(1, 1)) == (Shape(Q, (3, 1, 1)),
+                                                                  ColorPair(1, 1))
+        assert grown == [Point(3, 1), Point(3, 1)]
+
+    def test_target_off_the_insertion_points_raises_at_its_lookup(self):
+        d = diagram(Shape(Q, (1,)), [alpha_arrow(1, Point(2, 1), 1, 1),
+                                     alpha_arrow(2, Point(2, 2), 1, 1)])
+        assert psi_insert(d, 1) == (Shape(Q, (1, 1)), ColorPair(1, 1))
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"^\(2,2\) is not an insertion point of 1$"):
+                psi_insert(d, 2)
+
 
 class TestPsiInverse:
     def test_inverts_insert(self):

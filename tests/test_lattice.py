@@ -6,7 +6,8 @@ from growthkit.lattice import (
     Geometry, LatticeError, Point, Shape,
     add_box, alternation, deletion_points, empty_shape, format_shape,
     insertion_points, join, meet, parse_shape, remove_box, shape_size,
-    shapes_of_size, shapes_up_to, transpose,
+    shapes_of_size, shapes_up_to, transpose, first_insertion_point,
+    last_insertion_point, neighbors, flanks,
 )
 from oracles import brute_cominimal, brute_maximal, is_order_ideal
 
@@ -91,6 +92,35 @@ class TestCorners:
                     assert kinds[0] == "+"
                 if geometry is Q:
                     assert kinds[-1] == "+"
+
+
+class TestSingleCorners:
+    """The corners a local rule reads, against the alternation."""
+
+    def test_against_the_alternation(self):
+        for geometry in (Q, O):
+            for s in shapes_up_to(geometry, 10):
+                alt = alternation(s)
+                ins, dels = insertion_points(s), deletion_points(s)
+                assert (first_insertion_point(s), last_insertion_point(s)) == (ins[0], ins[-1])
+                for k, (kind, p) in enumerate(alt):
+                    side = lambda j: alt[j][1] if 0 <= j < len(alt) else None
+                    if kind == "-":
+                        assert neighbors(s, p) == (side(k - 1), side(k + 1)), (s, p)
+                    else:
+                        near = [q for q in (side(k - 1), side(k + 1)) if q is not None]
+                        assert flanks(s, p) == near, (s, p)
+                for p in s.boxes():
+                    if p not in dels:
+                        assert neighbors(s, p) is None
+
+    def test_flanks_of_a_point_off_the_corners_are_deletion_points(self):
+        for geometry in (Q, O):
+            for s in shapes_up_to(geometry, 8):
+                dels = deletion_points(s)
+                for r in range(1, len(s.rows) + 3):
+                    for c in range(1, 10):
+                        assert set(flanks(s, Point(r, c))) <= set(dels)
 
 
 class TestAddRemove:
