@@ -6,8 +6,8 @@ check, 2 on bad input.  When the reader of standard output goes away (as
 ``head`` does), the command stops quietly with status 1, as Python's own
 handling of a broken pipe does.  Every ``verify`` subcommand that runs its
 check ends with one sorted-key JSON summary line.  GROWTHKIT_THREADS sets how
-many processes the exhaustive sweeps fork (default 1; serial where fork is
-unavailable).
+many processes the exhaustive sweeps fork (an integer >= 1, default 1; serial
+where fork is unavailable).
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from .lattice import parse_shape
 
 def _workers() -> int:
     text = os.environ.get("GROWTHKIT_THREADS", "1")
-    try:
-        return max(1, int(text))
-    except ValueError:
-        raise ValueError(f"GROWTHKIT_THREADS must be an integer, got {text!r}") from None
+    if text.strip().isdecimal() and int(text) >= 1:
+        return int(text)
+    raise ValueError(f"GROWTHKIT_THREADS must be an integer >= 1, got {text!r}")
 
 
 def _alg(name: str):

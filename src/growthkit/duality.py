@@ -10,8 +10,8 @@ from typing import Callable, Optional
 
 from .catalog import AlgorithmSpec
 from .insdiag import Rule, color_pair, color_pairs
-from .lattice import Geometry, Point, added_box, shapes_up_to, transpose
-from .oracle import _rank, sweep
+from .lattice import Geometry, Point, shapes_up_to, transpose
+from .oracle import Records, _rank, sweep
 
 
 class DualityError(ValueError):
@@ -94,36 +94,6 @@ class DualityReport:
         return "\n".join([head] + [f"  {c}" for c in self.counterexamples[:10]])
 
 
-def _steps(chain, colors=None) -> list[int]:
-    """Each step of a chain of shapes as the row, column and color of the box
-    it adds; (0, 0, 0) for a step that adds none, and color 0 without colors."""
-    out = []
-    for k in range(1, len(chain)):
-        if chain[k] == chain[k - 1]:
-            out += (0, 0, 0)
-        else:
-            p = added_box(chain[k - 1], chain[k])
-            out += (p.row, p.col, colors[k] if colors else 0)
-    return out
-
-
-def _tableaux_key(leaf) -> bytes:
-    """The leaf's P and Q as one key: the row, column and color of the box of
-    each value of P (its north edge), then of each time of Q (its east
-    column)."""
-    m = leaf.n
-    columns = leaf.columns
-    east = columns[-1]
-    return bytes(_steps([c[0][m] for c in columns], [c[1][m] for c in columns])
-                 + _steps(east[0], east[2]))
-
-
-def _nodes_key(leaf) -> bytes:
-    """Every node of the leaf's growth: for each column, the steps of its
-    chain from south to north, without colors."""
-    return bytes(x for nodes, _, _ in leaf.columns[1:] for x in _steps(nodes))
-
-
 def _inverse(word, alpha: dict[int, int]) -> list:
     """The word of the inverse input, its colors mapped by ``alpha``."""
     out = [None] * len(word)
@@ -162,8 +132,8 @@ def check_transpose_duality(algA: AlgorithmSpec, algB: AlgorithmSpec,
     alpha = _color_map(f, algA.r, algB.r)
     instB = algB.instantiation
 
-    def visit(image, leaf):
-        key = _tableaux_key(leaf)
+    def visit(image, records, leaf):
+        key = records.tableaux(leaf)
         want = bytearray()
         for k in range(0, len(key), 3):
             row, col, color = key[k:k + 3]
@@ -173,7 +143,7 @@ def check_transpose_duality(algA: AlgorithmSpec, algB: AlgorithmSpec,
             return f"gp={sorted(leaf.gp().entries)}"
         return None
 
-    return _check("transpose", algA, algB, n, _tableaux_key, visit, workers)
+    return _check("transpose", algA, algB, n, Records.tableaux, visit, workers)
 
 
 # Inversion-duality color maps: how P/Q of the inverse relate to Q/P of the
@@ -219,8 +189,8 @@ def check_inversion_duality(algA: AlgorithmSpec, algB: AlgorithmSpec, n: int,
     alpha = _color_map(color_map.alpha_map, algA.r, algB.r)
     apart = algA.geometry is not algB.geometry  # then no two tableaux are equal
 
-    def visit(image, leaf):
-        key, word = _tableaux_key(leaf), leaf.word
+    def visit(image, records, leaf):
+        key, word = records.tableaux(leaf), leaf.word
         inverse = _inverse(word, alpha)
         got = image[leaf.n][_rank(inverse, algB.r)]
         half = len(key) // 2
@@ -240,7 +210,7 @@ def check_inversion_duality(algA: AlgorithmSpec, algB: AlgorithmSpec, n: int,
                     f"expected {want_circles})")
         return None
 
-    return _check("inversion", algA, algB, n, _tableaux_key, visit, workers)
+    return _check("inversion", algA, algB, n, Records.tableaux, visit, workers)
 
 
 def check_inversion_nodes(alg: AlgorithmSpec, n: int) -> DualityReport:
@@ -248,37 +218,36 @@ def check_inversion_nodes(alg: AlgorithmSpec, n: int) -> DualityReport:
     the inverse gp grows the same node values in transposed grid locations."""
     same = {c: c for c in range(1, alg.r + 1)}
 
-    def visit(image, leaf):
-        # Row j of A's growth, west to east, must be column j of B's, south
-        # to north.  Both start empty, so the first step to differ (i outer,
+    def visit(image, records, leaf):
+        # Column i of A's growth, south to north, must be row i of B's, west
+        # to east.  Both start empty, so the first step to differ (i outer,
         # j inner) is at the first node to differ.
-        size, columns = leaf.n, leaf.columns
-        want = bytes(x for j in range(1, size + 1) for x in _steps([c[0][j] for c in columns]))
+        want = records.nodes(leaf)
         got = image[leaf.n][_rank(_inverse(leaf.word, same), alg.r)]
-        for i in range(1, size + 1):
-            for j in range(1, size + 1):
-                k = 3 * (size * (j - 1) + i - 1)
-                if want[k:k + 3] != got[k:k + 3]:
-                    return f"gp={sorted(leaf.gp().entries)} node ({i},{j})"
-        return None
+        if want == got:
+            return None
+        k = next(k for k, (a, b) in enumerate(zip(want, got)) if a != b) // 3
+        return f"gp={sorted(leaf.gp().entries)} node ({k // leaf.n + 1},{k % leaf.n + 1})"
 
-    return _check("inversion-nodes", alg, alg, n, _nodes_key, visit, 1)
+    return _check("inversion-nodes", alg, alg, n, partial(Records.nodes, by_rows=True),
+                  visit, 1)
 
 
 def _check(kind, algA, algB, n, key, visit, workers) -> DualityReport:
     """Sweep B over the sizes 1..n for its image, then sweep A over them.
 
-    ``image[size]`` lists ``key`` of each input of that size in sweep order,
-    a compact bytes key.  ``visit(image, leaf)`` maps A's input to B's,
-    finds B's key at that input's sweep rank, compares it with A's own key
-    transformed as the duality says, and returns a counterexample or None.
+    ``image[size]`` lists the record ``key`` (a Records method) builds of
+    each input of that size in sweep order.  ``visit(image, records, leaf)``
+    maps A's input to B's, finds B's record at that input's sweep rank,
+    compares it with A's own record transformed as the duality says, and
+    returns a counterexample or None.  Both sides share one Records.
     One sweep per side, not one per size: each sweep with workers forks a
     pool."""
-    sizes = range(1, n + 1)
-    _, keys = sweep(algB, sizes, key, workers)
+    sizes, records = range(1, n + 1), Records()
+    _, keys = sweep(algB, sizes, partial(key, records), workers)
     image, start = {}, 0
     for size in sizes:
         count = factorial(size) * algB.r ** size
         image[size], start = keys[start:start + count], start + count
-    checked, counterexamples = sweep(algA, sizes, partial(visit, image), workers)
+    checked, counterexamples = sweep(algA, sizes, partial(visit, image, records), workers)
     return DualityReport(kind, algA.name, algB.name, n, checked, tuple(counterexamples))

@@ -409,6 +409,9 @@ def invert_growth(alg, P: ColoredTableau, Q: ColoredTableau) -> GeneralizedPermu
     the smaller ones, whose boxes then only count as a shape, as the cell
     sweep from the northeast would, so the failure raised is the one that
     sweep meets first: the eastmost, then the latest."""
+    if P.shape.geometry is not alg.geometry or Q.shape.geometry is not alg.geometry:
+        raise GrowthError(f"{alg.name} runs on the {alg.geometry.value}, but P is on the "
+                          f"{P.shape.geometry.value} and Q on the {Q.shape.geometry.value}")
     if P.shape != Q.shape:
         raise GrowthError("P and Q must have the same shape")
     if not P.is_standard() or not Q.is_standard():

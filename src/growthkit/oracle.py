@@ -12,16 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, product
+from itertools import permutations, product, repeat
+from operator import itemgetter
 
 from .growth import (
     ColoredTableau, GeneralizedPermutation, GrowthDiagram, border_column,
     grow_column,
 )
-from .lattice import (
-    Shape, add_box, added_box, deletion_points, empty_shape, remove_box,
-    shapes_of_size,
-)
+from .lattice import Shape, added_box, deletion_points, remove_box, shapes_of_size
 from .wdgg import Channel, Instantiation
 
 
@@ -205,47 +203,71 @@ def _rank(word, r: int) -> int:
     return rank
 
 
-def _image_entry(leaf: SweepLeaf):
-    """The leaf's (P, Q) key and its word.  P is the north edge and Q the
-    east column, each as a chain: the shapes at 0..n and the colors of the
-    edges into them (None into the first)."""
-    m = leaf.n
-    columns = leaf.columns
-    east = columns[-1]
-    p = (tuple(c[0][m] for c in columns), tuple(c[1][m] for c in columns))
-    return (p, (east[0], east[2])), tuple(leaf.word)
+class Records(dict):
+    """The records of one check's sweep leaves, as compact bytes.
+
+    A step of a chain of shapes is three bytes: the row, column and color
+    of the box it adds, (0, 0, 0) if it adds none, and color 0 where the
+    chain has no colors.  The builder maps each (lower, upper, color) step
+    it meets to its bytes, so it holds shapes: build one per check.
+    """
+
+    def __missing__(self, step) -> bytes:
+        lower, upper, color = step
+        p = None if lower == upper else added_box(lower, upper)
+        self[step] = got = bytes((p.row, p.col, color or 0)) if p else bytes(3)
+        return got
+
+    def chain(self, shapes, colors) -> bytes:
+        """Each step of a chain of shapes, the k-th in colors[k]."""
+        return b"".join(map(self.__getitem__, zip(shapes, shapes[1:], colors)))
+
+    def tableaux(self, leaf: SweepLeaf) -> bytes:
+        """The leaf's (P, Q) pair: the steps of P (the north edge) by value,
+        then of Q (the east column) by time."""
+        m, columns = leaf.n, leaf.columns
+        east, _, colors = columns[-1]
+        return (self.chain([c[0][m] for c in columns], [c[1][m] for c in columns[1:]])
+                + self.chain(east, colors[1:]))
+
+    @staticmethod
+    def tableau(t: ColoredTableau) -> bytes:
+        """A standard tableau as its half of a record: its cells by value."""
+        return bytes(x for p, _, c in sorted(t.cells, key=itemgetter(1))
+                     for x in (p.row, p.col, c))
+
+    def nodes(self, leaf: SweepLeaf, by_rows: bool = False) -> bytes:
+        """Every node of the leaf's growth, without colors: the chain of
+        each column 1..n from south to north, or by_rows, of each row 1..n
+        from west to east."""
+        grid = [nodes for nodes, _, _ in leaf.columns]
+        if by_rows:
+            grid = list(zip(*grid))
+        return b"".join(self.chain(line, repeat(None)) for line in grid[1:])
 
 
-def _chain_key(t: ColoredTableau):
-    """A standard tableau as the chain of _image_entry: the shapes of its
-    sub-tableaux on values <= 0..n and the colors of the boxes added."""
-    chain, colors = [empty_shape(t.shape.geometry)], [None]
-    for p, _, c in sorted(t.cells, key=lambda cell: cell[1]):
-        chain.append(add_box(chain[-1], p))
-        colors.append(c)
-    return tuple(chain), tuple(colors)
+def _pair_text(record: bytes) -> str:
+    """The (P, Q) pair of a record, each tableau's rows joined by "/"; a
+    color other than 1 follows its value as "^c"."""
+    half = len(record) // 2
+    texts = []
+    for h in (record[:half], record[half:]):
+        rows: dict[int, list] = {}
+        for v, (row, col, color) in enumerate(zip(h[0::3], h[1::3], h[2::3]), start=1):
+            if row:
+                mark = "" if color == 1 else f"^{color}"
+                rows.setdefault(row, []).append((col, f"{v}{mark}"))
+        texts.append("/".join(" ".join(e for _, e in sorted(rows[r])) for r in sorted(rows))
+                     or "(empty)")
+    return "P={} Q={}".format(*texts)
 
 
-def _chain_text(chain, colors) -> str:
-    """The tableau a chain encodes, rows joined by "/"; a color other than
-    1 follows its value as "^c"."""
-    rows: dict[int, list] = {}
-    for v in range(1, len(chain)):
-        if chain[v] != chain[v - 1]:
-            p = added_box(chain[v - 1], chain[v])
-            mark = "" if colors[v] == 1 else f"^{colors[v]}"
-            rows.setdefault(p.row, []).append((p.col, f"{v}{mark}"))
-    return "/".join(" ".join(e for _, e in sorted(rows[r])) for r in sorted(rows)) or "(empty)"
-
-
-def _pair_text(key) -> str:
-    (p_chain, p_colors), (q_chain, q_colors) = key
-    return f"P={_chain_text(p_chain, p_colors)} Q={_chain_text(q_chain, q_colors)}"
-
-
-def _pair_order(key):
-    return [(tuple(s.rows for s in chain), tuple(c or 0 for c in colors))
-            for chain, colors in key]
+def _pair_order(record: bytes):
+    """A record's place in the order of shape chains: P's step rows, then
+    its colors, then Q's.  A lower box makes a larger shape, so rows compare
+    descending, and a step that adds no box (row 0) comes first."""
+    half = len(record) // 2
+    return [(bytes(-x % 256 for x in h[0::3]), h[2::3]) for h in (record[:half], record[half:])]
 
 
 @dataclass(frozen=True)
@@ -275,7 +297,9 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
     missing and extra pair."""
     inst = alg.instantiation
     failures = []
-    count, entries = sweep(alg, [n], _image_entry, workers)
+    records = Records()
+    count, entries = sweep(alg, [n], lambda leaf: (records.tableaux(leaf), tuple(leaf.word)),
+                           workers)
     image: dict = {}
     collision = None
     for key, word in entries:
@@ -301,10 +325,10 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
                 f"tableau counts disagree with the chain recurrence on {shape}: "
                 f"{len(ps)} vs {f1}, {len(qs)} vs {f2}")
         expected_count += f1 * f2
-        q_keys = [_chain_key(q) for q in qs]
+        q_records = [Records.tableau(q) for q in qs]
         for p in ps:
-            kp = _chain_key(p)
-            expected.update((kp, kq) for kq in q_keys)
+            kp = Records.tableau(p)
+            expected.update(kp + kq for kq in q_records)
 
     if expected_count != count:
         failures.append(

@@ -324,9 +324,12 @@ def parse_growth_records(text: str) -> GrowthDiagram:
         if kind not in ("node", "hedge", "vedge", "alpha"):
             raise ParseError(f"unknown record kind {kind!r}")
         at = _field(number, rec, "i", int), _field(number, rec, "j", int)
+        if header is None:
+            raise ParseError(f"line {number}: {kind} record before the growth header")
+        if not (0 <= at[0] <= header[0] and 0 <= at[1] <= header[1]):
+            raise ParseError(f"line {number}: ({at[0]},{at[1]}) is outside the "
+                             f"{header[0] + 1} x {header[1] + 1} grid of the growth header")
         if kind == "node":
-            if header is None:
-                raise ParseError("node record before the growth header")
             nodes[at] = parse_shape(_field(number, rec, "shape", str), header[2])
         elif kind == "hedge":
             hcol[at] = _field(number, rec, "color", int)

@@ -1,0 +1,106 @@
+"""Reference for check_bijection: the image keyed by chains of shapes.
+
+Each (P, Q) pair is a tuple of canonical Shape chains with their colors,
+compared as a set against the chains of every enumerated tableau pair, and
+witnesses are written and ordered from the chains.  This is the direct
+reading of the check, kept independent of the bytes records of
+growthkit.oracle.Records, so check_bijection can be compared against it
+report for report.
+"""
+
+from growthkit.lattice import add_box, added_box, empty_shape, shapes_of_size
+from growthkit.oracle import (
+    BijectionReport, _word_gp, enumerate_sct, sct_count, sweep,
+)
+from growthkit.wdgg import Channel
+
+
+def _image_entry(leaf):
+    """The leaf's (P, Q) key and its word.  P is the north edge and Q the
+    east column, each as a chain: the shapes at 0..n and the colors of the
+    edges into them (None into the first)."""
+    m = leaf.n
+    columns = leaf.columns
+    east = columns[-1]
+    p = (tuple(c[0][m] for c in columns), tuple(c[1][m] for c in columns))
+    return (p, (east[0], east[2])), tuple(leaf.word)
+
+
+def _chain_key(t):
+    """A standard tableau as the chain of _image_entry: the shapes of its
+    sub-tableaux on values <= 0..n and the colors of the boxes added."""
+    chain, colors = [empty_shape(t.shape.geometry)], [None]
+    for p, _, c in sorted(t.cells, key=lambda cell: cell[1]):
+        chain.append(add_box(chain[-1], p))
+        colors.append(c)
+    return tuple(chain), tuple(colors)
+
+
+def _chain_text(chain, colors) -> str:
+    rows: dict[int, list] = {}
+    for v in range(1, len(chain)):
+        if chain[v] != chain[v - 1]:
+            p = added_box(chain[v - 1], chain[v])
+            mark = "" if colors[v] == 1 else f"^{colors[v]}"
+            rows.setdefault(p.row, []).append((p.col, f"{v}{mark}"))
+    return "/".join(" ".join(e for _, e in sorted(rows[r])) for r in sorted(rows)) or "(empty)"
+
+
+def _pair_text(key) -> str:
+    (p_chain, p_colors), (q_chain, q_colors) = key
+    return f"P={_chain_text(p_chain, p_colors)} Q={_chain_text(q_chain, q_colors)}"
+
+
+def _pair_order(key):
+    return [(tuple(s.rows for s in chain), tuple(c or 0 for c in colors))
+            for chain, colors in key]
+
+
+def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
+    inst = alg.instantiation
+    failures = []
+    count, entries = sweep(alg, [n], _image_entry, workers)
+    image: dict = {}
+    collision = None
+    for key, word in entries:
+        if key not in image:
+            image[key] = word
+        elif collision is None:
+            collision = key, image[key], word
+    if collision is not None:
+        key, first, second = collision
+        failures.append(
+            f"two inputs map to the same (P, Q) pair: "
+            f"gp={sorted(_word_gp(n, first).entries)} and "
+            f"gp={sorted(_word_gp(n, second).entries)} both give {_pair_text(key)}")
+
+    expected = set()
+    expected_count = 0
+    for shape in shapes_of_size(inst.geometry, n):
+        ps = enumerate_sct(inst, Channel.ASCENDING, shape)
+        qs = enumerate_sct(inst, Channel.DESCENDING, shape)
+        f1, f2 = sct_count(inst, Channel.ASCENDING, shape), sct_count(inst, Channel.DESCENDING, shape)
+        if len(ps) != f1 or len(qs) != f2:
+            failures.append(
+                f"tableau counts disagree with the chain recurrence on {shape}: "
+                f"{len(ps)} vs {f1}, {len(qs)} vs {f2}")
+        expected_count += f1 * f2
+        q_keys = [_chain_key(q) for q in qs]
+        for p in ps:
+            kp = _chain_key(p)
+            expected.update((kp, kq) for kq in q_keys)
+
+    if expected_count != count:
+        failures.append(
+            f"counting identity fails: sum f1*f2 = {expected_count}, "
+            f"n!*r^n = {count}")
+    missing = expected - image.keys()
+    extra = image.keys() - expected
+    if missing:
+        failures.append(f"{len(missing)} same-shape pairs are not reached, e.g. "
+                        f"{_pair_text(min(missing, key=_pair_order))}")
+    if extra:
+        key = min(extra, key=_pair_order)
+        failures.append(f"{len(extra)} outputs are not valid same-shape pairs, e.g. "
+                        f"{_pair_text(key)} from gp={sorted(_word_gp(n, image[key]).entries)}")
+    return BijectionReport(alg.name, n, count, len(image), expected_count, tuple(failures))

@@ -163,6 +163,15 @@ class TestInvert:
         assert rc == 2 and out == ""
         assert err.startswith("error: line 5: ")
 
+    @pytest.mark.parametrize("perm", ["2 3 1", "1"])
+    def test_tableaux_of_another_geometry_exit_2(self, tmp_path, perm):
+        p_file, q_file = self._record_files(tmp_path, "shifted-column", perm)
+        rc, out, err = run_cli("invert", "--algorithm", "rs-row",
+                               "--p", str(p_file), "--q", str(q_file))
+        assert rc == 2 and out == ""
+        assert err == ("error: rs-row runs on the quadrant, but P is on the octant "
+                       "and Q on the octant\n")
+
     def test_shape_mismatch_rejected(self, tmp_path):
         (tmp_path / "p.txt").write_text("1 2")
         (tmp_path / "q.txt").write_text("1\n2")
@@ -221,6 +230,16 @@ class TestVerify:
                                "--n", "3", env={"GROWTHKIT_THREADS": "abc"})
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and "GROWTHKIT_THREADS" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    @pytest.mark.parametrize("check", [
+        ["bijection", "--algorithm", "rs-row", "--n", "3"],
+        ["duality", "--kind", "inversion", "--a", "rs-row", "--n", "3"],
+    ], ids=["bijection", "duality"])
+    def test_threads_env_must_be_at_least_1(self, threads, check):
+        rc, out, err = run_cli("verify", *check, env={"GROWTHKIT_THREADS": threads})
+        assert rc == 2 and out == ""
+        assert err == f"error: GROWTHKIT_THREADS must be an integer >= 1, got {threads!r}\n"
 
     def test_bijection_with_threads_env(self):
         rc, out, _ = run_cli("verify", "bijection", "--algorithm", "left-right",

@@ -237,6 +237,19 @@ class TestInvertGrowth:
         with pytest.raises(GrowthError):
             invert_growth(RS, P, Qq)
 
+    @pytest.mark.parametrize("p_geometry,q_geometry", [(O, O), (O, Q), (Q, O)])
+    def test_rejects_another_geometry_before_any_unbump(self, p_geometry, q_geometry):
+        def unbump(*args):
+            raise AssertionError("unbump called")
+
+        alg = AlgorithmSpec("rs-row-no-unbump", RS.instantiation, RS.generator, "")
+        alg.unbump = unbump
+        P, Qt = parse_tableau("1", p_geometry), parse_tableau("1", q_geometry)
+        with pytest.raises(GrowthError) as e:
+            invert_growth(alg, P, Qt)
+        assert str(e.value) == (f"rs-row-no-unbump runs on the quadrant, but P is on the "
+                                f"{p_geometry.value} and Q on the {q_geometry.value}")
+
 
 class TestRestrict:
     def test_trivial_bounds(self):

@@ -1,0 +1,147 @@
+"""The bytes records of oracle.Records against the Shape-chain reference:
+check_bijection must give the same report, witness texts and all, as the
+check keyed by chains of shapes in oracle_reference."""
+
+import pytest
+
+import oracle_reference
+from growthkit.catalog import AlgorithmSpec, get_algorithm, list_algorithms
+from growthkit.growth import extract_P, extract_Q, run_growth
+from growthkit.insdiag import alpha_arrow, bump_arrow, diagram
+from growthkit.lattice import Geometry, canonical, deletion_points, insertion_points
+from growthkit.oracle import Records, _pair_order, _pair_text, check_bijection, sweep
+from growthkit.wdgg import BUILTIN_INSTANTIATIONS
+from test_sweep import _color_blind, _overcolored
+
+
+def _color_blind_overcolored(shape):
+    """Row insertion for both alpha colors with ascending color 2 on a
+    weight-1 instantiation: inputs collide, pairs are missed, and every P
+    tableau is invalid."""
+    ins = insertion_points(shape)
+    arrows = [alpha_arrow(1, ins[0], 2, 1), alpha_arrow(2, ins[0], 2, 1)]
+    arrows += [bump_arrow(p, 2, 1, ins[k + 1], 2, 1)
+               for k, p in enumerate(deletion_points(shape))]
+    return diagram(shape, arrows)
+
+
+def _overcolored_east(shape):
+    """Row insertion whose descending color is 2 on every box past column
+    1, on a weight-1 instantiation: the invalid outputs, and so the pairs
+    missed, come in many shapes."""
+    d = lambda p: 2 if p.col > 1 else 1
+    ins = insertion_points(shape)
+    arrows = [alpha_arrow(1, ins[0], 1, d(ins[0]))]
+    arrows += [bump_arrow(p, 1, d(p), ins[k + 1], 1, d(ins[k + 1]))
+               for k, p in enumerate(deletion_points(shape))]
+    return diagram(shape, arrows)
+
+
+BROKEN = {
+    "color-blind": ("unshifted-2", _color_blind),
+    "overcolored": ("unshifted-1", _overcolored),
+    "color-blind-overcolored": ("unshifted-2", _color_blind_overcolored),
+    "overcolored-east": ("unshifted-1", _overcolored_east),
+}
+
+
+def _broken(name):
+    inst, gen = BROKEN[name]
+    return AlgorithmSpec(name, BUILTIN_INSTANTIATIONS[inst], gen, "broken on purpose")
+
+
+def _assert_same_reports(alg, sizes):
+    for n in sizes:
+        for workers in (1, 2):
+            assert (check_bijection(alg, n, workers=workers)
+                    == oracle_reference.check_bijection(alg, n, workers=workers))
+
+
+@pytest.mark.parametrize("name", sorted(list_algorithms()))
+def test_catalog_reports_equal_the_reference(name):
+    alg = get_algorithm(name)
+    _assert_same_reports(alg, range(4 if alg.r == 4 else 5))
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_broken_reports_equal_the_reference(name):
+    _assert_same_reports(_broken(name), range(5))
+
+
+def test_one_broken_algorithm_reaches_every_witness():
+    report = check_bijection(_broken("color-blind-overcolored"), 2)
+    assert report.failures == (
+        "two inputs map to the same (P, Q) pair: gp=[(1, 1, 1), (2, 2, 1)] and "
+        "gp=[(1, 1, 1), (2, 2, 2)] both give P=1^2 2^2 Q=1 2",
+        "8 same-shape pairs are not reached, e.g. P=1/2 Q=1/2",
+        "2 outputs are not valid same-shape pairs, e.g. P=1^2/2^2 Q=1/2 "
+        "from gp=[(1, 2, 1), (2, 1, 1)]",
+    )
+
+
+def _cells(record):
+    """The (row, col, color) of each step of a record half."""
+    return [tuple(record[k:k + 3]) for k in range(0, len(record), 3)]
+
+
+@pytest.mark.parametrize("name", ["rs-row", "left-right", "worley-sagan", "double-circle"])
+def test_tableaux_record_is_p_then_q_by_value(name):
+    alg = get_algorithm(name)
+    records = Records()
+
+    def visit(leaf):
+        g = run_growth(alg, leaf.gp())
+        record = records.tableaux(leaf)
+        for half, t in ((record[:len(record) // 2], extract_P(g)),
+                        (record[len(record) // 2:], extract_Q(g))):
+            by_value = sorted(t.cells, key=lambda cell: cell[1])
+            assert _cells(half) == [(p.row, p.col, c) for p, _, c in by_value]
+
+    sweep(alg, [3], visit)
+
+
+def test_nodes_record_reads_columns_or_rows():
+    alg = get_algorithm("rs-row")
+    records = Records()
+
+    def visit(leaf):
+        g = leaf.growth()
+        size = leaf.n
+
+        def steps(lo, hi):
+            if lo == hi:
+                return 0, 0, 0
+            box, = set(hi.boxes()) - set(lo.boxes())
+            return box.row, box.col, 0
+
+        columns = [steps(g.node(i, j - 1), g.node(i, j))
+                   for i in range(1, size + 1) for j in range(1, size + 1)]
+        rows = [steps(g.node(i - 1, j), g.node(i, j))
+                for j in range(1, size + 1) for i in range(1, size + 1)]
+        assert _cells(records.nodes(leaf)) == columns
+        assert _cells(records.nodes(leaf, by_rows=True)) == rows
+
+    sweep(alg, [3], visit)
+
+
+def test_a_step_that_adds_no_box_is_zero():
+    empty, one = canonical(Geometry.QUADRANT, ()), canonical(Geometry.QUADRANT, (1,))
+    records = Records()
+    assert records.chain([empty, empty, one], [None, 2]) == bytes((0, 0, 0, 1, 1, 2))
+    assert records.chain([empty, one], [None]) == bytes((1, 1, 0))
+
+
+@pytest.mark.parametrize("name,n", [("rs-row", 4), ("left-right", 3), ("double-circle", 3),
+                                    ("worley-sagan", 4)])
+def test_witness_text_and_order_equal_the_reference(name, n):
+    """Every leaf's record gives the text its Shape chains give, and the
+    records sort as the chains do."""
+    alg = get_algorithm(name)
+    records = Records()
+    _, pairs = sweep(alg, [n], lambda leaf: (records.tableaux(leaf),
+                                             oracle_reference._image_entry(leaf)[0]))
+    for record, chains in pairs:
+        assert _pair_text(record) == oracle_reference._pair_text(chains)
+    order = sorted(range(len(pairs)), key=lambda k: _pair_order(pairs[k][0]))
+    assert order == sorted(range(len(pairs)),
+                           key=lambda k: oracle_reference._pair_order(pairs[k][1]))

@@ -121,6 +121,35 @@ class TestGrowthRendering:
         assert out.startswith("\\begin{tikzcd}")
         assert "\\emptyset" in out and "31 \\ar[dd]" in out
 
+    @pytest.mark.parametrize("record", [
+        {"kind": "node", "i": 4, "j": 0, "shape": "0"},
+        {"kind": "node", "i": 0, "j": -1, "shape": "0"},
+        {"kind": "hedge", "i": 4, "j": 1, "color": 1},
+        {"kind": "vedge", "i": 1, "j": 4, "color": 1},
+        {"kind": "alpha", "i": 0, "j": 9, "color": 1},
+    ], ids=["node-east", "node-south", "hedge", "vedge", "alpha"])
+    def test_records_reader_rejects_records_outside_the_grid(self, record):
+        import json
+        alg = get_algorithm("rs-row")
+        lines = render_growth(run_growth(alg, parse_gp("2 3 1", 1)), "records").splitlines()
+        lines.insert(5, json.dumps(record))
+        i, j = record["i"], record["j"]
+        with pytest.raises(ParseError, match=rf"^line 6: \({i},{j}\) is outside the 4 x 4 grid"):
+            parse_growth_records("\n".join(lines))
+
+    def test_records_reader_rejects_a_node_outside_an_empty_growth(self):
+        text = ('{"kind": "growth", "n": 0, "m": 0, "geometry": "quadrant"}\n'
+                '{"kind": "node", "i": 0, "j": 0, "shape": "0"}\n'
+                '{"kind": "node", "i": 9, "j": 9, "shape": "0"}\n')
+        with pytest.raises(ParseError, match=r"^line 3: \(9,9\) is outside the 1 x 1 grid"):
+            parse_growth_records(text)
+
+    def test_records_reader_wants_the_header_first(self):
+        text = ('{"kind": "hedge", "i": 1, "j": 0, "color": 1}\n'
+                '{"kind": "growth", "n": 1, "m": 1, "geometry": "quadrant"}\n')
+        with pytest.raises(ParseError, match=r"^line 1: hedge record before the growth header"):
+            parse_growth_records(text)
+
     def test_records_reader_rejects_garbage(self):
         with pytest.raises(ParseError):
             parse_growth_records('{"kind": "node", "i": 0, "j": 0, "shape": "0"}')
