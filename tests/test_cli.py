@@ -48,7 +48,16 @@ class TestRunGoldens:
 
 GROWTH_GOLDENS = [("growth-left-right", "left-right", "6o 4o 7 5 2 3 1o"),
                   ("growth-double-circle", "double-circle", "6o 4ob 7 5b 2 3b 1o"),
-                  ("growth-rs-row-gaps", "rs-row", "2 _ 5 1")]
+                  ("growth-rs-row-gaps", "rs-row", "2 _ 5 1"),
+                  ("growth-rs-col", "rs-col", "2 3 4 1"),
+                  ("growth-mclarnan-fairy", "mclarnan-fairy", "4 2 6 5 1 7 3"),
+                  ("growth-jitter", "jitter", "1 2 3 4"),
+                  ("growth-sagan1", "sagan1", "1 2 5 4 3"),
+                  ("growth-worley-sagan", "worley-sagan", "1 2 5 4 3"),
+                  ("growth-mixed", "mixed", "7o 5 6 2o 4 1o 3"),
+                  ("growth-shifted-mixed", "shifted-mixed", "1 2 5 4 3"),
+                  ("growth-shifted-column", "shifted-column", "1 3 4 2"),
+                  ("growth-dual-shifted-column", "dual-shifted-column", "1 3 4 2")]
 
 
 class TestRenderGrowthGoldens:
