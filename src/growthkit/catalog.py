@@ -1,7 +1,7 @@
-"""The built-in insertion algorithms, each a local rule (``insdiag.Rule``),
-plus display palettes.  ``AlgorithmSpec`` asks its rule for one arrow at a
-time: the events directly, the grid engine through a memo of the moves it
-has followed.
+"""The built-in insertion algorithms, each a local rule (``insdiag.Rule``)
+and the letters of its edge colors, from which ``render`` works out every
+mark.  ``AlgorithmSpec`` asks its rule for one arrow at a time: the events
+directly, the grid engine through a memo of the moves it has followed.
 
 A rule reads only the corners of a shape it needs: the first and last
 insertion points, a deletion point's northeast and southwest neighbors (the
@@ -12,13 +12,14 @@ mclarnan-fairy the index of the deletion point.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from .insdiag import ColorPair, DiagramError, InsertionDiagram, Move, Rule, color_pair
 from .lattice import (
     Geometry, Point, Shape, add_box, deletion_points, first_insertion_point,
     insertion_points, last_insertion_point, neighbors,
 )
+from .render import tableau_suffixes
 from .wdgg import BUILTIN_INSTANTIATIONS, Instantiation
 
 
@@ -142,40 +143,16 @@ DUAL_SHIFTED_COLUMN = Rule(_column_alpha(_12), _diagonal_bumps(
     {_11: (NE, _11)}, {_11: (NE, _11), _12: (NE, _12)}))
 
 
-# Edge-label palettes.  A palette maps (box, color) to a display label, or the
-# whole channel is unlabeled (None) when its weight is 1 everywhere.
-
-def _uc(point: Point, color: int) -> str:
-    return {1: "U", 2: "C"}[color]
-
-
-def _uc_diag(point: Point, color: int) -> str:
-    return "-" if point.diagonal else {1: "U", 2: "C"}[color]
-
-
-def _br_diag(point: Point, color: int) -> str:
-    return "-" if point.diagonal else {1: "B", 2: "R"}[color]
-
-
-_ALPHA_NAMES = {
-    1: {1: "X"},
-    2: {1: "U", 2: "C"},
-    4: {1: "UU", 2: "CU", 3: "UC", 4: "CC"},
-}
-
-
 @dataclass
 class AlgorithmSpec:
-    """A named algorithm: instantiation, local rule, display palettes."""
+    """A named algorithm: instantiation, local rule, and the letters of
+    edge colors 1 and 2 (uncircled/circled, or black/red)."""
 
     name: str
     instantiation: Instantiation
     rule: Rule
     description: str
-    g1_labels: Optional[Callable[[Point, int], str]] = None
-    g2_labels: Optional[Callable[[Point, int], str]] = None
-    p_suffixes: dict[int, str] = field(default_factory=lambda: {1: "", 2: "o"})
-    q_suffixes: dict[int, str] = field(default_factory=lambda: {1: "", 2: "o"})
+    letters: str = "UC"
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
@@ -186,9 +163,8 @@ class AlgorithmSpec:
     def geometry(self) -> Geometry:
         return self.instantiation.geometry
 
-    @property
-    def alpha_names(self) -> dict[int, str]:
-        return _ALPHA_NAMES[self.r]
+    p_suffixes = property(lambda self: tableau_suffixes(self.r, "P"))
+    q_suffixes = property(lambda self: tableau_suffixes(self.r, "Q"))
 
     def generator(self, shape: Shape) -> InsertionDiagram:
         """The rule mapped over the corners of shape: its whole diagram."""
@@ -259,27 +235,25 @@ def _make_registry() -> dict[str, AlgorithmSpec]:
         spec("rs-col", inst["unshifted-1"], RS_COL,
              "column insertion into unshifted tableaux"),
         spec("left-right", inst["unshifted-2"], LEFT_RIGHT,
-             "Haiman's left-right insertion", g2_labels=_uc),
+             "Haiman's left-right insertion"),
         spec("mclarnan-fairy", inst["unshifted-1"], MCLARNAN,
              "McLarnan's order-reversing fairy insertion"),
         spec("jitter", inst["unshifted-2"], JITTER,
-             "left-right with the circling flipped on every move", g2_labels=_uc),
+             "left-right with the circling flipped on every move"),
         spec("sagan1", inst["shifted-1"], SAGAN1,
-             "Sagan's first shifted insertion", g2_labels=_br_diag),
+             "Sagan's first shifted insertion", "BR"),
         spec("worley-sagan", inst["shifted-1"], WORLEY_SAGAN,
-             "the Worley/Sagan shifted insertion", g2_labels=_br_diag),
+             "the Worley/Sagan shifted insertion", "BR"),
         spec("mixed", inst["unshifted-mixed"], MIXED,
-             "Haiman's mixed insertion", g1_labels=_uc),
+             "Haiman's mixed insertion"),
         spec("double-circle", inst["unshifted-4"], DOUBLE_CIRCLE,
-             "left-right mixed insertion with two circle families",
-             g1_labels=_uc, g2_labels=_uc, q_suffixes={1: "", 2: "b"}),
+             "left-right mixed insertion with two circle families"),
         spec("shifted-mixed", inst["shifted-mixed"], SHIFTED_MIXED,
-             "Haiman's shifted mixed insertion", g1_labels=_uc_diag),
+             "Haiman's shifted mixed insertion"),
         spec("shifted-column", inst["shifted-column"], SHIFTED_COLUMN,
-             "McLarnan's shifted column insertion", g1_labels=_uc_diag),
+             "McLarnan's shifted column insertion"),
         spec("dual-shifted-column", inst["shifted-column-dual"], DUAL_SHIFTED_COLUMN,
-             "shifted column insertion with labels on the descending channel",
-             g2_labels=_uc_diag),
+             "shifted column insertion with labels on the descending channel"),
     ]
     return {a.name: a for a in algs}
 

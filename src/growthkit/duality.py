@@ -60,9 +60,7 @@ def transpose_dual(alg: AlgorithmSpec, f: Callable[[int], int] = identity,
 
     return AlgorithmSpec(
         name or f"transpose-dual({alg.name})", inst, Rule(alpha, bump),
-        f"transpose dual of {alg.name}",
-        g1_labels=alg.g1_labels, g2_labels=alg.g2_labels,
-        p_suffixes=dict(alg.p_suffixes), q_suffixes=dict(alg.q_suffixes))
+        f"transpose dual of {alg.name}", alg.letters)
 
 
 def diagrams_equal(a: AlgorithmSpec, b: AlgorithmSpec, max_size: int) -> bool:

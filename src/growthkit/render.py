@@ -1,44 +1,57 @@
 """Text, line-delimited-record, and LaTeX rendering of tableaux and growth
 diagrams, plus the parsers for the ASCII input grammars.
 
-Input grammar: a generalized permutation is whitespace-separated tokens,
-each a value with an optional color suffix, or ``_`` for an empty step.
-Suffixes: none = color 1, ``o`` = 2; with four colors none/``o``/``b``/``ob``
-map to 1..4.  Tableau files hold one row per line, entries ``5`` / ``5o`` /
-``5b``.
+Every color mark is worked out here from the instantiation and the
+algorithm's ``letters``.  Alpha color c is written as the set bits of c - 1,
+bit 0 (P's color) marked ``o`` and bit 1 (Q's) ``b``, so none/``o``/``b``/
+``ob`` for r = 4; it is named ``X`` when r = 1, else by the letters of those
+bits (r = 4: UU, CU, UC, CC).  A tableau's color 2 is ``o``, or ``b`` on Q
+when r = 4.  A channel whose weight is 1 everywhere has no edge labels;
+otherwise a weight-1 box shows ``-`` and colors 1, 2 the letters.
+
+A generalized permutation is whitespace-separated tokens, each a value with
+its suffix, or ``_`` for an empty step.  Tableau files hold one row per
+line, entries ``5`` / ``5o`` / ``5b``.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from functools import cache
 from typing import Optional
 
 from .growth import ColoredTableau, GeneralizedPermutation, GrowthDiagram, GrowthError
-from .lattice import Geometry, Point, Shape, format_shape, parse_shape
+from .lattice import Geometry, Point, Shape, added_box, format_shape, parse_shape
 
 
 class ParseError(ValueError):
     pass
 
 
-_GP_TOKEN = re.compile(r"^(\d+)(ob|o|b)?$")
-
-_SUFFIX_COLORS = {
-    1: {None: 1},
-    2: {None: 1, "o": 2},
-    4: {None: 1, "o": 2, "b": 3, "ob": 4},
-}
+MARKS = "ob"    # the marks of bit 0 and bit 1 of an alpha color c - 1
 
 
+@cache
 def alpha_suffixes(r: int) -> dict[int, str]:
-    return {c: (s or "") for s, c in _SUFFIX_COLORS[r].items()}
+    if r not in (1, 2, 4):
+        raise ParseError(f"unsupported differential degree {r}")
+    return {c: "".join(m for k, m in enumerate(MARKS) if (c - 1) >> k & 1)
+            for c in range(1, r + 1)}
+
+
+@cache
+def tableau_suffixes(r: int, channel: str) -> dict[int, str]:
+    """The marks of the P or Q tableau's colors."""
+    return {1: "", 2: MARKS["PQ".index(channel) if r == 4 else 0]}
+
+
+_GP_TOKEN = re.compile(r"^(\d+)(%s)$" % "".join(f"{m}?" for m in MARKS))
 
 
 def parse_gp(text: str, r: int = 1, n: Optional[int] = None) -> GeneralizedPermutation:
     """Read the compact one-line form, e.g. "1 3 2 _ 4o"."""
-    if r not in _SUFFIX_COLORS:
-        raise ParseError(f"unsupported differential degree {r}")
+    colors = {s: c for c, s in alpha_suffixes(r).items()}
     word = []
     seen = set()
     for pos, token in enumerate(text.replace(",", " ").split(), start=1):
@@ -54,7 +67,7 @@ def parse_gp(text: str, r: int = 1, n: Optional[int] = None) -> GeneralizedPermu
         if value in seen:
             raise ParseError(f"token {pos}: duplicate value {value}")
         seen.add(value)
-        color = _SUFFIX_COLORS[r].get(m.group(2))
+        color = colors.get(m.group(2))
         if color is None:
             raise ParseError(
                 f"token {pos}: color suffix {m.group(2)!r} out of range for r={r}")
@@ -69,7 +82,7 @@ def format_gp(gp: GeneralizedPermutation, r: int) -> str:
     return " ".join(token.get(j, "_") for j in range(1, gp.m + 1))
 
 
-_TABLEAU_TOKEN = re.compile(r"^(\d+)(o|b)?$")
+_TABLEAU_TOKEN = re.compile(r"^(\d+)([%s]?)$" % MARKS)
 
 
 def parse_tableau(text: str, geometry: Geometry) -> ColoredTableau:
@@ -97,6 +110,7 @@ def parse_tableau(text: str, geometry: Geometry) -> ColoredTableau:
 def render_tableau(t: ColoredTableau, fmt: str = "text",
                    suffixes: Optional[dict[int, str]] = None,
                    channel: str = "P") -> str:
+    suffixes = suffixes or tableau_suffixes(1, channel)
     if fmt == "text":
         return _tableau_text(t, suffixes)
     if fmt == "records":
@@ -104,12 +118,6 @@ def render_tableau(t: ColoredTableau, fmt: str = "text",
     if fmt == "latex":
         return _tableau_latex(t, suffixes)
     raise ParseError(f"unknown format {fmt!r}")
-
-
-def _suffix(suffixes, color) -> str:
-    if suffixes and color in suffixes:
-        return suffixes[color]
-    return {1: "", 2: "o"}.get(color, f"^{color}")
 
 
 def _tableau_rows(t: ColoredTableau):
@@ -123,11 +131,12 @@ def _tableau_text(t, suffixes) -> str:
     if not t.cells:
         return "(empty)"
     entries = _tableau_rows(t)
-    width = max(len(f"{v}{_suffix(suffixes, c)}") for row in entries for _, v, c in row)
+    tokens = [[f"{v}{suffixes.get(c, f'^{c}')}" for _, v, c in row] for row in entries]
+    width = max(len(token) for row in tokens for token in row)
     lines = []
-    for r, row in enumerate(entries, start=1):
+    for r, row in enumerate(tokens, start=1):
         indent = (t.shape.row_start(r) - 1) * (width + 1)
-        cells = " ".join(f"{v}{_suffix(suffixes, c)}".ljust(width) for _, v, c in row)
+        cells = " ".join(token.ljust(width) for token in row)
         lines.append(" " * indent + cells.rstrip())
     return "\n".join(lines)
 
@@ -154,8 +163,7 @@ def _tableau_latex(t, suffixes) -> str:
         pads = ["\\none"] * (t.shape.row_start(r) - 1)
         cells = []
         for _, v, c in row:
-            mark = _suffix(suffixes, c)
-            cells.append(f"{v}{_LATEX_MARK.get(mark, '^{%d}' % c)}")
+            cells.append(f"{v}{_LATEX_MARK.get(suffixes.get(c), '^{%d}' % c)}")
         body.append(" & ".join(pads + cells))
     lines.append(" \\\\\n".join(body))
     lines.append("\\end{ytableau}")
@@ -226,15 +234,28 @@ def render_growth(g: GrowthDiagram, fmt: str = "text", alg=None) -> str:
 def _edge_label(labels, lower, upper, color) -> str:
     if color is None or labels is None:
         return ""
-    from .lattice import added_box
     return labels(added_box(lower, upper), color)
+
+
+def _palette(alg):
+    """The ascending and descending edge labels of alg, each a function of
+    (box, color) or None, and its alpha names."""
+    if alg is None:
+        return None, None, {}
+
+    def labels(w):
+        if getattr(w, "description", None) != "1":
+            return lambda box, color: "-" if w(box) == 1 else alg.letters[color - 1]
+
+    bits = (alg.r - 1).bit_length()
+    names = {c: "".join(alg.letters[(c - 1) >> k & 1] for k in range(bits)) or "X"
+             for c in range(1, alg.r + 1)}
+    return labels(alg.instantiation.w1), labels(alg.instantiation.w2), names
 
 
 def _growth_text(g: GrowthDiagram, alg) -> str:
     """Fixed-width grid, Cartesian layout: north at the top."""
-    g1_labels = alg.g1_labels if alg else None
-    g2_labels = alg.g2_labels if alg else None
-    alpha_names = alg.alpha_names if alg else {}
+    g1_labels, g2_labels, names = _palette(alg)
     alpha_at = {(i, j): c for i, j, c in g.alphas.entries}
     nrows, ncols = 2 * g.m + 1, 2 * g.n + 1
     grid = [["" for _ in range(ncols)] for _ in range(nrows)]
@@ -252,7 +273,7 @@ def _growth_text(g: GrowthDiagram, alg) -> str:
                 grid[rr + 1][2 * i] = lab or "|"
                 if i >= 1:
                     a = alpha_at.get((i, j))
-                    grid[rr + 1][2 * i - 1] = alpha_names.get(a, str(a)) if a else ""
+                    grid[rr + 1][2 * i - 1] = names.get(a, str(a)) if a else ""
     widths = [max([len(grid[r][c]) for r in range(nrows)] + [3 if c % 2 else 1])
               for c in range(ncols)]
     lines = []
@@ -272,7 +293,8 @@ def _growth_text(g: GrowthDiagram, alg) -> str:
 
 def _growth_records(g: GrowthDiagram, alg=None) -> str:
     """Line-delimited records; colors are integers, plus the algorithm's
-    display label on edges when a palette is available."""
+    label on edges of a labeled channel."""
+    g1_labels, g2_labels, _ = _palette(alg)
     geometry = g.node(0, 0).geometry.value
     lines = [json.dumps({"kind": "growth", "n": g.n, "m": g.m,
                          "geometry": geometry}, sort_keys=True)]
@@ -292,14 +314,12 @@ def _growth_records(g: GrowthDiagram, alg=None) -> str:
     for i in range(1, g.n + 1):
         for j in range(g.m + 1):
             if g.hcolor(i, j) is not None:
-                lines.append(edge("hedge", i, j, g.hcolor(i, j),
-                                  alg.g1_labels if alg else None,
+                lines.append(edge("hedge", i, j, g.hcolor(i, j), g1_labels,
                                   g.node(i - 1, j), g.node(i, j)))
     for i in range(g.n + 1):
         for j in range(1, g.m + 1):
             if g.vcolor(i, j) is not None:
-                lines.append(edge("vedge", i, j, g.vcolor(i, j),
-                                  alg.g2_labels if alg else None,
+                lines.append(edge("vedge", i, j, g.vcolor(i, j), g2_labels,
                                   g.node(i, j - 1), g.node(i, j)))
     for i, j, c in sorted(g.alphas.entries):
         lines.append(json.dumps({"kind": "alpha", "i": i, "j": j, "color": c},
@@ -353,9 +373,7 @@ def parse_growth_records(text: str) -> GrowthDiagram:
 
 
 def _growth_latex(g: GrowthDiagram, alg) -> str:
-    g1_labels = alg.g1_labels if alg else None
-    g2_labels = alg.g2_labels if alg else None
-    alpha_names = alg.alpha_names if alg else {}
+    g1_labels, g2_labels, names = _palette(alg)
     alpha_at = {(i, j): c for i, j, c in g.alphas.entries}
     lines = ["\\begin{tikzcd}[sep=small]"]
     rows = []
@@ -379,7 +397,7 @@ def _growth_latex(g: GrowthDiagram, alg) -> str:
             marks = []
             for i in range(1, g.n + 1):
                 a = alpha_at.get((i, j))
-                marks.append(alpha_names.get(a, str(a)) if a else "")
+                marks.append(names.get(a, str(a)) if a else "")
             rows.append("& " + " && ".join(marks) + " &")
     lines.append(" \\\\\n".join(rows))
     lines.append("\\end{tikzcd}")
