@@ -63,20 +63,21 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _read_tableau(path: str, geometry):
-    """A tableau file in the text grammar, or as records (a file whose first
-    non-blank character is "{")."""
+def _read_tableau(path: str, alg, channel: str):
+    """The channel's tableau ("P" or "Q") from a file in the text grammar,
+    with that tableau's marks only, or as records (a file whose first
+    non-blank character is "{") whose header does not name the other one."""
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return render.parse_tableau_records(text)
-    return render.parse_tableau(text, geometry)
+        return render.parse_tableau_records(text, channel)
+    return render.parse_tableau(text, alg.geometry, render.tableau_suffixes(alg.r, channel))
 
 
 def cmd_invert(args) -> int:
     alg = _alg(args.algorithm)
-    P = _read_tableau(args.p, alg.geometry)
-    Q = _read_tableau(args.q, alg.geometry)
+    P = _read_tableau(args.p, alg, "P")
+    Q = _read_tableau(args.q, alg, "Q")
     gp = invert_growth(alg, P, Q)
     print(f"permutation: {render.format_gp(gp, alg.r)}")
     return 0

@@ -97,7 +97,7 @@ class ColoredTableau:
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(sorted(self.cells)))
         pts = [p for p, _, _ in self.cells]
-        if sorted(pts) != sorted(self.shape.boxes()):
+        if len(pts) != self.shape.size or sorted(pts) != sorted(self.shape.boxes()):
             raise GrowthError("tableau entries must fill the shape exactly")
         vals = [v for _, v, _ in self.cells]
         if len(set(vals)) != len(vals):

@@ -83,11 +83,15 @@ def format_gp(gp: GeneralizedPermutation, r: int) -> str:
 
 
 _TABLEAU_TOKEN = re.compile(r"^(\d+)([%s]?)$" % MARKS)
+_ANY_MARK = {"": 1, **dict.fromkeys(MARKS, 2)}
 
 
-def parse_tableau(text: str, geometry: Geometry) -> ColoredTableau:
+def parse_tableau(text: str, geometry: Geometry,
+                  suffixes: Optional[dict[int, str]] = None) -> ColoredTableau:
     """Read a tableau from its text rendering; leading indentation on
-    shifted rows is ignored."""
+    shifted rows is ignored.  With suffixes (a ``tableau_suffixes`` table)
+    only that tableau's marks are read; without, every mark is color 2."""
+    colors = _ANY_MARK if suffixes is None else {s: c for c, s in suffixes.items()}
     rows = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -102,8 +106,12 @@ def parse_tableau(text: str, geometry: Geometry) -> ColoredTableau:
             m = _TABLEAU_TOKEN.match(token)
             if not m:
                 raise ParseError(f"malformed tableau entry {token!r}")
+            color = colors.get(m.group(2))
+            if color is None:
+                raise ParseError(f"tableau entry {token!r}: {m.group(2)!r} marks no "
+                                 f"color of this tableau")
             col = shape.row_start(r) + k
-            cells.append((Point(r, col), int(m.group(1)), 2 if m.group(2) else 1))
+            cells.append((Point(r, col), int(m.group(1)), color))
     return ColoredTableau(shape, tuple(cells))
 
 
@@ -205,12 +213,17 @@ def _geometry(number: int, rec: dict) -> Geometry:
         raise ParseError(f"line {number}: unknown geometry {text!r}") from None
 
 
-def parse_tableau_records(text: str) -> ColoredTableau:
+def parse_tableau_records(text: str, channel: Optional[str] = None) -> ColoredTableau:
+    """Read a tableau from its records; with channel ("P" or "Q"), a header
+    that names the other tableau is an error."""
     shape = None
     cells = []
     for number, rec in _records(text):
         kind = _field(number, rec, "kind", str)
         if kind == "tableau":
+            if channel is not None and rec.get("channel", channel) != channel:
+                raise ParseError(f"line {number}: the header names tableau "
+                                 f"{rec['channel']!r}, not {channel!r}")
             shape = parse_shape(_field(number, rec, "shape", str), _geometry(number, rec))
         elif kind == "cell":
             row, col, value, color = (_field(number, rec, name, int)

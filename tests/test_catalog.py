@@ -21,6 +21,14 @@ class TestRegistry:
         with pytest.raises(CatalogError):
             get_algorithm("rsk")
 
+    def test_letters_are_the_only_display_setting(self):
+        from dataclasses import fields
+        from growthkit.catalog import AlgorithmSpec
+        assert [f.name for f in fields(AlgorithmSpec) if f.init] == [
+            "name", "instantiation", "rule", "description", "letters"]
+        assert {name: alg.letters for name, alg in list_algorithms().items()
+                if alg.letters != "UC"} == {"sagan1": "BR", "worley-sagan": "BR"}
+
     def test_geometry_mismatch(self):
         with pytest.raises(CatalogError):
             generate("rs-row", Shape(O, (2,)))

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -180,6 +181,52 @@ class TestInvert:
         assert rc == 2 and out == ""
         assert err == ("error: rs-row runs on the quadrant, but P is on the octant "
                        "and Q on the octant\n")
+
+    @pytest.mark.parametrize("algorithm,p_text,q_text,token", [
+        ("double-circle", "1b 4b 7\n2 5\n3 6b", "1 3 6b\n2b 5\n4b 7", "1b"),
+        ("double-circle", "1o 4o 7\n2 5\n3 6o", "1 3 6o\n2o 5\n4o 7", "6o"),
+        ("left-right", "1 2 3 7\n4 5\n6", "1b 2b 3 7b\n4 6\n5", "1b"),
+    ], ids=["q-mark-in-p", "p-mark-in-q", "b-when-r-is-2"])
+    def test_a_mark_of_the_other_tableau_exits_2(self, tmp_path, algorithm, p_text,
+                                                   q_text, token):
+        p_file, q_file = tmp_path / "p.txt", tmp_path / "q.txt"
+        p_file.write_text(p_text)
+        q_file.write_text(q_text)
+        rc, out, err = run_cli("invert", "--algorithm", algorithm,
+                               "--p", str(p_file), "--q", str(q_file))
+        assert rc == 2 and out == ""
+        assert err == (f"error: tableau entry {token!r}: {token[-1]!r} marks no color "
+                       f"of this tableau\n")
+
+    def test_record_files_of_the_other_tableau_exit_2(self, tmp_path):
+        p_file, q_file = self._record_files(tmp_path, "rs-row", "2 3 4 1")
+        rc, out, err = run_cli("invert", "--algorithm", "rs-row",
+                               "--p", str(q_file), "--q", str(p_file))
+        assert rc == 2 and out == ""
+        assert err == "error: line 1: the header names tableau 'Q', not 'P'\n"
+
+    def test_a_huge_shape_record_exits_2_at_once(self, tmp_path):
+        """Memory is bounded by the input, not by the shape a header names.
+        The child runs under a 1 GiB address-space limit, so a build that
+        lists the boxes of the shape fails fast instead of filling memory."""
+        resource = pytest.importorskip("resource")
+        p_file, q_file = tmp_path / "p.jsonl", tmp_path / "q.txt"
+        p_file.write_text('{"kind": "tableau", "geometry": "quadrant", '
+                          '"shape": "99999999999999999999"}\n')
+        q_file.write_text("1\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "growthkit.cli", "invert", "--algorithm", "rs-row",
+             "--p", str(p_file), "--q", str(q_file)],
+            capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: tableau entries must fill the shape exactly\n"
+        assert time.perf_counter() - start < 5
 
     def test_shape_mismatch_rejected(self, tmp_path):
         (tmp_path / "p.txt").write_text("1 2")

@@ -4,8 +4,8 @@ from growthkit.catalog import get_algorithm, list_algorithms
 from growthkit.growth import extract_P, extract_Q, run_growth
 from growthkit.lattice import Geometry
 from growthkit.render import (
-    ParseError, format_gp, parse_gp, parse_growth_records, parse_tableau,
-    parse_tableau_records, render_growth, render_tableau,
+    ParseError, alpha_suffixes, format_gp, parse_gp, parse_growth_records, parse_tableau,
+    parse_tableau_records, render_growth, render_tableau, tableau_suffixes,
 )
 from figures import FIGURES
 from growth_reference import alpha, column_of
@@ -43,6 +43,48 @@ class TestParseGp:
             assert parse_gp(format_gp(gp, alg.r), alg.r) == gp
         gp = parse_gp("1 3 2 _ 4o", 2)
         assert format_gp(gp, 2) == "1 3 2 _ 4o"
+
+
+class TestColorVocabulary:
+    def test_alpha_suffixes_are_the_bits_of_c_minus_1(self):
+        assert alpha_suffixes(1) == {1: ""}
+        assert alpha_suffixes(2) == {1: "", 2: "o"}
+        assert alpha_suffixes(4) == {1: "", 2: "o", 3: "b", 4: "ob"}
+
+    @pytest.mark.parametrize("r", [0, 3, 8])
+    def test_other_degrees_are_rejected(self, r):
+        with pytest.raises(ParseError, match=f"unsupported differential degree {r}"):
+            parse_gp("1", r)
+
+    def test_q_marks_b_only_when_both_channels_carry_color(self):
+        for r in (1, 2):
+            assert tableau_suffixes(r, "P") == tableau_suffixes(r, "Q") == {1: "", 2: "o"}
+        assert tableau_suffixes(4, "P") == {1: "", 2: "o"}
+        assert tableau_suffixes(4, "Q") == {1: "", 2: "b"}
+
+    def test_specs_derive_their_suffixes(self):
+        for alg in list_algorithms().values():
+            assert alg.p_suffixes == tableau_suffixes(alg.r, "P")
+            assert alg.q_suffixes == tableau_suffixes(alg.r, "Q")
+
+    def test_a_channel_reads_only_its_marks(self):
+        t = parse_tableau("1 2b", Q, tableau_suffixes(4, "Q"))
+        assert [c for _, _, c in t.cells] == [1, 2]
+        with pytest.raises(ParseError, match="'2b': 'b' marks no color"):
+            parse_tableau("1 2b", Q, tableau_suffixes(4, "P"))
+        with pytest.raises(ParseError, match="'2o': 'o' marks no color"):
+            parse_tableau("1 2o", Q, tableau_suffixes(4, "Q"))
+
+    def test_without_suffixes_every_mark_is_color_2(self):
+        assert parse_tableau("1 2b", Q) == parse_tableau("1 2o", Q)
+
+    def test_records_of_the_other_channel_are_rejected(self):
+        text = render_tableau(parse_tableau("1 2", Q), "records", channel="Q")
+        assert parse_tableau_records(text, "Q") == parse_tableau_records(text)
+        with pytest.raises(ParseError, match="^line 1: the header names tableau 'Q', not 'P'"):
+            parse_tableau_records(text, "P")
+        headless = text.replace('"channel": "Q", ', "")
+        assert parse_tableau_records(headless, "P") == parse_tableau_records(text)
 
 
 class TestTableauRendering:
