@@ -64,9 +64,8 @@ def cmd_run(args) -> int:
 
 
 def _read_tableau(path: str, alg, channel: str):
-    """The channel's tableau ("P" or "Q") from a file in the text grammar,
-    with that tableau's marks only, or as records (a file whose first
-    non-blank character is "{") whose header does not name the other one."""
+    """The channel's tableau ("P" or "Q") in the text grammar with its own
+    marks, or as records (a file whose first non-blank character is "{")."""
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):

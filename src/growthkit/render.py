@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import json
 import re
-from functools import cache
 from typing import Optional
 
-from .growth import ColoredTableau, GeneralizedPermutation, GrowthDiagram, GrowthError
+from .growth import ColoredTableau, GeneralizedPermutation, GrowthDiagram
 from .lattice import Geometry, Point, Shape, added_box, format_shape, parse_shape
 
 
@@ -32,7 +31,6 @@ class ParseError(ValueError):
 MARKS = "ob"    # the marks of bit 0 and bit 1 of an alpha color c - 1
 
 
-@cache
 def alpha_suffixes(r: int) -> dict[int, str]:
     if r not in (1, 2, 4):
         raise ParseError(f"unsupported differential degree {r}")
@@ -40,7 +38,6 @@ def alpha_suffixes(r: int) -> dict[int, str]:
             for c in range(1, r + 1)}
 
 
-@cache
 def tableau_suffixes(r: int, channel: str) -> dict[int, str]:
     """The marks of the P or Q tableau's colors."""
     return {1: "", 2: MARKS["PQ".index(channel) if r == 4 else 0]}
