@@ -1,6 +1,10 @@
+from dataclasses import fields
+
 import pytest
 
-from growthkit.catalog import CatalogError, generate, get_algorithm, list_algorithms
+from growthkit.catalog import (
+    AlgorithmSpec, CatalogError, generate, get_algorithm, list_algorithms,
+)
 from growthkit.insdiag import ALPHA, BUMP, ColorPair, validate
 from growthkit.lattice import Geometry, Point, Shape, empty_shape, shapes_up_to, transpose
 
@@ -22,8 +26,6 @@ class TestRegistry:
             get_algorithm("rsk")
 
     def test_letters_are_the_only_display_setting(self):
-        from dataclasses import fields
-        from growthkit.catalog import AlgorithmSpec
         assert [f.name for f in fields(AlgorithmSpec) if f.init] == [
             "name", "instantiation", "rule", "description", "letters"]
         assert {name: alg.letters for name, alg in list_algorithms().items()
