@@ -1,23 +1,30 @@
-"""The built-in insertion algorithms, each a local rule (``insdiag.Rule``)
-and the letters of its edge colors, from which ``render`` works out every
-mark.  ``AlgorithmSpec`` asks its rule for one arrow at a time: the events
-directly, the grid engine through a memo of the moves it has followed.
+"""The built-in insertion algorithms, each a table rule
+(``insdiag.TableRule``) and the letters of its edge colors, from which
+``render`` works out every mark.  ``AlgorithmSpec`` asks its rule for one
+arrow at a time: the events directly, the grid engine through a memo of the
+moves it has followed.
 
-A rule reads only the corners of a shape it needs: the first and last
-insertion points, a deletion point's northeast and southwest neighbors (the
-insertion points before and after it, northeast to southwest), and for
-mclarnan-fairy the index of the deletion point.
+The sides of the tables read only the corners of a shape: ``FIRST`` and
+``LAST``, the first and last insertion points (northeast to southwest);
+``NE`` and ``SW``, the insertion points before and after the deletion point;
+``MIRROR``, mclarnan-fairy's order-reversing match of the deletion points
+with the insertion points after the first, and ``MIRROR_T`` with those
+before the last; ``SW_OR_FIRST``, sagan1's ``SW`` unless that is diagonal,
+else ``FIRST``.  ``TRANSPOSED_SIDE`` maps each quadrant side to its
+transpose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Union
 
-from .insdiag import ColorPair, DiagramError, InsertionDiagram, Move, Rule, color_pair
+from .insdiag import (
+    ColorPair, DiagramError, InsertionDiagram, Move, Rule, TableRule, color_pair,
+)
 from .lattice import (
-    Geometry, Point, Shape, add_box, deletion_points, first_insertion_point,
-    insertion_points, last_insertion_point, neighbors,
+    Geometry, Point, Shape, add_box, first_insertion_point, insertion_points,
+    last_insertion_point,
 )
 from .render import tableau_suffixes
 from .wdgg import BUILTIN_INSTANTIATIONS, Instantiation
@@ -27,120 +34,88 @@ class CatalogError(ValueError):
     pass
 
 
+def FIRST(shape, p, near):
+    return first_insertion_point(shape)
+
+
+def LAST(shape, p, near):
+    return last_insertion_point(shape)
+
+
+def NE(shape, p, near):
+    return near[0]
+
+
+def SW(shape, p, near):
+    return near[1]
+
+
+def MIRROR(shape, p, near):
+    return (ins := insertion_points(shape))[-1 - ins.index(near[0])]
+
+
+def MIRROR_T(shape, p, near):
+    return (ins := insertion_points(shape))[-2 - ins.index(near[0])]
+
+
+def SW_OR_FIRST(shape, p, near):
+    return first_insertion_point(shape) if near[1].diagonal else near[1]
+
+
+TRANSPOSED_SIDE = {FIRST: LAST, LAST: FIRST, NE: SW, SW: NE, MIRROR: MIRROR_T, MIRROR_T: MIRROR}
+
 _11, _12, _21, _22 = (color_pair(a, b) for a, b in ((1, 1), (1, 2), (2, 1), (2, 2)))
-FIRST, LAST = first_insertion_point, last_insertion_point
-NE, SW = 0, 1     # index into neighbors(shape, p)
-
-
-def _alphas(table) -> Callable:
-    """The alpha rule of a table color -> (FIRST or LAST, out colors)."""
-    def alpha(shape, color):
-        hit = table.get(color)
-        return hit and (hit[0](shape), hit[1])
-    return alpha
-
-
-def _bumps(table) -> Callable:
-    """The bump rule of a table pair -> (NE or SW neighbor, out colors)."""
-    def bump(shape, p, pair):
-        hit = table.get(pair)
-        near = hit and neighbors(shape, p)
-        return near and (near[hit[0]], hit[1])
-    return bump
-
-
-_ROW_ALPHA = _alphas({1: (FIRST, _11)})
 
 # New values enter the first row; every bump moves one row south.
-RS_ROW = Rule(_ROW_ALPHA, _bumps({_11: (SW, _11)}))
+RS_ROW = TableRule({1: (FIRST, _11), _11: (SW, _11)})
 
 # Transpose of row insertion: enter the first column, bump east.
-RS_COL = Rule(_alphas({1: (LAST, _11)}), _bumps({_11: (NE, _11)}))
+RS_COL = TableRule({1: (LAST, _11), _11: (NE, _11)})
 
 # Uncircled values row-insert (U chain south), circled column-insert (C east).
-LEFT_RIGHT = Rule(_alphas({1: (FIRST, _11), 2: (LAST, _12)}),
-                  _bumps({_11: (SW, _11), _12: (NE, _12)}))
+LEFT_RIGHT = TableRule({1: (FIRST, _11), 2: (LAST, _12), _11: (SW, _11), _12: (NE, _12)})
 
 # Left-right geometry, but every insertion and bump flips the circling.
-JITTER = Rule(_alphas({1: (FIRST, _12), 2: (LAST, _11)}),
-              _bumps({_11: (SW, _12), _12: (NE, _11)}))
+JITTER = TableRule({1: (FIRST, _12), 2: (LAST, _11), _11: (SW, _12), _12: (NE, _11)})
 
 # Inversion-dual of left-right: the circling lives on the ascending channel,
 # so circles land in the P tableau.
-MIXED = Rule(_alphas({1: (FIRST, _11), 2: (LAST, _21)}),
-             _bumps({_11: (SW, _11), _21: (NE, _21)}))
+MIXED = TableRule({1: (FIRST, _11), 2: (LAST, _21), _11: (SW, _11), _21: (NE, _21)})
 
 # Two circle families: UU and CC chains run southwestward, UC and CU chains
 # run northeastward.
-DOUBLE_CIRCLE = Rule(
-    _alphas({1: (FIRST, _11), 4: (FIRST, _22), 3: (LAST, _12), 2: (LAST, _21)}),
-    _bumps({_11: (SW, _11), _22: (SW, _22), _12: (NE, _12), _21: (NE, _21)}))
+DOUBLE_CIRCLE = TableRule({
+    1: (FIRST, _11), 4: (FIRST, _22), 3: (LAST, _12), 2: (LAST, _21),
+    _11: (SW, _11), _22: (SW, _22), _12: (NE, _12), _21: (NE, _21)})
 
+# Row insertion whose bumps reverse the order of the corners.
+MCLARNAN = TableRule({1: (FIRST, _11), _11: (MIRROR, _11)})
 
-def _mclarnan_bump(shape, p, pair):
-    """Order-reversing matching: southmost removable box bumps to the highest
-    addible box below the reserved first-row alpha point, and so on."""
-    dels = deletion_points(shape)
-    if pair == _11 and p in dels:
-        return insertion_points(shape)[len(dels) - dels.index(p)], _11
-
-
-MCLARNAN = Rule(_ROW_ALPHA, _mclarnan_bump)
-
-
-def _sagan1_bump(shape, p, pair):
-    """Shifted row insertion; a value bumped off the diagonal restarts in the
-    first row as a red insertion, and red bumps never land on the diagonal."""
-    near = neighbors(shape, p)
-    if not near:
-        return None
-    sw = near[SW]
-    if pair == _11:
-        return (FIRST(shape), _12) if p.diagonal else (sw, _11)
-    if pair == _12 and not p.diagonal:
-        return (FIRST(shape) if sw.diagonal else sw), _12
-
-
-SAGAN1 = Rule(_ROW_ALPHA, _sagan1_bump)
-
-
-def _diagonal_bumps(on, off) -> Callable:
-    """The bump rule of two tables as in ``_bumps``: ``on`` for a diagonal
-    deletion point, ``off`` for the others."""
-    on, off = _bumps(on), _bumps(off)
-    return lambda shape, p, pair: (on if p.diagonal else off)(shape, p, pair)
-
+# Shifted row insertion; a value bumped off the diagonal restarts in the
+# first row as a red insertion, and red bumps never land on the diagonal.
+SAGAN1 = TableRule({1: (FIRST, _11), _11: (SW, _11), _12: (SW_OR_FIRST, _12)},
+                   diagonal={_11: (FIRST, _12)})
 
 # Shifted row insertion; a value bumped off the diagonal column-inserts,
 # moving east (red) until it lands in an empty box.
-WORLEY_SAGAN = Rule(_ROW_ALPHA, _diagonal_bumps(
-    {_11: (NE, _12)}, {_11: (SW, _11), _12: (NE, _12)}))
+WORLEY_SAGAN = TableRule({1: (FIRST, _11), _11: (SW, _11), _12: (NE, _12)},
+                         diagonal={_11: (NE, _12)})
 
 # Mixed insertion on the octant: an uncircled value bumped from a diagonal
 # box acquires a circle and moves to the next column.
-SHIFTED_MIXED = Rule(_ROW_ALPHA, _diagonal_bumps(
-    {_11: (NE, _21)}, {_11: (SW, _11), _21: (NE, _21)}))
+SHIFTED_MIXED = TableRule({1: (FIRST, _11), _11: (SW, _11), _21: (NE, _21)},
+                          diagonal={_11: (NE, _21)})
 
-
-def _column_alpha(circled: ColorPair) -> Callable:
-    """Column insertion starting at the first column that can take the value,
-    with ``circled`` colors when that start is off the diagonal."""
-    def alpha(shape, color):
-        if color == 1:
-            bottom = LAST(shape)
-            return bottom, (_11 if bottom.diagonal else circled)
-    return alpha
-
-
-# Shifted column insertion: circled in P when the start is off-diagonal;
-# bumps move east unchanged.
-SHIFTED_COLUMN = Rule(_column_alpha(_21), _diagonal_bumps(
-    {_11: (NE, _11)}, {_11: (NE, _11), _21: (NE, _21)}))
+# Shifted column insertion, starting at the first column that can take the
+# value: circled in P when the start is off the diagonal; bumps move east
+# unchanged.
+SHIFTED_COLUMN = TableRule({1: (LAST, _21), _11: (NE, _11), _21: (NE, _21)},
+                           diagonal={1: (LAST, _11), _11: (NE, _11)})
 
 # Shifted column insertion with the labels moved to the descending channel,
 # so circles land in the Q tableau.
-DUAL_SHIFTED_COLUMN = Rule(_column_alpha(_12), _diagonal_bumps(
-    {_11: (NE, _11)}, {_11: (NE, _11), _12: (NE, _12)}))
+DUAL_SHIFTED_COLUMN = TableRule({1: (LAST, _12), _11: (NE, _11), _12: (NE, _12)},
+                                diagonal={1: (LAST, _11), _11: (NE, _11)})
 
 
 @dataclass

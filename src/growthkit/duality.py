@@ -8,10 +8,11 @@ from functools import partial
 from math import factorial
 from typing import Callable, Optional
 
-from .catalog import AlgorithmSpec
-from .insdiag import Rule, color_pair, color_pairs
-from .lattice import Geometry, Point, shapes_up_to, transpose
+from .catalog import TRANSPOSED_SIDE, AlgorithmSpec
+from .insdiag import TableRule, color_pair
+from .lattice import Geometry, Point, shapes_up_to
 from .oracle import Records, _rank, sweep
+from .wdgg import constant_value
 
 
 class DualityError(ValueError):
@@ -27,40 +28,31 @@ def swap_uc(c: int) -> int:
 
 
 def transpose_dual(alg: AlgorithmSpec, f: Callable[[int], int] = identity,
-                   g: Callable[[int], int] = identity,
-                   name: Optional[str] = None) -> AlgorithmSpec:
+                   g: Callable[[int], int] = identity) -> AlgorithmSpec:
     """The algorithm obtained by conjugating every shape and arrow, recoloring
-    alpha values by f and edge colors by g (skipped on weight-1 boxes): the
-    transposed local rule of alg."""
+    alpha values by f and edge colors by g (skipped on a channel of weight 1):
+    the transposed table of alg.  Sides map by ``TRANSPOSED_SIDE``, alpha
+    keys by f's inverse and color pairs by g channel by channel, which is box
+    by box because the weights of the quadrant instantiations are constant."""
     if alg.geometry is not Geometry.QUADRANT:
         raise DualityError("transpose duality is only defined on the quadrant")
     inst, rule = alg.instantiation, alg.rule
-    base_color = {c: f(c) for c in range(1, inst.r + 1)}
-
-    def recolor(pair, box):
-        return color_pair(g(pair.g1) if inst.w1(box) > 1 else pair.g1,
-                          g(pair.g2) if inst.w2(box) > 1 else pair.g2)
-
-    def transposed(move):
-        if move is None:
-            return None
-        target = move[0].transpose()
-        return target, recolor(move[1], target)
-
-    def alpha(shape, color):
-        c = base_color.get(color)
-        return None if c is None else transposed(rule.alpha(transpose(shape), c))
-
-    def bump(shape, p, pair):
-        base = p.transpose()
-        for base_pair in color_pairs(inst, base):
-            if recolor(base_pair, p) == pair:
-                return transposed(rule.bump(transpose(shape), base, base_pair))
-        return None
-
-    return AlgorithmSpec(
-        name or f"transpose-dual({alg.name})", inst, Rule(alpha, bump),
-        f"transpose dual of {alg.name}", alg.letters)
+    if rule.__class__ is not TableRule:
+        raise DualityError(f"{alg.name} has no table rule to transpose")
+    weights = constant_value(inst.w1), constant_value(inst.w2)
+    if None in weights:
+        raise DualityError(f"the weights of {inst.name} are not constant")
+    maps = [_color_map(f, inst.r, inst.r)] + [
+        _color_map(g, w, w, "edge map") if w > 1 else {1: 1} for w in weights]
+    if any(len(set(m.values())) < len(m) for m in maps):
+        raise DualityError("the alpha and edge maps must permute their colors")
+    alpha_of, g1, g2 = maps
+    key_of = {b: a for a, b in alpha_of.items()}
+    key_of.update((color_pair(a, b), color_pair(g1[a], g2[b])) for a in g1 for b in g2)
+    dual = [{key_of[k]: (TRANSPOSED_SIDE[side], key_of[out]) for k, (side, out) in t.items()}
+            for t in (rule.table, rule.diagonal)]
+    return AlgorithmSpec(f"transpose-dual({alg.name})", inst, TableRule(*dual),
+                         f"transpose dual of {alg.name}", alg.letters)
 
 
 def diagrams_equal(a: AlgorithmSpec, b: AlgorithmSpec, max_size: int) -> bool:
@@ -97,18 +89,18 @@ def _inverse(word, alpha: dict[int, int]) -> list:
     return out
 
 
-def _color_map(f, r_a: int, r_b: int) -> dict[int, int]:
-    """The alpha map f on A's colors 1..r_a, each of which it must send into
-    B's colors 1..r_b."""
+def _color_map(f, r_a: int, r_b: int, what: str = "alpha map") -> dict[int, int]:
+    """The map f on A's colors 1..r_a, each of which it must send into B's
+    colors 1..r_b."""
     out = {}
     for c in range(1, r_a + 1):
         try:
             out[c] = f(c)
         except (LookupError, ValueError):
-            raise DualityError(f"the alpha map is not defined on color {c}") from None
+            raise DualityError(f"the {what} is not defined on color {c}") from None
         if not 1 <= out[c] <= r_b:
             raise DualityError(
-                f"the alpha map sends color {c} to {out[c]}, outside 1..{r_b}")
+                f"the {what} sends color {c} to {out[c]}, outside 1..{r_b}")
     return out
 
 

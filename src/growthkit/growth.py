@@ -130,6 +130,12 @@ class ColoredTableau:
                 raise GrowthError(f"color {c} exceeds weight {channel_w(p)} at {p}")
 
 
+# A grid this large takes seconds and hundreds of MB to build (n = m = 999:
+# 8 s and 213 MB for rs-row), and its size follows the largest value, not
+# the length of the input.
+GRID_CELLS = 10 ** 6
+
+
 class GrowthDiagram:
     """Node shapes plus optional edge colors on an (n+1) x (m+1) grid.
 
@@ -141,7 +147,8 @@ class GrowthDiagram:
 
     A diagram from ``run_growth`` holds its P and Q and builds the grid from
     its algorithm and alphas the first time ``nodes``, ``hcolors`` or
-    ``vcolors`` is read, then keeps it.  Equality compares the grids.
+    ``vcolors`` is read, then keeps it; a grid of more than ``GRID_CELLS``
+    cells raises ``GrowthError`` instead.  Equality compares the grids.
     """
 
     __slots__ = ("n", "m", "alphas", "_grid", "_run")
@@ -155,6 +162,9 @@ class GrowthDiagram:
     def _built(self):
         """(nodes, hcolors, vcolors), grown by the fold on first use."""
         if self._grid is None:
+            if (self.n + 1) * (self.m + 1) > GRID_CELLS:
+                raise GrowthError(f"a {self.n + 1} x {self.m + 1} growth grid has more "
+                                  f"than {GRID_CELLS} cells")
             alg = self._run[0]
             entry_of = {i: (j, c) for i, j, c in self.alphas.entries}
             columns = [border_column(alg, self.m)]

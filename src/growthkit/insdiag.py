@@ -6,21 +6,22 @@ Together they define a bijection from (down-edges of x) + (alpha colors) onto
 the up-edges into x, which is exactly what the growth process consumes.
 
 A ``Rule`` gives the same arrows one at a time, and the growth process asks
-it for the one arrow each insertion or bump follows.  Whole diagrams are for
-display and checking: ``validate``, the textual format, and
-``Rule.diagram``, the rule mapped over a shape's corners.
+it for the one arrow each insertion or bump follows; a ``TableRule`` reads
+them from a table of sides.  Whole diagrams are for display and checking:
+``validate``, the textual format, and ``Rule.diagram``, the rule mapped over
+a shape's corners.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product
 from typing import Callable, Optional, Union
 
 from .lattice import (
-    Point, Shape, deletion_points, flanks, insertion_points,
+    Point, Shape, deletion_points, flanks, insertion_points, neighbors,
 )
 from .wdgg import Instantiation
 
@@ -215,6 +216,31 @@ class Rule:
                 if self.bump(shape, p, pair) == move:
                     return p, pair
         return None
+
+
+@dataclass(frozen=True)
+class TableRule(Rule):
+    """A rule as data: ``table`` maps an alpha color, or the color pair of
+    a bump, to (side, out colors).  A side reads where the arrow lands off
+    the shape's corners, as ``side(shape, p, near)``: p is the bump's
+    deletion point and near its northeast and southwest neighbors (both None
+    for an alpha arrow).  On the octant, ``diagonal`` holds the bumps out of
+    a diagonal deletion point, in place of ``table``'s, and the entry an
+    alpha arrow takes instead when its target is diagonal."""
+
+    table: dict
+    diagonal: dict = field(default_factory=dict)
+
+    def alpha(self, shape: Shape, color: int) -> Optional[Move]:
+        hit = self.table.get(color)
+        if hit and color in self.diagonal and hit[0](shape, None, None).diagonal:
+            hit = self.diagonal[color]
+        return hit and (hit[0](shape, None, None), hit[1])
+
+    def bump(self, shape: Shape, p: Point, pair: ColorPair) -> Optional[Move]:
+        hit = (self.diagonal if self.diagonal and p.diagonal else self.table).get(pair)
+        near = hit and neighbors(shape, p)
+        return near and (hit[0](shape, p, near), hit[1])
 
 
 _POINT = r"\((\d+)\s*,\s*(\d+)\)"

@@ -22,6 +22,7 @@ from typing import Optional
 
 from .growth import ColoredTableau, GeneralizedPermutation, GrowthDiagram
 from .lattice import Geometry, Point, Shape, added_box, format_shape, parse_shape
+from .wdgg import constant_value
 
 
 class ParseError(ValueError):
@@ -254,7 +255,7 @@ def _palette(alg):
         return None, None, {}
 
     def labels(w):
-        if getattr(w, "description", None) != "1":
+        if constant_value(w) != 1:
             return lambda box, color: "-" if w(box) == 1 else alg.letters[color - 1]
 
     bits = (alg.r - 1).bit_length()
@@ -267,6 +268,7 @@ def _growth_text(g: GrowthDiagram, alg) -> str:
     """Fixed-width grid, Cartesian layout: north at the top."""
     g1_labels, g2_labels, names = _palette(alg)
     alpha_at = {(i, j): c for i, j, c in g.alphas.entries}
+    g.node(0, 0)    # the grid is built, or refused as too large, before the layout
     nrows, ncols = 2 * g.m + 1, 2 * g.n + 1
     grid = [["" for _ in range(ncols)] for _ in range(nrows)]
     for j in range(g.m, -1, -1):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, Optional
 
 from .lattice import (
     Geometry, Point, Shape, deletion_points, insertion_points, shapes_up_to,
@@ -27,14 +27,19 @@ class WeightError(ValueError):
 def constant_weight(value: int) -> Callable[[Point], int]:
     def w(p: Point) -> int:
         return value
-    w.description = str(value)
+    w.constant = value
     return w
+
+
+def constant_value(w: Callable[[Point], int]) -> Optional[int]:
+    """The value of w at every point if w is a ``constant_weight``, else
+    None: a weight built any other way is not known to be constant."""
+    return getattr(w, "constant", None)
 
 
 def diagonal_weight(on_diagonal: int = 1, off_diagonal: int = 2) -> Callable[[Point], int]:
     def w(p: Point) -> int:
         return on_diagonal if p.diagonal else off_diagonal
-    w.description = f"{on_diagonal} on the diagonal, {off_diagonal} off"
     return w
 
 

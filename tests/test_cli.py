@@ -419,6 +419,39 @@ class TestGrowthGridWhenRead:
                              "--format", fmt, "--diagram")
         assert rc == 0 and out.endswith("\n" + want + "\n")
 
+    @pytest.mark.parametrize("fmt", ["text", "records", "latex"])
+    @pytest.mark.parametrize("command", [("render", "--what", "growth"), ("run", "--diagram")],
+                             ids=["render", "run"])
+    def test_a_huge_value_refuses_the_grid(self, command, fmt):
+        """The grid's size follows the largest value, so a growth picture
+        past GRID_CELLS is refused before anything is allocated.  The child
+        runs under a 1 GiB address-space limit, so a build fails fast
+        instead of filling memory."""
+        resource = pytest.importorskip("resource")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "growthkit.cli", *command, "--algorithm", "rs-row",
+             "--perm", "99999999999999999999", "--format", fmt],
+            capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == ("error: a 100000000000000000000 x 2 growth grid has more "
+                               "than 1000000 cells\n")
+        assert time.perf_counter() - start < 5
+
+    def test_the_budget_bounds_the_cells(self, monkeypatch):
+        from growthkit import growth
+        monkeypatch.setattr(growth, "GRID_CELLS", 2000)
+        rs_row = get_algorithm("rs-row")
+        assert len(growth.run_growth(rs_row, parse_gp("999", 1)).nodes) == 1000
+        with pytest.raises(growth.GrowthError, match=r"^a 1001 x 2 growth grid has more "
+                           r"than 2000 cells$"):
+            growth.run_growth(rs_row, parse_gp("1000", 1)).nodes
+
 
 class TestBrokenPipe:
     def test_closed_stdout_exits_quietly(self):

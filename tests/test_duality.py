@@ -1,12 +1,15 @@
 import pytest
 
-from growthkit.catalog import get_algorithm
+from growthkit.catalog import AlgorithmSpec, get_algorithm
 from growthkit.duality import (
     DualityError, check_inversion_duality, check_inversion_nodes,
     check_transpose_duality, diagrams_equal, identity, swap_uc,
     transpose_dual,
 )
+from growthkit.insdiag import Rule, TableRule
+from growthkit.lattice import Geometry
 from growthkit.render import parse_gp
+from growthkit.wdgg import Instantiation, constant_weight, diagonal_weight
 
 
 def alg(name):
@@ -53,6 +56,56 @@ class TestTransposeDual:
         got = extract_P(run_growth(dual, gp))
         want = extract_P(run_growth(alg("rs-col"), gp))
         assert got == want
+
+
+class TestTransposedTables:
+    """Transpose duality as an equality of tables, which holds on every
+    shape at once."""
+
+    @pytest.mark.parametrize("a,b,f,g", [
+        ("rs-row", "rs-col", identity, identity),
+        ("rs-col", "rs-row", identity, identity),
+        ("left-right", "left-right", swap_uc, swap_uc),
+        ("mixed", "mixed", swap_uc, swap_uc),
+    ])
+    def test_transposed_table_is_the_partners_table(self, a, b, f, g):
+        dual = transpose_dual(alg(a), f, g)
+        assert isinstance(dual.rule, TableRule)
+        assert dual.rule.table == alg(b).rule.table and dual.rule.diagonal == {}
+        assert dual.rule == alg(b).rule
+
+    def test_transposing_twice_gives_the_table_back(self):
+        for name in ("rs-row", "mclarnan-fairy", "jitter", "double-circle"):
+            assert transpose_dual(transpose_dual(alg(name))).rule == alg(name).rule
+
+    def test_rejects_a_rule_that_is_not_a_table(self):
+        rs = alg("rs-row")
+        closures = AlgorithmSpec("closures", rs.instantiation,
+                                 Rule(rs.rule.alpha, rs.rule.bump), "")
+        with pytest.raises(DualityError, match="no table rule"):
+            transpose_dual(closures)
+
+    @pytest.mark.parametrize("name,f,g", [
+        ("left-right", lambda c: 1, identity),      # not one-to-one
+        ("double-circle", swap_uc, identity),       # not defined on 3 and 4
+        ("left-right", identity, lambda c: 1),
+        ("double-circle", identity, lambda c: c + 1),
+    ], ids=["f-collapses", "f-undefined", "g-collapses", "g-out-of-range"])
+    def test_rejects_maps_that_do_not_permute_the_colors(self, name, f, g):
+        with pytest.raises(DualityError):
+            transpose_dual(alg(name), f, g)
+
+    def test_edge_map_is_not_read_on_a_weight_1_channel(self):
+        # rs-row's channels both have weight 1, where g is never applied
+        assert transpose_dual(alg("rs-row"), identity, swap_uc).rule == alg("rs-col").rule
+
+    def test_rejects_weights_not_known_to_be_constant(self):
+        rs = alg("rs-row")
+        inst = Instantiation("quadrant-diagonal", Geometry.QUADRANT,
+                             constant_weight(1), diagonal_weight(1, 1), 1)
+        spec = AlgorithmSpec("rs-row-on-it", inst, rs.rule, "")
+        with pytest.raises(DualityError, match="not constant"):
+            transpose_dual(spec)
 
 
 class TestTransposeDualityChecks:
