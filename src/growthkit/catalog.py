@@ -88,7 +88,8 @@ DOUBLE_CIRCLE = TableRule({
     1: (FIRST, _11), 4: (FIRST, _22), 3: (LAST, _12), 2: (LAST, _21),
     _11: (SW, _11), _22: (SW, _22), _12: (NE, _12), _21: (NE, _21)})
 
-# Row insertion whose bumps reverse the order of the corners.
+# Order-reversing matching: the southmost deletion point bumps to the highest
+# insertion point below the first, which the alpha arrow keeps, and so on.
 MCLARNAN = TableRule({1: (FIRST, _11), _11: (MIRROR, _11)})
 
 # Shifted row insertion; a value bumped off the diagonal restarts in the

@@ -44,11 +44,13 @@ def cmd_run(args) -> int:
     g = run_growth(alg, gp)
     P, Q = extract_P(g), extract_Q(g)
     fmt = args.format
+    # rendered first, so that a grid too large to build fails with no output
+    diagram = render.render_growth(g, fmt, alg) if args.diagram else None
     if fmt == "records":
         print(render.render_tableau(P, "records", alg.p_suffixes, "P"))
         print(render.render_tableau(Q, "records", alg.q_suffixes, "Q"))
         if args.diagram:
-            print(render.render_growth(g, "records", alg))
+            print(diagram)
         return 0
     print(f"algorithm: {alg.name}")
     print(f"permutation: {render.format_gp(gp, alg.r)}")
@@ -59,7 +61,7 @@ def cmd_run(args) -> int:
     print(render.render_tableau(Q, fmt, alg.q_suffixes, "Q"))
     if args.diagram:
         print("diagram:")
-        print(render.render_growth(g, fmt, alg))
+        print(diagram)
     return 0
 
 

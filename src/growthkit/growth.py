@@ -130,8 +130,8 @@ class ColoredTableau:
                 raise GrowthError(f"color {c} exceeds weight {channel_w(p)} at {p}")
 
 
-# A grid this large takes seconds and hundreds of MB to build (n = m = 999:
-# 8 s and 213 MB for rs-row), and its size follows the largest value, not
+# A grid this large takes seconds and hundreds of MB to build (rs-row at
+# n = m = 1000: 8 s and 213 MB), and its size follows the largest value, not
 # the length of the input.
 GRID_CELLS = 10 ** 6
 

@@ -32,8 +32,7 @@ def constant_weight(value: int) -> Callable[[Point], int]:
 
 
 def constant_value(w: Callable[[Point], int]) -> Optional[int]:
-    """The value of w at every point if w is a ``constant_weight``, else
-    None: a weight built any other way is not known to be constant."""
+    """w's value at every point if w is a ``constant_weight``, else None."""
     return getattr(w, "constant", None)
 
 

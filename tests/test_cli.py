@@ -438,7 +438,7 @@ class TestGrowthGridWhenRead:
             [sys.executable, "-m", "growthkit.cli", *command, "--algorithm", "rs-row",
              "--perm", "99999999999999999999", "--format", fmt],
             capture_output=True, text=True, env=env, preexec_fn=limit, timeout=60)
-        assert proc.returncode == 2
+        assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == ("error: a 100000000000000000000 x 2 growth grid has more "
                                "than 1000000 cells\n")
         assert time.perf_counter() - start < 5
