@@ -4,14 +4,16 @@
 arrow at a time: the events directly, the grid engine through a memo of the
 moves it has followed.
 
-The sides of the tables read only the corners of a shape: ``FIRST`` and
-``LAST``, the first and last insertion points (northeast to southwest);
-``NE`` and ``SW``, the insertion points before and after the deletion point;
-``MIRROR``, mclarnan-fairy's order-reversing match of the deletion points
-with the insertion points after the first, and ``MIRROR_T`` with those
-before the last; ``SW_OR_FIRST``, sagan1's ``SW`` unless that is diagonal,
-else ``FIRST``.  ``TRANSPOSED_SIDE`` maps each quadrant side to its
-transpose.
+The sides of the tables read only the corners of a shape
+(``lattice.Corners``): ``FIRST`` and ``LAST``, the first and last insertion
+points (northeast to southwest); ``NE`` and ``SW``, the insertion points
+before and after the deletion point; ``MIRROR``, mclarnan-fairy's
+order-reversing match of the deletion points with the insertion points after
+the first, and ``MIRROR_T`` with those before the last; ``SW_OR_FIRST``,
+sagan1's ``SW`` unless that is diagonal, else ``FIRST``.  Each side carries
+its ``sources``, the deletion points whose bump it can send to a given
+insertion point, through which ``TableRule.unbump`` inverts by lookup.
+``TRANSPOSED_SIDE`` maps each quadrant side to its transpose.
 """
 
 from __future__ import annotations
@@ -22,10 +24,7 @@ from typing import Union
 from .insdiag import (
     ColorPair, DiagramError, InsertionDiagram, Move, Rule, TableRule, color_pair,
 )
-from .lattice import (
-    Geometry, Point, Shape, add_box, first_insertion_point, insertion_points,
-    last_insertion_point,
-)
+from .lattice import Geometry, Point, Shape, add_box
 from .render import tableau_suffixes
 from .wdgg import BUILTIN_INSTANTIATIONS, Instantiation
 
@@ -35,11 +34,11 @@ class CatalogError(ValueError):
 
 
 def FIRST(shape, p, near):
-    return first_insertion_point(shape)
+    return shape.first
 
 
 def LAST(shape, p, near):
-    return last_insertion_point(shape)
+    return shape.last
 
 
 def NE(shape, p, near):
@@ -51,15 +50,35 @@ def SW(shape, p, near):
 
 
 def MIRROR(shape, p, near):
-    return (ins := insertion_points(shape))[-1 - ins.index(near[0])]
+    return _across(shape, p, 1)
 
 
 def MIRROR_T(shape, p, near):
-    return (ins := insertion_points(shape))[-2 - ins.index(near[0])]
+    return _across(shape, p, -1)
 
 
 def SW_OR_FIRST(shape, p, near):
-    return first_insertion_point(shape) if near[1].diagonal else near[1]
+    return shape.first if near[1].diagonal else near[1]
+
+
+def _across(shape, x, shift):
+    """The corner across the alternation from x: the t-th deletion point and
+    the t-th insertion point from the last are across with shift 1 (MIRROR),
+    and with the insertion point before that with shift -1 (MIRROR_T).  The
+    match is its own inverse."""
+    i = shape.index(x)
+    return None if i is None else shape.corner(shape.index(shape.last) - i + shift)
+
+
+# Each side's sources: the deletion points whose bump it can send to
+# insertion point q, a few candidates that unbump confirms one by one.
+FIRST.sources = LAST.sources = lambda shape, q: shape.points()[1]
+NE.sources = lambda shape, q: [p for p in shape.flanks(q) if p.row >= q.row]
+SW.sources = lambda shape, q: [p for p in shape.flanks(q) if p.row < q.row]
+MIRROR.sources = lambda shape, q: [p for p in [_across(shape, q, 1)] if p]
+MIRROR_T.sources = lambda shape, q: [p for p in [_across(shape, q, -1)] if p]
+SW_OR_FIRST.sources = lambda shape, q: SW.sources(shape, q) + (
+    shape.flanks(shape.last)[-1:] if q == shape.first else [])
 
 
 TRANSPOSED_SIDE = {FIRST: LAST, LAST: FIRST, NE: SW, SW: NE, MIRROR: MIRROR_T, MIRROR_T: MIRROR}

@@ -16,8 +16,12 @@ Only insertion cells (alpha nonzero) and bump cells (x = y, one box above t)
 follow an arrow of the insertion diagram; every other cell passes its box
 and colors on, so a row of cells is one insertion.  ``run_growth`` and
 ``invert_growth`` visit those cells only, time by time, with P as a box ->
-(value, color) map, and ask the algorithm's local rule for the one arrow
-each cell follows (``insert``, ``bump``, ``unbump``).  The diagram
+(value, color) map and each row's values in order, and ask the algorithm's
+local rule for the one arrow each cell follows (``insert``, ``bump``,
+``unbump``).  A table rule reads the corners it needs straight from P's rows
+(``lattice.Below``: a few ``bisect``s per arrow, whatever the size of P) and
+inverts by lookup; any other rule is handed the ``Shape`` of the values below
+the one that moves, built for that one arrow.  The diagram
 ``run_growth`` returns carries P and Q, and builds its grid by the
 ``border_column`` + ``grow_column`` fold the sweeps use when first read.
 The cells of that fold read their arrows from the algorithm's memo of the
@@ -26,14 +30,14 @@ moves its rule answered (``follow``).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass
-from itertools import repeat, takewhile
+from functools import partial
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Optional, Union
 
-from .insdiag import ColorPair, color_pair
-from .lattice import Geometry, Point, Shape, added_box, empty_shape, join
+from .insdiag import ColorPair, TableRule, color_pair
+from .lattice import Below, Geometry, Point, Shape, added_box, empty_shape, join
 
 
 class GrowthError(ValueError):
@@ -95,22 +99,25 @@ class ColoredTableau:
     cells: tuple[tuple[Point, int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(sorted(self.cells)))
-        pts = [p for p, _, _ in self.cells]
-        if len(pts) != self.shape.size or sorted(pts) != sorted(self.shape.boxes()):
+        # positions as (row, col) pairs, which compare and hash without
+        # calling into Point
+        cells = tuple(sorted(self.cells, key=lambda e: (e[0].row, e[0].col, e[1], e[2])))
+        object.__setattr__(self, "cells", cells)
+        at = [(p.row, p.col) for p, _, _ in cells]
+        shape, rows = self.shape, range(1, len(self.shape.rows) + 1)
+        if len(at) != shape.size or at != [
+                (r, c) for r in rows for c in range(shape.row_start(r), shape.row_end(r) + 1)]:
             raise GrowthError("tableau entries must fill the shape exactly")
-        vals = [v for _, v, _ in self.cells]
+        vals = [v for _, v, _ in cells]
         if len(set(vals)) != len(vals):
             raise GrowthError("tableau values must be distinct")
-        if any(c < 1 for _, _, c in self.cells):
+        if any(c < 1 for _, _, c in cells):
             raise GrowthError("tableau colors must be >= 1")
-        by_point = {p: v for p, v, _ in self.cells}
-        for p, v, _ in self.cells:
-            east = Point(p.row, p.col + 1)
-            south = Point(p.row + 1, p.col)
-            if east in by_point and by_point[east] <= v:
+        value_at = dict(zip(at, vals))
+        for (r, c), (p, v, _) in zip(at, cells):
+            if value_at.get((r, c + 1), v + 1) <= v:
                 raise GrowthError(f"values must increase along rows at {p}")
-            if south in by_point and by_point[south] <= v:
+            if value_at.get((r + 1, c), v + 1) <= v:
                 raise GrowthError(f"values must increase down columns at {p}")
 
     @property
@@ -297,7 +304,8 @@ def grow_column(alg, i: int, west: Column, time: int, color: int) -> Column:
 
 class _Filling:
     """A tableau changed in place: box -> (value, color), and each row's
-    values in ascending order, which is column order."""
+    values in ascending order, which is column order.  No row is kept
+    empty."""
 
     def __init__(self, geometry: Geometry, cells=()):
         self.geometry, self.at, self.rows = geometry, {}, []
@@ -317,12 +325,17 @@ class _Filling:
         old = self.at.pop(box, None)
         if old is not None:
             self.rows[box.row - 1].remove(old[0])
+            while self.rows and not self.rows[-1]:
+                self.rows.pop()
         return old
 
-    def shape_below(self, u: int) -> Shape:
-        """The shape of the values < u: a prefix of every row.  It is read
-        for one arrow and dropped, so it is not made canonical."""
-        return Shape(self.geometry, takewhile(bool, map(bisect_left, self.rows, repeat(u))))
+    def below(self, rule) -> Callable[[int], Union[Below, Shape]]:
+        """u -> the values < u, as rule reads them for one arrow: a table
+        rule reads the corners off the rows, any other rule a shape, which is
+        dropped after the arrow and so is not made canonical."""
+        if isinstance(rule, TableRule):
+            return partial(Below, self.geometry, self.rows)
+        return lambda u: Shape(self.geometry, Below(self.geometry, self.rows, u).rows)
 
 
 def run_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
@@ -336,20 +349,21 @@ def run_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
     if any(c > r for _, _, c in gp.entries):
         raise GrowthError(f"alpha colors must be <= r={r} for {alg.name}")
     P, Q = _Filling(alg.geometry), {}
+    below = P.below(alg.rule)
     limit, error = gp.n + 1, None      # values from limit on are dropped
     for v, j, c in sorted(gp.entries, key=itemgetter(1)):
         if v >= limit:
             continue
         u = v
         try:
-            box, out = alg.insert(P.shape_below(v), c)
+            box, out = alg.insert(below(v), c)
             while True:
                 old = P.put(box, v, out.g1)
                 if old is None:
                     break
                 # u leaves box: the values <= u fill what they filled at j - 1
                 u, color = old
-                box, out = alg.bump(P.shape_below(u), box, color_pair(color, out.g2))
+                box, out = alg.bump(below(u), box, color_pair(color, out.g2))
                 v = u
             Q[box] = j, out.g2
         except ValueError as e:
@@ -358,7 +372,7 @@ def run_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
                 P.pop(box)
     if error is not None:
         raise error
-    shape = P.shape_below(gp.n + 1)
+    shape = Shape(alg.geometry, map(len, P.rows))
     g = GrowthDiagram(gp.n, gp.m, None, None, None, gp)
     g._run = (alg, ColoredTableau(shape, tuple((b, v, c) for b, (v, c) in P.at.items())),
               ColoredTableau(shape, tuple((b, j, d) for b, (j, d) in Q.items())))
@@ -407,6 +421,7 @@ def invert_growth(alg, P: ColoredTableau, Q: ColoredTableau) -> GeneralizedPermu
     P.validate_colors(inst, inst.w1)
     Q.validate_colors(inst, inst.w2)
     filling = _Filling(alg.geometry, P.cells)
+    below = filling.below(alg.rule)
     q_at = {j: (p, d) for p, j, d in Q.cells}
     entries = set()
     limit, error = 0, None             # values up to limit are given up
@@ -415,7 +430,7 @@ def invert_growth(alg, P: ColoredTableau, Q: ColoredTableau) -> GeneralizedPermu
         u, color = filling.pop(box)
         while u > limit:
             try:
-                got = alg.unbump(filling.shape_below(u), box, color_pair(color, d))
+                got = alg.unbump(below(u), box, color_pair(color, d))
                 if isinstance(got, int):
                     entries.add((u, j, got))
                     break

@@ -7,9 +7,10 @@ the up-edges into x, which is exactly what the growth process consumes.
 
 A ``Rule`` gives the same arrows one at a time, and the growth process asks
 it for the one arrow each insertion or bump follows; a ``TableRule`` reads
-them from a table of sides.  Whole diagrams are for display and checking:
-``validate``, the textual format, and ``Rule.diagram``, the rule mapped over
-a shape's corners.
+them from a table of sides, which read the corners of a ``Shape`` or of a
+tableau's rows (``lattice.Corners``), and inverts them by lookup.  Whole
+diagrams are for display and checking: ``validate``, the textual format,
+and ``Rule.diagram``, the rule mapped over a shape's corners.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import chain, product
 from typing import Callable, Optional, Union
 
 from .lattice import (
-    Point, Shape, deletion_points, flanks, insertion_points, neighbors,
+    Corners, Point, Shape, deletion_points, flanks, insertion_points,
 )
 from .wdgg import Instantiation
 
@@ -201,7 +202,7 @@ class Rule:
     def unbump(self, inst: Instantiation, shape: Shape, q: Point,
                out: ColorPair) -> Union[int, tuple[Point, ColorPair], None]:
         """The alpha color or the bump source whose arrow ends at (q, out),
-        None if no arrow does.  It tries the alpha colors, then the
+        None if no arrow does.  It searches: the alpha colors, then the
         deletion points next to q, where most bumps come from, then the
         rest.  The diagram of a valid rule is a bijection, so the first
         match is the only one."""
@@ -210,37 +211,73 @@ class Rule:
             if self.alpha(shape, c) == move:
                 return c
         near = flanks(shape, q)
-        rest = (p for p in deletion_points(shape) if p not in near)
-        for p in chain(near, rest):
+        for p in chain(near, _others(shape, near)):
             for pair in color_pairs(inst, p):
                 if self.bump(shape, p, pair) == move:
                     return p, pair
         return None
 
 
+def _others(shape: Shape, near: list[Point]):
+    """The deletion points of shape not in near, listed when first asked for."""
+    for p in deletion_points(shape):
+        if p not in near:
+            yield p
+
+
 @dataclass(frozen=True)
 class TableRule(Rule):
     """A rule as data: ``table`` maps an alpha color, or the color pair of
     a bump, to (side, out colors).  A side reads where the arrow lands off
-    the shape's corners, as ``side(shape, p, near)``: p is the bump's
-    deletion point and near its northeast and southwest neighbors (both None
-    for an alpha arrow).  On the octant, ``diagonal`` holds the bumps out of
-    a diagonal deletion point, in place of ``table``'s, and the entry an
-    alpha arrow takes instead when its target is diagonal."""
+    the corners of the shape (``lattice.Corners``), as ``side(shape, p,
+    near)``: p is the bump's deletion point and near its northeast and
+    southwest neighbors (both None for an alpha arrow).  On the octant,
+    ``diagonal`` holds the bumps out of a diagonal deletion point, in place of
+    ``table``'s, and the entry an alpha arrow takes instead when its target is
+    diagonal.
+
+    The rule inverts by lookup: its entries by out colors, and for a bump
+    entry the deletion points its side can send from to a given insertion
+    point, ``side.sources(shape, q)``, each confirmed by one forward call."""
 
     table: dict
     diagonal: dict = field(default_factory=dict)
 
-    def alpha(self, shape: Shape, color: int) -> Optional[Move]:
+    def __post_init__(self):
+        by_out = {}
+        for on_diagonal, t in ((False, self.table), (True, self.diagonal)):
+            for key, (side, out) in t.items():
+                by_out.setdefault(out, []).append((key, side, on_diagonal))
+        object.__setattr__(self, "_by_out", by_out)
+
+    def alpha(self, shape: Corners, color: int) -> Optional[Move]:
         hit = self.table.get(color)
         if hit and color in self.diagonal and hit[0](shape, None, None).diagonal:
             hit = self.diagonal[color]
         return hit and (hit[0](shape, None, None), hit[1])
 
-    def bump(self, shape: Shape, p: Point, pair: ColorPair) -> Optional[Move]:
+    def bump(self, shape: Corners, p: Point, pair: ColorPair) -> Optional[Move]:
         hit = (self.diagonal if self.diagonal and p.diagonal else self.table).get(pair)
-        near = hit and neighbors(shape, p)
+        near = hit and shape.neighbors(p)
         return near and (hit[0](shape, p, near), hit[1])
+
+    def unbump(self, inst: Instantiation, shape: Corners, q: Point,
+               out: ColorPair) -> Union[int, tuple[Point, ColorPair], None]:
+        """What ``Rule.unbump`` finds, by lookup.  A diagonal entry can only
+        come from the last deletion point, the one deletion point that can be
+        diagonal."""
+        move = (q, out)
+        for key, side, on_diagonal in self._by_out.get(out, ()):
+            if key.__class__ is int:
+                if key <= inst.r and self.alpha(shape, key) == move:
+                    return key
+                continue
+            sources = shape.flanks(shape.last)[-1:] if on_diagonal else side.sources(shape, q)
+            for p in sources:
+                if (key.g1 <= inst.w1(p) and key.g2 <= inst.w2(p)
+                        and self.bump(shape, p, key) == move):
+                    return p, key
+        return None
 
 
 _POINT = r"\((\d+)\s*,\s*(\d+)\)"

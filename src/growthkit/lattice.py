@@ -14,12 +14,19 @@ holds it (a growth diagram, a tableau, an algorithm's move memo) and is
 built again when next needed.  A shape is validated once, when it is built,
 and carries its hash and size.
 
+Corner reads.  A local rule reads a few corners of a shape (``Corners``):
+``first`` and ``last``, ``neighbors(p)`` and ``flanks(q)``, each from a row or
+two next to the corner, and for mclarnan-fairy the index reads ``index(x)``
+and ``corner(i)``, which need every row's end.  Two classes answer them from
+row ends alone: ``Shape`` from its rows, for the grid memo, the picture book
+and rules other than table rules; and ``Below``, the entries of a tableau
+below a threshold, from the tableau's rows of values, one ``bisect`` per row
+end, for the event engine, which so builds no ``Shape`` per event.
+
 Every shape caches its cover structure: its insertion and deletion points,
 computed together in one pass the first time ``add_box``, ``remove_box``,
-``insertion_points``, ``deletion_points``, ``alternation`` or one of the
-single-corner reads a local rule makes (``first_insertion_point``,
-``last_insertion_point``, ``neighbors``, ``flanks``) asks for them, and kept
-on the shape for its lifetime.  It holds points only, never other
+``insertion_points``, ``deletion_points`` or ``alternation`` asks for them,
+and kept on the shape for its lifetime.  It holds points only, never other
 shapes, so no shape keeps another alive, and shapes share those points
 through a bounded cache of recently used ones.  ``added_box`` needs one
 point and takes it from the rows instead, so that it computes no cover for
@@ -33,11 +40,12 @@ such a shape equals the canonical one and hashes the same.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from functools import cache, lru_cache
-from itertools import compress, count
-from operator import ge, gt, ne
+from itertools import compress, count, repeat, takewhile
+from operator import add, ge, gt, itemgetter, ne
 from typing import Optional
 
 
@@ -102,7 +110,154 @@ class Geometry(Enum):
         return self.value
 
 
-class Shape:
+class Corners:
+    """The corners a local rule reads, from the row ends alone: ``first``
+    and ``last``, the first and last insertion points; ``neighbors(p)`` and
+    ``flanks(q)``, the points on either side of a deletion point and of an
+    insertion point in the alternation; ``index(x)`` and ``corner(i)``, a
+    corner's position in the alternation and the corner at a position;
+    ``points()``, every insertion and deletion point.  A subclass gives
+    ``_end(r)``, the last column of 1-based row r (None past the last row),
+    ``_height()``, the number of rows, and ``rows``, the row lengths.
+
+    Row ends weakly decrease, and the rows that end in one column form a
+    run: the run's first row has its insertion point and its last row its
+    deletion point.  The row below the shape has an insertion point too,
+    unless the octant excludes it.  A single-corner read looks at a row or
+    two next to the corner, and gallops and bisects over the rows only to
+    cross a run; the index reads and ``points()`` read every row's end."""
+
+    __slots__ = ()
+
+    @property
+    def first(self) -> Point:
+        """The northeastmost insertion point, at the end of the first row."""
+        return _point(1, (self._end(1) or 0) + 1)
+
+    @property
+    def last(self) -> Point:
+        """The southwestmost insertion point: the first box below the last
+        row, unless that row is one box on the diagonal."""
+        k = self._height()
+        if self.geometry is not Geometry.OCTANT:
+            return _point(k + 1, 1)
+        if k and self._end(k) == k:
+            return _point(self._run_start(k, k), k + 1)
+        return _point(k + 1, k + 1)
+
+    def neighbors(self, p: Point) -> Optional[tuple[Point, Optional[Point]]]:
+        """The insertion points on either side of deletion point p in the
+        alternation: its northeast neighbor, one column further east, and its
+        southwest neighbor, one row further south (None past the last insertion
+        point).  None when p is not a deletion point."""
+        r = p.row
+        end = self._end(r)
+        if end != p.col:
+            return None
+        below = self._end(r + 1)
+        if below == end:
+            return None
+        if below is not None:
+            sw = _point(r + 1, below + 1)
+        elif self.geometry is not Geometry.OCTANT:
+            sw = _point(r + 1, 1)
+        else:
+            sw = _point(r + 1, r + 1) if end > r else None
+        return _point(self._run_start(r, end), end + 1), sw
+
+    def flanks(self, q: Point) -> list[Point]:
+        """The deletion points on either side of insertion point q in the
+        alternation, northeast first: those whose southwest and whose northeast
+        neighbor q is."""
+        r = q.row
+        end, out = self._end(r), []
+        if r > 1:
+            above = self._end(r - 1)
+            if above is not None and above != end:
+                out.append(_point(r - 1, above))
+        if end is not None:
+            out.append(_point(self._run_end(r, end), end))
+        return out
+
+    def points(self) -> tuple[list[Point], list[Point]]:
+        """The insertion points and the deletion points, each northeast to
+        southwest."""
+        ends, steps = self._runs()
+        k = len(ends)
+        ins = [_point(r + 1, ends[r] + 1) for r in [0] + steps] if k else []
+        dels = [_point(r, ends[r - 1]) for r in steps + [k]] if k else []
+        bottom = self._bottom(ends)
+        if bottom is not None:
+            ins.append(bottom)
+        return ins, dels
+
+    def index(self, x: Point) -> Optional[int]:
+        """x's position in the alternation: the t-th insertion point (from
+        0) is at 2t and the t-th deletion point at 2t + 1.  None when x is
+        neither."""
+        ends, steps = self._runs()
+        r, k = x.row, len(ends)
+        if r > k:
+            return 2 * (len(steps) + (k > 0)) if x == self._bottom(ends) else None
+        t = bisect_left(steps, r)       # row r is in run t
+        if x.col == ends[r - 1] + 1 and (t == 0 if r == 1 else t and steps[t - 1] == r - 1):
+            return 2 * t
+        if x.col == ends[r - 1] and (steps[t] == r if t < len(steps) else r == k):
+            return 2 * t + 1
+        return None
+
+    def corner(self, i: int) -> Optional[Point]:
+        """The point at position i of the alternation, None past its ends."""
+        ends, steps = self._runs()
+        k = len(ends)
+        runs, bottom = len(steps) + (k > 0), self._bottom(ends)
+        if not 0 <= i < 2 * runs + (bottom is not None):
+            return None
+        t, odd = divmod(i, 2)
+        if odd:
+            r = steps[t] if t < len(steps) else k
+            return _point(r, ends[r - 1])
+        if t == runs:
+            return bottom
+        r = steps[t - 1] + 1 if t else 1
+        return _point(r, ends[r - 1] + 1)
+
+    def _runs(self) -> tuple[tuple[int, ...], list[int]]:
+        """Each row's last column, and the last row of every run but the
+        last one: the rows that end right of the next row."""
+        rows = self.rows
+        k = len(rows)
+        ends = tuple(map(add, rows, range(k))) if self.geometry is Geometry.OCTANT else rows
+        return ends, list(compress(range(1, k), map(gt, ends, ends[1:])))
+
+    def _bottom(self, ends: tuple[int, ...]) -> Optional[Point]:
+        """The insertion point below the last row, None where the octant
+        excludes it: below a last row of one box."""
+        k = len(ends)
+        if self.geometry is not Geometry.OCTANT:
+            return _point(k + 1, 1)
+        return _point(k + 1, k + 1) if k == 0 or ends[-1] > k else None
+
+    def _run_start(self, r: int, end: int) -> int:
+        """The first row of the run of row r, which ends in column end: a
+        gallop up the rows, then a bisection."""
+        top, step = r, 1
+        while top > step and self._end(top - step) == end:
+            top, step = top - step, 2 * step
+        lo = max(top - step + 1, 1)
+        return bisect_left(range(lo, top), -end, key=lambda i: -self._end(i)) + lo
+
+    def _run_end(self, r: int, end: int) -> int:
+        """The last row of the run of row r, which ends in column end: a
+        gallop down the rows, then a bisection."""
+        bottom, step = r, 1
+        while self._end(bottom + step) == end:
+            bottom, step = bottom + step, 2 * step
+        return bisect_right(range(bottom + 1, bottom + step), -end,
+                            key=lambda i: -(self._end(i) or 0)) + bottom
+
+
+class Shape(Corners):
     """A finite order ideal of the geometry, stored by row lengths.
 
     Immutable.  Equality and hashing are by value, (geometry, rows), so a
@@ -160,6 +315,12 @@ class Shape:
         """Last occupied column of 1-based row r."""
         return self.row_start(r) + self.rows[r - 1] - 1
 
+    def _end(self, r: int) -> Optional[int]:
+        return self.row_end(r) if r <= len(self.rows) else None
+
+    def _height(self) -> int:
+        return len(self.rows)
+
     def contains(self, p: Point) -> bool:
         if p.row > len(self.rows):
             return False
@@ -200,39 +361,65 @@ def canonical(geometry: Geometry, rows: tuple[int, ...]) -> Shape:
     return s
 
 
+class Below(Corners):
+    """The shape whose row r holds the entries below u of ``values[r - 1]``,
+    for rows of ascending values, none empty, whose first entries ascend too,
+    as a tableau's rows do.  It reads its corners straight from the rows: a
+    row's end is one ``bisect`` of its values, and its height one ``bisect``
+    of the rows' first entries.  It holds the rows themselves, so it is read
+    before they change.  The index reads, which need every row's end, find
+    them once, on first use."""
+
+    __slots__ = ("geometry", "_values", "_u", "_shifted", "_ends")
+
+    def __init__(self, geometry: Geometry, values: list[list[int]], u: int):
+        self.geometry, self._values, self._u = geometry, values, u
+        self._shifted, self._ends = geometry is Geometry.OCTANT, None
+
+    def _end(self, r: int) -> Optional[int]:
+        values = self._values
+        length = bisect_left(values[r - 1], self._u) if r <= len(values) else 0
+        if not length:
+            return None
+        return length + r - 1 if self._shifted else length
+
+    def _height(self) -> int:
+        return bisect_left(self._values, self._u, key=_FIRST_ENTRY)
+
+    def _runs(self) -> tuple[tuple[int, ...], list[int]]:
+        if self._ends is None:
+            self._ends = Corners._runs(self)
+        return self._ends
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        return tuple(takewhile(bool, map(bisect_left, self._values, repeat(self._u))))
+
+    def __str__(self):
+        return format_shape(self)
+
+
+_FIRST_ENTRY = itemgetter(0)
+
+
 _ByRow = tuple[Optional[Point], ...]
 
 
 def _cover(s: Shape) -> tuple[_ByRow, _ByRow]:
     """The cover structure of s: its insertion points and its deletion
     points, each indexed by 0-based row, None where a row has none.  It is
-    computed in one pass on first use and holds points only, so it keeps no
-    other shape alive.
-
-    Row r gets an insertion point when it is the first row or ends left of
-    row r - 1, which is also when row r - 1 has a deletion point.  The last
-    row always has a deletion point, and the row below the shape has an
-    insertion point unless the octant excludes it.  Rows run northeast to
-    southwest, so filtering out the Nones leaves each kind in order.
-    """
+    computed on first use and holds points only, so it keeps no other shape
+    alive."""
     c = s._cover
     if c is not None:
         return c
-    rows, k = s.rows, len(s.rows)
-    shifted = s.geometry is Geometry.OCTANT
-    ins_by_row = [None] * (k + 1)
-    del_by_row = [None] * k
-    end = 0
-    for r in range(1, k + 1):
-        prev, end = end, (r if shifted else 1) + rows[r - 1] - 1
-        if r == 1 or prev > end:
-            ins_by_row[r - 1] = _point(r, end + 1)
-            if r > 1:
-                del_by_row[r - 2] = _point(r - 1, prev)
-    if k:
-        del_by_row[k - 1] = _point(k, end)
-    if not shifted or k == 0 or rows[-1] >= 2:
-        ins_by_row[k] = _point(k + 1, k + 1 if shifted else 1)
+    k = len(s.rows)
+    ins_by_row, del_by_row = [None] * (k + 1), [None] * k
+    ins, dels = s.points()
+    for p in ins:
+        ins_by_row[p.row - 1] = p
+    for p in dels:
+        del_by_row[p.row - 1] = p
     c = tuple(ins_by_row), tuple(del_by_row)
     object.__setattr__(s, "_cover", c)
     return c
@@ -275,38 +462,9 @@ def _at_row(by_row: _ByRow, p: Point) -> Optional[Point]:
     return q if q is not None and q.col == p.col else None
 
 
-def first_insertion_point(s: Shape) -> Point:
-    """The northeastmost insertion point, at the end of the first row."""
-    return _cover(s)[0][0]
-
-
-def last_insertion_point(s: Shape) -> Point:
-    """The southwestmost insertion point."""
-    return next(q for q in reversed(_cover(s)[0]) if q is not None)
-
-
-def neighbors(s: Shape, p: Point) -> Optional[tuple[Point, Optional[Point]]]:
-    """The insertion points on either side of deletion point p in the
-    alternation: its northeast neighbor, one column further east, and its
-    southwest neighbor, one row further south (None past the last insertion
-    point).  None when p is not a deletion point of s."""
-    ins, dels = _cover(s)
-    if _at_row(dels, p) is None:
-        return None
-    r = p.row - 1
-    while ins[r] is None:
-        r -= 1
-    return ins[r], ins[p.row]
-
-
-def flanks(s: Shape, q: Point) -> list[Point]:
-    """The deletion points on either side of insertion point q in the
-    alternation, northeast first: those whose southwest and whose northeast
-    neighbor q is."""
-    dels, r = _cover(s)[1], q.row - 1
-    before = dels[r - 1] if 0 < r <= len(dels) else None
-    after = next((p for p in dels[r:] if p is not None), None)
-    return [p for p in (before, after) if p is not None]
+# The corner reads of a shape, as functions of it.
+first_insertion_point, last_insertion_point = Shape.first.fget, Shape.last.fget
+neighbors, flanks = Shape.neighbors, Shape.flanks
 
 
 def add_box(s: Shape, p: Point) -> Shape:

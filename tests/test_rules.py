@@ -23,7 +23,7 @@ from growthkit.growth import (
 )
 from growthkit.insdiag import ALPHA, DiagramError, Rule, color_pair
 from growthkit.lattice import (
-    Geometry, Point, added_box, insertion_points, shapes_of_size, shapes_up_to,
+    Below, Geometry, Point, Shape, added_box, insertion_points, shapes_of_size, shapes_up_to,
 )
 from growthkit.oracle import check_bijection
 from catalog_reference import GENERATORS, rule_of, transposed
@@ -172,3 +172,54 @@ def test_check_bijection_builds_no_diagram(monkeypatch):
                         lambda self, inst, shape: calls.append(shape) or diagram(self, inst, shape))
     alg = dataclasses.replace(get_algorithm("left-right"))
     assert check_bijection(alg, 4).ok and calls == []
+
+
+def _algorithms_and_duals():
+    """Every catalog algorithm, then every transpose dual of _duals."""
+    for name in ALGORITHMS:
+        yield pytest.param(get_algorithm(name), id=name)
+    for param in _duals():
+        name, f, g = param.values
+        yield pytest.param(transpose_dual(get_algorithm(name), f, g), id=param.id)
+
+
+def _row_by_row(shape):
+    """The rows of a standard filling of shape, value by value along each row."""
+    rows, value = [], 0
+    for length in shape.rows:
+        rows.append(list(range(value + 1, value + length + 1)))
+        value += length
+    return rows
+
+
+@pytest.mark.parametrize("alg", _algorithms_and_duals())
+def test_table_inverse_is_the_search(alg):
+    # pairs up to <3,3> lie outside every weight grid, whose weights are <= 2
+    rule, inst = alg.rule, alg.instantiation
+    pairs = [color_pair(a, b) for a in range(1, 4) for b in range(1, 4)]
+    for shape in shapes_up_to(alg.geometry, 8):
+        view = Below(alg.geometry, _row_by_row(shape), shape.size + 1)
+        for q in insertion_points(shape):
+            for out in pairs:
+                want = Rule.unbump(rule, inst, shape, q, out)
+                assert rule.unbump(inst, shape, q, out) == want, (shape, q, out)
+                assert rule.unbump(inst, view, q, out) == want, (shape, q, out)
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_n2000_round_trip_builds_only_the_final_shape(name, monkeypatch):
+    # events read the corners off P's rows: the one Shape built is the
+    # shape of the final P and Q
+    alg = get_algorithm(name)
+    rng = random.Random(f"shapes-{name}")
+    values = list(range(1, 2001))
+    rng.shuffle(values)
+    gp = GeneralizedPermutation.from_word(
+        [(v, rng.randint(1, alg.r)) for v in values], n=2000)
+    built, init = [], Shape.__init__
+    monkeypatch.setattr(Shape, "__init__",
+                        lambda self, geometry, rows: init(self, geometry, rows) or built.append(self))
+    g = run_growth(alg, gp)
+    P, Q = extract_P(g), extract_Q(g)
+    assert invert_growth(alg, P, Q) == gp
+    assert len(built) == 1 and built[0] is P.shape is Q.shape
