@@ -139,11 +139,7 @@ class Corners:
         """The southwestmost insertion point: the first box below the last
         row, unless that row is one box on the diagonal."""
         k = self._height()
-        if self.geometry is not Geometry.OCTANT:
-            return _point(k + 1, 1)
-        if k and self._end(k) == k:
-            return _point(self._run_start(k, k), k + 1)
-        return _point(k + 1, k + 1)
+        return self._bottom(k, k and self._end(k)) or _point(self._run_start(k, k), k + 1)
 
     def neighbors(self, p: Point) -> Optional[tuple[Point, Optional[Point]]]:
         """The insertion points on either side of deletion point p in the
@@ -157,12 +153,7 @@ class Corners:
         below = self._end(r + 1)
         if below == end:
             return None
-        if below is not None:
-            sw = _point(r + 1, below + 1)
-        elif self.geometry is not Geometry.OCTANT:
-            sw = _point(r + 1, 1)
-        else:
-            sw = _point(r + 1, r + 1) if end > r else None
+        sw = self._bottom(r, end) if below is None else _point(r + 1, below + 1)
         return _point(self._run_start(r, end), end + 1), sw
 
     def flanks(self, q: Point) -> list[Point]:
@@ -186,7 +177,7 @@ class Corners:
         k = len(ends)
         ins = [_point(r + 1, ends[r] + 1) for r in [0] + steps] if k else []
         dels = [_point(r, ends[r - 1]) for r in steps + [k]] if k else []
-        bottom = self._bottom(ends)
+        bottom = self._bottom(k, k and ends[-1])
         if bottom is not None:
             ins.append(bottom)
         return ins, dels
@@ -198,7 +189,7 @@ class Corners:
         ends, steps = self._runs()
         r, k = x.row, len(ends)
         if r > k:
-            return 2 * (len(steps) + (k > 0)) if x == self._bottom(ends) else None
+            return 2 * (len(steps) + (k > 0)) if x == self._bottom(k, k and ends[-1]) else None
         t = bisect_left(steps, r)       # row r is in run t
         if x.col == ends[r - 1] + 1 and (t == 0 if r == 1 else t and steps[t - 1] == r - 1):
             return 2 * t
@@ -210,7 +201,7 @@ class Corners:
         """The point at position i of the alternation, None past its ends."""
         ends, steps = self._runs()
         k = len(ends)
-        runs, bottom = len(steps) + (k > 0), self._bottom(ends)
+        runs, bottom = len(steps) + (k > 0), self._bottom(k, k and ends[-1])
         if not 0 <= i < 2 * runs + (bottom is not None):
             return None
         t, odd = divmod(i, 2)
@@ -230,13 +221,12 @@ class Corners:
         ends = tuple(map(add, rows, range(k))) if self.geometry is Geometry.OCTANT else rows
         return ends, list(compress(range(1, k), map(gt, ends, ends[1:])))
 
-    def _bottom(self, ends: tuple[int, ...]) -> Optional[Point]:
-        """The insertion point below the last row, None where the octant
-        excludes it: below a last row of one box."""
-        k = len(ends)
+    def _bottom(self, k: int, end: int) -> Optional[Point]:
+        """The insertion point below the last row k, which ends in column
+        end; None where the octant excludes it, below a last row of one box."""
         if self.geometry is not Geometry.OCTANT:
             return _point(k + 1, 1)
-        return _point(k + 1, k + 1) if k == 0 or ends[-1] > k else None
+        return _point(k + 1, k + 1) if k == 0 or end > k else None
 
     def _run_start(self, r: int, end: int) -> int:
         """The first row of the run of row r, which ends in column end: a
