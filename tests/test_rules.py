@@ -7,7 +7,9 @@ ones; ``unbump`` must invert every arrow of them; and the events that run
 and invert through the rules must equal the grid engine of
 ``growth_reference`` running on the generated diagrams, at n = 400.  No
 run, inversion or sweep builds a whole diagram, and a cold grid fold asks
-the rule once for each arrow it follows.
+the rule once for each arrow it follows.  A table rule's inverse by lookup
+must return what ``Rule.unbump``'s search returns, on shapes and on rows of
+values, and a round trip at n = 2000 builds no ``Shape`` but the final one.
 """
 
 import dataclasses
