@@ -24,7 +24,7 @@ from typing import Union
 from .insdiag import (
     ColorPair, DiagramError, InsertionDiagram, Move, Rule, TableRule, color_pair,
 )
-from .lattice import Geometry, Point, Shape, add_box
+from .lattice import Corners, Geometry, Point, Shape, add_box
 from .render import tableau_suffixes
 from .wdgg import BUILTIN_INSTANTIATIONS, Instantiation
 
@@ -200,21 +200,21 @@ class AlgorithmSpec:
 
     # One arrow per event, asked of the rule: run_growth and invert_growth.
 
-    def insert(self, shape: Shape, color: int) -> Move:
+    def insert(self, shape: Corners, color: int) -> Move:
         """The alpha arrow of color on shape: the box it fills, its out colors."""
         move = self.rule.alpha(shape, color)
         if move is None:
             raise DiagramError(f"no alpha arrow for color {color} on {shape}")
         return move
 
-    def bump(self, shape: Shape, p: Point, pair: ColorPair) -> Move:
+    def bump(self, shape: Corners, p: Point, pair: ColorPair) -> Move:
         """The bump arrow out of (p, pair) on shape: the box it fills, its out colors."""
         move = self.rule.bump(shape, p, pair)
         if move is None:
             raise DiagramError(f"no bump arrow from {p} {pair} on {shape}")
         return move
 
-    def unbump(self, shape: Shape, q: Point, out: ColorPair):
+    def unbump(self, shape: Corners, q: Point, out: ColorPair):
         """The alpha color or the bump source (p, pair) of the arrow into
         (q, out) on shape."""
         got = self.rule.unbump(self.instantiation, shape, q, out)

@@ -118,6 +118,9 @@ def check_transpose_duality(algA: AlgorithmSpec, algB: AlgorithmSpec,
                                f"{alg.name} runs on the {alg.geometry}")
     alpha = _color_map(f, algA.r, algB.r)
     instB = algB.instantiation
+    for w in map(constant_value, (instB.w1, instB.w2)):
+        if w is not None and w > 1:
+            _color_map(g, w, w, "edge map")
 
     def visit(image, records, leaf):
         key = records.tableaux(leaf)

@@ -18,10 +18,9 @@ and colors on, so a row of cells is one insertion.  ``run_growth`` and
 ``invert_growth`` visit those cells only, time by time, with P as a box ->
 (value, color) map and each row's values in order, and ask the algorithm's
 local rule for the one arrow each cell follows (``insert``, ``bump``,
-``unbump``).  A table rule reads the corners it needs straight from P's rows
-(``lattice.Below``: a few ``bisect``s per arrow, whatever the size of P) and
-inverts by lookup; any other rule is handed the ``Shape`` of the values below
-the one that moves, built for that one arrow.  The diagram
+``unbump``).  Every rule reads the corners it needs straight from P's rows
+(``lattice.Below``: a few ``bisect``s per arrow, whatever the size of P), so
+no event builds a ``Shape``; a table rule also inverts by lookup.  The diagram
 ``run_growth`` returns carries P and Q, and builds its grid by the
 ``border_column`` + ``grow_column`` fold the sweeps use when first read.
 The cells of that fold read their arrows from the algorithm's memo of the
@@ -34,9 +33,9 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Optional, Union
+from typing import Optional
 
-from .insdiag import ColorPair, TableRule, color_pair
+from .insdiag import ColorPair, color_pair
 from .lattice import Below, Geometry, Point, Shape, added_box, empty_shape, join
 
 
@@ -329,14 +328,6 @@ class _Filling:
                 self.rows.pop()
         return old
 
-    def below(self, rule) -> Callable[[int], Union[Below, Shape]]:
-        """u -> the values < u, as rule reads them for one arrow: a table
-        rule reads the corners off the rows, any other rule a shape, which is
-        dropped after the arrow and so is not made canonical."""
-        if isinstance(rule, TableRule):
-            return partial(Below, self.geometry, self.rows)
-        return lambda u: Shape(self.geometry, Below(self.geometry, self.rows, u).rows)
-
 
 def run_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
     """The growth of gp, one insertion per time: the value follows its alpha
@@ -349,7 +340,7 @@ def run_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
     if any(c > r for _, _, c in gp.entries):
         raise GrowthError(f"alpha colors must be <= r={r} for {alg.name}")
     P, Q = _Filling(alg.geometry), {}
-    below = P.below(alg.rule)
+    below = partial(Below, P.geometry, P.rows)
     limit, error = gp.n + 1, None      # values from limit on are dropped
     for v, j, c in sorted(gp.entries, key=itemgetter(1)):
         if v >= limit:
@@ -421,7 +412,7 @@ def invert_growth(alg, P: ColoredTableau, Q: ColoredTableau) -> GeneralizedPermu
     P.validate_colors(inst, inst.w1)
     Q.validate_colors(inst, inst.w2)
     filling = _Filling(alg.geometry, P.cells)
-    below = filling.below(alg.rule)
+    below = partial(Below, filling.geometry, filling.rows)
     q_at = {j: (p, d) for p, j, d in Q.cells}
     entries = set()
     limit, error = 0, None             # values up to limit are given up

@@ -6,11 +6,12 @@ Together they define a bijection from (down-edges of x) + (alpha colors) onto
 the up-edges into x, which is exactly what the growth process consumes.
 
 A ``Rule`` gives the same arrows one at a time, and the growth process asks
-it for the one arrow each insertion or bump follows; a ``TableRule`` reads
-them from a table of sides, which read the corners of a ``Shape`` or of a
-tableau's rows (``lattice.Corners``), and inverts them by lookup.  Whole
-diagrams are for display and checking: ``validate``, the textual format,
-and ``Rule.diagram``, the rule mapped over a shape's corners.
+it for the one arrow each insertion or bump follows.  A rule reads only the
+corners of a shape (``lattice.Corners``), which a ``Shape`` gives from its
+rows and the event engine from a tableau's rows; a ``TableRule`` reads them
+through a table of sides, and inverts by lookup.  Whole diagrams are for
+display and checking: ``validate``, the textual format, and
+``Rule.diagram``, the rule mapped over a shape's corners.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ from functools import lru_cache
 from itertools import chain, product
 from typing import Callable, Optional, Union
 
-from .lattice import (
-    Corners, Point, Shape, deletion_points, flanks, insertion_points,
-)
+from .lattice import Corners, Point, Shape
 from .wdgg import Instantiation
 
 
@@ -131,8 +130,7 @@ class DiagramReport:
 def validate(inst: Instantiation, d: InsertionDiagram) -> DiagramReport:
     """Check the three constraints that make the arrows a bijection."""
     failures = []
-    dels = deletion_points(d.shape)
-    ins = insertion_points(d.shape)
+    ins, dels = d.shape.points()
 
     alphas = [a for a in d.arrows if a.kind == ALPHA]
     seen_colors = sorted(a.alpha_color for a in alphas)
@@ -179,15 +177,16 @@ def _color_grid(w1: int, w2: int) -> tuple[ColorPair, ...]:
 
 class Rule:
     """A local insertion rule: every shape's insertion diagram, one arrow at
-    a time.  ``alpha(shape, color)`` is where the alpha arrow of that color
-    lands and ``bump(shape, p, pair)`` where the bump arrow out of (p, pair)
-    lands, each as (target, out colors), or None where the diagram has no
-    such arrow."""
+    a time, read off the shape's corners (``lattice.Corners``: a ``Shape``,
+    or the event engine's ``Below``).  ``alpha(shape, color)`` is where the
+    alpha arrow of that color lands and ``bump(shape, p, pair)`` where the
+    bump arrow out of (p, pair) lands, each as (target, out colors), or None
+    where the diagram has no such arrow."""
 
     __slots__ = ("alpha", "bump")
 
-    def __init__(self, alpha: Callable[[Shape, int], Optional[Move]],
-                 bump: Callable[[Shape, Point, ColorPair], Optional[Move]]):
+    def __init__(self, alpha: Callable[[Corners, int], Optional[Move]],
+                 bump: Callable[[Corners, Point, ColorPair], Optional[Move]]):
         self.alpha, self.bump = alpha, bump
 
     def diagram(self, inst: Instantiation, shape: Shape) -> InsertionDiagram:
@@ -195,11 +194,11 @@ class Rule:
         each deletion point of shape."""
         arrows = [Arrow(ALPHA, *move, alpha_color=c) for c in range(1, inst.r + 1)
                   if (move := self.alpha(shape, c))]
-        arrows += [Arrow(BUMP, *move, source=(p, pair)) for p in deletion_points(shape)
+        arrows += [Arrow(BUMP, *move, source=(p, pair)) for p in shape.points()[1]
                    for pair in color_pairs(inst, p) if (move := self.bump(shape, p, pair))]
         return diagram(shape, arrows)
 
-    def unbump(self, inst: Instantiation, shape: Shape, q: Point,
+    def unbump(self, inst: Instantiation, shape: Corners, q: Point,
                out: ColorPair) -> Union[int, tuple[Point, ColorPair], None]:
         """The alpha color or the bump source whose arrow ends at (q, out),
         None if no arrow does.  It searches: the alpha colors, then the
@@ -210,7 +209,7 @@ class Rule:
         for c in range(1, inst.r + 1):
             if self.alpha(shape, c) == move:
                 return c
-        near = flanks(shape, q)
+        near = shape.flanks(q)
         for p in chain(near, _others(shape, near)):
             for pair in color_pairs(inst, p):
                 if self.bump(shape, p, pair) == move:
@@ -218,9 +217,9 @@ class Rule:
         return None
 
 
-def _others(shape: Shape, near: list[Point]):
+def _others(shape: Corners, near: list[Point]):
     """The deletion points of shape not in near, listed when first asked for."""
-    for p in deletion_points(shape):
+    for p in shape.points()[1]:
         if p not in near:
             yield p
 

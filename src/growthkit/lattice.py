@@ -1,4 +1,4 @@
-"""Ambient posets (quadrant/octant), shapes as finite order ideals, and cover structure.
+"""Ambient posets (quadrant/octant), shapes as finite order ideals, and their corners.
 
 Points use English orientation: ``row`` counts from the top, ``col`` from the
 left, both 1-based.  A quadrant shape is a partition (weakly decreasing row
@@ -14,23 +14,18 @@ holds it (a growth diagram, a tableau, an algorithm's move memo) and is
 built again when next needed.  A shape is validated once, when it is built,
 and carries its hash and size.
 
-Corner reads.  A local rule reads a few corners of a shape (``Corners``):
-``first`` and ``last``, ``neighbors(p)`` and ``flanks(q)``, each from a row or
-two next to the corner, and for mclarnan-fairy the index reads ``index(x)``
-and ``corner(i)``, which need every row's end.  Two classes answer them from
-row ends alone: ``Shape`` from its rows, for the grid memo, the picture book
-and rules other than table rules; and ``Below``, the entries of a tableau
-below a threshold, from the tableau's rows of values, one ``bisect`` per row
-end, for the event engine, which so builds no ``Shape`` per event.
-
-Every shape caches its cover structure: its insertion and deletion points,
-computed together in one pass the first time ``add_box``, ``remove_box``,
-``insertion_points``, ``deletion_points`` or ``alternation`` asks for them,
-and kept on the shape for its lifetime.  It holds points only, never other
-shapes, so no shape keeps another alive, and shapes share those points
-through a bounded cache of recently used ones.  ``added_box`` needs one
-point and takes it from the rows instead, so that it computes no cover for
-the many shapes it meets that need no other corner.
+Corner reads.  ``Corners`` is the one reader of a shape's alternation of
+insertion and deletion points: ``first`` and ``last``, ``neighbors(p)`` and
+``flanks(q)``, each from a row or two next to the corner; the index reads
+``index(x)`` and ``corner(i)``, for mclarnan-fairy; and ``points()``, every
+corner, which ``insertion_points``, ``deletion_points`` and ``alternation``
+list.  ``add_box`` checks its point with ``index`` and ``remove_box`` with
+the ends of the point's row and the next.  The reads work from row ends
+alone, and no shape caches their answers.  Two classes give the row ends:
+``Shape`` from its rows, for the grid memo and the picture book; and
+``Below``, the entries of a tableau below a threshold, from the tableau's
+rows of values, one ``bisect`` per row end, for the event engine, which so
+builds no ``Shape`` per event.
 
 Canonical instances change no result.  ``Shape(geometry, rows)`` still
 builds a fresh validated shape, and equality and hashing stay by value:
@@ -74,7 +69,7 @@ class Point:
 
 
 # Points are immutable, and the corners of the shapes a growth meets take
-# few distinct values, so cover structures and added_box share one instance
+# few distinct values, so the corner reads and added_box share one instance
 # per point.
 _point = lru_cache(maxsize=4096)(Point)
 
@@ -88,7 +83,7 @@ class Geometry(Enum):
             return True
         return p.row <= p.col
 
-    def lower_covers(self, p: Point) -> list[Point]:
+    def covered_by(self, p: Point) -> list[Point]:
         """Points covered by p in the ambient order."""
         out = []
         if p.row > 1:
@@ -101,7 +96,7 @@ class Geometry(Enum):
                 out.append(q)
         return out
 
-    def upper_covers(self, p: Point) -> list[Point]:
+    def covering(self, p: Point) -> list[Point]:
         """Points covering p in the ambient order."""
         return [q for q in (Point(p.row + 1, p.col), Point(p.row, p.col + 1))
                 if self.contains(q)]
@@ -255,7 +250,7 @@ class Shape(Corners):
     module docstring) and hashes like it.
     """
 
-    __slots__ = ("geometry", "rows", "size", "_hash", "_cover", "__weakref__")
+    __slots__ = ("geometry", "rows", "size", "_hash", "__weakref__")
 
     def __init__(self, geometry: Geometry, rows):
         rows = tuple(rows)
@@ -272,7 +267,6 @@ class Shape(Corners):
         init(self, "rows", rows)
         init(self, "size", sum(rows))
         init(self, "_hash", hash((geometry, rows)))
-        init(self, "_cover", None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -358,7 +352,8 @@ class Below(Corners):
     row's end is one ``bisect`` of its values, and its height one ``bisect``
     of the rows' first entries.  It holds the rows themselves, so it is read
     before they change.  The index reads, which need every row's end, find
-    them once, on first use."""
+    them once, on first use.  ``rows`` and ``size`` read every row too, for
+    rules that read the whole shape."""
 
     __slots__ = ("geometry", "_values", "_u", "_shifted", "_ends")
 
@@ -385,34 +380,15 @@ class Below(Corners):
     def rows(self) -> tuple[int, ...]:
         return tuple(takewhile(bool, map(bisect_left, self._values, repeat(self._u))))
 
+    @property
+    def size(self) -> int:
+        return sum(self.rows)
+
     def __str__(self):
         return format_shape(self)
 
 
 _FIRST_ENTRY = itemgetter(0)
-
-
-_ByRow = tuple[Optional[Point], ...]
-
-
-def _cover(s: Shape) -> tuple[_ByRow, _ByRow]:
-    """The cover structure of s: its insertion points and its deletion
-    points, each indexed by 0-based row, None where a row has none.  It is
-    computed on first use and holds points only, so it keeps no other shape
-    alive."""
-    c = s._cover
-    if c is not None:
-        return c
-    k = len(s.rows)
-    ins_by_row, del_by_row = [None] * (k + 1), [None] * k
-    ins, dels = s.points()
-    for p in ins:
-        ins_by_row[p.row - 1] = p
-    for p in dels:
-        del_by_row[p.row - 1] = p
-    c = tuple(ins_by_row), tuple(del_by_row)
-    object.__setattr__(s, "_cover", c)
-    return c
 
 
 def empty_shape(geometry: Geometry) -> Shape:
@@ -421,12 +397,12 @@ def empty_shape(geometry: Geometry) -> Shape:
 
 def deletion_points(s: Shape) -> list[Point]:
     """Maximal boxes of s, ordered northeast to southwest."""
-    return [p for p in _cover(s)[1] if p is not None]
+    return s.points()[1]
 
 
 def insertion_points(s: Shape) -> list[Point]:
     """Minimal points of the complement of s, ordered northeast to southwest."""
-    return [p for p in _cover(s)[0] if p is not None]
+    return s.points()[0]
 
 
 def alternation(s: Shape) -> list[tuple[str, Point]]:
@@ -446,19 +422,14 @@ def alternation(s: Shape) -> list[tuple[str, Point]]:
     return out
 
 
-def _at_row(by_row: _ByRow, p: Point) -> Optional[Point]:
-    """The cached point in p's row if it is p, else None."""
-    q = by_row[p.row - 1] if p.row <= len(by_row) else None
-    return q if q is not None and q.col == p.col else None
-
-
 # The corner reads of a shape, as functions of it.
 first_insertion_point, last_insertion_point = Shape.first.fget, Shape.last.fget
 neighbors, flanks = Shape.neighbors, Shape.flanks
 
 
 def add_box(s: Shape, p: Point) -> Shape:
-    if _at_row(_cover(s)[0], p) is None:
+    i = s.index(p)      # reads every row's end; the grid memo calls this on a miss only
+    if i is None or i % 2:
         raise LatticeError(f"{p} is not an insertion point of {s}")
     rows, r = s.rows, p.row
     if r > len(rows):
@@ -467,9 +438,10 @@ def add_box(s: Shape, p: Point) -> Shape:
 
 
 def remove_box(s: Shape, p: Point) -> Shape:
-    if _at_row(_cover(s)[1], p) is None:
-        raise LatticeError(f"{p} is not a deletion point of {s}")
     rows, r = s.rows, p.row
+    end = s._end(r)     # p ends row r, and the next row ends left of it
+    if end != p.col or s._end(r + 1) == end:
+        raise LatticeError(f"{p} is not a deletion point of {s}")
     if rows[r - 1] == 1:    # only the last row can have a removable single box
         return canonical(s.geometry, rows[:-1])
     return canonical(s.geometry, rows[:r - 1] + (rows[r - 1] - 1,) + rows[r:])

@@ -9,12 +9,12 @@ from growthkit.lattice import Geometry, Point
 
 
 def is_order_ideal(boxes: set[Point], geometry: Geometry) -> bool:
-    return all(q in boxes for p in boxes for q in geometry.lower_covers(p))
+    return all(q in boxes for p in boxes for q in geometry.covered_by(p))
 
 
 def brute_maximal(boxes: set[Point], geometry: Geometry) -> set[Point]:
     return {p for p in boxes
-            if not any(q in boxes for q in geometry.upper_covers(p))}
+            if not any(q in boxes for q in geometry.covering(p))}
 
 
 def brute_cominimal(boxes: set[Point], geometry: Geometry) -> set[Point]:
@@ -26,6 +26,6 @@ def brute_cominimal(boxes: set[Point], geometry: Geometry) -> set[Point]:
             p = Point(row, col)
             if not geometry.contains(p) or p in boxes:
                 continue
-            if all(q in boxes for q in geometry.lower_covers(p)):
+            if all(q in boxes for q in geometry.covered_by(p)):
                 out.add(p)
     return out

@@ -69,7 +69,7 @@ def test_below_reads_like_the_shape(filling):
     for u in range(0, 2 * len(cells) + 4):
         view, s = Below(geometry, P.rows, u), _shape_below(geometry, cells, u)
         alt = alternation(s)
-        assert view.rows == s.rows and str(view) == str(s)
+        assert view.rows == s.rows and view.size == s.size and str(view) == str(s)
         assert view.first == first_insertion_point(s) == alt[0][1]
         assert view.last == last_insertion_point(s) == [p for kind, p in alt if kind == "+"][-1]
         assert view.points() == s.points()

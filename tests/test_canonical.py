@@ -1,7 +1,7 @@
-"""Canonical shapes: the cover structure each shape caches agrees with a
-from-scratch computation, the lattice operations share one instance per
-value without keeping it alive, and long seeded round trips still recover
-their input."""
+"""Canonical shapes: the corners each shape reads off its row ends agree
+with a from-scratch computation, the lattice operations share one instance
+per value without keeping it alive, and long seeded round trips still
+recover their input."""
 
 import copy
 import gc

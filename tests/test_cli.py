@@ -362,7 +362,9 @@ class TestVerify:
          "the alpha map sends color 1 to 2, outside 1..1"),
         (["--a", "sagan1"], "sagan1 runs on the octant"),
         (["--a", "rs-row", "--b", "worley-sagan"], "worley-sagan runs on the octant"),
-    ], ids=["map-raises", "map-out-of-range", "a-octant", "b-octant"])
+        (["--a", "double-circle", "--edge-map", "swap-circles"],
+         "the edge map sends color 2 to 3, outside 1..2"),
+    ], ids=["map-raises", "map-out-of-range", "a-octant", "b-octant", "edge-map-out-of-range"])
     def test_duality_argument_errors_exit_2(self, argv, message):
         rc, out, err = run_cli("verify", "duality", "--kind", "transpose", *argv, "--n", "2")
         assert rc == 2 and out == ""

@@ -124,6 +124,16 @@ class TestTransposeDualityChecks:
         with pytest.raises(DualityError):
             check_transpose_duality(alg("rs-row"), alg("left-right"), n=2)
 
+    def test_rejects_an_edge_map_out_of_range(self):
+        # double-circle's channels have weight 2, and g sends 2 outside 1..2
+        with pytest.raises(DualityError, match=r"the edge map sends color 2 to 3, outside 1\.\.2"):
+            check_transpose_duality(alg("double-circle"), alg("double-circle"),
+                                    g=lambda c: c + 1, n=2)
+
+    def test_edge_map_is_not_read_on_a_weight_1_channel(self):
+        # rs-col's channels both have weight 1, where g is never applied
+        assert check_transpose_duality(alg("rs-row"), alg("rs-col"), g=lambda c: c + 5, n=3).ok
+
 
 class TestInversionDualityChecks:
     def test_rs_row_swaps_p_and_q(self):

@@ -135,6 +135,30 @@ class TestAddRemove:
         with pytest.raises(LatticeError):
             remove_box(qs(3, 1), Point(1, 2))
 
+    @pytest.mark.parametrize("geometry", [Q, O])
+    def test_every_point_against_the_box_set_oracle(self, geometry):
+        # every point within two rows and columns of the shape, those off the
+        # octant too: add_box takes exactly the cominimal points and
+        # remove_box exactly the maximal boxes, and rejects every other point
+        for s in shapes_up_to(geometry, 8):
+            boxes = set(s.boxes())
+            ins, dels = brute_cominimal(boxes, geometry), brute_maximal(boxes, geometry)
+            width = max((p.col for p in boxes), default=0)
+            for r, c in product(range(1, len(s.rows) + 3), range(1, width + 3)):
+                p = Point(r, c)
+                if p in ins:
+                    assert set(add_box(s, p).boxes()) == boxes | {p}, (s, p)
+                else:
+                    with pytest.raises(LatticeError) as raised:
+                        add_box(s, p)
+                    assert str(raised.value) == f"{p} is not an insertion point of {s}"
+                if p in dels:
+                    assert set(remove_box(s, p).boxes()) == boxes - {p}, (s, p)
+                else:
+                    with pytest.raises(LatticeError) as raised:
+                        remove_box(s, p)
+                    assert str(raised.value) == f"{p} is not a deletion point of {s}"
+
     @given(any_shape)
     def test_add_remove_inverse(self, s):
         for p in insertion_points(s):

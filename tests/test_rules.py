@@ -9,7 +9,8 @@ and invert through the rules must equal the grid engine of
 run, inversion or sweep builds a whole diagram, and a cold grid fold asks
 the rule once for each arrow it follows.  A table rule's inverse by lookup
 must return what ``Rule.unbump``'s search returns, on shapes and on rows of
-values, and a round trip at n = 2000 builds no ``Shape`` but the final one.
+values, and a round trip at n = 2000 builds no ``Shape`` but the final one,
+with a table rule or with a plain ``Rule`` of the same arrows.
 """
 
 import dataclasses
@@ -208,12 +209,10 @@ def test_table_inverse_is_the_search(alg):
                 assert rule.unbump(inst, view, q, out) == want, (shape, q, out)
 
 
-@pytest.mark.parametrize("name", ALGORITHMS)
-def test_n2000_round_trip_builds_only_the_final_shape(name, monkeypatch):
-    # events read the corners off P's rows: the one Shape built is the
-    # shape of the final P and Q
-    alg = get_algorithm(name)
-    rng = random.Random(f"shapes-{name}")
+def _shapes_built_by_a_round_trip(alg, monkeypatch):
+    """Run and invert one random full input of size 2000 with alg; the
+    ``Shape``s built on the way, and the final P."""
+    rng = random.Random(f"shapes-{alg.name}")
     values = list(range(1, 2001))
     rng.shuffle(values)
     gp = GeneralizedPermutation.from_word(
@@ -224,4 +223,22 @@ def test_n2000_round_trip_builds_only_the_final_shape(name, monkeypatch):
     g = run_growth(alg, gp)
     P, Q = extract_P(g), extract_Q(g)
     assert invert_growth(alg, P, Q) == gp
-    assert len(built) == 1 and built[0] is P.shape is Q.shape
+    assert P.shape is Q.shape
+    return built, P
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_n2000_round_trip_builds_only_the_final_shape(name, monkeypatch):
+    # events read the corners off P's rows: the one Shape built is the
+    # shape of the final P and Q
+    built, P = _shapes_built_by_a_round_trip(get_algorithm(name), monkeypatch)
+    assert len(built) == 1 and built[0] is P.shape
+
+
+@pytest.mark.parametrize("name", ["rs-row", "sagan1"])
+def test_n2000_round_trip_of_a_rule_that_is_not_a_table(name, monkeypatch):
+    # a plain Rule reads the same corners off P's rows, and inverts by search
+    alg = get_algorithm(name)
+    plain = dataclasses.replace(alg, rule=Rule(alg.rule.alpha, alg.rule.bump))
+    built, P = _shapes_built_by_a_round_trip(plain, monkeypatch)
+    assert len(built) == 1 and built[0] is P.shape
