@@ -42,11 +42,8 @@ def transpose_dual(alg: AlgorithmSpec, f: Callable[[int], int] = identity,
     weights = constant_value(inst.w1), constant_value(inst.w2)
     if None in weights:
         raise DualityError(f"the weights of {inst.name} are not constant")
-    maps = [_color_map(f, inst.r, inst.r)] + [
+    alpha_of, g1, g2 = [_color_map(f, inst.r, inst.r)] + [
         _color_map(g, w, w, "edge map") if w > 1 else {1: 1} for w in weights]
-    if any(len(set(m.values())) < len(m) for m in maps):
-        raise DualityError("the alpha and edge maps must permute their colors")
-    alpha_of, g1, g2 = maps
     key_of = {b: a for a, b in alpha_of.items()}
     key_of.update((color_pair(a, b), color_pair(g1[a], g2[b])) for a in g1 for b in g2)
     dual = [{key_of[k]: (TRANSPOSED_SIDE[side], key_of[out]) for k, (side, out) in t.items()}
@@ -90,17 +87,19 @@ def _inverse(word, alpha: dict[int, int]) -> list:
 
 
 def _color_map(f, r_a: int, r_b: int, what: str = "alpha map") -> dict[int, int]:
-    """The map f on A's colors 1..r_a, each of which it must send into B's
-    colors 1..r_b."""
-    out = {}
+    """The map f on A's colors 1..r_a, which it must send one to one into
+    B's colors 1..r_b."""
+    out, source = {}, {}
     for c in range(1, r_a + 1):
         try:
-            out[c] = f(c)
+            d = f(c)
         except (LookupError, ValueError):
             raise DualityError(f"the {what} is not defined on color {c}") from None
-        if not 1 <= out[c] <= r_b:
-            raise DualityError(
-                f"the {what} sends color {c} to {out[c]}, outside 1..{r_b}")
+        if not 1 <= d <= r_b:
+            raise DualityError(f"the {what} sends color {c} to {d}, outside 1..{r_b}")
+        if d in source:
+            raise DualityError(f"the {what} sends colors {source[d]} and {c} both to {d}")
+        out[c], source[d] = d, c
     return out
 
 

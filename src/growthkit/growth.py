@@ -1,5 +1,5 @@
-"""The growth process: the local cell rule, the grid it fills, and the event
-engine that runs and inverts whole inputs.
+"""The growth process: the grid of a growth diagram, the column walk that
+fills it, and the event engine that runs and inverts whole inputs.
 
 Cell corners follow the convention
 
@@ -7,24 +7,28 @@ Cell corners follow the convention
     |     |        the west and east edges descend (g2 colors), the south
     t --- x        and north edges ascend (g1 colors).
 
-The forward rule computes (z, north color, east color) from
-(t, x, y, south color, west color, alpha); six cases apply depending on which
-corners coincide.  All state an insertion needs flows east along a row of
-cells (descending colors) and north along a column (ascending colors).
+All state an insertion needs flows east along a row of cells (descending
+colors) and north along a column (ascending colors).  Only insertion cells
+(alpha nonzero) and bump cells (x = y, one box above t) follow an arrow of
+the insertion diagram; every other cell passes its box and colors on, so a
+row of cells is one insertion.  Column i, the growth of the values <= i,
+therefore differs from column i - 1 only from the time value i enters:
+``grow_column`` follows value i up the column, along its alpha arrow and
+then its bump arrows, and joins it with each other box the west column
+gains.  The six-case rule of one cell, which the walk takes a column at a
+time, is kept as the tests' reference (``tests/growth_reference.py``).
 
-Only insertion cells (alpha nonzero) and bump cells (x = y, one box above t)
-follow an arrow of the insertion diagram; every other cell passes its box
-and colors on, so a row of cells is one insertion.  ``run_growth`` and
-``invert_growth`` visit those cells only, time by time, with P as a box ->
-(value, color) map and each row's values in order, and ask the algorithm's
-local rule for the one arrow each cell follows (``insert``, ``bump``,
-``unbump``).  Every rule reads the corners it needs straight from P's rows
-(``lattice.Below``: a few ``bisect``s per arrow, whatever the size of P), so
-no event builds a ``Shape``; a table rule also inverts by lookup.  The diagram
-``run_growth`` returns carries P and Q, and builds its grid by the
-``border_column`` + ``grow_column`` fold the sweeps use when first read.
-The cells of that fold read their arrows from the algorithm's memo of the
-moves its rule answered (``follow``).
+``run_growth`` and ``invert_growth`` visit the insertion and bump cells
+only, time by time, with P as a box -> (value, color) map and each row's
+values in order, and ask the algorithm's local rule for the one arrow each
+cell follows (``insert``, ``bump``, ``unbump``).  Every rule reads the
+corners it needs straight from P's rows (``lattice.Below``: a few
+``bisect``s per arrow, whatever the size of P), so no event builds a
+``Shape``; a table rule also inverts by lookup.  The diagram ``run_growth``
+returns carries P and Q, and builds its grid by the ``border_column`` +
+``grow_column`` fold the sweeps use when first read.  The walk reads its
+arrows from the algorithm's memo of the moves its rule answered
+(``follow``).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from functools import partial
 from operator import itemgetter
 from typing import Optional
 
-from .insdiag import ColorPair, color_pair
+from .insdiag import color_pair
 from .lattice import Below, Geometry, Point, Shape, added_box, empty_shape, join
 
 
@@ -231,41 +235,6 @@ class GrowthDiagram:
                     raise GrowthError(f"v-edge color mismatch at ({i},{j})")
 
 
-def cell_forward(alg, t: Shape, x: Shape, y: Shape,
-                 a: Optional[ColorPair], alpha: int) -> tuple[Shape, Optional[ColorPair]]:
-    """One cell of the growth process.
-
-    ``a`` is present iff the west edge is nondegenerate (y != t); its g1
-    component is the south-edge ascending color (absent when x = t), its g2
-    component the west-edge descending color.  Returns the northeast shape
-    and, when the east edge is nondegenerate, the pair (north g1, east g2)
-    with g1 absent when the north edge is degenerate.
-    """
-    x_moved, y_moved = x != t, y != t
-    if (a is not None) != y_moved:
-        raise GrowthError("west colors must be present exactly when y != t")
-    if a is not None:
-        if a.g2 is None:
-            raise GrowthError("west descending color missing")
-        if a.g1 is None and x_moved:
-            raise GrowthError("south ascending color missing")
-    if alpha != 0:
-        if x_moved or y_moved:
-            raise GrowthError(
-                f"alpha={alpha} requires t = x = y; got t={t} x={x} y={y} "
-                "(malformed generalized permutation)")
-        if not 1 <= alpha <= alg.instantiation.r:
-            raise GrowthError(f"alpha color {alpha} out of range [1,{alg.instantiation.r}]")
-        return alg.follow(x, alpha)
-    if not y_moved:
-        return (x if x_moved else t), None
-    if not x_moved:
-        return y, color_pair(None, a.g2)
-    if x == y:
-        return alg.follow(x, (added_box(t, x), a))
-    return join(x, y), a
-
-
 Column = tuple[tuple[Shape, ...], tuple[Optional[int], ...], tuple[Optional[int], ...]]
 
 
@@ -275,30 +244,45 @@ def border_column(alg, m: int) -> Column:
 
 
 def grow_column(alg, i: int, west: Column, time: int, color: int) -> Column:
-    """Column i of a growth from column i - 1: the cells (i, 1..m), bottom
-    to top, with value i inserted at ``time`` in ``color`` (time 0: value i
-    is absent).  A column is its (nodes, hcolors, vcolors) at j = 0..m, laid
-    out as in GrowthDiagram."""
+    """Column i of a growth from column i - 1, with value i inserted at
+    ``time`` in ``color`` (time 0: value i is absent).  A column is its
+    (nodes, hcolors, vcolors) at j = 0..m, laid out as in GrowthDiagram.
+
+    The walk follows value i up the column.  Below ``time`` the column is
+    the west column, its nodes and descending colors, with no ascending
+    color: value i is not there yet.  At ``time`` value i follows its alpha
+    arrow.  Above it, where the west column gains a box, the box lands
+    either on value i, which is bumped and follows its bump arrow, or
+    elsewhere, and the two boxes join, passing the colors on."""
     west_nodes, _, west_v = west
-    x = west_nodes[0]
-    nodes, hcol, vcol = [x], [None], [None]
-    # Ascending color of the north edge of the cell below.  North edges are
-    # degenerate (no color) up to the time value i enters and never after.
-    h = None
-    for j in range(1, len(west_nodes)):
+    m = len(west_nodes) - 1
+    if not 1 <= time <= m:
+        return west_nodes, (None,) * (m + 1), west_v
+    cells = [(y, None, v) for y, v in zip(west_nodes[:time], west_v)]
+    r, j = alg.instantiation.r, time
+    try:
         t, y = west_nodes[j - 1], west_nodes[j]
-        a = color_pair(h, west_v[j]) if y != t else None
-        try:
-            z, b = cell_forward(alg, t, x, y, a, color if j == time else 0)
-        except ValueError as e:
-            raise GrowthError(f"cell ({i},{j}): {e}") from None
-        nodes.append(z)
-        vcol.append(b.g2 if b is not None else None)
-        if b is not None and b.g1 is not None:
-            h = b.g1
-        hcol.append(h)
-        x = z
-    return tuple(nodes), tuple(hcol), tuple(vcol)
+        if y != t:
+            raise GrowthError(f"alpha={color} requires t = x = y; got t={t} x={t} y={y} "
+                              "(malformed generalized permutation)")
+        if not 1 <= color <= r:
+            raise GrowthError(f"alpha color {color} out of range [1,{r}]")
+        x, b = alg.follow(t, color)
+        h, v = b.g1, b.g2
+        cells.append((x, h, v))
+        for j in range(time + 1, m + 1):
+            t, y = west_nodes[j - 1], west_nodes[j]
+            if y == t:
+                v = None
+            elif x == y:
+                x, b = alg.follow(x, (added_box(t, x), color_pair(h, west_v[j])))
+                h, v = b.g1, b.g2
+            else:
+                x, v = join(x, y), west_v[j]
+            cells.append((x, h, v))
+    except ValueError as e:
+        raise GrowthError(f"cell ({i},{j}): {e}") from None
+    return tuple(zip(*cells))
 
 
 class _Filling:

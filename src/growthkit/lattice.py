@@ -18,10 +18,10 @@ Corner reads.  ``Corners`` is the one reader of a shape's alternation of
 insertion and deletion points: ``first`` and ``last``, ``neighbors(p)`` and
 ``flanks(q)``, each from a row or two next to the corner; the index reads
 ``index(x)`` and ``corner(i)``, for mclarnan-fairy; and ``points()``, every
-corner, which ``insertion_points``, ``deletion_points`` and ``alternation``
-list.  ``add_box`` checks its point with ``index`` and ``remove_box`` with
-the ends of the point's row and the next.  The reads work from row ends
-alone, and no shape caches their answers.  Two classes give the row ends:
+corner, which ``insertion_points`` and ``deletion_points`` list.
+``add_box`` checks its point with ``index`` and ``remove_box`` with the ends
+of the point's row and the next.  The reads work from row ends alone, and
+no shape caches their answers.  Two classes give the row ends:
 ``Shape`` from its rows, for the grid memo and the picture book; and
 ``Below``, the entries of a tableau below a threshold, from the tableau's
 rows of values, one ``bisect`` per row end, for the event engine, which so
@@ -403,28 +403,6 @@ def deletion_points(s: Shape) -> list[Point]:
 def insertion_points(s: Shape) -> list[Point]:
     """Minimal points of the complement of s, ordered northeast to southwest."""
     return s.points()[0]
-
-
-def alternation(s: Shape) -> list[tuple[str, Point]]:
-    """Insertion ("+") and deletion ("-") points merged northeast to southwest.
-
-    The two kinds alternate, starting with an insertion point; an octant
-    shape whose last row has one box ends with a deletion point.
-    """
-    ins, dels = insertion_points(s), deletion_points(s)
-    out = []
-    for k, p in enumerate(ins):
-        if k:
-            out.append(("-", dels[k - 1]))
-        out.append(("+", p))
-    if len(dels) == len(ins):
-        out.append(("-", dels[-1]))
-    return out
-
-
-# The corner reads of a shape, as functions of it.
-first_insertion_point, last_insertion_point = Shape.first.fget, Shape.last.fget
-neighbors, flanks = Shape.neighbors, Shape.flanks
 
 
 def add_box(s: Shape, p: Point) -> Shape:

@@ -2,9 +2,11 @@
 
 ``fold_growth`` grows every cell, column by column, with
 ``border_column`` + ``grow_column``; ``invert_grid`` sweeps ``cell_inverse``,
-the cell rule run backwards, over every cell from the northeast.  Both are the engines ``run_growth``
-and ``invert_growth`` used before they visited only insertion and bump
-cells, kept here so that tests can compare the two on any input.
+the cell rule run backwards, over every cell from the northeast.  Both are
+the engines ``run_growth`` and ``invert_growth`` used before they visited
+only insertion and bump cells, kept here so that tests can compare the two
+on any input.  ``cell_forward`` is the six-case rule of one cell, the
+reference for ``grow_column``'s walk up a column.
 """
 
 from typing import Optional
@@ -15,7 +17,7 @@ from growthkit.growth import (
 )
 from growthkit.insdiag import ColorPair, color_pair
 from growthkit.lattice import (
-    Geometry, Shape, add_box, added_box, empty_shape, meet, remove_box,
+    Geometry, Shape, add_box, added_box, empty_shape, join, meet, remove_box,
 )
 
 
@@ -45,6 +47,41 @@ def fold_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
         columns.append(grow_column(alg, i, columns[-1], time, color))
     nodes, hcols, vcols = zip(*columns)
     return GrowthDiagram(gp.n, gp.m, nodes, hcols, vcols, gp)
+
+
+def cell_forward(alg, t: Shape, x: Shape, y: Shape,
+                 a: Optional[ColorPair], alpha: int) -> tuple[Shape, Optional[ColorPair]]:
+    """One cell of the growth process.
+
+    ``a`` is present iff the west edge is nondegenerate (y != t); its g1
+    component is the south-edge ascending color (absent when x = t), its g2
+    component the west-edge descending color.  Returns the northeast shape
+    and, when the east edge is nondegenerate, the pair (north g1, east g2)
+    with g1 absent when the north edge is degenerate.
+    """
+    x_moved, y_moved = x != t, y != t
+    if (a is not None) != y_moved:
+        raise GrowthError("west colors must be present exactly when y != t")
+    if a is not None:
+        if a.g2 is None:
+            raise GrowthError("west descending color missing")
+        if a.g1 is None and x_moved:
+            raise GrowthError("south ascending color missing")
+    if alpha != 0:
+        if x_moved or y_moved:
+            raise GrowthError(
+                f"alpha={alpha} requires t = x = y; got t={t} x={x} y={y} "
+                "(malformed generalized permutation)")
+        if not 1 <= alpha <= alg.instantiation.r:
+            raise GrowthError(f"alpha color {alpha} out of range [1,{alg.instantiation.r}]")
+        return alg.follow(x, alpha)
+    if not y_moved:
+        return (x if x_moved else t), None
+    if not x_moved:
+        return y, color_pair(None, a.g2)
+    if x == y:
+        return alg.follow(x, (added_box(t, x), a))
+    return join(x, y), a
 
 
 def cell_inverse(alg, x: Shape, y: Shape, z: Shape,

@@ -29,3 +29,11 @@ def brute_cominimal(boxes: set[Point], geometry: Geometry) -> set[Point]:
             if all(q in boxes for q in geometry.covered_by(p)):
                 out.add(p)
     return out
+
+
+def brute_alternation(boxes: set[Point], geometry: Geometry) -> list[tuple[str, Point]]:
+    """Insertion ("+") and deletion ("-") points, northeast to southwest:
+    sorted by row, then by column from the east."""
+    points = ([("+", p) for p in brute_cominimal(boxes, geometry)]
+              + [("-", p) for p in brute_maximal(boxes, geometry)])
+    return sorted(points, key=lambda kp: (kp[1].row, -kp[1].col))

@@ -1,6 +1,6 @@
 """``lattice.Below``, the corners of a tableau's values below a threshold,
 read straight from its rows, against the same reads of the ``Shape`` of
-those values and against that shape's alternation.
+those values and against that shape's brute-force alternation.
 
 The fillings are random standard fillings on both geometries, grown box by
 box from the empty shape, with gaps between the values; every threshold u
@@ -14,10 +14,8 @@ from collections import Counter
 from hypothesis import example, given, settings, strategies as st
 
 from growthkit.growth import _Filling
-from growthkit.lattice import (
-    Below, Geometry, Point, Shape, add_box, alternation, empty_shape, first_insertion_point,
-    flanks, insertion_points, last_insertion_point, neighbors,
-)
+from growthkit.lattice import Below, Geometry, Point, Shape, add_box, empty_shape, insertion_points
+from oracles import brute_alternation
 
 Q, O = Geometry.QUADRANT, Geometry.OCTANT
 
@@ -68,15 +66,15 @@ def test_below_reads_like_the_shape(filling):
     P = _Filling(geometry, [(p, v, 1) for p, v in cells])
     for u in range(0, 2 * len(cells) + 4):
         view, s = Below(geometry, P.rows, u), _shape_below(geometry, cells, u)
-        alt = alternation(s)
+        alt = brute_alternation(set(s.boxes()), geometry)
         assert view.rows == s.rows and view.size == s.size and str(view) == str(s)
-        assert view.first == first_insertion_point(s) == alt[0][1]
-        assert view.last == last_insertion_point(s) == [p for kind, p in alt if kind == "+"][-1]
+        assert view.first == s.first == alt[0][1]
+        assert view.last == s.last == [p for kind, p in alt if kind == "+"][-1]
         assert view.points() == s.points()
         for p in s.boxes():
-            assert view.neighbors(p) == neighbors(s, p), (s, p)
+            assert view.neighbors(p) == s.neighbors(p), (s, p)
         for q in insertion_points(s):
-            assert view.flanks(q) == flanks(s, q), (s, q)
+            assert view.flanks(q) == s.flanks(q), (s, q)
         for i, (_, x) in enumerate(alt):
             assert view.index(x) == s.index(x) == i and view.corner(i) == x, (s, i)
         assert view.corner(-1) is view.corner(len(alt)) is None

@@ -2,7 +2,7 @@ import pytest
 
 from growthkit.catalog import AlgorithmSpec, get_algorithm
 from growthkit.duality import (
-    DualityError, check_inversion_duality, check_inversion_nodes,
+    DualityError, InversionColorMap, check_inversion_duality, check_inversion_nodes,
     check_transpose_duality, diagrams_equal, identity, swap_uc,
     transpose_dual,
 )
@@ -130,6 +130,14 @@ class TestTransposeDualityChecks:
             check_transpose_duality(alg("double-circle"), alg("double-circle"),
                                     g=lambda c: c + 1, n=2)
 
+    @pytest.mark.parametrize("f,g,what", [
+        (swap_uc, lambda c: 1, "edge map"),
+        (lambda c: 1, swap_uc, "alpha map"),
+    ], ids=["g-collapses", "f-collapses"])
+    def test_rejects_a_map_that_is_not_one_to_one(self, f, g, what):
+        with pytest.raises(DualityError, match=f"the {what} sends colors 1 and 2 both to 1"):
+            check_transpose_duality(alg("left-right"), alg("left-right"), f, g, n=3)
+
     def test_edge_map_is_not_read_on_a_weight_1_channel(self):
         # rs-col's channels both have weight 1, where g is never applied
         assert check_transpose_duality(alg("rs-row"), alg("rs-col"), g=lambda c: c + 5, n=3).ok
@@ -157,6 +165,11 @@ class TestInversionDualityChecks:
     def test_double_circle_self_duality(self):
         assert check_inversion_duality(alg("double-circle"), alg("double-circle"), 2).ok
 
+    def test_rejects_an_alpha_map_that_is_not_one_to_one(self):
+        with pytest.raises(DualityError, match="the alpha map sends colors 1 and 2 both to 1"):
+            check_inversion_duality(alg("left-right"), alg("mixed"), 3,
+                                    color_map=InversionColorMap(alpha_map=lambda c: 1))
+
     def test_undeclared_pair_rejected(self):
         with pytest.raises(DualityError):
             check_inversion_duality(alg("rs-row"), alg("rs-col"), 2)
@@ -164,7 +177,6 @@ class TestInversionDualityChecks:
     def test_wrong_pairing_fails_with_counterexamples(self):
         # sagan1 is not inversion self-dual, and its pairing with
         # shifted-mixed breaks once diagonal bumps reach row one (n = 5)
-        from growthkit.duality import InversionColorMap
         assert not check_inversion_duality(
             alg("sagan1"), alg("sagan1"), 3, color_map=InversionColorMap()).ok
         assert not check_inversion_duality(

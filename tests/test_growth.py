@@ -2,15 +2,16 @@ import pytest
 
 from growthkit.catalog import AlgorithmSpec, get_algorithm, list_algorithms
 from growthkit.growth import (
-    ColoredTableau, GeneralizedPermutation, GrowthError, cell_forward,
+    ColoredTableau, GeneralizedPermutation, GrowthError, border_column, grow_column,
     extract_P, extract_Q, invert_growth, restrict, run_growth,
 )
-from growthkit.insdiag import ALPHA, ColorPair, diagram
+from growthkit.insdiag import ALPHA, ColorPair, color_pair, diagram
 from growthkit.lattice import Geometry, Point, Shape, empty_shape
+from growthkit.oracle import enumerate_gps
 from growthkit.render import parse_gp, parse_tableau
 from figures import FIGURES
 from catalog_reference import rule_of
-from growth_reference import alpha, cell_inverse
+from growth_reference import alpha, cell_forward, cell_inverse, fold_growth
 
 Q, O = Geometry.QUADRANT, Geometry.OCTANT
 E = empty_shape(Q)
@@ -296,6 +297,61 @@ class TestRowLocality:
                 assert north == [g.node(i, j) for i in range(g.n + 1)]
                 assert north_h == [g.hcolor(i, j) if i else None for i in range(g.n + 1)]
                 assert east_v == [g.vcolor(i, j) for i in range(g.n + 1)]
+
+
+def _spread(gp, values, times, n, m):
+    """gp on an n x m grid, value v moved to values[v - 1] and time j to
+    times[j - 1]."""
+    return GeneralizedPermutation(
+        n, m, frozenset((values[i - 1], times[j - 1], c) for i, j, c in gp.entries))
+
+
+def _walk_inputs(alg):
+    """Every full input of size <= 4 (<= 3 when r = 4), and every smaller
+    one spread out so that values are absent and times skipped: columns of
+    time 0 and rows of no insertion."""
+    top = 3 if alg.r == 4 else 4
+    for k in range(top + 1):
+        yield from enumerate_gps(k, alg.r)
+    for k in range(1, top):
+        odd, even = range(1, 2 * k, 2), range(2, 2 * k + 1, 2)
+        for gp in enumerate_gps(k, alg.r):
+            yield _spread(gp, even, odd, 2 * k + 1, 2 * k)
+            yield _spread(gp, odd, even, 2 * k, 2 * k + 1)
+
+
+def _grid_by_cells(alg, gp):
+    """(nodes, hcolors, vcolors) of gp's growth, every cell from the six-case
+    rule, row by row from the south border, indexed [i][j]."""
+    rows = [([empty_shape(alg.geometry)] * (gp.n + 1), [None] * (gp.n + 1), [None] * (gp.n + 1))]
+    for j in range(1, gp.m + 1):
+        rows.append(_recompute_row(alg, rows[-1][0], rows[-1][1], gp, j))
+    return tuple(tuple(zip(*grid)) for grid in zip(*rows))
+
+
+class TestColumnWalk:
+    """grow_column walks value i up column i; cell by cell, the six-case
+    rule must give the same grid."""
+
+    @pytest.mark.parametrize("name", sorted(list_algorithms()))
+    def test_every_cell_equals_the_cell_rule(self, name):
+        alg = get_algorithm(name)
+        for gp in _walk_inputs(alg):
+            g = fold_growth(alg, gp)
+            assert (g.nodes, g.hcolors, g.vcolors) == _grid_by_cells(alg, gp), sorted(gp.entries)
+
+    @pytest.mark.parametrize("time,color", [(1, 1), (2, 2)],
+                             ids=["west-gains-a-box", "color-out-of-range"])
+    def test_guards_fail_as_the_cell_rule_does(self, time, color):
+        # value 1 entered at time 1, so value 2 cannot enter then
+        west = grow_column(RS, 1, border_column(RS, 2), 1, 1)
+        nodes, _, vcols = west
+        t, y = nodes[time - 1], nodes[time]
+        with pytest.raises(GrowthError) as want:
+            cell_forward(RS, t, t, y, color_pair(None, vcols[time]) if y != t else None, color)
+        with pytest.raises(GrowthError) as got:
+            grow_column(RS, 2, west, time, color)
+        assert str(got.value) == f"cell (2,{time}): {want.value}"
 
 
 def _recompute_row(alg, south_nodes, south_hcols, alphas, j):

@@ -4,12 +4,11 @@ from itertools import combinations_with_replacement, product
 
 from growthkit.lattice import (
     Geometry, LatticeError, Point, Shape,
-    add_box, alternation, deletion_points, empty_shape, format_shape,
+    add_box, deletion_points, empty_shape, format_shape,
     insertion_points, join, meet, parse_shape, remove_box,
-    shapes_of_size, shapes_up_to, transpose, first_insertion_point,
-    last_insertion_point, neighbors, flanks,
+    shapes_of_size, shapes_up_to, transpose,
 )
-from oracles import brute_cominimal, brute_maximal, is_order_ideal
+from oracles import brute_alternation, brute_cominimal, brute_maximal, is_order_ideal
 
 Q, O = Geometry.QUADRANT, Geometry.OCTANT
 
@@ -84,9 +83,13 @@ class TestCorners:
             assert len(insertion_points(s)) == len(deletion_points(s)) + expected
 
     def test_alternation(self):
+        # the index reads list the alternation, which alternates
         for geometry in (Q, O):
             for s in shapes_up_to(geometry, 10):
-                kinds = [k for k, _ in alternation(s)]
+                alt = brute_alternation(set(s.boxes()), geometry)
+                assert [s.corner(i) for i in range(len(alt) + 1)] == [p for _, p in alt] + [None]
+                assert [s.index(p) for _, p in alt] == list(range(len(alt)))
+                kinds = [k for k, _ in alt]
                 assert all(a != b for a, b in zip(kinds, kinds[1:]))
                 if s.size:
                     assert kinds[0] == "+"
@@ -95,32 +98,33 @@ class TestCorners:
 
 
 class TestSingleCorners:
-    """The corners a local rule reads, against the alternation."""
+    """The corners a local rule reads, against the brute-force alternation."""
 
     def test_against_the_alternation(self):
         for geometry in (Q, O):
             for s in shapes_up_to(geometry, 10):
-                alt = alternation(s)
-                ins, dels = insertion_points(s), deletion_points(s)
-                assert (first_insertion_point(s), last_insertion_point(s)) == (ins[0], ins[-1])
+                alt = brute_alternation(set(s.boxes()), geometry)
+                ins = [p for kind, p in alt if kind == "+"]
+                dels = [p for kind, p in alt if kind == "-"]
+                assert (s.first, s.last) == (ins[0], ins[-1])
                 for k, (kind, p) in enumerate(alt):
                     side = lambda j: alt[j][1] if 0 <= j < len(alt) else None
                     if kind == "-":
-                        assert neighbors(s, p) == (side(k - 1), side(k + 1)), (s, p)
+                        assert s.neighbors(p) == (side(k - 1), side(k + 1)), (s, p)
                     else:
                         near = [q for q in (side(k - 1), side(k + 1)) if q is not None]
-                        assert flanks(s, p) == near, (s, p)
+                        assert s.flanks(p) == near, (s, p)
                 for p in s.boxes():
                     if p not in dels:
-                        assert neighbors(s, p) is None
+                        assert s.neighbors(p) is None
 
     def test_flanks_of_a_point_off_the_corners_are_deletion_points(self):
         for geometry in (Q, O):
             for s in shapes_up_to(geometry, 8):
-                dels = deletion_points(s)
+                dels = brute_maximal(set(s.boxes()), geometry)
                 for r in range(1, len(s.rows) + 3):
                     for c in range(1, 10):
-                        assert set(flanks(s, Point(r, c))) <= set(dels)
+                        assert set(s.flanks(Point(r, c))) <= dels
 
 
 class TestAddRemove:
