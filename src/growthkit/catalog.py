@@ -175,9 +175,10 @@ class AlgorithmSpec:
         return self.generator(shape)
 
     def follow(self, shape: Shape,
-               key: Union[int, tuple[Point, ColorPair]]) -> tuple[Shape, ColorPair]:
+               key: Union[int, tuple[Point, ColorPair]]) -> tuple[Shape, ColorPair, Point]:
         """The shape grown by the arrow of key (an alpha color, or a
-        deletion point and its color pair) on shape, and its out colors.
+        deletion point and its color pair) on shape, its out colors, and the
+        box it fills.
 
         This is the grid engine's memo (the sweeps, a growth's grid): one
         dict per shape of the arrows followed on it, each asked of the rule
@@ -195,7 +196,7 @@ class AlgorithmSpec:
         hit = moves.get(key)
         if hit is None:
             box, out = self.insert(shape, key) if key.__class__ is int else self.bump(shape, *key)
-            hit = moves[key] = add_box(shape, box), out
+            hit = moves[key] = add_box(shape, box), out, box
         return hit
 
     # One arrow per event, asked of the rule: run_growth and invert_growth.

@@ -15,8 +15,12 @@ row of cells is one insertion.  Column i, the growth of the values <= i,
 therefore differs from column i - 1 only from the time value i enters:
 ``grow_column`` follows value i up the column, along its alpha arrow and
 then its bump arrows, and joins it with each other box the west column
-gains.  The six-case rule of one cell, which the walk takes a column at a
-time, is kept as the tests' reference (``tests/growth_reference.py``).
+gains.  A column carries the box each of its steps adds, so the walk tells
+a bump (the west column's box is value i's) from a join by comparing two
+boxes, and the east column's boxes are Q's steps, which the sweeps read
+without going back to shapes.  The six-case rule of one cell, which the
+walk takes a column at a time, is kept as the tests' reference
+(``tests/growth_reference.py``).
 
 ``run_growth`` and ``invert_growth`` visit the insertion and bump cells
 only, time by time, with P as a box -> (value, color) map and each row's
@@ -28,7 +32,7 @@ corners it needs straight from P's rows (``lattice.Below``: a few
 returns carries P and Q, and builds its grid by the ``border_column`` +
 ``grow_column`` fold the sweeps use when first read.  The walk reads its
 arrows from the algorithm's memo of the moves its rule answered
-(``follow``).
+(``follow``), each with the box it fills.
 """
 
 from __future__ import annotations
@@ -140,9 +144,11 @@ class ColoredTableau:
                 raise GrowthError(f"color {c} exceeds weight {channel_w(p)} at {p}")
 
 
-# A grid this large takes seconds and hundreds of MB to build (rs-row at
-# n = m = 1000: 8 s and 213 MB), and its size follows the largest value, not
-# the length of the input.
+# A grid this large takes seconds and hundreds of MB to build, and its size
+# follows the largest value, not the length of the input.  rs-row on a random
+# permutation (2-core Xeon, Python 3.11), fold time and peak RSS: 0.4 s and
+# 29 MB at n = 300, 2.0 s and 75 MB at n = 600, 6 s and 208 MB at n = 999,
+# the largest square under the bound.
 GRID_CELLS = 10 ** 6
 
 
@@ -177,9 +183,11 @@ class GrowthDiagram:
                                   f"than {GRID_CELLS} cells")
             alg = self._run[0]
             entry_of = {i: (j, c) for i, j, c in self.alphas.entries}
-            columns = [border_column(alg, self.m)]
+            column = border_column(alg, self.m)
+            columns = [column[:3]]      # the boxes are kept for the next column only
             for i in range(1, self.n + 1):
-                columns.append(grow_column(alg, i, columns[-1], *entry_of.get(i, (0, 0))))
+                column = grow_column(alg, i, column, *entry_of.get(i, (0, 0)))
+                columns.append(column[:3])
             self._grid = tuple(zip(*columns))
         return self._grid
 
@@ -235,54 +243,63 @@ class GrowthDiagram:
                     raise GrowthError(f"v-edge color mismatch at ({i},{j})")
 
 
-Column = tuple[tuple[Shape, ...], tuple[Optional[int], ...], tuple[Optional[int], ...]]
+Column = tuple[tuple[Shape, ...], tuple[Optional[int], ...], tuple[Optional[int], ...],
+               tuple[Optional[Point], ...]]
 
 
 def border_column(alg, m: int) -> Column:
-    """Column 0 of an m-tall growth: empty shapes, no colors."""
-    return (empty_shape(alg.geometry),) * (m + 1), (None,) * (m + 1), (None,) * (m + 1)
+    """Column 0 of an m-tall growth: empty shapes, no colors, no boxes."""
+    none = (None,) * (m + 1)
+    return (empty_shape(alg.geometry),) * (m + 1), none, none, none
 
 
 def grow_column(alg, i: int, west: Column, time: int, color: int) -> Column:
     """Column i of a growth from column i - 1, with value i inserted at
     ``time`` in ``color`` (time 0: value i is absent).  A column is its
-    (nodes, hcolors, vcolors) at j = 0..m, laid out as in GrowthDiagram.
+    (nodes, hcolors, vcolors, boxes) at j = 0..m, the first three laid out as
+    in GrowthDiagram; boxes[j] is the box added between nodes[j - 1] and
+    nodes[j], or None (always at j = 0): Q's step at time j.
 
-    The walk follows value i up the column.  Below ``time`` the column is
-    the west column, its nodes and descending colors, with no ascending
-    color: value i is not there yet.  At ``time`` value i follows its alpha
-    arrow.  Above it, where the west column gains a box, the box lands
-    either on value i, which is bumped and follows its bump arrow, or
-    elsewhere, and the two boxes join, passing the colors on."""
-    west_nodes, _, west_v = west
+    The walk follows value i up the column, keeping its box.  Below
+    ``time`` the column is the west column, its nodes, descending colors and
+    boxes, with no ascending color: value i is not there yet.  At ``time``
+    value i follows its alpha arrow.  Above it, where the west column gains
+    a box, the box lands either on value i's, which is bumped and follows its
+    bump arrow, or elsewhere, and the two boxes join, passing the colors and
+    the west box on.  The memo's entry names the box each arrow fills, so no
+    box is worked out from shapes.  Boxes compare by value: equal points
+    need not be one object."""
+    west_nodes, _, west_v, west_boxes = west
     m = len(west_nodes) - 1
     if not 1 <= time <= m:
-        return west_nodes, (None,) * (m + 1), west_v
-    cells = [(y, None, v) for y, v in zip(west_nodes[:time], west_v)]
+        return west_nodes, (None,) * (m + 1), west_v, west_boxes
+    nodes, hcolors = list(west_nodes[:time]), [None] * time
+    vcolors, boxes = list(west_v), list(west_boxes)
     r, j = alg.instantiation.r, time
     try:
-        t, y = west_nodes[j - 1], west_nodes[j]
-        if y != t:
-            raise GrowthError(f"alpha={color} requires t = x = y; got t={t} x={t} y={y} "
-                              "(malformed generalized permutation)")
+        t = west_nodes[j - 1]
+        if west_boxes[j] is not None:
+            raise GrowthError(f"alpha={color} requires t = x = y; got t={t} x={t} "
+                              f"y={west_nodes[j]} (malformed generalized permutation)")
         if not 1 <= color <= r:
             raise GrowthError(f"alpha color {color} out of range [1,{r}]")
-        x, b = alg.follow(t, color)
-        h, v = b.g1, b.g2
-        cells.append((x, h, v))
+        x, b, a = alg.follow(t, color)
+        h, vcolors[j], boxes[j] = b.g1, b.g2, a
+        nodes.append(x)
+        hcolors.append(h)
         for j in range(time + 1, m + 1):
-            t, y = west_nodes[j - 1], west_nodes[j]
-            if y == t:
-                v = None
-            elif x == y:
-                x, b = alg.follow(x, (added_box(t, x), color_pair(h, west_v[j])))
-                h, v = b.g1, b.g2
-            else:
-                x, v = join(x, y), west_v[j]
-            cells.append((x, h, v))
+            w = west_boxes[j]
+            if w is not None:
+                if w == a:
+                    x, b, a = alg.follow(x, (a, color_pair(h, west_v[j])))
+                    h, vcolors[j], boxes[j] = b.g1, b.g2, a
+                else:
+                    x = join(x, west_nodes[j])
+            nodes.append(x)
+            hcolors.append(h)
     except ValueError as e:
         raise GrowthError(f"cell ({i},{j}): {e}") from None
-    return tuple(zip(*cells))
+    return tuple(nodes), tuple(hcolors), tuple(vcolors), tuple(boxes)
 
 
 class _Filling:

@@ -5,7 +5,7 @@ The checks run on ``sweep``, which grows every full colored permutation of a
 size depth-first by value.  Columns 0..i of a growth depend only on where
 values 1..i sit (restriction coherence), so inputs that agree on values
 1..i share those columns, and each node of the search tree grows just one
-new column.
+new column and adds one step to P's half of the record.
 """
 
 from __future__ import annotations
@@ -82,23 +82,45 @@ def _word_gp(n: int, word) -> GeneralizedPermutation:
 class SweepLeaf:
     """One full input of a sweep, with its growth.
 
-    ``word[i - 1]`` is the (time, color) of value i and ``columns[i]`` is
-    column i of the growth, as growth.grow_column returns it.  The sweep
-    reuses this object and its two lists from leaf to leaf, so read them
-    during the visit only; the columns themselves are tuples and may be kept.
+    ``word[i - 1]`` is the (time, color) of value i, ``columns[i]`` is
+    column i of the growth, as growth.grow_column returns it, and ``p`` is
+    P's half of the leaf's record.  Each tree node pushes its value onto
+    all three and pops it on leaving, so P's steps are built once per node,
+    not once per leaf.  The sweep reuses this object from leaf to leaf, so
+    read them during the visit only; the columns themselves may be kept.
     """
 
-    __slots__ = ("n", "word", "columns")
+    __slots__ = ("n", "word", "columns", "p", "_steps")
 
     def __init__(self, n: int, word: list, columns: list):
-        self.n, self.word, self.columns = n, word, columns
+        self.n, self.word, self.columns, self.p = n, word, columns, bytearray()
+        self._steps = Records()
+
+    def push(self, alg, time: int, color: int) -> None:
+        """Place the next value at (time, color): grow its column, and add
+        the box it adds to the north edge, with that edge's color, to P."""
+        self.word.append((time, color))
+        west = self.columns[-1]
+        column = grow_column(alg, len(self.word), west, time, color)
+        self.columns.append(column)
+        self.p += self._steps[west[0][-1], column[0][-1], column[1][-1]]
+
+    def pop(self) -> None:
+        self.word.pop()
+        self.columns.pop()
+        del self.p[-3:]
 
     def gp(self) -> GeneralizedPermutation:
         return _word_gp(self.n, self.word)
 
     def growth(self) -> GrowthDiagram:
-        nodes, hcols, vcols = zip(*self.columns)
+        nodes, hcols, vcols, _ = zip(*self.columns)
         return GrowthDiagram(self.n, self.n, nodes, hcols, vcols, self.gp())
+
+
+def _step(box, color) -> bytes:
+    """A record's three bytes for a box (None: no box) and its color."""
+    return bytes((box.row, box.col, color or 0)) if box else bytes(3)
 
 
 def _sweep_branch(alg, size: int, branch: int, visit) -> tuple[int, list]:
@@ -107,7 +129,6 @@ def _sweep_branch(alg, size: int, branch: int, visit) -> tuple[int, list]:
     in sweep order."""
     colors = range(1, alg.instantiation.r + 1)
     leaf = SweepLeaf(size, [], [border_column(alg, size)])
-    word, columns = leaf.word, leaf.columns
     if size == 0:
         got = visit(leaf)
         return 1, [] if got is None else [got]
@@ -115,10 +136,9 @@ def _sweep_branch(alg, size: int, branch: int, visit) -> tuple[int, list]:
     count = 0
 
     def place(time, color, free):
-        # one tree node: value len(word) + 1 goes to (time, color)
+        # one tree node: value len(leaf.word) + 1 goes to (time, color)
         nonlocal count
-        word.append((time, color))
-        columns.append(grow_column(alg, len(word), columns[-1], time, color))
+        leaf.push(alg, time, color)
         if free:
             for k, t in enumerate(free):
                 rest = free[:k] + free[k + 1:]
@@ -129,8 +149,7 @@ def _sweep_branch(alg, size: int, branch: int, visit) -> tuple[int, list]:
             got = visit(leaf)
             if got is not None:
                 results.append(got)
-        word.pop()
-        columns.pop()
+        leaf.pop()
 
     time, color = divmod(branch, len(colors))
     place(time + 1, color + 1, [t for t in range(1, size + 1) if t != time + 1])
@@ -208,14 +227,16 @@ class Records(dict):
 
     A step of a chain of shapes is three bytes: the row, column and color
     of the box it adds, (0, 0, 0) if it adds none, and color 0 where the
-    chain has no colors.  The builder maps each (lower, upper, color) step
-    it meets to its bytes, so it holds shapes: build one per check.
+    chain has no colors.  A tableaux record reads its steps off the boxes
+    the sweep carries: P's from the leaf's ``p``, Q's from the boxes and
+    descending colors of the east column.  ``chain`` and ``nodes`` work
+    from shapes instead, through this map from each (lower, upper, color)
+    step met to its bytes; it holds shapes, so build one per check.
     """
 
     def __missing__(self, step) -> bytes:
         lower, upper, color = step
-        p = None if lower == upper else added_box(lower, upper)
-        self[step] = got = bytes((p.row, p.col, color or 0)) if p else bytes(3)
+        self[step] = got = _step(lower != upper and added_box(lower, upper), color)
         return got
 
     def chain(self, shapes, colors) -> bytes:
@@ -225,10 +246,8 @@ class Records(dict):
     def tableaux(self, leaf: SweepLeaf) -> bytes:
         """The leaf's (P, Q) pair: the steps of P (the north edge) by value,
         then of Q (the east column) by time."""
-        m, columns = leaf.n, leaf.columns
-        east, _, colors = columns[-1]
-        return (self.chain([c[0][m] for c in columns], [c[1][m] for c in columns[1:]])
-                + self.chain(east, colors[1:]))
+        _, _, colors, boxes = leaf.columns[-1]
+        return b"".join([leaf.p, *map(_step, boxes[1:], colors[1:])])
 
     @staticmethod
     def tableau(t: ColoredTableau) -> bytes:
@@ -240,7 +259,7 @@ class Records(dict):
         """Every node of the leaf's growth, without colors: the chain of
         each column 1..n from south to north, or by_rows, of each row 1..n
         from west to east."""
-        grid = [nodes for nodes, _, _ in leaf.columns]
+        grid = [column[0] for column in leaf.columns]
         if by_rows:
             grid = list(zip(*grid))
         return b"".join(self.chain(line, repeat(None)) for line in grid[1:])

@@ -45,7 +45,7 @@ def fold_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
     for i in range(1, gp.n + 1):
         time, color = entry_of.get(i, (0, 0))
         columns.append(grow_column(alg, i, columns[-1], time, color))
-    nodes, hcols, vcols = zip(*columns)
+    nodes, hcols, vcols, _ = zip(*columns)
     return GrowthDiagram(gp.n, gp.m, nodes, hcols, vcols, gp)
 
 
@@ -74,13 +74,13 @@ def cell_forward(alg, t: Shape, x: Shape, y: Shape,
                 "(malformed generalized permutation)")
         if not 1 <= alpha <= alg.instantiation.r:
             raise GrowthError(f"alpha color {alpha} out of range [1,{alg.instantiation.r}]")
-        return alg.follow(x, alpha)
+        return alg.follow(x, alpha)[:2]
     if not y_moved:
         return (x if x_moved else t), None
     if not x_moved:
         return y, color_pair(None, a.g2)
     if x == y:
-        return alg.follow(x, (added_box(t, x), a))
+        return alg.follow(x, (added_box(t, x), a))[:2]
     return join(x, y), a
 
 

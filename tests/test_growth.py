@@ -1,13 +1,17 @@
+import dataclasses
+import random
+
 import pytest
 
+from growthkit import lattice
 from growthkit.catalog import AlgorithmSpec, get_algorithm, list_algorithms
 from growthkit.growth import (
     ColoredTableau, GeneralizedPermutation, GrowthError, border_column, grow_column,
     extract_P, extract_Q, invert_growth, restrict, run_growth,
 )
 from growthkit.insdiag import ALPHA, ColorPair, color_pair, diagram
-from growthkit.lattice import Geometry, Point, Shape, empty_shape
-from growthkit.oracle import enumerate_gps
+from growthkit.lattice import Geometry, Point, Shape, added_box, empty_shape
+from growthkit.oracle import Records, SweepLeaf, enumerate_gps
 from growthkit.render import parse_gp, parse_tableau
 from figures import FIGURES
 from catalog_reference import rule_of
@@ -340,12 +344,45 @@ class TestColumnWalk:
             g = fold_growth(alg, gp)
             assert (g.nodes, g.hcolors, g.vcolors) == _grid_by_cells(alg, gp), sorted(gp.entries)
 
+    @pytest.mark.parametrize("name", sorted(list_algorithms()))
+    def test_columns_carry_their_boxes_and_records(self, name):
+        """boxes[j] is the box added between nodes[j - 1] and nodes[j], and
+        the record built from the boxes equals the one built from shapes."""
+        alg, records = get_algorithm(name), Records()
+        for gp in _walk_inputs(alg):
+            entry_of = {i: (j, c) for i, j, c in gp.entries}
+            leaf = SweepLeaf(gp.n, [], [border_column(alg, gp.m)])
+            for i in range(1, gp.n + 1):
+                leaf.push(alg, *entry_of.get(i, (0, 0)))
+            columns, m = leaf.columns, gp.m
+            for nodes, _, _, boxes in columns:
+                assert boxes == (None,) + tuple(
+                    None if lo == hi else added_box(lo, hi) for lo, hi in zip(nodes, nodes[1:]))
+            east, _, colors, _ = columns[-1]
+            record = records.tableaux(leaf)
+            assert record[:3 * gp.n] == records.chain([c[0][m] for c in columns],
+                                                      [c[1][m] for c in columns[1:]])
+            assert record[3 * gp.n:] == records.chain(east, colors[1:])
+
+    def test_a_fold_compares_boxes_by_value(self, monkeypatch):
+        """Equal points need not be one object: with a new Point from every
+        corner read, the grid is the same."""
+        rng = random.Random(60)
+        values = list(range(1, 61))
+        rng.shuffle(values)
+        gp = GeneralizedPermutation.from_word([(v, 1) for v in values], n=60)
+        want = run_growth(dataclasses.replace(RS), gp)
+        monkeypatch.setattr(lattice, "_point", Point)
+        assert lattice._point(1, 1) is not lattice._point(1, 1)
+        got = run_growth(dataclasses.replace(RS), gp)
+        assert (got.nodes, got.hcolors, got.vcolors) == (want.nodes, want.hcolors, want.vcolors)
+
     @pytest.mark.parametrize("time,color", [(1, 1), (2, 2)],
                              ids=["west-gains-a-box", "color-out-of-range"])
     def test_guards_fail_as_the_cell_rule_does(self, time, color):
         # value 1 entered at time 1, so value 2 cannot enter then
         west = grow_column(RS, 1, border_column(RS, 2), 1, 1)
-        nodes, _, vcols = west
+        nodes, _, vcols, _ = west
         t, y = nodes[time - 1], nodes[time]
         with pytest.raises(GrowthError) as want:
             cell_forward(RS, t, t, y, color_pair(None, vcols[time]) if y != t else None, color)

@@ -103,9 +103,9 @@ class TestPsiEvaluation:
         alg = dataclasses.replace(get_algorithm("left-right"))
         shape = Shape(Q, (3, 1))
         for _ in range(3):
-            assert alg.follow(shape, 2) == (Shape(Q, (3, 1, 1)), ColorPair(1, 2))
-            assert alg.follow(shape, (Point(2, 1), ColorPair(1, 1))) == (Shape(Q, (3, 1, 1)),
-                                                                         ColorPair(1, 1))
+            assert alg.follow(shape, 2) == (Shape(Q, (3, 1, 1)), ColorPair(1, 2), Point(3, 1))
+            assert alg.follow(shape, (Point(2, 1), ColorPair(1, 1))) == (
+                Shape(Q, (3, 1, 1)), ColorPair(1, 1), Point(3, 1))
         assert grown == [Point(3, 1), Point(3, 1)]
 
     def test_target_off_the_insertion_points_raises_at_its_lookup(self):
@@ -114,7 +114,7 @@ class TestPsiEvaluation:
         alg = AlgorithmSpec("off", lr.instantiation,
                             Rule(lambda s, c: moves.get(c), lambda s, p, pair: None), "")
         shape = Shape(Q, (1,))
-        assert alg.follow(shape, 1) == (Shape(Q, (1, 1)), ColorPair(1, 1))
+        assert alg.follow(shape, 1) == (Shape(Q, (1, 1)), ColorPair(1, 1), Point(2, 1))
         for _ in range(2):
             with pytest.raises(ValueError, match=r"^\(2,2\) is not an insertion point of 1$"):
                 alg.follow(shape, 2)

@@ -2,12 +2,13 @@
 full input once, grow the same diagrams run_growth does, and give reports
 that do not depend on the worker count."""
 
+import dataclasses
 import os
 from math import factorial, perm
 
 import pytest
 
-from growthkit import oracle
+from growthkit import lattice, oracle
 from growthkit.catalog import AlgorithmSpec, get_algorithm, list_algorithms
 from growthkit.duality import (
     InversionColorMap, check_inversion_duality, check_transpose_duality,
@@ -15,7 +16,7 @@ from growthkit.duality import (
 )
 from growthkit.growth import run_growth
 from growthkit.insdiag import alpha_arrow, bump_arrow, diagram
-from growthkit.lattice import deletion_points, insertion_points
+from growthkit.lattice import Point, deletion_points, insertion_points
 from growthkit.oracle import check_bijection, enumerate_gps, sweep
 from growthkit.wdgg import BUILTIN_INSTANTIATIONS
 from catalog_reference import rule_of
@@ -85,6 +86,24 @@ def test_workers_are_forked_processes_unless_fork_is_missing(monkeypatch):
     assert count == 6 and os.getpid() not in pids
     monkeypatch.setattr(oracle, "_fork_context", lambda: None)
     assert sweep(alg, [3], pid, workers=2) == (6, [os.getpid()] * 6)
+
+
+@pytest.mark.parametrize("name,n", [("rs-row", 6), ("double-circle", 3)])
+def test_forked_bijection_report_equals_the_serial_one(name, n):
+    # each side starts from an empty move memo, so the workers fill their own
+    forked = check_bijection(dataclasses.replace(get_algorithm(name)), n, workers=2)
+    serial = check_bijection(dataclasses.replace(get_algorithm(name)), n, workers=1)
+    assert serial.ok and forked == serial
+
+
+@pytest.mark.parametrize("name", ["rs-row", "worley-sagan"])
+def test_sweep_compares_boxes_by_value(monkeypatch, name):
+    """Equal points need not be one object: with a new Point from every
+    corner read, the report is the same."""
+    want = check_bijection(dataclasses.replace(get_algorithm(name)), 5)
+    monkeypatch.setattr(lattice, "_point", Point)
+    assert lattice._point(1, 1) is not lattice._point(1, 1)
+    assert check_bijection(dataclasses.replace(get_algorithm(name)), 5) == want
 
 
 def test_wrong_pairing_reports_are_not_empty():
