@@ -1,8 +1,9 @@
 """The built-in insertion algorithms, each a table rule
-(``insdiag.TableRule``) and the letters of its edge colors, from which
-``render`` works out every mark.  ``AlgorithmSpec`` asks its rule for one
-arrow at a time: the events directly, the grid engine through a memo of the
-moves it has followed.
+(``insdiag.TableRule``, the only kind of local rule) and the letters of its
+edge colors, from which ``render`` works out every mark.  ``AlgorithmSpec``
+asks its rule for one arrow at a time: the events directly, the grid engine
+through a memo of the moves it has followed, and the picture book over a
+whole shape (``generator``).
 
 The sides of the tables read only the corners of a shape
 (``lattice.Corners``): ``FIRST`` and ``LAST``, the first and last insertion
@@ -22,7 +23,8 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from .insdiag import (
-    ColorPair, DiagramError, InsertionDiagram, Move, Rule, TableRule, color_pair,
+    ALPHA, BUMP, Arrow, ColorPair, DiagramError, InsertionDiagram, Move, TableRule,
+    color_pair, color_pairs, diagram,
 )
 from .lattice import Corners, Geometry, Point, Shape, add_box
 from .render import tableau_suffixes
@@ -145,7 +147,7 @@ class AlgorithmSpec:
 
     name: str
     instantiation: Instantiation
-    rule: Rule
+    rule: TableRule
     description: str
     letters: str = "UC"
     _cache: dict = field(default_factory=dict, init=False, repr=False)
@@ -162,8 +164,14 @@ class AlgorithmSpec:
     q_suffixes = property(lambda self: tableau_suffixes(self.r, "Q"))
 
     def generator(self, shape: Shape) -> InsertionDiagram:
-        """The rule mapped over the corners of shape: its whole diagram."""
-        return self.rule.diagram(self.instantiation, shape)
+        """The rule mapped over the alpha colors and over the color grid of
+        each deletion point of shape: its whole diagram."""
+        rule, inst = self.rule, self.instantiation
+        arrows = [Arrow(ALPHA, *move, alpha_color=c) for c in range(1, inst.r + 1)
+                  if (move := rule.alpha(shape, c))]
+        arrows += [Arrow(BUMP, *move, source=(p, pair)) for p in shape.points()[1]
+                   for pair in color_pairs(inst, p) if (move := rule.bump(shape, p, pair))]
+        return diagram(shape, arrows)
 
     def diagram(self, shape: Shape) -> InsertionDiagram:
         """The whole insertion diagram of shape, generated on every call.

@@ -126,6 +126,10 @@ def cmd_verify_weights(args) -> int:
 def cmd_verify_diagram(args) -> int:
     _size(args.max_size, "--max-size")
     if args.file:
+        if args.algorithm:
+            print("error: --file checks one diagram and takes no --algorithm",
+                  file=sys.stderr)
+            return 2
         if not (args.shape and args.instantiation):
             print("error: --file needs --shape and --instantiation", file=sys.stderr)
             return 2
@@ -192,14 +196,18 @@ _ALPHA_MAPS = {
 
 
 def cmd_verify_duality(args) -> int:
+    if args.kind == "inversion" and (args.alpha_map or args.edge_map):
+        print("error: --alpha-map and --edge-map apply only to --kind transpose",
+              file=sys.stderr)
+        return 2
     a, b = _alg(args.a), _alg(args.b or args.a)
     n = _size(args.n, "--n") if args.n is not None else (3 if a.r == 4 else 4)
     workers = _workers()
     if args.kind == "inversion":
         report = duality.check_inversion_duality(a, b, n, workers=workers)
     else:
-        f = _ALPHA_MAPS[args.alpha_map]
-        g = _ALPHA_MAPS[args.edge_map]
+        f = _ALPHA_MAPS[args.alpha_map or "identity"]
+        g = _ALPHA_MAPS[args.edge_map or "identity"]
         report = duality.check_transpose_duality(a, b, f, g, n, workers=workers)
     print(report)
     _summary(check="duality", kind=report.kind, a=report.a, b=report.b, n=report.n,
@@ -264,8 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b")
     p.add_argument("--n", type=int, default=None,
                    help="bound on permutation size (default 4, or 3 when r=4)")
-    p.add_argument("--alpha-map", choices=sorted(_ALPHA_MAPS), default="identity")
-    p.add_argument("--edge-map", choices=sorted(_ALPHA_MAPS), default="identity")
+    p.add_argument("--alpha-map", choices=sorted(_ALPHA_MAPS),
+                   help="transpose only (default identity)")
+    p.add_argument("--edge-map", choices=sorted(_ALPHA_MAPS),
+                   help="transpose only (default identity)")
     p.set_defaults(func=cmd_verify_duality)
 
     return parser

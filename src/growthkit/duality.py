@@ -37,8 +37,6 @@ def transpose_dual(alg: AlgorithmSpec, f: Callable[[int], int] = identity,
     if alg.geometry is not Geometry.QUADRANT:
         raise DualityError("transpose duality is only defined on the quadrant")
     inst, rule = alg.instantiation, alg.rule
-    if rule.__class__ is not TableRule:
-        raise DualityError(f"{alg.name} has no table rule to transpose")
     weights = constant_value(inst.w1), constant_value(inst.w2)
     if None in weights:
         raise DualityError(f"the weights of {inst.name} are not constant")

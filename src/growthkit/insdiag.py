@@ -5,13 +5,16 @@ color and, for every deletion point p, one "bump" arrow per color pair on p.
 Together they define a bijection from (down-edges of x) + (alpha colors) onto
 the up-edges into x, which is exactly what the growth process consumes.
 
-A ``Rule`` gives the same arrows one at a time, and the growth process asks
-it for the one arrow each insertion or bump follows.  A rule reads only the
-corners of a shape (``lattice.Corners``), which a ``Shape`` gives from its
-rows and the event engine from a tableau's rows; a ``TableRule`` reads them
-through a table of sides, and inverts by lookup.  Whole diagrams are for
-display and checking: ``validate``, the textual format, and
-``Rule.diagram``, the rule mapped over a shape's corners.
+A ``TableRule`` gives the same arrows one at a time, and the growth process
+asks it for the one arrow each insertion or bump follows.  It is the only
+local rule: a table from alpha colors and bump color pairs to a side and out
+colors.  A side reads only the corners of a shape (``lattice.Corners``),
+which a ``Shape`` gives from its rows and the event engine from a tableau's
+rows, and the rule inverts by lookup.  Whole diagrams are for display and
+checking: ``validate``, the textual format, and
+``catalog.AlgorithmSpec.generator``, the rule mapped over a shape's corners.
+The tests keep a rule that inverts by search as the reference for the
+lookup (``tests/catalog_reference.py``).
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, product
-from typing import Callable, Optional, Union
+from itertools import product
+from typing import Optional, Union
 
 from .lattice import Corners, Point, Shape
 from .wdgg import Instantiation
@@ -175,65 +178,20 @@ def _color_grid(w1: int, w2: int) -> tuple[ColorPair, ...]:
     return tuple(color_pair(a, b) for a, b in product(range(1, w1 + 1), range(1, w2 + 1)))
 
 
-class Rule:
-    """A local insertion rule: every shape's insertion diagram, one arrow at
-    a time, read off the shape's corners (``lattice.Corners``: a ``Shape``,
-    or the event engine's ``Below``).  ``alpha(shape, color)`` is where the
-    alpha arrow of that color lands and ``bump(shape, p, pair)`` where the
-    bump arrow out of (p, pair) lands, each as (target, out colors), or None
-    where the diagram has no such arrow."""
-
-    __slots__ = ("alpha", "bump")
-
-    def __init__(self, alpha: Callable[[Corners, int], Optional[Move]],
-                 bump: Callable[[Corners, Point, ColorPair], Optional[Move]]):
-        self.alpha, self.bump = alpha, bump
-
-    def diagram(self, inst: Instantiation, shape: Shape) -> InsertionDiagram:
-        """The rule mapped over the alpha colors and over the color grid of
-        each deletion point of shape."""
-        arrows = [Arrow(ALPHA, *move, alpha_color=c) for c in range(1, inst.r + 1)
-                  if (move := self.alpha(shape, c))]
-        arrows += [Arrow(BUMP, *move, source=(p, pair)) for p in shape.points()[1]
-                   for pair in color_pairs(inst, p) if (move := self.bump(shape, p, pair))]
-        return diagram(shape, arrows)
-
-    def unbump(self, inst: Instantiation, shape: Corners, q: Point,
-               out: ColorPair) -> Union[int, tuple[Point, ColorPair], None]:
-        """The alpha color or the bump source whose arrow ends at (q, out),
-        None if no arrow does.  It searches: the alpha colors, then the
-        deletion points next to q, where most bumps come from, then the
-        rest.  The diagram of a valid rule is a bijection, so the first
-        match is the only one."""
-        move = (q, out)
-        for c in range(1, inst.r + 1):
-            if self.alpha(shape, c) == move:
-                return c
-        near = shape.flanks(q)
-        for p in chain(near, _others(shape, near)):
-            for pair in color_pairs(inst, p):
-                if self.bump(shape, p, pair) == move:
-                    return p, pair
-        return None
-
-
-def _others(shape: Corners, near: list[Point]):
-    """The deletion points of shape not in near, listed when first asked for."""
-    for p in shape.points()[1]:
-        if p not in near:
-            yield p
-
-
 @dataclass(frozen=True)
-class TableRule(Rule):
-    """A rule as data: ``table`` maps an alpha color, or the color pair of
-    a bump, to (side, out colors).  A side reads where the arrow lands off
-    the corners of the shape (``lattice.Corners``), as ``side(shape, p,
-    near)``: p is the bump's deletion point and near its northeast and
-    southwest neighbors (both None for an alpha arrow).  On the octant,
-    ``diagonal`` holds the bumps out of a diagonal deletion point, in place of
-    ``table``'s, and the entry an alpha arrow takes instead when its target is
-    diagonal.
+class TableRule:
+    """A local insertion rule as data: every shape's insertion diagram, one
+    arrow at a time.  ``alpha(shape, color)`` is where the alpha arrow of
+    that color lands and ``bump(shape, p, pair)`` where the bump arrow out
+    of (p, pair) lands, each as (target, out colors), or None where the
+    diagram has no such arrow.  ``table`` maps an alpha color, or the color
+    pair of a bump, to (side, out colors).  A side reads where the arrow
+    lands off the corners of the shape (``lattice.Corners``), as
+    ``side(shape, p, near)``: p is the bump's deletion point and near its
+    northeast and southwest neighbors (both None for an alpha arrow).  On
+    the octant, ``diagonal`` holds the bumps out of a diagonal deletion
+    point, in place of ``table``'s, and the entry an alpha arrow takes
+    instead when its target is diagonal.
 
     The rule inverts by lookup: its entries by out colors, and for a bump
     entry the deletion points its side can send from to a given insertion
@@ -262,8 +220,9 @@ class TableRule(Rule):
 
     def unbump(self, inst: Instantiation, shape: Corners, q: Point,
                out: ColorPair) -> Union[int, tuple[Point, ColorPair], None]:
-        """What ``Rule.unbump`` finds, by lookup.  A diagonal entry can only
-        come from the last deletion point, the one deletion point that can be
+        """The alpha color or the bump source (p, pair) whose arrow ends at
+        (q, out), None if no arrow does.  A diagonal entry can only come
+        from the last deletion point, the one deletion point that can be
         diagonal."""
         move = (q, out)
         for key, side, on_diagonal in self._by_out.get(out, ()):

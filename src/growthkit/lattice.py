@@ -83,24 +83,6 @@ class Geometry(Enum):
             return True
         return p.row <= p.col
 
-    def covered_by(self, p: Point) -> list[Point]:
-        """Points covered by p in the ambient order."""
-        out = []
-        if p.row > 1:
-            q = Point(p.row - 1, p.col)
-            if self.contains(q):
-                out.append(q)
-        if p.col > 1:
-            q = Point(p.row, p.col - 1)
-            if self.contains(q):
-                out.append(q)
-        return out
-
-    def covering(self, p: Point) -> list[Point]:
-        """Points covering p in the ambient order."""
-        return [q for q in (Point(p.row + 1, p.col), Point(p.row, p.col + 1))
-                if self.contains(q)]
-
     def __str__(self):
         return self.value
 

@@ -2,7 +2,8 @@
 catalog held local rules: each builds the whole arrow set of one shape.
 ``tests/test_rules.py`` holds the rules of ``growthkit.catalog`` to them.
 ``rule_of`` turns any such generator, the broken ones of the tests too,
-into a ``Rule``.
+into a ``SearchRule``: a local rule given as two functions, which inverts
+by search and is the reference for ``TableRule``'s inverse by lookup.
 
 All generators work off the northeast-to-southwest alternation of insertion
 ("+") and deletion ("-") points.  For a deletion point, its "southwest
@@ -10,10 +11,56 @@ neighbor" is the next insertion point in that order (one row further south)
 and its "northeast neighbor" is the previous one (one column further east).
 """
 
+from itertools import chain
+from typing import Callable, Optional, Union
+
 from growthkit.insdiag import (
-    ALPHA, InsertionDiagram, Rule, alpha_arrow, bump_arrow, diagram,
+    ALPHA, ColorPair, InsertionDiagram, Move, alpha_arrow, bump_arrow, color_pairs, diagram,
 )
-from growthkit.lattice import Shape, add_box, deletion_points, insertion_points, transpose
+from growthkit.lattice import (
+    Corners, Point, Shape, add_box, deletion_points, insertion_points, transpose,
+)
+from growthkit.wdgg import Instantiation
+
+
+class SearchRule:
+    """A local insertion rule: every shape's insertion diagram, one arrow at
+    a time, read off the shape's corners (``lattice.Corners``: a ``Shape``,
+    or the event engine's ``Below``).  ``alpha(shape, color)`` is where the
+    alpha arrow of that color lands and ``bump(shape, p, pair)`` where the
+    bump arrow out of (p, pair) lands, each as (target, out colors), or None
+    where the diagram has no such arrow."""
+
+    __slots__ = ("alpha", "bump")
+
+    def __init__(self, alpha: Callable[[Corners, int], Optional[Move]],
+                 bump: Callable[[Corners, Point, ColorPair], Optional[Move]]):
+        self.alpha, self.bump = alpha, bump
+
+    def unbump(self, inst: Instantiation, shape: Corners, q: Point,
+               out: ColorPair) -> Union[int, tuple[Point, ColorPair], None]:
+        """The alpha color or the bump source whose arrow ends at (q, out),
+        None if no arrow does.  It searches: the alpha colors, then the
+        deletion points next to q, where most bumps come from, then the
+        rest.  The diagram of a valid rule is a bijection, so the first
+        match is the only one."""
+        move = (q, out)
+        for c in range(1, inst.r + 1):
+            if self.alpha(shape, c) == move:
+                return c
+        near = shape.flanks(q)
+        for p in chain(near, _others(shape, near)):
+            for pair in color_pairs(inst, p):
+                if self.bump(shape, p, pair) == move:
+                    return p, pair
+        return None
+
+
+def _others(shape: Corners, near: list[Point]):
+    """The deletion points of shape not in near, listed when first asked for."""
+    for p in shape.points()[1]:
+        if p not in near:
+            yield p
 
 
 def _points(shape: Shape):
@@ -215,7 +262,7 @@ def transposed(generator, inst, f, g):
     return gen
 
 
-def rule_of(generator) -> Rule:
+def rule_of(generator) -> SearchRule:
     """The local rule that reads each arrow off generator(shape), generated
     once per shape.  A target that is not an insertion point raises
     ``LatticeError`` when its arrow is asked for, so a broken generator
@@ -234,4 +281,4 @@ def rule_of(generator) -> Rule:
             add_box(shape, a.target)
             return a.target, a.out
 
-    return Rule(arrow, lambda shape, p, pair: arrow(shape, (p, pair)))
+    return SearchRule(arrow, lambda shape, p, pair: arrow(shape, (p, pair)))

@@ -8,13 +8,26 @@ fast implementations can be checked against them.
 from growthkit.lattice import Geometry, Point
 
 
+def covered_by(geometry: Geometry, p: Point) -> list[Point]:
+    """Points covered by p in the ambient order."""
+    north = [Point(p.row - 1, p.col)] if p.row > 1 else []
+    west = [Point(p.row, p.col - 1)] if p.col > 1 else []
+    return [q for q in north + west if geometry.contains(q)]
+
+
+def covering(geometry: Geometry, p: Point) -> list[Point]:
+    """Points covering p in the ambient order."""
+    return [q for q in (Point(p.row + 1, p.col), Point(p.row, p.col + 1))
+            if geometry.contains(q)]
+
+
 def is_order_ideal(boxes: set[Point], geometry: Geometry) -> bool:
-    return all(q in boxes for p in boxes for q in geometry.covered_by(p))
+    return all(q in boxes for p in boxes for q in covered_by(geometry, p))
 
 
 def brute_maximal(boxes: set[Point], geometry: Geometry) -> set[Point]:
     return {p for p in boxes
-            if not any(q in boxes for q in geometry.covering(p))}
+            if not any(q in boxes for q in covering(geometry, p))}
 
 
 def brute_cominimal(boxes: set[Point], geometry: Geometry) -> set[Point]:
@@ -26,7 +39,7 @@ def brute_cominimal(boxes: set[Point], geometry: Geometry) -> set[Point]:
             p = Point(row, col)
             if not geometry.contains(p) or p in boxes:
                 continue
-            if all(q in boxes for q in geometry.covered_by(p)):
+            if all(q in boxes for q in covered_by(geometry, p)):
                 out.add(p)
     return out
 

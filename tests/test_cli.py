@@ -394,6 +394,23 @@ class TestVerify:
         assert summary["ok"] is False and summary["shape"] == "1"
         assert summary["failures"] == [l.strip() for l in lines[1:-1]]
 
+    @pytest.mark.parametrize("flag", ["--alpha-map", "--edge-map"])
+    @pytest.mark.parametrize("value", ["swap-uc", "identity"])
+    def test_duality_maps_are_refused_under_inversion(self, flag, value):
+        # swap-uc is not defined on rs-row's one color: ignoring it would pass
+        rc, out, err = run_cli("verify", "duality", "--kind", "inversion",
+                               "--a", "rs-row", flag, value, "--n", "2")
+        assert (rc, out) == (2, "")
+        assert err == "error: --alpha-map and --edge-map apply only to --kind transpose\n"
+
+    def test_diagram_file_refuses_an_algorithm(self, tmp_path):
+        f = tmp_path / "psi.txt"
+        f.write_text("alpha 1 -> (1,2) <1,1>\nbump (1,1) <1,1> -> (2,1) <1,1>\n")
+        rc, out, err = run_cli("verify", "diagram", "--file", str(f), "--algorithm", "rs-row",
+                               "--shape", "1", "--instantiation", "unshifted-1")
+        assert (rc, out) == (2, "")
+        assert err == "error: --file checks one diagram and takes no --algorithm\n"
+
     def test_duality_default_bound_shrinks_for_four_colors(self):
         rc, out, _ = run_cli("verify", "duality", "--kind", "inversion",
                              "--a", "double-circle")

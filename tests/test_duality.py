@@ -6,7 +6,7 @@ from growthkit.duality import (
     check_transpose_duality, diagrams_equal, identity, swap_uc,
     transpose_dual,
 )
-from growthkit.insdiag import Rule, TableRule
+from growthkit.insdiag import TableRule
 from growthkit.lattice import Geometry
 from growthkit.render import parse_gp
 from growthkit.wdgg import Instantiation, constant_weight, diagonal_weight
@@ -77,13 +77,6 @@ class TestTransposedTables:
     def test_transposing_twice_gives_the_table_back(self):
         for name in ("rs-row", "mclarnan-fairy", "jitter", "double-circle"):
             assert transpose_dual(transpose_dual(alg(name))).rule == alg(name).rule
-
-    def test_rejects_a_rule_that_is_not_a_table(self):
-        rs = alg("rs-row")
-        closures = AlgorithmSpec("closures", rs.instantiation,
-                                 Rule(rs.rule.alpha, rs.rule.bump), "")
-        with pytest.raises(DualityError, match="no table rule"):
-            transpose_dual(closures)
 
     @pytest.mark.parametrize("name,f,g", [
         ("left-right", lambda c: 1, identity),      # not one-to-one

@@ -4,13 +4,14 @@ import pytest
 
 from growthkit.catalog import AlgorithmSpec, get_algorithm, list_algorithms
 from growthkit.insdiag import (
-    ColorPair, DiagramError, Rule, alpha_arrow, bump_arrow, diagram, format_diagram,
+    ColorPair, DiagramError, alpha_arrow, bump_arrow, diagram, format_diagram,
     parse_diagram, validate,
 )
 from growthkit.lattice import (
     Geometry, Point, Shape, deletion_points, empty_shape, insertion_points,
     shapes_up_to,
 )
+from catalog_reference import SearchRule
 
 Q, O = Geometry.QUADRANT, Geometry.OCTANT
 
@@ -112,7 +113,7 @@ class TestPsiEvaluation:
         moves = {1: (Point(2, 1), ColorPair(1, 1)), 2: (Point(2, 2), ColorPair(1, 1))}
         lr = get_algorithm("left-right")
         alg = AlgorithmSpec("off", lr.instantiation,
-                            Rule(lambda s, c: moves.get(c), lambda s, p, pair: None), "")
+                            SearchRule(lambda s, c: moves.get(c), lambda s, p, pair: None), "")
         shape = Shape(Q, (1,))
         assert alg.follow(shape, 1) == (Shape(Q, (1, 1)), ColorPair(1, 1), Point(2, 1))
         for _ in range(2):

@@ -8,9 +8,14 @@ and invert through the rules must equal the grid engine of
 ``growth_reference`` running on the generated diagrams, at n = 400.  No
 run, inversion or sweep builds a whole diagram, and a cold grid fold asks
 the rule once for each arrow it follows.  A table rule's inverse by lookup
-must return what ``Rule.unbump``'s search returns, on shapes and on rows of
-values, and a round trip at n = 2000 builds no ``Shape`` but the final one,
-with a table rule or with a plain ``Rule`` of the same arrows.
+must return what ``SearchRule.unbump``'s search returns, on shapes and on
+rows of values: for the catalog's tables and their transposes, every valid
+unshifted-1 table of the sides ``FIRST``, ``LAST``, ``NE`` and ``SW``, and a
+fixed sample of unshifted-2 tables.  A round trip at n = 2000 builds no
+``Shape`` but the final one, with a table rule or with a ``SearchRule`` of
+the same arrows.  ``TableRule`` is the only rule of ``growthkit``;
+``SearchRule``, a pair of arrow functions that inverts by search, lives in
+``catalog_reference`` as the reference for the lookup.
 """
 
 import dataclasses
@@ -18,18 +23,22 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from growthkit.catalog import AlgorithmSpec, get_algorithm, list_algorithms
+from growthkit.catalog import (
+    FIRST, LAST, NE, SW, AlgorithmSpec, get_algorithm, list_algorithms,
+)
 from growthkit.duality import identity, swap_uc, transpose_dual
 from growthkit.growth import (
     GeneralizedPermutation, extract_P, extract_Q, invert_growth, run_growth,
 )
-from growthkit.insdiag import ALPHA, DiagramError, Rule, color_pair
+from growthkit.insdiag import ALPHA, DiagramError, TableRule, color_pair, validate
 from growthkit.lattice import (
     Below, Geometry, Point, Shape, added_box, insertion_points, shapes_of_size, shapes_up_to,
 )
 from growthkit.oracle import check_bijection
-from catalog_reference import GENERATORS, rule_of, transposed
+from growthkit.wdgg import BUILTIN_INSTANTIATIONS
+from catalog_reference import GENERATORS, SearchRule, rule_of, transposed
 from growth_reference import alpha, fold_growth, invert_grid
 
 ALGORITHMS = sorted(list_algorithms())
@@ -137,7 +146,7 @@ def _asking(alg):
         asked[shape, (p, pair)] += 1
         return rule.bump(shape, p, pair)
 
-    return dataclasses.replace(alg, rule=Rule(alpha_of, bump)), asked
+    return dataclasses.replace(alg, rule=SearchRule(alpha_of, bump)), asked
 
 
 def _followed(g):
@@ -170,9 +179,9 @@ def test_cold_fold_asks_once_per_arrow_followed(name):
 
 def test_check_bijection_builds_no_diagram(monkeypatch):
     calls = []
-    diagram = Rule.diagram
-    monkeypatch.setattr(Rule, "diagram",
-                        lambda self, inst, shape: calls.append(shape) or diagram(self, inst, shape))
+    generator = AlgorithmSpec.generator
+    monkeypatch.setattr(AlgorithmSpec, "generator",
+                        lambda self, shape: calls.append(shape) or generator(self, shape))
     alg = dataclasses.replace(get_algorithm("left-right"))
     assert check_bijection(alg, 4).ok and calls == []
 
@@ -204,9 +213,63 @@ def test_table_inverse_is_the_search(alg):
         view = Below(alg.geometry, _row_by_row(shape), shape.size + 1)
         for q in insertion_points(shape):
             for out in pairs:
-                want = Rule.unbump(rule, inst, shape, q, out)
+                want = SearchRule.unbump(rule, inst, shape, q, out)
                 assert rule.unbump(inst, shape, q, out) == want, (shape, q, out)
                 assert rule.unbump(inst, view, q, out) == want, (shape, q, out)
+
+
+ALPHA_SIDES, BUMP_SIDES = (FIRST, LAST), (FIRST, LAST, NE, SW)  # NE, SW read a bump's p
+UNSHIFTED_1, UNSHIFTED_2 = (BUILTIN_INSTANTIATIONS[name]
+                            for name in ("unshifted-1", "unshifted-2"))
+
+
+def _lookup_is_the_search(rule, inst, max_size=6):
+    """Whether rule's diagrams validate on every shape up to max_size.  If
+    they do, its lookup must equal SearchRule's search on those shapes, for
+    every (q, out) with out up to <3,3>, on the Shape and on a Below view."""
+    spec = AlgorithmSpec("table", inst, rule, "")
+    shapes = list(shapes_up_to(inst.geometry, max_size))
+    if not all(validate(inst, spec.generator(shape)).ok for shape in shapes):
+        return False
+    pairs = [color_pair(a, b) for a in range(1, 4) for b in range(1, 4)]
+    for shape in shapes:
+        view = Below(inst.geometry, _row_by_row(shape), shape.size + 1)
+        for q in insertion_points(shape):
+            for out in pairs:
+                want = SearchRule.unbump(rule, inst, shape, q, out)
+                assert rule.unbump(inst, shape, q, out) == want, (rule, shape, q, out)
+                assert rule.unbump(inst, view, q, out) == want, (rule, shape, q, out)
+    return True
+
+
+def test_lookup_is_the_search_on_every_unshifted_1_table():
+    _11 = color_pair(1, 1)
+    valid = [(a, b) for a in ALPHA_SIDES for b in BUMP_SIDES
+             if _lookup_is_the_search(TableRule({1: (a, _11), _11: (b, _11)}), UNSHIFTED_1)]
+    assert valid == [(FIRST, SW), (LAST, NE)]    # rs-row and rs-col
+
+
+@st.composite
+def _unshifted_2_tables(draw):
+    """A table on unshifted-2 from the sides above, one of 256.  The two
+    alpha arrows, and the two bumps out of a deletion point, take the two out
+    colors in some order: every other table fails on the shape (1).  The
+    fixed sample of 200 holds 12 of the 16 tables that validate."""
+    grid = [color_pair(1, 1), color_pair(1, 2)]
+    table = {}
+    for keys, sides in (([1, 2], ALPHA_SIDES), (grid, BUMP_SIDES)):
+        for key, out in zip(keys, draw(st.permutations(grid))):
+            table[key] = (draw(st.sampled_from(sides)), out)
+    return TableRule(table)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_unshifted_2_tables())
+@example(TableRule({1: (FIRST, color_pair(1, 1)), 2: (FIRST, color_pair(1, 2)),
+                    color_pair(1, 1): (SW, color_pair(1, 1)),
+                    color_pair(1, 2): (SW, color_pair(1, 2))}))   # two row insertions
+def test_lookup_is_the_search_on_unshifted_2_tables(rule):
+    _lookup_is_the_search(rule, UNSHIFTED_2)
 
 
 def _shapes_built_by_a_round_trip(alg, monkeypatch):
@@ -237,8 +300,8 @@ def test_n2000_round_trip_builds_only_the_final_shape(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["rs-row", "sagan1"])
 def test_n2000_round_trip_of_a_rule_that_is_not_a_table(name, monkeypatch):
-    # a plain Rule reads the same corners off P's rows, and inverts by search
+    # a SearchRule reads the same corners off P's rows, and inverts by search
     alg = get_algorithm(name)
-    plain = dataclasses.replace(alg, rule=Rule(alg.rule.alpha, alg.rule.bump))
+    plain = dataclasses.replace(alg, rule=SearchRule(alg.rule.alpha, alg.rule.bump))
     built, P = _shapes_built_by_a_round_trip(plain, monkeypatch)
     assert len(built) == 1 and built[0] is P.shape
