@@ -28,10 +28,6 @@ def _workers() -> int:
     raise ValueError(f"GROWTHKIT_THREADS must be an integer >= 1, got {text!r}")
 
 
-def _alg(name: str):
-    return catalog.get_algorithm(name)
-
-
 def _size(value: int, flag: str) -> int:
     if value < 0:
         raise ValueError(f"{flag} must be >= 0")
@@ -39,7 +35,7 @@ def _size(value: int, flag: str) -> int:
 
 
 def cmd_run(args) -> int:
-    alg = _alg(args.algorithm)
+    alg = catalog.get_algorithm(args.algorithm)
     gp = render.parse_gp(args.perm, alg.r)
     g = run_growth(alg, gp)
     P, Q = extract_P(g), extract_Q(g)
@@ -76,7 +72,7 @@ def _read_tableau(path: str, alg, channel: str):
 
 
 def cmd_invert(args) -> int:
-    alg = _alg(args.algorithm)
+    alg = catalog.get_algorithm(args.algorithm)
     P = _read_tableau(args.p, alg, "P")
     Q = _read_tableau(args.q, alg, "Q")
     gp = invert_growth(alg, P, Q)
@@ -93,7 +89,7 @@ def cmd_list(args) -> int:
 
 
 def cmd_render(args) -> int:
-    alg = _alg(args.algorithm)
+    alg = catalog.get_algorithm(args.algorithm)
     gp = render.parse_gp(args.perm, alg.r)
     g = run_growth(alg, gp)
     if args.what == "growth":
@@ -112,8 +108,7 @@ def cmd_verify_weights(args) -> int:
     for name in names:
         inst = wdgg.BUILTIN_INSTANTIATIONS.get(name)
         if inst is None:
-            print(f"error: unknown instantiation {name!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown instantiation {name!r}")
         report = wdgg.verify_instantiation(inst, args.max_size)
         print(report)
         checked += report.checked
@@ -124,19 +119,18 @@ def cmd_verify_weights(args) -> int:
 
 
 def cmd_verify_diagram(args) -> int:
-    _size(args.max_size, "--max-size")
+    """One diagram file, or an algorithm's diagrams up to --max-size; a flag
+    of the other mode is refused, not ignored."""
+    max_size = 10 if args.max_size is None else _size(args.max_size, "--max-size")
     if args.file:
-        if args.algorithm:
-            print("error: --file checks one diagram and takes no --algorithm",
-                  file=sys.stderr)
-            return 2
+        for flag, value in (("--algorithm", args.algorithm), ("--max-size", args.max_size)):
+            if value is not None:
+                raise ValueError(f"--file checks one diagram and takes no {flag}")
         if not (args.shape and args.instantiation):
-            print("error: --file needs --shape and --instantiation", file=sys.stderr)
-            return 2
+            raise ValueError("--file needs --shape and --instantiation")
         inst = wdgg.BUILTIN_INSTANTIATIONS.get(args.instantiation)
         if inst is None:
-            print(f"error: unknown instantiation {args.instantiation!r}", file=sys.stderr)
-            return 2
+            raise ValueError(f"unknown instantiation {args.instantiation!r}")
         shape = parse_shape(args.shape, inst.geometry)
         with open(args.file) as fh:
             d = insdiag.parse_diagram(fh.read(), shape)
@@ -146,14 +140,16 @@ def cmd_verify_diagram(args) -> int:
                  ok=report.ok, failures=list(report.failures))
         return 0 if report.ok else 1
     if not args.algorithm:
-        print("error: need --algorithm or --file", file=sys.stderr)
-        return 2
-    alg = _alg(args.algorithm)
+        raise ValueError("need --algorithm or --file")
+    for flag, value in (("--shape", args.shape), ("--instantiation", args.instantiation)):
+        if value is not None:
+            raise ValueError(f"{flag} applies only to --file")
+    alg = catalog.get_algorithm(args.algorithm)
     from .lattice import shapes_up_to
     bad = 0
     checked = 0
     failures = []
-    for shape in shapes_up_to(alg.geometry, args.max_size):
+    for shape in shapes_up_to(alg.geometry, max_size):
         checked += 1
         report = insdiag.validate(alg.instantiation, alg.diagram(shape))
         if not report.ok:
@@ -161,8 +157,8 @@ def cmd_verify_diagram(args) -> int:
             print(report)
             failures += [f"shape={shape} {f}" for f in report.failures]
     print(f"{'PASS' if not bad else 'FAIL'} diagrams algorithm={alg.name} "
-          f"shapes<= {args.max_size} checked={checked} failures={bad}")
-    _summary(check="diagram", algorithm=alg.name, max_size=args.max_size,
+          f"shapes<= {max_size} checked={checked} failures={bad}")
+    _summary(check="diagram", algorithm=alg.name, max_size=max_size,
              checked=checked, ok=not bad, failures=failures)
     return 0 if not bad else 1
 
@@ -176,7 +172,7 @@ def _summary(**fields) -> None:
 
 def cmd_verify_bijection(args) -> int:
     from math import factorial
-    alg = _alg(args.algorithm)
+    alg = catalog.get_algorithm(args.algorithm)
     workers = _workers()
     inputs = factorial(_size(args.n, "--n")) * alg.r ** args.n
     print(f"running algorithm={alg.name} n={args.n} inputs={inputs} workers={workers}")
@@ -197,10 +193,8 @@ _ALPHA_MAPS = {
 
 def cmd_verify_duality(args) -> int:
     if args.kind == "inversion" and (args.alpha_map or args.edge_map):
-        print("error: --alpha-map and --edge-map apply only to --kind transpose",
-              file=sys.stderr)
-        return 2
-    a, b = _alg(args.a), _alg(args.b or args.a)
+        raise ValueError("--alpha-map and --edge-map apply only to --kind transpose")
+    a, b = catalog.get_algorithm(args.a), catalog.get_algorithm(args.b or args.a)
     n = _size(args.n, "--n") if args.n is not None else (3 if a.r == 4 else 4)
     workers = _workers()
     if args.kind == "inversion":
@@ -255,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = vsub.add_parser("diagram", help="validate insertion diagrams")
     p.add_argument("--algorithm")
-    p.add_argument("--max-size", type=int, default=10)
+    p.add_argument("--max-size", type=int, default=None, help="with --algorithm; default 10")
     p.add_argument("--file", help="validate a user diagram file instead")
     p.add_argument("--shape", help="shape for --file, e.g. 3,1")
     p.add_argument("--instantiation", help="instantiation for --file")

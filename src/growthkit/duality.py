@@ -11,7 +11,7 @@ from typing import Callable, Optional
 from .catalog import TRANSPOSED_SIDE, AlgorithmSpec
 from .insdiag import TableRule, color_pair
 from .lattice import Geometry, Point, shapes_up_to
-from .oracle import Records, _rank, sweep
+from .oracle import _rank, nodes_record, pair_record, sweep
 from .wdgg import constant_value
 
 
@@ -119,8 +119,8 @@ def check_transpose_duality(algA: AlgorithmSpec, algB: AlgorithmSpec,
         if w is not None and w > 1:
             _color_map(g, w, w, "edge map")
 
-    def visit(image, records, leaf):
-        key = records.tableaux(leaf)
+    def visit(image, leaf):
+        key = pair_record(leaf)
         want = bytearray()
         for k in range(0, len(key), 3):
             row, col, color = key[k:k + 3]
@@ -130,7 +130,7 @@ def check_transpose_duality(algA: AlgorithmSpec, algB: AlgorithmSpec,
             return f"gp={sorted(leaf.gp().entries)}"
         return None
 
-    return _check("transpose", algA, algB, n, Records.tableaux, visit, workers)
+    return _check("transpose", algA, algB, n, pair_record, visit, workers)
 
 
 # Inversion-duality color maps: how P/Q of the inverse relate to Q/P of the
@@ -176,8 +176,8 @@ def check_inversion_duality(algA: AlgorithmSpec, algB: AlgorithmSpec, n: int,
     alpha = _color_map(color_map.alpha_map, algA.r, algB.r)
     apart = algA.geometry is not algB.geometry  # then no two tableaux are equal
 
-    def visit(image, records, leaf):
-        key, word = records.tableaux(leaf), leaf.word
+    def visit(image, leaf):
+        key, word = pair_record(leaf), leaf.word
         inverse = _inverse(word, alpha)
         got = image[leaf.n][_rank(inverse, algB.r)]
         half = len(key) // 2
@@ -197,7 +197,7 @@ def check_inversion_duality(algA: AlgorithmSpec, algB: AlgorithmSpec, n: int,
                     f"expected {want_circles})")
         return None
 
-    return _check("inversion", algA, algB, n, Records.tableaux, visit, workers)
+    return _check("inversion", algA, algB, n, pair_record, visit, workers)
 
 
 def check_inversion_nodes(alg: AlgorithmSpec, n: int) -> DualityReport:
@@ -205,36 +205,35 @@ def check_inversion_nodes(alg: AlgorithmSpec, n: int) -> DualityReport:
     the inverse gp grows the same node values in transposed grid locations."""
     same = {c: c for c in range(1, alg.r + 1)}
 
-    def visit(image, records, leaf):
+    def visit(image, leaf):
         # Column i of A's growth, south to north, must be row i of B's, west
         # to east.  Both start empty, so the first step to differ (i outer,
         # j inner) is at the first node to differ.
-        want = records.nodes(leaf)
+        want = nodes_record(leaf)
         got = image[leaf.n][_rank(_inverse(leaf.word, same), alg.r)]
         if want == got:
             return None
         k = next(k for k, (a, b) in enumerate(zip(want, got)) if a != b) // 3
         return f"gp={sorted(leaf.gp().entries)} node ({k // leaf.n + 1},{k % leaf.n + 1})"
 
-    return _check("inversion-nodes", alg, alg, n, partial(Records.nodes, by_rows=True),
+    return _check("inversion-nodes", alg, alg, n, partial(nodes_record, by_rows=True),
                   visit, 1)
 
 
 def _check(kind, algA, algB, n, key, visit, workers) -> DualityReport:
     """Sweep B over the sizes 1..n for its image, then sweep A over them.
 
-    ``image[size]`` lists the record ``key`` (a Records method) builds of
-    each input of that size in sweep order.  ``visit(image, records, leaf)``
-    maps A's input to B's, finds B's record at that input's sweep rank,
-    compares it with A's own record transformed as the duality says, and
-    returns a counterexample or None.  Both sides share one Records.
-    One sweep per side, not one per size: each sweep with workers forks a
-    pool."""
-    sizes, records = range(1, n + 1), Records()
-    _, keys = sweep(algB, sizes, partial(key, records), workers)
+    ``image[size]`` lists B's record ``key(leaf)`` (bytes, 3 per step) of
+    each input of that size in sweep order.  ``visit(image, leaf)`` maps A's
+    input to B's, finds B's record at that input's sweep rank, compares it
+    with A's own record transformed as the duality says, and returns a
+    counterexample or None.  One sweep per side, not one per size: each
+    sweep with workers forks a pool."""
+    sizes = range(1, n + 1)
+    _, keys = sweep(algB, sizes, key, workers)
     image, start = {}, 0
     for size in sizes:
         count = factorial(size) * algB.r ** size
         image[size], start = keys[start:start + count], start + count
-    checked, counterexamples = sweep(algA, sizes, partial(visit, image, records), workers)
+    checked, counterexamples = sweep(algA, sizes, partial(visit, image), workers)
     return DualityReport(kind, algA.name, algB.name, n, checked, tuple(counterexamples))

@@ -15,11 +15,12 @@ row of cells is one insertion.  Column i, the growth of the values <= i,
 therefore differs from column i - 1 only from the time value i enters:
 ``grow_column`` follows value i up the column, along its alpha arrow and
 then its bump arrows, and joins it with each other box the west column
-gains.  A column carries the box each of its steps adds, so the walk tells
-a bump (the west column's box is value i's) from a join by comparing two
-boxes, and the east column's boxes are Q's steps, which the sweeps read
-without going back to shapes.  The six-case rule of one cell, which the
-walk takes a column at a time, is kept as the tests' reference
+gains.  A column carries the box each of its steps adds, and value i's box
+at each height, so the walk tells a bump (the west column's box is value
+i's) from a join by comparing two boxes, and the sweeps read every record,
+Q's steps off the east column and P's off each column's top, without going
+back to shapes.  The six-case rule of one cell, which the walk takes a
+column at a time, is kept as the tests' reference
 (``tests/growth_reference.py``).
 
 ``run_growth`` and ``invert_growth`` visit the insertion and bump cells
@@ -244,21 +245,23 @@ class GrowthDiagram:
 
 
 Column = tuple[tuple[Shape, ...], tuple[Optional[int], ...], tuple[Optional[int], ...],
-               tuple[Optional[Point], ...]]
+               tuple[Optional[Point], ...], tuple[Optional[Point], ...]]
 
 
 def border_column(alg, m: int) -> Column:
     """Column 0 of an m-tall growth: empty shapes, no colors, no boxes."""
     none = (None,) * (m + 1)
-    return (empty_shape(alg.geometry),) * (m + 1), none, none, none
+    return (empty_shape(alg.geometry),) * (m + 1), none, none, none, none
 
 
 def grow_column(alg, i: int, west: Column, time: int, color: int) -> Column:
     """Column i of a growth from column i - 1, with value i inserted at
     ``time`` in ``color`` (time 0: value i is absent).  A column is its
-    (nodes, hcolors, vcolors, boxes) at j = 0..m, the first three laid out as
-    in GrowthDiagram; boxes[j] is the box added between nodes[j - 1] and
-    nodes[j], or None (always at j = 0): Q's step at time j.
+    (nodes, hcolors, vcolors, boxes, hboxes) at j = 0..m, the first three
+    laid out as in GrowthDiagram.  boxes[j] is the box added between
+    nodes[j - 1] and nodes[j] (Q's step at time j), hboxes[j] the one added
+    between the west column's nodes[j] and nodes[j] (value i's box at
+    height j; P's step at j = m), each None where there is none.
 
     The walk follows value i up the column, keeping its box.  Below
     ``time`` the column is the west column, its nodes, descending colors and
@@ -269,11 +272,12 @@ def grow_column(alg, i: int, west: Column, time: int, color: int) -> Column:
     the west box on.  The memo's entry names the box each arrow fills, so no
     box is worked out from shapes.  Boxes compare by value: equal points
     need not be one object."""
-    west_nodes, _, west_v, west_boxes = west
+    west_nodes, _, west_v, west_boxes, _ = west
     m = len(west_nodes) - 1
     if not 1 <= time <= m:
-        return west_nodes, (None,) * (m + 1), west_v, west_boxes
-    nodes, hcolors = list(west_nodes[:time]), [None] * time
+        none = (None,) * (m + 1)
+        return west_nodes, none, west_v, west_boxes, none
+    nodes, hcolors, hboxes = list(west_nodes[:time]), [None] * time, [None] * time
     vcolors, boxes = list(west_v), list(west_boxes)
     r, j = alg.instantiation.r, time
     try:
@@ -287,6 +291,7 @@ def grow_column(alg, i: int, west: Column, time: int, color: int) -> Column:
         h, vcolors[j], boxes[j] = b.g1, b.g2, a
         nodes.append(x)
         hcolors.append(h)
+        hboxes.append(a)
         for j in range(time + 1, m + 1):
             w = west_boxes[j]
             if w is not None:
@@ -297,9 +302,10 @@ def grow_column(alg, i: int, west: Column, time: int, color: int) -> Column:
                     x = join(x, west_nodes[j])
             nodes.append(x)
             hcolors.append(h)
+            hboxes.append(a)
     except ValueError as e:
         raise GrowthError(f"cell ({i},{j}): {e}") from None
-    return tuple(nodes), tuple(hcolors), tuple(vcolors), tuple(boxes)
+    return tuple(nodes), tuple(hcolors), tuple(vcolors), tuple(boxes), tuple(hboxes)
 
 
 class _Filling:

@@ -5,21 +5,23 @@ The checks run on ``sweep``, which grows every full colored permutation of a
 size depth-first by value.  Columns 0..i of a growth depend only on where
 values 1..i sit (restriction coherence), so inputs that agree on values
 1..i share those columns, and each node of the search tree grows just one
-new column and adds one step to P's half of the record.
+new column and adds one step to P's half of the record.  Records are
+compact bytes, three per step, and every step is read off the boxes the
+columns carry (``growth.grow_column``), none worked out from two shapes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, product, repeat
+from itertools import permutations, product
 from operator import itemgetter
 
 from .growth import (
     ColoredTableau, GeneralizedPermutation, GrowthDiagram, border_column,
     grow_column,
 )
-from .lattice import Shape, added_box, deletion_points, remove_box, shapes_of_size
+from .lattice import Shape, deletion_points, remove_box, shapes_of_size
 from .wdgg import Channel, Instantiation
 
 
@@ -90,20 +92,18 @@ class SweepLeaf:
     read them during the visit only; the columns themselves may be kept.
     """
 
-    __slots__ = ("n", "word", "columns", "p", "_steps")
+    __slots__ = ("n", "word", "columns", "p")
 
     def __init__(self, n: int, word: list, columns: list):
         self.n, self.word, self.columns, self.p = n, word, columns, bytearray()
-        self._steps = Records()
 
     def push(self, alg, time: int, color: int) -> None:
         """Place the next value at (time, color): grow its column, and add
         the box it adds to the north edge, with that edge's color, to P."""
         self.word.append((time, color))
-        west = self.columns[-1]
-        column = grow_column(alg, len(self.word), west, time, color)
+        column = grow_column(alg, len(self.word), self.columns[-1], time, color)
         self.columns.append(column)
-        self.p += self._steps[west[0][-1], column[0][-1], column[1][-1]]
+        self.p += _step(column[4][-1], column[1][-1])
 
     def pop(self) -> None:
         self.word.pop()
@@ -114,13 +114,8 @@ class SweepLeaf:
         return _word_gp(self.n, self.word)
 
     def growth(self) -> GrowthDiagram:
-        nodes, hcols, vcols, _ = zip(*self.columns)
+        nodes, hcols, vcols, _, _ = zip(*self.columns)
         return GrowthDiagram(self.n, self.n, nodes, hcols, vcols, self.gp())
-
-
-def _step(box, color) -> bytes:
-    """A record's three bytes for a box (None: no box) and its color."""
-    return bytes((box.row, box.col, color or 0)) if box else bytes(3)
 
 
 def _sweep_branch(alg, size: int, branch: int, visit) -> tuple[int, list]:
@@ -222,47 +217,33 @@ def _rank(word, r: int) -> int:
     return rank
 
 
-class Records(dict):
-    """The records of one check's sweep leaves, as compact bytes.
+def _step(box, color) -> bytes:
+    """A step's three bytes: the row, column and color of the box it adds,
+    (0, 0, 0) if it adds none (box None), and color 0 where there is no
+    color."""
+    return bytes((box.row, box.col, color or 0)) if box else bytes(3)
 
-    A step of a chain of shapes is three bytes: the row, column and color
-    of the box it adds, (0, 0, 0) if it adds none, and color 0 where the
-    chain has no colors.  A tableaux record reads its steps off the boxes
-    the sweep carries: P's from the leaf's ``p``, Q's from the boxes and
-    descending colors of the east column.  ``chain`` and ``nodes`` work
-    from shapes instead, through this map from each (lower, upper, color)
-    step met to its bytes; it holds shapes, so build one per check.
-    """
 
-    def __missing__(self, step) -> bytes:
-        lower, upper, color = step
-        self[step] = got = _step(lower != upper and added_box(lower, upper), color)
-        return got
+def pair_record(leaf: SweepLeaf) -> bytes:
+    """The leaf's (P, Q) pair: the steps of P (the north edge) by value,
+    then of Q (the east column, its boxes and descending colors) by time."""
+    _, _, colors, boxes, _ = leaf.columns[-1]
+    return b"".join([leaf.p, *map(_step, boxes[1:], colors[1:])])
 
-    def chain(self, shapes, colors) -> bytes:
-        """Each step of a chain of shapes, the k-th in colors[k]."""
-        return b"".join(map(self.__getitem__, zip(shapes, shapes[1:], colors)))
 
-    def tableaux(self, leaf: SweepLeaf) -> bytes:
-        """The leaf's (P, Q) pair: the steps of P (the north edge) by value,
-        then of Q (the east column) by time."""
-        _, _, colors, boxes = leaf.columns[-1]
-        return b"".join([leaf.p, *map(_step, boxes[1:], colors[1:])])
+def tableau_record(t: ColoredTableau) -> bytes:
+    """A standard tableau as its half of a record: its cells by value."""
+    return bytes(x for p, _, c in sorted(t.cells, key=itemgetter(1))
+                 for x in (p.row, p.col, c))
 
-    @staticmethod
-    def tableau(t: ColoredTableau) -> bytes:
-        """A standard tableau as its half of a record: its cells by value."""
-        return bytes(x for p, _, c in sorted(t.cells, key=itemgetter(1))
-                     for x in (p.row, p.col, c))
 
-    def nodes(self, leaf: SweepLeaf, by_rows: bool = False) -> bytes:
-        """Every node of the leaf's growth, without colors: the chain of
-        each column 1..n from south to north, or by_rows, of each row 1..n
-        from west to east."""
-        grid = [column[0] for column in leaf.columns]
-        if by_rows:
-            grid = list(zip(*grid))
-        return b"".join(self.chain(line, repeat(None)) for line in grid[1:])
+def nodes_record(leaf: SweepLeaf, by_rows: bool = False) -> bytes:
+    """Every node of the leaf's growth, without colors: the steps of each
+    column 1..n from south to north (its boxes), or by_rows, of each row
+    1..n from west to east (each column's hboxes at that height)."""
+    columns = leaf.columns[1:]
+    lines = zip(*(c[4][1:] for c in columns)) if by_rows else (c[3][1:] for c in columns)
+    return b"".join(_step(box, None) for line in lines for box in line)
 
 
 def _pair_text(record: bytes) -> str:
@@ -316,8 +297,7 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
     missing and extra pair."""
     inst = alg.instantiation
     failures = []
-    records = Records()
-    count, entries = sweep(alg, [n], lambda leaf: (records.tableaux(leaf), tuple(leaf.word)),
+    count, entries = sweep(alg, [n], lambda leaf: (pair_record(leaf), tuple(leaf.word)),
                            workers)
     image: dict = {}
     collision = None
@@ -344,9 +324,9 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
                 f"tableau counts disagree with the chain recurrence on {shape}: "
                 f"{len(ps)} vs {f1}, {len(qs)} vs {f2}")
         expected_count += f1 * f2
-        q_records = [Records.tableau(q) for q in qs]
+        q_records = [tableau_record(q) for q in qs]
         for p in ps:
-            kp = Records.tableau(p)
+            kp = tableau_record(p)
             expected.update(kp + kq for kq in q_records)
 
     if expected_count != count:

@@ -45,7 +45,7 @@ def fold_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
     for i in range(1, gp.n + 1):
         time, color = entry_of.get(i, (0, 0))
         columns.append(grow_column(alg, i, columns[-1], time, color))
-    nodes, hcols, vcols, _ = zip(*columns)
+    nodes, hcols, vcols, _, _ = zip(*columns)
     return GrowthDiagram(gp.n, gp.m, nodes, hcols, vcols, gp)
 
 

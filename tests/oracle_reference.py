@@ -4,7 +4,7 @@ Each (P, Q) pair is a tuple of canonical Shape chains with their colors,
 compared as a set against the chains of every enumerated tableau pair, and
 witnesses are written and ordered from the chains.  This is the direct
 reading of the check, kept independent of the bytes records of
-growthkit.oracle.Records, so check_bijection can be compared against it
+growthkit.oracle, so check_bijection can be compared against it
 report for report.
 """
 

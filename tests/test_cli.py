@@ -411,6 +411,30 @@ class TestVerify:
         assert (rc, out) == (2, "")
         assert err == "error: --file checks one diagram and takes no --algorithm\n"
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--max-size", "2", "--shape", "3", "--instantiation", "shifted-1"], "--shape"),
+        (["--shape", "3"], "--shape"),
+        (["--instantiation", "shifted-1"], "--instantiation"),
+    ], ids=["both", "shape", "instantiation"])
+    def test_diagram_algorithm_refuses_file_flags(self, argv, flag):
+        rc, out, err = run_cli("verify", "diagram", "--algorithm", "rs-row", *argv)
+        assert (rc, out, err) == (2, "", f"error: {flag} applies only to --file\n")
+
+    @pytest.mark.parametrize("size", ["3", "10"])
+    def test_diagram_file_refuses_a_max_size(self, tmp_path, size):
+        f = tmp_path / "psi.txt"
+        f.write_text("alpha 1 -> (1,2) <1,1>\n")
+        rc, out, err = run_cli("verify", "diagram", "--file", str(f), "--shape", "1",
+                               "--instantiation", "unshifted-1", "--max-size", size)
+        assert (rc, out) == (2, "")
+        assert err == "error: --file checks one diagram and takes no --max-size\n"
+
+    def test_diagram_max_size_defaults_to_10(self):
+        rc, out, _ = run_cli("verify", "diagram", "--algorithm", "rs-row")
+        lines = out.splitlines()
+        assert rc == 0 and lines[-2].endswith("shapes<= 10 checked=139 failures=0")
+        assert json.loads(lines[-1])["max_size"] == 10
+
     def test_duality_default_bound_shrinks_for_four_colors(self):
         rc, out, _ = run_cli("verify", "duality", "--kind", "inversion",
                              "--a", "double-circle")

@@ -11,7 +11,7 @@ from growthkit.growth import (
 )
 from growthkit.insdiag import ALPHA, ColorPair, color_pair, diagram
 from growthkit.lattice import Geometry, Point, Shape, added_box, empty_shape
-from growthkit.oracle import Records, SweepLeaf, enumerate_gps
+from growthkit.oracle import SweepLeaf, _step, enumerate_gps, pair_record
 from growthkit.render import parse_gp, parse_tableau
 from figures import FIGURES
 from catalog_reference import rule_of
@@ -346,23 +346,33 @@ class TestColumnWalk:
 
     @pytest.mark.parametrize("name", sorted(list_algorithms()))
     def test_columns_carry_their_boxes_and_records(self, name):
-        """boxes[j] is the box added between nodes[j - 1] and nodes[j], and
-        the record built from the boxes equals the one built from shapes."""
-        alg, records = get_algorithm(name), Records()
+        """boxes[j] is the box added between nodes[j - 1] and nodes[j],
+        hboxes[j] the box added between the west column's nodes[j] and
+        nodes[j], and the record built from the boxes equals the one built
+        from shapes."""
+        alg = get_algorithm(name)
+
+        def chain(shapes, colors):
+            return b"".join(_step(lo != hi and added_box(lo, hi), c)
+                            for lo, hi, c in zip(shapes, shapes[1:], colors))
+
         for gp in _walk_inputs(alg):
             entry_of = {i: (j, c) for i, j, c in gp.entries}
             leaf = SweepLeaf(gp.n, [], [border_column(alg, gp.m)])
             for i in range(1, gp.n + 1):
                 leaf.push(alg, *entry_of.get(i, (0, 0)))
             columns, m = leaf.columns, gp.m
-            for nodes, _, _, boxes in columns:
+            for nodes, _, _, boxes, _ in columns:
                 assert boxes == (None,) + tuple(
                     None if lo == hi else added_box(lo, hi) for lo, hi in zip(nodes, nodes[1:]))
-            east, _, colors, _ = columns[-1]
-            record = records.tableaux(leaf)
-            assert record[:3 * gp.n] == records.chain([c[0][m] for c in columns],
-                                                      [c[1][m] for c in columns[1:]])
-            assert record[3 * gp.n:] == records.chain(east, colors[1:])
+            for west, (nodes, _, _, _, hboxes) in zip(columns, columns[1:]):
+                assert hboxes == tuple(
+                    None if lo == hi else added_box(lo, hi) for lo, hi in zip(west[0], nodes))
+            east, _, colors, _, _ = columns[-1]
+            record = pair_record(leaf)
+            assert record[:3 * gp.n] == chain([c[0][m] for c in columns],
+                                              [c[1][m] for c in columns[1:]])
+            assert record[3 * gp.n:] == chain(east, colors[1:])
 
     def test_a_fold_compares_boxes_by_value(self, monkeypatch):
         """Equal points need not be one object: with a new Point from every
@@ -382,7 +392,7 @@ class TestColumnWalk:
     def test_guards_fail_as_the_cell_rule_does(self, time, color):
         # value 1 entered at time 1, so value 2 cannot enter then
         west = grow_column(RS, 1, border_column(RS, 2), 1, 1)
-        nodes, _, vcols, _ = west
+        nodes, _, vcols, _, _ = west
         t, y = nodes[time - 1], nodes[time]
         with pytest.raises(GrowthError) as want:
             cell_forward(RS, t, t, y, color_pair(None, vcols[time]) if y != t else None, color)

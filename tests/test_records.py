@@ -1,4 +1,4 @@
-"""The bytes records of oracle.Records against the Shape-chain reference:
+"""The bytes records of the oracle against the Shape-chain reference:
 check_bijection must give the same report, witness texts and all, as the
 check keyed by chains of shapes in oracle_reference."""
 
@@ -8,8 +8,10 @@ import oracle_reference
 from growthkit.catalog import AlgorithmSpec, get_algorithm, list_algorithms
 from growthkit.growth import extract_P, extract_Q, run_growth
 from growthkit.insdiag import alpha_arrow, bump_arrow, diagram
-from growthkit.lattice import Geometry, canonical, deletion_points, insertion_points
-from growthkit.oracle import Records, _pair_order, _pair_text, check_bijection, sweep
+from growthkit.lattice import Point, deletion_points, insertion_points
+from growthkit.oracle import (
+    _pair_order, _pair_text, _step, check_bijection, nodes_record, pair_record, sweep,
+)
 from growthkit.wdgg import BUILTIN_INSTANTIATIONS
 from catalog_reference import rule_of
 from test_sweep import _color_blind, _overcolored
@@ -88,11 +90,10 @@ def _cells(record):
 @pytest.mark.parametrize("name", ["rs-row", "left-right", "worley-sagan", "double-circle"])
 def test_tableaux_record_is_p_then_q_by_value(name):
     alg = get_algorithm(name)
-    records = Records()
 
     def visit(leaf):
         g = run_growth(alg, leaf.gp())
-        record = records.tableaux(leaf)
+        record = pair_record(leaf)
         for half, t in ((record[:len(record) // 2], extract_P(g)),
                         (record[len(record) // 2:], extract_Q(g))):
             by_value = sorted(t.cells, key=lambda cell: cell[1])
@@ -103,7 +104,6 @@ def test_tableaux_record_is_p_then_q_by_value(name):
 
 def test_nodes_record_reads_columns_or_rows():
     alg = get_algorithm("rs-row")
-    records = Records()
 
     def visit(leaf):
         g = leaf.growth()
@@ -119,17 +119,16 @@ def test_nodes_record_reads_columns_or_rows():
                    for i in range(1, size + 1) for j in range(1, size + 1)]
         rows = [steps(g.node(i - 1, j), g.node(i, j))
                 for j in range(1, size + 1) for i in range(1, size + 1)]
-        assert _cells(records.nodes(leaf)) == columns
-        assert _cells(records.nodes(leaf, by_rows=True)) == rows
+        assert _cells(nodes_record(leaf)) == columns
+        assert _cells(nodes_record(leaf, by_rows=True)) == rows
 
     sweep(alg, [3], visit)
 
 
 def test_a_step_that_adds_no_box_is_zero():
-    empty, one = canonical(Geometry.QUADRANT, ()), canonical(Geometry.QUADRANT, (1,))
-    records = Records()
-    assert records.chain([empty, empty, one], [None, 2]) == bytes((0, 0, 0, 1, 1, 2))
-    assert records.chain([empty, one], [None]) == bytes((1, 1, 0))
+    one = Point(1, 1)
+    assert _step(None, None) + _step(one, 2) == bytes((0, 0, 0, 1, 1, 2))
+    assert _step(one, None) == bytes((1, 1, 0))
 
 
 @pytest.mark.parametrize("name,n", [("rs-row", 4), ("left-right", 3), ("double-circle", 3),
@@ -138,8 +137,7 @@ def test_witness_text_and_order_equal_the_reference(name, n):
     """Every leaf's record gives the text its Shape chains give, and the
     records sort as the chains do."""
     alg = get_algorithm(name)
-    records = Records()
-    _, pairs = sweep(alg, [n], lambda leaf: (records.tableaux(leaf),
+    _, pairs = sweep(alg, [n], lambda leaf: (pair_record(leaf),
                                              oracle_reference._image_entry(leaf)[0]))
     for record, chains in pairs:
         assert _pair_text(record) == oracle_reference._pair_text(chains)

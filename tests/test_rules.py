@@ -34,7 +34,8 @@ from growthkit.growth import (
 )
 from growthkit.insdiag import ALPHA, DiagramError, TableRule, color_pair, validate
 from growthkit.lattice import (
-    Below, Geometry, Point, Shape, added_box, insertion_points, shapes_of_size, shapes_up_to,
+    Below, Geometry, Point, Shape, added_box, deletion_points, insertion_points, shapes_of_size,
+    shapes_up_to,
 )
 from growthkit.oracle import check_bijection
 from growthkit.wdgg import BUILTIN_INSTANTIATIONS
@@ -247,6 +248,32 @@ def test_lookup_is_the_search_on_every_unshifted_1_table():
     valid = [(a, b) for a in ALPHA_SIDES for b in BUMP_SIDES
              if _lookup_is_the_search(TableRule({1: (a, _11), _11: (b, _11)}), UNSHIFTED_1)]
     assert valid == [(FIRST, SW), (LAST, NE)]    # rs-row and rs-col
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["last-first", "first-last"])
+def test_first_and_last_bump_sides_invert_on_rectangles(transposed):
+    """A rectangle has one deletion point, so entering at the last insertion
+    point and bumping to the first (or, transposed, the other way round)
+    gives valid diagrams, and only through them do the lookup's
+    FIRST.sources and LAST.sources meet a bump."""
+    _11 = color_pair(1, 1)
+    alg = AlgorithmSpec("last-first", UNSHIFTED_1, TableRule({1: (LAST, _11), _11: (FIRST, _11)}),
+                        "")
+    if transposed:
+        alg = transpose_dual(alg)
+    rule, inst = alg.rule, alg.instantiation
+    pairs = [color_pair(a, b) for a in range(1, 4) for b in range(1, 4)]
+    rectangles = [shape for shape in shapes_up_to(inst.geometry, MAX_SIZE)
+                  if len(deletion_points(shape)) == 1]
+    assert len(rectangles) == 35    # a x b for each divisor a of each size
+    for shape in rectangles:
+        assert validate(inst, alg.generator(shape)).ok, shape
+        view = Below(inst.geometry, _row_by_row(shape), shape.size + 1)
+        for q in insertion_points(shape):
+            for out in pairs:
+                want = SearchRule.unbump(rule, inst, shape, q, out)
+                assert rule.unbump(inst, shape, q, out) == want, (shape, q, out)
+                assert rule.unbump(inst, view, q, out) == want, (shape, q, out)
 
 
 @st.composite

@@ -8,10 +8,10 @@ from math import factorial, perm
 
 import pytest
 
-from growthkit import lattice, oracle
+from growthkit import growth, lattice, oracle
 from growthkit.catalog import AlgorithmSpec, get_algorithm, list_algorithms
 from growthkit.duality import (
-    InversionColorMap, check_inversion_duality, check_transpose_duality,
+    InversionColorMap, check_inversion_duality, check_inversion_nodes, check_transpose_duality,
     transpose_dual,
 )
 from growthkit.growth import run_growth
@@ -104,6 +104,35 @@ def test_sweep_compares_boxes_by_value(monkeypatch, name):
     monkeypatch.setattr(lattice, "_point", Point)
     assert lattice._point(1, 1) is not lattice._point(1, 1)
     assert check_bijection(dataclasses.replace(get_algorithm(name)), 5) == want
+
+
+def _fresh(name):
+    """The catalog algorithm with an empty move memo."""
+    return dataclasses.replace(get_algorithm(name))
+
+
+def _works_out_a_box(lower, upper):
+    raise AssertionError(f"a sweep worked out the box between {lower} and {upper}")
+
+
+def test_no_sweep_works_a_box_out_from_shapes(monkeypatch):
+    """Every record is read off the boxes the columns carry: with added_box
+    raising wherever it can be reached, the reports are the same."""
+    runs = [
+        lambda: check_bijection(_fresh("rs-row"), 5),
+        lambda: check_bijection(_fresh("left-right"), 4),
+        lambda: check_bijection(_fresh("worley-sagan"), 5),
+        lambda: check_inversion_duality(_fresh("left-right"), _fresh("mixed"), 3),
+        lambda: check_inversion_duality(_fresh("double-circle"), _fresh("double-circle"), 3),
+        lambda: check_inversion_duality(_fresh("shifted-column"), _fresh("shifted-column"), 3),
+        lambda: check_transpose_duality(_fresh("rs-row"), _fresh("rs-col"), n=3),
+        lambda: check_inversion_nodes(_fresh("rs-row"), 5),
+    ]
+    want = [run() for run in runs]
+    for module in (lattice, growth, oracle):
+        monkeypatch.setattr(module, "added_box", _works_out_a_box, raising=False)
+    assert [run() for run in runs] == want
+    assert all(report.ok for report in want)
 
 
 def test_wrong_pairing_reports_are_not_empty():
