@@ -188,13 +188,14 @@ class AlgorithmSpec:
         deletion point and its color pair) on shape, its out colors, and the
         box it fills.
 
-        This is the grid engine's memo (the sweeps, a growth's grid): one
-        dict per shape of the arrows followed on it, each asked of the rule
-        on its first lookup, for the life of the algorithm object.  A target
-        that is not an insertion point raises at every lookup of its arrow
-        and is not stored.  A sweep's forked worker processes start from a
-        copy of the memo and fill their own.  There is no lock: rules are
-        pure, so two threads that miss at once store equal moves."""
+        This is the grid engine's memo (a growth's grid, and the tables of
+        numbered moves the sweeps fill from it): one dict per shape of the
+        arrows followed on it, each asked of the rule on its first lookup,
+        for the life of the algorithm object.  A target that is not an
+        insertion point raises at every lookup of its arrow and is not
+        stored.  A sweep's forked worker processes start from a copy of the
+        memo and fill their own.  There is no lock: rules are pure, so two
+        threads that miss at once store equal moves."""
         moves = self._cache.get(shape)
         if moves is None:
             if shape.geometry is not self.geometry:

@@ -23,6 +23,13 @@ back to shapes.  The six-case rule of one cell, which the walk takes a
 column at a time, is kept as the tests' reference
 (``tests/growth_reference.py``).
 
+The walk is passed its arrows and joins (``Moves``), and works on whatever
+they take and give.  A growth's grid passes Shapes and Points
+(``shape_moves``: the algorithm's memo of the moves its rule answered,
+``follow``, and ``lattice.join``), since a grid may meet more shapes than
+are worth numbering.  A sweep passes the numbers of its per-sweep table
+(``oracle``), so its columns hold ints.
+
 ``run_growth`` and ``invert_growth`` visit the insertion and bump cells
 only, time by time, with P as a box -> (value, color) map and each row's
 values in order, and ask the algorithm's local rule for the one arrow each
@@ -31,9 +38,7 @@ corners it needs straight from P's rows (``lattice.Below``: a few
 ``bisect``s per arrow, whatever the size of P), so no event builds a
 ``Shape``; a table rule also inverts by lookup.  The diagram ``run_growth``
 returns carries P and Q, and builds its grid by the ``border_column`` +
-``grow_column`` fold the sweeps use when first read.  The walk reads its
-arrows from the algorithm's memo of the moves its rule answered
-(``follow``), each with the box it fills.
+``grow_column`` fold when first read, with the walk the sweeps use.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from bisect import insort
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .insdiag import color_pair
 from .lattice import Below, Geometry, Point, Shape, added_box, empty_shape, join
@@ -182,12 +187,12 @@ class GrowthDiagram:
             if (self.n + 1) * (self.m + 1) > GRID_CELLS:
                 raise GrowthError(f"a {self.n + 1} x {self.m + 1} growth grid has more "
                                   f"than {GRID_CELLS} cells")
-            alg = self._run[0]
+            moves = shape_moves(self._run[0])
             entry_of = {i: (j, c) for i, j, c in self.alphas.entries}
-            column = border_column(alg, self.m)
+            column = border_column(moves, self.m)
             columns = [column[:3]]      # the boxes are kept for the next column only
             for i in range(1, self.n + 1):
-                column = grow_column(alg, i, column, *entry_of.get(i, (0, 0)))
+                column = grow_column(moves, i, column, *entry_of.get(i, (0, 0)))
                 columns.append(column[:3])
             self._grid = tuple(zip(*columns))
         return self._grid
@@ -244,24 +249,52 @@ class GrowthDiagram:
                     raise GrowthError(f"v-edge color mismatch at ({i},{j})")
 
 
-Column = tuple[tuple[Shape, ...], tuple[Optional[int], ...], tuple[Optional[int], ...],
-               tuple[Optional[Point], ...], tuple[Optional[Point], ...]]
+Column = tuple[tuple, tuple[Optional[int], ...], tuple[Optional[int], ...], tuple, tuple]
 
 
-def border_column(alg, m: int) -> Column:
+class Moves(NamedTuple):
+    """All the column walk asks of the lattice and the algorithm, over
+    shapes and points in the grid fold (``shape_moves``) or over their
+    numbers in a sweep (``oracle``'s per-sweep table).
+
+    ``r`` bounds the alpha colors, and ``bottom`` is the empty shape.
+    ``follow(x, color)`` is the alpha arrow of that color on x, and
+    ``bump(x, box, g1, g2)`` the arrow out of x's deletion point ``box`` with
+    colors (g1, g2), each as (the shape grown, its out ColorPair, the box it
+    fills).  ``join(x, y)`` is the least upper bound of two shapes."""
+
+    r: int
+    bottom: object
+    follow: Callable
+    bump: Callable
+    join: Callable
+
+
+def shape_moves(alg) -> Moves:
+    """The walk over Shapes and Points: the algorithm's memo of moves
+    (``AlgorithmSpec.follow``) and ``lattice.join``, for a grid of any
+    size."""
+    follow = alg.follow
+    return Moves(alg.instantiation.r, empty_shape(alg.geometry), follow,
+                 lambda x, box, g1, g2: follow(x, (box, color_pair(g1, g2))), join)
+
+
+def border_column(moves: Moves, m: int) -> Column:
     """Column 0 of an m-tall growth: empty shapes, no colors, no boxes."""
     none = (None,) * (m + 1)
-    return (empty_shape(alg.geometry),) * (m + 1), none, none, none, none
+    return (moves.bottom,) * (m + 1), none, none, none, none
 
 
-def grow_column(alg, i: int, west: Column, time: int, color: int) -> Column:
+def grow_column(moves: Moves, i: int, west: Column, time: int, color: int) -> Column:
     """Column i of a growth from column i - 1, with value i inserted at
     ``time`` in ``color`` (time 0: value i is absent).  A column is its
     (nodes, hcolors, vcolors, boxes, hboxes) at j = 0..m, the first three
     laid out as in GrowthDiagram.  boxes[j] is the box added between
     nodes[j - 1] and nodes[j] (Q's step at time j), hboxes[j] the one added
     between the west column's nodes[j] and nodes[j] (value i's box at
-    height j; P's step at j = m), each None where there is none.
+    height j; P's step at j = m), each None where there is none.  Nodes and
+    boxes are what ``moves`` works on: Shapes and Points in the grid fold,
+    their numbers in a sweep; colors are ints either way.
 
     The walk follows value i up the column, keeping its box.  Below
     ``time`` the column is the west column, its nodes, descending colors and
@@ -269,40 +302,36 @@ def grow_column(alg, i: int, west: Column, time: int, color: int) -> Column:
     value i follows its alpha arrow.  Above it, where the west column gains
     a box, the box lands either on value i's, which is bumped and follows its
     bump arrow, or elsewhere, and the two boxes join, passing the colors and
-    the west box on.  The memo's entry names the box each arrow fills, so no
-    box is worked out from shapes.  Boxes compare by value: equal points
-    need not be one object."""
+    the west box on.  Each arrow names the box it fills, so no box is worked
+    out from shapes.  Boxes compare by value: equal points need not be one
+    object."""
     west_nodes, _, west_v, west_boxes, _ = west
     m = len(west_nodes) - 1
     if not 1 <= time <= m:
         none = (None,) * (m + 1)
         return west_nodes, none, west_v, west_boxes, none
-    nodes, hcolors, hboxes = list(west_nodes[:time]), [None] * time, [None] * time
-    vcolors, boxes = list(west_v), list(west_boxes)
-    r, j = alg.instantiation.r, time
+    nodes, vcolors, boxes = list(west_nodes), list(west_v), list(west_boxes)
+    hcolors, hboxes = [None] * (m + 1), [None] * (m + 1)
+    bump, join, j = moves.bump, moves.join, time
     try:
         t = west_nodes[j - 1]
         if west_boxes[j] is not None:
             raise GrowthError(f"alpha={color} requires t = x = y; got t={t} x={t} "
                               f"y={west_nodes[j]} (malformed generalized permutation)")
-        if not 1 <= color <= r:
-            raise GrowthError(f"alpha color {color} out of range [1,{r}]")
-        x, b, a = alg.follow(t, color)
+        if not 1 <= color <= moves.r:
+            raise GrowthError(f"alpha color {color} out of range [1,{moves.r}]")
+        x, b, a = moves.follow(t, color)
         h, vcolors[j], boxes[j] = b.g1, b.g2, a
-        nodes.append(x)
-        hcolors.append(h)
-        hboxes.append(a)
+        nodes[j], hcolors[j], hboxes[j] = x, h, a
         for j in range(time + 1, m + 1):
             w = west_boxes[j]
             if w is not None:
                 if w == a:
-                    x, b, a = alg.follow(x, (a, color_pair(h, west_v[j])))
+                    x, b, a = bump(x, a, h, west_v[j])
                     h, vcolors[j], boxes[j] = b.g1, b.g2, a
                 else:
                     x = join(x, west_nodes[j])
-            nodes.append(x)
-            hcolors.append(h)
-            hboxes.append(a)
+            nodes[j], hcolors[j], hboxes[j] = x, h, a
     except ValueError as e:
         raise GrowthError(f"cell ({i},{j}): {e}") from None
     return tuple(nodes), tuple(hcolors), tuple(vcolors), tuple(boxes), tuple(hboxes)

@@ -8,20 +8,32 @@ values 1..i sit (restriction coherence), so inputs that agree on values
 new column and adds one step to P's half of the record.  Records are
 compact bytes, three per step, and every step is read off the boxes the
 columns carry (``growth.grow_column``), none worked out from two shapes.
+
+A sweep of size n meets only the shapes of size <= n, a finite part of the
+lattice.  Each ``sweep`` call numbers the shapes and boxes it meets in one
+table (``_Table``), and the column walk runs on those numbers: its joins
+and moves are looked up by ints, each worked out once per sweep from
+``lattice.join`` and ``AlgorithmSpec.follow``, and each step's bytes come
+from a (box, color) table.  A leaf maps its numbers back to shapes only
+when asked for its growth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import permutations, product
+from itertools import chain, permutations, product, repeat
 from operator import itemgetter
+from typing import Optional
 
 from .growth import (
-    ColoredTableau, GeneralizedPermutation, GrowthDiagram, border_column,
+    ColoredTableau, GeneralizedPermutation, GrowthDiagram, Moves, border_column,
     grow_column,
 )
-from .lattice import Shape, deletion_points, remove_box, shapes_of_size
+from .insdiag import color_pair
+from .lattice import (
+    Point, Shape, deletion_points, empty_shape, join, remove_box, shapes_of_size,
+)
 from .wdgg import Channel, Instantiation
 
 
@@ -81,29 +93,87 @@ def _word_gp(n: int, word) -> GeneralizedPermutation:
         n, n, frozenset((i, t, c) for i, (t, c) in enumerate(word, start=1)))
 
 
+def _box(p: Point) -> int:
+    """A box as a sweep numbers it: row * 256 + column."""
+    return p.row << 8 | p.col
+
+
+class _Steps(dict):
+    """(box, color) -> the three bytes of the step that adds box in color:
+    the box's row and column and the color, (0, 0, 0) if it adds no box
+    (None), and color 0 where there is no color.  Filled on first use."""
+
+    def __missing__(self, key):
+        box, color = key
+        step = self[key] = bytes(3) if box is None else bytes((box >> 8, box & 255, color or 0))
+        return step
+
+
+class _Table:
+    """The part of the lattice one sweep meets, as numbers: what the sweep's
+    column walk is passed (``moves``, a growth.Moves), and the steps of its
+    records.  A sweep of size n meets few shapes (45 quadrant shapes up to
+    size 7), so each is numbered on first sight, ``shapes`` maps a number
+    back to its canonical Shape, and a box is ``_box`` of its point.  The
+    walk's joins and moves are memoized by their numbers, a move filled on
+    its first lookup from ``AlgorithmSpec.follow`` and a join from
+    ``lattice.join``; no lookup hashes a Shape, Point or ColorPair.  One
+    table serves one ``sweep`` call, and its forked workers fill their own
+    copies."""
+
+    __slots__ = ("moves", "shapes", "steps")
+
+    def __init__(self, alg):
+        shapes, numbers = [], {}
+
+        def number(shape):
+            x = numbers.get(shape)
+            if x is None:
+                x = numbers[shape] = len(shapes)
+                shapes.append(shape)
+            return x
+
+        def move(x, key):
+            shape, out, box = alg.follow(shapes[x], key)
+            return number(shape), out, _box(box)
+
+        self.shapes, self.steps = shapes, _Steps()
+        self.moves = Moves(
+            alg.instantiation.r, number(empty_shape(alg.geometry)),
+            cache(move),
+            cache(lambda x, box, g1, g2: move(
+                x, (Point(box >> 8, box & 255), color_pair(g1, g2)))),
+            cache(lambda x, y: number(join(shapes[x], shapes[y]))))
+
+
 class SweepLeaf:
     """One full input of a sweep, with its growth.
 
     ``word[i - 1]`` is the (time, color) of value i, ``columns[i]`` is
-    column i of the growth, as growth.grow_column returns it, and ``p`` is
-    P's half of the leaf's record.  Each tree node pushes its value onto
-    all three and pops it on leaving, so P's steps are built once per node,
-    not once per leaf.  The sweep reuses this object from leaf to leaf, so
-    read them during the visit only; the columns themselves may be kept.
+    column i of the growth over the numbers of the sweep's ``table``, as
+    growth.grow_column returns it (``growth()`` maps them back to shapes),
+    and ``p`` is P's half of the leaf's record.  Each tree node pushes its
+    value onto all three and pops it on leaving, so P's steps are built
+    once per node, not once per leaf.  The sweep reuses this object from
+    leaf to leaf, so read them during the visit only; the columns
+    themselves may be kept.  The grid is n x n unless m is given, as for a
+    partial input pushed by hand (time 0: the value is absent), whose
+    ``gp`` and ``growth`` are not defined.
     """
 
-    __slots__ = ("n", "word", "columns", "p")
+    __slots__ = ("n", "table", "word", "columns", "p")
 
-    def __init__(self, n: int, word: list, columns: list):
-        self.n, self.word, self.columns, self.p = n, word, columns, bytearray()
+    def __init__(self, table: _Table, n: int, m: Optional[int] = None):
+        self.n, self.table, self.word, self.p = n, table, [], bytearray()
+        self.columns = [border_column(table.moves, n if m is None else m)]
 
-    def push(self, alg, time: int, color: int) -> None:
+    def push(self, time: int, color: int) -> None:
         """Place the next value at (time, color): grow its column, and add
         the box it adds to the north edge, with that edge's color, to P."""
         self.word.append((time, color))
-        column = grow_column(alg, len(self.word), self.columns[-1], time, color)
+        column = grow_column(self.table.moves, len(self.word), self.columns[-1], time, color)
         self.columns.append(column)
-        self.p += _step(column[4][-1], column[1][-1])
+        self.p += self.table.steps[column[4][-1], column[1][-1]]
 
     def pop(self) -> None:
         self.word.pop()
@@ -114,16 +184,18 @@ class SweepLeaf:
         return _word_gp(self.n, self.word)
 
     def growth(self) -> GrowthDiagram:
-        nodes, hcols, vcols, _, _ = zip(*self.columns)
+        shape = self.table.shapes.__getitem__
+        nodes = tuple(tuple(map(shape, column[0])) for column in self.columns)
+        _, hcols, vcols, _, _ = zip(*self.columns)
         return GrowthDiagram(self.n, self.n, nodes, hcols, vcols, self.gp())
 
 
-def _sweep_branch(alg, size: int, branch: int, visit) -> tuple[int, list]:
+def _sweep_branch(table: _Table, size: int, branch: int, visit) -> tuple[int, list]:
     """Visit the inputs of one size whose value 1 takes the branch-th
     (time, color) placement: their number, and the visits' non-None results
     in sweep order."""
-    colors = range(1, alg.instantiation.r + 1)
-    leaf = SweepLeaf(size, [], [border_column(alg, size)])
+    colors = range(1, table.moves.r + 1)
+    leaf = SweepLeaf(table, size)
     if size == 0:
         got = visit(leaf)
         return 1, [] if got is None else [got]
@@ -133,7 +205,7 @@ def _sweep_branch(alg, size: int, branch: int, visit) -> tuple[int, list]:
     def place(time, color, free):
         # one tree node: value len(leaf.word) + 1 goes to (time, color)
         nonlocal count
-        leaf.push(alg, time, color)
+        leaf.push(time, color)
         if free:
             for k, t in enumerate(free):
                 rest = free[:k] + free[k + 1:]
@@ -151,15 +223,15 @@ def _sweep_branch(alg, size: int, branch: int, visit) -> tuple[int, list]:
     return count, results
 
 
-# The sweep in progress: (alg, visit, branches, stride).  It is set before
+# The sweep in progress: (table, visit, branches, stride).  It is set before
 # the worker processes fork, so they inherit it and nothing in it needs to
-# pickle (visits are closures, specs may hold closures).
+# pickle (visits are closures, specs and tables hold closures).
 _SWEEP = None
 
 
 def _run_shard(k: int) -> list[tuple[int, list]]:
-    alg, visit, branches, stride = _SWEEP
-    return [_sweep_branch(alg, size, b, visit) for size, b in branches[k::stride]]
+    table, visit, branches, stride = _SWEEP
+    return [_sweep_branch(table, size, b, visit) for size, b in branches[k::stride]]
 
 
 def _fork_context():
@@ -177,18 +249,19 @@ def sweep(alg, sizes, visit, workers: int = 1) -> tuple[int, list]:
     Inputs come by size, then depth-first by value: value 1's time and
     color, then value 2's, and so on, each tree node growing one column.
     Returns the number of inputs and the visits' non-None results in that
-    order.  With workers > 1 the (size, value-1 placement) branches are dealt
-    round-robin to that many forked processes, each with its own copy of the
-    move memos, and the results are merged back in order, so they do not
-    depend on the worker count.  Where fork is unavailable the sweep runs in
-    this process.
+    order.  The columns are grown over one table of numbered shapes and
+    boxes (``_Table``), built here for this call.  With workers > 1 the
+    (size, value-1 placement) branches are dealt round-robin to that many
+    forked processes, each with its own copy of the table, and the results
+    are merged back in order, so they do not depend on the worker count.
+    Where fork is unavailable the sweep runs in this process.
     """
     global _SWEEP
     branches = [(size, b) for size in sizes
                 for b in range(size * alg.instantiation.r or 1)]
     context = _fork_context() if workers > 1 and len(branches) > 1 else None
     stride = min(workers, len(branches)) if context else 1
-    _SWEEP = (alg, visit, branches, stride)
+    _SWEEP = (_Table(alg), visit, branches, stride)
     try:
         if context:
             from concurrent.futures import ProcessPoolExecutor
@@ -210,25 +283,19 @@ def _rank(word, r: int) -> int:
     """The index of ``word`` among the inputs of its size in sweep order: a
     mixed-radix number whose digit for value i is its placement, the number
     of times still free before its time, times r, plus its color - 1."""
-    rank = 0
-    for i, (t, c) in enumerate(word):
-        earlier = sum(1 for u, _ in word[:i] if u < t)
-        rank = (rank * (len(word) - i) + t - 1 - earlier) * r + c - 1
+    free, rank = list(range(1, len(word) + 1)), 0
+    for t, c in word:
+        k = free.index(t)
+        rank = (rank * len(free) + k) * r + c - 1
+        del free[k]
     return rank
-
-
-def _step(box, color) -> bytes:
-    """A step's three bytes: the row, column and color of the box it adds,
-    (0, 0, 0) if it adds none (box None), and color 0 where there is no
-    color."""
-    return bytes((box.row, box.col, color or 0)) if box else bytes(3)
 
 
 def pair_record(leaf: SweepLeaf) -> bytes:
     """The leaf's (P, Q) pair: the steps of P (the north edge) by value,
     then of Q (the east column, its boxes and descending colors) by time."""
     _, _, colors, boxes, _ = leaf.columns[-1]
-    return b"".join([leaf.p, *map(_step, boxes[1:], colors[1:])])
+    return b"".join([leaf.p, *map(leaf.table.steps.__getitem__, zip(boxes[1:], colors[1:]))])
 
 
 def tableau_record(t: ColoredTableau) -> bytes:
@@ -243,7 +310,8 @@ def nodes_record(leaf: SweepLeaf, by_rows: bool = False) -> bytes:
     1..n from west to east (each column's hboxes at that height)."""
     columns = leaf.columns[1:]
     lines = zip(*(c[4][1:] for c in columns)) if by_rows else (c[3][1:] for c in columns)
-    return b"".join(_step(box, None) for line in lines for box in line)
+    return b"".join(map(leaf.table.steps.__getitem__,
+                        zip(chain.from_iterable(lines), repeat(None))))
 
 
 def _pair_text(record: bytes) -> str:

@@ -13,7 +13,7 @@ from typing import Optional
 
 from growthkit.growth import (
     ColoredTableau, GeneralizedPermutation, GrowthDiagram, GrowthError,
-    border_column, grow_column,
+    border_column, grow_column, shape_moves,
 )
 from growthkit.insdiag import ColorPair, color_pair
 from growthkit.lattice import (
@@ -41,10 +41,11 @@ def fold_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
     """Every cell of the growth, grown column by column from the west border;
     a diagram built from its grid, so extract_P/extract_Q read the grid."""
     entry_of = {i: (j, c) for i, j, c in gp.entries}
-    columns = [border_column(alg, gp.m)]
+    moves = shape_moves(alg)
+    columns = [border_column(moves, gp.m)]
     for i in range(1, gp.n + 1):
         time, color = entry_of.get(i, (0, 0))
-        columns.append(grow_column(alg, i, columns[-1], time, color))
+        columns.append(grow_column(moves, i, columns[-1], time, color))
     nodes, hcols, vcols, _, _ = zip(*columns)
     return GrowthDiagram(gp.n, gp.m, nodes, hcols, vcols, gp)
 

@@ -19,11 +19,9 @@ def _image_entry(leaf):
     """The leaf's (P, Q) key and its word.  P is the north edge and Q the
     east column, each as a chain: the shapes at 0..n and the colors of the
     edges into them (None into the first)."""
-    m = leaf.n
-    columns = leaf.columns
-    east = columns[-1]
-    p = (tuple(c[0][m] for c in columns), tuple(c[1][m] for c in columns))
-    return (p, (east[0], east[2])), tuple(leaf.word)
+    m, g = leaf.n, leaf.growth()
+    p = (tuple(c[m] for c in g.nodes), tuple(c[m] for c in g.hcolors))
+    return (p, (g.nodes[-1], g.vcolors[-1])), tuple(leaf.word)
 
 
 def _chain_key(t):

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's row-length arithmetic: maximal and
 cominimal points are found by scanning covers of explicit point sets, so the
-fast implementations can be checked against them.
+fast implementations can be checked against them.  ``sweep_rank`` is the
+direct formula for an input's index in sweep order, the reference for
+``oracle._rank``.
 """
 
 from growthkit.lattice import Geometry, Point
@@ -50,3 +52,14 @@ def brute_alternation(boxes: set[Point], geometry: Geometry) -> list[tuple[str, 
     points = ([("+", p) for p in brute_cominimal(boxes, geometry)]
               + [("-", p) for p in brute_maximal(boxes, geometry)])
     return sorted(points, key=lambda kp: (kp[1].row, -kp[1].col))
+
+
+def sweep_rank(word, r: int) -> int:
+    """The index of ``word`` in sweep order: value i's digit is its color - 1
+    plus r times the number of times before its own that no earlier value
+    took."""
+    rank = 0
+    for i, (t, c) in enumerate(word):
+        earlier = sum(1 for u, _ in word[:i] if u < t)
+        rank = (rank * (len(word) - i) + t - 1 - earlier) * r + c - 1
+    return rank

@@ -7,11 +7,11 @@ from growthkit import lattice
 from growthkit.catalog import AlgorithmSpec, get_algorithm, list_algorithms
 from growthkit.growth import (
     ColoredTableau, GeneralizedPermutation, GrowthError, border_column, grow_column,
-    extract_P, extract_Q, invert_growth, restrict, run_growth,
+    extract_P, extract_Q, invert_growth, restrict, run_growth, shape_moves,
 )
 from growthkit.insdiag import ALPHA, ColorPair, color_pair, diagram
 from growthkit.lattice import Geometry, Point, Shape, added_box, empty_shape
-from growthkit.oracle import SweepLeaf, _step, enumerate_gps, pair_record
+from growthkit.oracle import SweepLeaf, _box, _Steps, _Table, enumerate_gps, pair_record
 from growthkit.render import parse_gp, parse_tableau
 from figures import FIGURES
 from catalog_reference import rule_of
@@ -333,6 +333,24 @@ def _grid_by_cells(alg, gp):
     return tuple(tuple(zip(*grid)) for grid in zip(*rows))
 
 
+def _numbered_leaf(alg, gp):
+    """gp's growth as a sweep grows it: pushed value by value onto a leaf
+    over a new table of numbered shapes."""
+    entry_of = {i: (j, c) for i, j, c in gp.entries}
+    leaf = SweepLeaf(_Table(alg), gp.n, gp.m)
+    for i in range(1, gp.n + 1):
+        leaf.push(*entry_of.get(i, (0, 0)))
+    return leaf
+
+
+def _shape_column(table, column):
+    """A sweep's column with its Shapes and Points in place of numbers."""
+    point = lambda box: None if box is None else Point(box >> 8, box & 255)
+    nodes, hcolors, vcolors, boxes, hboxes = column
+    return (tuple(table.shapes[x] for x in nodes), hcolors, vcolors,
+            tuple(map(point, boxes)), tuple(map(point, hboxes)))
+
+
 class TestColumnWalk:
     """grow_column walks value i up column i; cell by cell, the six-case
     rule must give the same grid."""
@@ -351,17 +369,15 @@ class TestColumnWalk:
         nodes[j], and the record built from the boxes equals the one built
         from shapes."""
         alg = get_algorithm(name)
+        steps = _Steps()
 
         def chain(shapes, colors):
-            return b"".join(_step(lo != hi and added_box(lo, hi), c)
+            return b"".join(steps[_box(added_box(lo, hi)) if lo != hi else None, c]
                             for lo, hi, c in zip(shapes, shapes[1:], colors))
 
         for gp in _walk_inputs(alg):
-            entry_of = {i: (j, c) for i, j, c in gp.entries}
-            leaf = SweepLeaf(gp.n, [], [border_column(alg, gp.m)])
-            for i in range(1, gp.n + 1):
-                leaf.push(alg, *entry_of.get(i, (0, 0)))
-            columns, m = leaf.columns, gp.m
+            leaf = _numbered_leaf(alg, gp)
+            columns, m = [_shape_column(leaf.table, c) for c in leaf.columns], gp.m
             for nodes, _, _, boxes, _ in columns:
                 assert boxes == (None,) + tuple(
                     None if lo == hi else added_box(lo, hi) for lo, hi in zip(nodes, nodes[1:]))
@@ -373,6 +389,22 @@ class TestColumnWalk:
             assert record[:3 * gp.n] == chain([c[0][m] for c in columns],
                                               [c[1][m] for c in columns[1:]])
             assert record[3 * gp.n:] == chain(east, colors[1:])
+
+    @pytest.mark.parametrize("name", sorted(list_algorithms()))
+    def test_a_sweep_column_maps_back_to_the_folds(self, name):
+        """A sweep grows its columns over numbered shapes and boxes; mapped
+        back, each equals the column the walk grows over Shapes and Points,
+        field by field."""
+        alg = get_algorithm(name)
+        moves = shape_moves(alg)
+        for gp in _walk_inputs(alg):
+            entry_of = {i: (j, c) for i, j, c in gp.entries}
+            fold = [border_column(moves, gp.m)]
+            for i in range(1, gp.n + 1):
+                fold.append(grow_column(moves, i, fold[-1], *entry_of.get(i, (0, 0))))
+            leaf = _numbered_leaf(alg, gp)
+            assert [_shape_column(leaf.table, c) for c in leaf.columns] == fold, \
+                sorted(gp.entries)
 
     def test_a_fold_compares_boxes_by_value(self, monkeypatch):
         """Equal points need not be one object: with a new Point from every
@@ -391,13 +423,14 @@ class TestColumnWalk:
                              ids=["west-gains-a-box", "color-out-of-range"])
     def test_guards_fail_as_the_cell_rule_does(self, time, color):
         # value 1 entered at time 1, so value 2 cannot enter then
-        west = grow_column(RS, 1, border_column(RS, 2), 1, 1)
+        moves = shape_moves(RS)
+        west = grow_column(moves, 1, border_column(moves, 2), 1, 1)
         nodes, _, vcols, _, _ = west
         t, y = nodes[time - 1], nodes[time]
         with pytest.raises(GrowthError) as want:
             cell_forward(RS, t, t, y, color_pair(None, vcols[time]) if y != t else None, color)
         with pytest.raises(GrowthError) as got:
-            grow_column(RS, 2, west, time, color)
+            grow_column(moves, 2, west, time, color)
         assert str(got.value) == f"cell (2,{time}): {want.value}"
 
 

@@ -10,7 +10,7 @@ from growthkit.growth import extract_P, extract_Q, run_growth
 from growthkit.insdiag import alpha_arrow, bump_arrow, diagram
 from growthkit.lattice import Point, deletion_points, insertion_points
 from growthkit.oracle import (
-    _pair_order, _pair_text, _step, check_bijection, nodes_record, pair_record, sweep,
+    _box, _pair_order, _pair_text, _Steps, check_bijection, nodes_record, pair_record, sweep,
 )
 from growthkit.wdgg import BUILTIN_INSTANTIATIONS
 from catalog_reference import rule_of
@@ -126,9 +126,9 @@ def test_nodes_record_reads_columns_or_rows():
 
 
 def test_a_step_that_adds_no_box_is_zero():
-    one = Point(1, 1)
-    assert _step(None, None) + _step(one, 2) == bytes((0, 0, 0, 1, 1, 2))
-    assert _step(one, None) == bytes((1, 1, 0))
+    steps, one = _Steps(), _box(Point(1, 1))
+    assert steps[None, None] + steps[one, 2] == bytes((0, 0, 0, 1, 1, 2))
+    assert steps[one, None] == bytes((1, 1, 0))
 
 
 @pytest.mark.parametrize("name,n", [("rs-row", 4), ("left-right", 3), ("double-circle", 3),

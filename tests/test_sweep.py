@@ -4,6 +4,8 @@ that do not depend on the worker count."""
 
 import dataclasses
 import os
+from collections import Counter
+from itertools import permutations, product
 from math import factorial, perm
 
 import pytest
@@ -20,6 +22,7 @@ from growthkit.lattice import Point, deletion_points, insertion_points
 from growthkit.oracle import check_bijection, enumerate_gps, sweep
 from growthkit.wdgg import BUILTIN_INSTANTIATIONS
 from catalog_reference import rule_of
+from oracles import sweep_rank
 
 
 def _sizes(alg):
@@ -219,3 +222,26 @@ def test_rank_is_the_sweep_index(name):
     for n in range(5):
         count, ranks = sweep(alg, [n], lambda leaf: oracle._rank(leaf.word, alg.r))
         assert ranks == list(range(count))
+
+
+@pytest.mark.parametrize("r,top", [(1, 5), (2, 5), (4, 4)])
+def test_rank_equals_the_direct_formula(r, top):
+    for n in range(top + 1):
+        for times in permutations(range(1, n + 1)):
+            for colors in product(range(1, r + 1), repeat=n):
+                word = list(zip(times, colors))
+                assert oracle._rank(word, r) == sweep_rank(word, r), word
+
+
+@pytest.mark.parametrize("name,n", [("rs-row", 6), ("double-circle", 3), ("worley-sagan", 5)])
+def test_each_join_and_move_is_worked_out_once_per_sweep(monkeypatch, name, n):
+    """The sweep's table numbers the shapes and boxes it meets and keeps
+    every join and move it works out, keyed by their numbers."""
+    joins, moves = Counter(), Counter()
+    join, follow = oracle.join, AlgorithmSpec.follow
+    monkeypatch.setattr(oracle, "join", lambda a, b: joins.update([(a, b)]) or join(a, b))
+    monkeypatch.setattr(AlgorithmSpec, "follow", lambda self, shape, key: (
+        moves.update([(shape, key)]) or follow(self, shape, key)))
+    assert check_bijection(_fresh(name), n).ok
+    assert joins and moves
+    assert set(joins.values()) == {1} and set(moves.values()) == {1}
