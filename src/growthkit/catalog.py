@@ -1,9 +1,10 @@
 """The built-in insertion algorithms, each a table rule
 (``insdiag.TableRule``, the only kind of local rule) and the letters of its
 edge colors, from which ``render`` works out every mark.  ``AlgorithmSpec``
-asks its rule for one arrow at a time: the events directly, the grid engine
-through a memo of the moves it has followed, and the picture book over a
-whole shape (``generator``).
+asks its rule for one arrow at a time: the events for the box an arrow
+fills, the column walk for the shape it grows too (``follow``), and the
+picture book over a whole shape (``generator``).  Nothing here memoizes a
+move; a sweep keeps the moves it follows in its own table.
 
 The sides of the tables read only the corners of a shape
 (``lattice.Corners``): ``FIRST`` and ``LAST``, the first and last insertion
@@ -19,7 +20,7 @@ insertion point, through which ``TableRule.unbump`` inverts by lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .insdiag import (
@@ -150,7 +151,6 @@ class AlgorithmSpec:
     rule: TableRule
     description: str
     letters: str = "UC"
-    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def r(self) -> int:
@@ -186,27 +186,13 @@ class AlgorithmSpec:
                key: Union[int, tuple[Point, ColorPair]]) -> tuple[Shape, ColorPair, Point]:
         """The shape grown by the arrow of key (an alpha color, or a
         deletion point and its color pair) on shape, its out colors, and the
-        box it fills.
-
-        This is the grid engine's memo (a growth's grid, and the tables of
-        numbered moves the sweeps fill from it): one dict per shape of the
-        arrows followed on it, each asked of the rule on its first lookup,
-        for the life of the algorithm object.  A target that is not an
-        insertion point raises at every lookup of its arrow and is not
-        stored.  A sweep's forked worker processes start from a copy of the
-        memo and fill their own.  There is no lock: rules are pure, so two
-        threads that miss at once store equal moves."""
-        moves = self._cache.get(shape)
-        if moves is None:
-            if shape.geometry is not self.geometry:
-                raise CatalogError(
-                    f"{self.name} runs on the {self.geometry}, got a {shape.geometry} shape")
-            moves = self._cache[shape] = {}
-        hit = moves.get(key)
-        if hit is None:
-            box, out = self.insert(shape, key) if key.__class__ is int else self.bump(shape, *key)
-            hit = moves[key] = add_box(shape, box), out, box
-        return hit
+        box it fills: the rule's ``insert`` or ``bump``, then ``add_box``,
+        which raises where the target is not an insertion point."""
+        if shape.geometry is not self.geometry:
+            raise CatalogError(
+                f"{self.name} runs on the {self.geometry}, got a {shape.geometry} shape")
+        box, out = self.insert(shape, key) if key.__class__ is int else self.bump(shape, *key)
+        return add_box(shape, box), out, box
 
     # One arrow per event, asked of the rule: run_growth and invert_growth.
 

@@ -25,10 +25,11 @@ column at a time, is kept as the tests' reference
 
 The walk is passed its arrows and joins (``Moves``), and works on whatever
 they take and give.  A growth's grid passes Shapes and Points
-(``shape_moves``: the algorithm's memo of the moves its rule answered,
-``follow``, and ``lattice.join``), since a grid may meet more shapes than
-are worth numbering.  A sweep passes the numbers of its per-sweep table
-(``oracle``), so its columns hold ints.
+(``shape_moves``: the algorithm's ``follow`` and ``lattice.join``, worked
+out afresh at every cell that follows an arrow or joins), since a grid may
+meet more shapes than are worth numbering.  A sweep passes the numbers of
+its per-sweep table (``oracle``), which works out each move and join once,
+so its columns hold ints.
 
 ``run_growth`` and ``invert_growth`` visit the insertion and bump cells
 only, time by time, with P as a box -> (value, color) map and each row's
@@ -152,8 +153,8 @@ class ColoredTableau:
 
 # A grid this large takes seconds and hundreds of MB to build, and its size
 # follows the largest value, not the length of the input.  rs-row on a random
-# permutation (2-core Xeon, Python 3.11), fold time and peak RSS: 0.4 s and
-# 29 MB at n = 300, 2.0 s and 75 MB at n = 600, 6 s and 208 MB at n = 999,
+# permutation (2-core Xeon, Python 3.11), fold time and peak RSS: 0.26 s and
+# 25 MB at n = 300, 1.1 s and 59 MB at n = 600, 3.4 s and 156 MB at n = 999,
 # the largest square under the bound.
 GRID_CELLS = 10 ** 6
 
@@ -271,9 +272,10 @@ class Moves(NamedTuple):
 
 
 def shape_moves(alg) -> Moves:
-    """The walk over Shapes and Points: the algorithm's memo of moves
-    (``AlgorithmSpec.follow``) and ``lattice.join``, for a grid of any
-    size."""
+    """The walk over Shapes and Points: the algorithm's moves
+    (``AlgorithmSpec.follow``) and ``lattice.join``, each worked out at
+    every cell that asks, for a grid of any size.  Nothing is memoized, so
+    a grid's shapes live only as long as the grid."""
     follow = alg.follow
     return Moves(alg.instantiation.r, empty_shape(alg.geometry), follow,
                  lambda x, box, g1, g2: follow(x, (box, color_pair(g1, g2))), join)

@@ -5,14 +5,9 @@ left, both 1-based.  A quadrant shape is a partition (weakly decreasing row
 lengths); an octant shape is a strict partition whose row ``k`` occupies
 columns ``k .. k + length - 1``.
 
-Canonical shapes.  ``empty_shape``, ``add_box``, ``remove_box``, ``join``,
-``meet``, ``transpose``, ``parse_shape`` and ``shapes_of_size`` return the
-canonical instance of their result, as ``canonical`` does for given rows:
-one shared ``Shape`` per (geometry, rows).  The module's table finds it but
-holds it weakly, so a canonical shape lives only as long as something else
-holds it (a growth diagram, a tableau, an algorithm's move memo) and is
-built again when next needed.  A shape is validated once, when it is built,
-and carries its hash and size.
+Shapes are plain values: the lattice operations build each result afresh,
+and equality and hashing are by (geometry, rows).  A shape is validated
+once, when it is built, and carries its hash and size.
 
 Corner reads.  ``Corners`` is the one reader of a shape's alternation of
 insertion and deletion points: ``first`` and ``last``, ``neighbors(p)`` and
@@ -21,20 +16,15 @@ insertion and deletion points: ``first`` and ``last``, ``neighbors(p)`` and
 corner, which ``insertion_points`` and ``deletion_points`` list.
 ``add_box`` checks its point with ``index`` and ``remove_box`` with the ends
 of the point's row and the next.  The reads work from row ends alone, and
-no shape caches their answers.  Two classes give the row ends:
-``Shape`` from its rows, for the grid memo and the picture book; and
+no shape caches their answers.  Two classes give the row ends: ``Shape``
+from its rows, for the grid fold, the sweeps and the picture book; and
 ``Below``, the entries of a tableau below a threshold, from the tableau's
 rows of values, one ``bisect`` per row end, for the event engine, which so
 builds no ``Shape`` per event.
-
-Canonical instances change no result.  ``Shape(geometry, rows)`` still
-builds a fresh validated shape, and equality and hashing stay by value:
-such a shape equals the canonical one and hashes the same.
 """
 
 from __future__ import annotations
 
-import weakref
 from bisect import bisect_left, bisect_right
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
@@ -227,12 +217,10 @@ class Corners:
 class Shape(Corners):
     """A finite order ideal of the geometry, stored by row lengths.
 
-    Immutable.  Equality and hashing are by value, (geometry, rows), so a
-    shape built here equals the canonical instance of the same rows (see the
-    module docstring) and hashes like it.
+    Immutable.  Equality and hashing are by value, (geometry, rows).
     """
 
-    __slots__ = ("geometry", "rows", "size", "_hash", "__weakref__")
+    __slots__ = ("geometry", "rows", "size", "_hash")
 
     def __init__(self, geometry: Geometry, rows):
         rows = tuple(rows)
@@ -312,21 +300,6 @@ class Shape(Corners):
         return format_shape(self)
 
 
-# The canonical instances, one per (geometry, rows).  Weak values: an entry
-# lives only as long as something outside the table holds its shape.
-_CANONICAL: "weakref.WeakValueDictionary[tuple[Geometry, tuple[int, ...]], Shape]" = \
-    weakref.WeakValueDictionary()
-
-
-def canonical(geometry: Geometry, rows: tuple[int, ...]) -> Shape:
-    """The canonical shape with these rows, built and validated on a miss."""
-    key = (geometry, rows)
-    s = _CANONICAL.get(key)
-    if s is None:
-        s = _CANONICAL[key] = Shape(geometry, rows)
-    return s
-
-
 class Below(Corners):
     """The shape whose row r holds the entries below u of ``values[r - 1]``,
     for rows of ascending values, none empty, whose first entries ascend too,
@@ -374,7 +347,7 @@ _FIRST_ENTRY = itemgetter(0)
 
 
 def empty_shape(geometry: Geometry) -> Shape:
-    return canonical(geometry, ())
+    return Shape(geometry, ())
 
 
 def deletion_points(s: Shape) -> list[Point]:
@@ -388,13 +361,13 @@ def insertion_points(s: Shape) -> list[Point]:
 
 
 def add_box(s: Shape, p: Point) -> Shape:
-    i = s.index(p)      # reads every row's end; the grid memo calls this on a miss only
+    i = s.index(p)      # reads every row's end; a sweep calls this once per move
     if i is None or i % 2:
         raise LatticeError(f"{p} is not an insertion point of {s}")
     rows, r = s.rows, p.row
     if r > len(rows):
-        return canonical(s.geometry, rows + (1,))
-    return canonical(s.geometry, rows[:r - 1] + (rows[r - 1] + 1,) + rows[r:])
+        return Shape(s.geometry, rows + (1,))
+    return Shape(s.geometry, rows[:r - 1] + (rows[r - 1] + 1,) + rows[r:])
 
 
 def remove_box(s: Shape, p: Point) -> Shape:
@@ -403,8 +376,8 @@ def remove_box(s: Shape, p: Point) -> Shape:
     if end != p.col or s._end(r + 1) == end:
         raise LatticeError(f"{p} is not a deletion point of {s}")
     if rows[r - 1] == 1:    # only the last row can have a removable single box
-        return canonical(s.geometry, rows[:-1])
-    return canonical(s.geometry, rows[:r - 1] + (rows[r - 1] - 1,) + rows[r:])
+        return Shape(s.geometry, rows[:-1])
+    return Shape(s.geometry, rows[:r - 1] + (rows[r - 1] - 1,) + rows[r:])
 
 
 def added_box(lower: Shape, upper: Shape) -> Point:
@@ -423,14 +396,14 @@ def join(a: Shape, b: Shape) -> Shape:
     if a.geometry is not b.geometry:
         raise LatticeError("cannot join shapes from different geometries")
     x, y = (a.rows, b.rows) if len(a.rows) >= len(b.rows) else (b.rows, a.rows)
-    return canonical(a.geometry, tuple(map(max, x, y)) + x[len(y):])
+    return Shape(a.geometry, tuple(map(max, x, y)) + x[len(y):])
 
 
 def meet(a: Shape, b: Shape) -> Shape:
     """Greatest lower bound: rowwise minimum (intersection of ideals)."""
     if a.geometry is not b.geometry:
         raise LatticeError("cannot meet shapes from different geometries")
-    return canonical(a.geometry, tuple(map(min, a.rows, b.rows)))
+    return Shape(a.geometry, tuple(map(min, a.rows, b.rows)))
 
 
 def transpose(s: Shape) -> Shape:
@@ -438,12 +411,12 @@ def transpose(s: Shape) -> Shape:
     if s.geometry is not Geometry.QUADRANT:
         raise LatticeError("transpose is only defined on quadrant shapes")
     if not s.rows:
-        return canonical(s.geometry, ())
+        return Shape(s.geometry, ())
     out = [0] * s.rows[0]
     for length in s.rows:
         for c in range(length):
             out[c] += 1
-    return canonical(s.geometry, tuple(out))
+    return Shape(s.geometry, tuple(out))
 
 
 @cache
@@ -456,7 +429,7 @@ def shapes_of_size(geometry: Geometry, n: int) -> tuple[Shape, ...]:
 
     def extend(prefix, remaining, maxpart):
         if remaining == 0:
-            found.append(canonical(geometry, tuple(prefix)))
+            found.append(Shape(geometry, tuple(prefix)))
             return
         cap = min(remaining, maxpart)
         for part in range(cap, 0, -1):
@@ -487,4 +460,4 @@ def parse_shape(text: str, geometry: Geometry) -> Shape:
         rows = [int(t) for t in text.split(",")]
     except ValueError:
         raise LatticeError(f"malformed shape {text!r}") from None
-    return canonical(geometry, tuple(rows))
+    return Shape(geometry, tuple(rows))

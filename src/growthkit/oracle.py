@@ -114,12 +114,12 @@ class _Table:
     column walk is passed (``moves``, a growth.Moves), and the steps of its
     records.  A sweep of size n meets few shapes (45 quadrant shapes up to
     size 7), so each is numbered on first sight, ``shapes`` maps a number
-    back to its canonical Shape, and a box is ``_box`` of its point.  The
-    walk's joins and moves are memoized by their numbers, a move filled on
-    its first lookup from ``AlgorithmSpec.follow`` and a join from
-    ``lattice.join``; no lookup hashes a Shape, Point or ColorPair.  One
-    table serves one ``sweep`` call, and its forked workers fill their own
-    copies."""
+    back to the Shape it was first seen as, and a box is ``_box`` of its
+    point.  The walk's joins and moves are memoized by their numbers, a move
+    filled on its first lookup from ``AlgorithmSpec.follow`` and a join from
+    ``lattice.join``; no lookup hashes a Shape, Point or ColorPair.  This is
+    the only memo of moves and joins: one table serves one ``sweep`` call,
+    its forked workers fill their own copies, and it goes with the sweep."""
 
     __slots__ = ("moves", "shapes", "steps")
 

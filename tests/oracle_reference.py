@@ -1,6 +1,6 @@
 """Reference for check_bijection: the image keyed by chains of shapes.
 
-Each (P, Q) pair is a tuple of canonical Shape chains with their colors,
+Each (P, Q) pair is a tuple of Shape chains with their colors, by value,
 compared as a set against the chains of every enumerated tableau pair, and
 witnesses are written and ordered from the chains.  This is the direct
 reading of the check, kept independent of the bytes records of

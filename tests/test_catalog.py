@@ -175,9 +175,3 @@ class TestStructuralRelations:
                                  a.target, flip(a.out)))
             got = {(a.kind, a.alpha_color, a.source, a.target, a.out) for a in dual}
             assert got == swapped, s
-
-    def test_move_memo_returns_the_same_object(self):
-        alg = get_algorithm("rs-row")
-        s = Shape(Q, (3, 1))
-        for key in (1, (Point(2, 1), ColorPair(1, 1))):
-            assert alg.follow(s, key) is alg.follow(s, key)

@@ -93,7 +93,7 @@ def test_workers_are_forked_processes_unless_fork_is_missing(monkeypatch):
 
 @pytest.mark.parametrize("name,n", [("rs-row", 6), ("double-circle", 3)])
 def test_forked_bijection_report_equals_the_serial_one(name, n):
-    # each side starts from an empty move memo, so the workers fill their own
+    # each side builds its own sweep table, and the workers fill their own copies
     forked = check_bijection(dataclasses.replace(get_algorithm(name)), n, workers=2)
     serial = check_bijection(dataclasses.replace(get_algorithm(name)), n, workers=1)
     assert serial.ok and forked == serial
@@ -110,7 +110,7 @@ def test_sweep_compares_boxes_by_value(monkeypatch, name):
 
 
 def _fresh(name):
-    """The catalog algorithm with an empty move memo."""
+    """A copy of the catalog algorithm."""
     return dataclasses.replace(get_algorithm(name))
 
 
