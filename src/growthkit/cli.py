@@ -6,8 +6,8 @@ check, 2 on bad input.  When the reader of standard output goes away (as
 ``head`` does), the command stops quietly with status 1, as Python's own
 handling of a broken pipe does.  Every ``verify`` subcommand that runs its
 check ends with one sorted-key JSON summary line.  GROWTHKIT_THREADS sets how
-many processes the exhaustive sweeps fork (an integer >= 1, default 1; serial
-where fork is unavailable).
+many processes run the exhaustive sweeps, this one and the children it forks
+(an integer >= 1, default 1; this one alone where fork is unavailable).
 """
 
 from __future__ import annotations

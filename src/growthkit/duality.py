@@ -228,7 +228,7 @@ def _check(kind, algA, algB, n, key, visit, workers) -> DualityReport:
     input to B's, finds B's record at that input's sweep rank, compares it
     with A's own record transformed as the duality says, and returns a
     counterexample or None.  One sweep per side, not one per size: each
-    sweep with workers forks a pool."""
+    sweep with workers forks its children anew."""
     sizes = range(1, n + 1)
     _, keys = sweep(algB, sizes, key, workers)
     image, start = {}, 0

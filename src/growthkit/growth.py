@@ -51,7 +51,9 @@ from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .insdiag import color_pair
-from .lattice import Below, Geometry, Point, Shape, added_box, empty_shape, join
+from .lattice import (
+    Below, Geometry, LatticeError, Point, Shape, added_box, empty_shape, join,
+)
 
 
 class GrowthError(ValueError):
@@ -228,26 +230,40 @@ class GrowthDiagram:
     def check(self) -> None:
         """Structural sanity: borders empty, adjacent nodes equal-or-cover,
         colors exactly on nondegenerate edges."""
+        nodes, hcolors, vcolors = self._built()
         for i in range(self.n + 1):
-            if self.nodes[i][0].size:
+            if nodes[i][0].size:
                 raise GrowthError(f"south border node ({i},0) is not empty")
         for j in range(self.m + 1):
-            if self.nodes[0][j].size:
+            if nodes[0][j].size:
                 raise GrowthError(f"west border node (0,{j}) is not empty")
         for i in range(1, self.n + 1):
+            west, column, colors = nodes[i - 1], nodes[i], hcolors[i]
             for j in range(self.m + 1):
-                a, b = self.nodes[i - 1][j], self.nodes[i][j]
-                if a != b and not b.covers(a):
+                a, b = west[j], column[j]
+                same = a == b
+                if not same and not _covers(b, a):
                     raise GrowthError(f"nodes ({i-1},{j}) and ({i},{j}) not equal or cover")
-                if (self.hcolors[i][j] is None) != (a == b):
+                if (colors[j] is None) != same:
                     raise GrowthError(f"h-edge color mismatch at ({i},{j})")
         for i in range(self.n + 1):
+            column, colors = nodes[i], vcolors[i]
             for j in range(1, self.m + 1):
-                a, b = self.nodes[i][j - 1], self.nodes[i][j]
-                if a != b and not b.covers(a):
+                a, b = column[j - 1], column[j]
+                same = a == b
+                if not same and not _covers(b, a):
                     raise GrowthError(f"nodes ({i},{j-1}) and ({i},{j}) not equal or cover")
-                if (self.vcolors[i][j] is None) != (a == b):
+                if (colors[j] is None) != same:
                     raise GrowthError(f"v-edge color mismatch at ({i},{j})")
+
+
+def _covers(upper: Shape, lower: Shape) -> bool:
+    """Whether upper is lower plus one box, told by ``added_box``."""
+    try:
+        added_box(lower, upper)
+    except LatticeError:
+        return False
+    return True
 
 
 Column = tuple[tuple, tuple[Optional[int], ...], tuple[Optional[int], ...], tuple, tuple]

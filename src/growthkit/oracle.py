@@ -20,6 +20,7 @@ when asked for its growth.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, permutations, product, repeat
@@ -119,7 +120,7 @@ class _Table:
     filled on its first lookup from ``AlgorithmSpec.follow`` and a join from
     ``lattice.join``; no lookup hashes a Shape, Point or ColorPair.  This is
     the only memo of moves and joins: one table serves one ``sweep`` call,
-    its forked workers fill their own copies, and it goes with the sweep."""
+    the children it forks fill their own copies, and it goes with the sweep."""
 
     __slots__ = ("moves", "shapes", "steps")
 
@@ -223,23 +224,7 @@ def _sweep_branch(table: _Table, size: int, branch: int, visit) -> tuple[int, li
     return count, results
 
 
-# The sweep in progress: (table, visit, branches, stride).  It is set before
-# the worker processes fork, so they inherit it and nothing in it needs to
-# pickle (visits are closures, specs and tables hold closures).
-_SWEEP = None
-
-
-def _run_shard(k: int) -> list[tuple[int, list]]:
-    table, visit, branches, stride = _SWEEP
-    return [_sweep_branch(table, size, b, visit) for size, b in branches[k::stride]]
-
-
-def _fork_context():
-    """The fork start method, or None on a platform without it."""
-    import multiprocessing
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None
+_fork = getattr(os, "fork", None)   # None where the platform cannot fork
 
 
 def sweep(alg, sizes, visit, workers: int = 1) -> tuple[int, list]:
@@ -252,31 +237,56 @@ def sweep(alg, sizes, visit, workers: int = 1) -> tuple[int, list]:
     order.  The columns are grown over one table of numbered shapes and
     boxes (``_Table``), built here for this call.  With workers > 1 the
     (size, value-1 placement) branches are dealt round-robin to that many
-    forked processes, each with its own copy of the table, and the results
-    are merged back in order, so they do not depend on the worker count.
-    Where fork is unavailable the sweep runs in this process.
+    shards: this process sweeps shard 0, a forked child each other one over
+    its own copy of the table.  The results are merged back in order, so
+    they do not depend on the worker count; without fork, all run here.
     """
-    global _SWEEP
     branches = [(size, b) for size in sizes
                 for b in range(size * alg.instantiation.r or 1)]
-    context = _fork_context() if workers > 1 and len(branches) > 1 else None
-    stride = min(workers, len(branches)) if context else 1
-    _SWEEP = (_Table(alg), visit, branches, stride)
+    stride = max(1, min(workers, len(branches))) if _fork else 1
+    table = _Table(alg)
+
+    def shard(k):
+        # A forked child inherits this frame, so nothing in it needs to
+        # pickle (visits are closures, specs and tables hold closures).
+        return [_sweep_branch(table, size, b, visit) for size, b in branches[k::stride]]
+
+    children = []   # (pid, the read end of its pipe)
     try:
-        if context:
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(stride, mp_context=context) as pool:
-                shards = list(pool.map(_run_shard, range(stride)))
-        else:
-            shards = [_run_shard(0)]
+        if stride > 1:      # imported here: the command line starts without them
+            import pickle
+            import signal
+        for k in range(1, stride):
+            read, write = os.pipe()
+            pid = _fork()
+            if pid == 0:
+                try:
+                    try:
+                        out = pickle.dumps((True, shard(k)))
+                    except BaseException as exc:   # the caller re-raises it
+                        out = pickle.dumps((False, exc))
+                    with open(write, "wb") as pipe:
+                        pipe.write(out)
+                finally:
+                    os._exit(0)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        shards = [shard(0)]
+        for k, (_, pipe) in enumerate(children, start=1):
+            out = pipe.read()
+            if not out:     # killed, or its exception would not pickle
+                raise RuntimeError(f"the process sweeping shard {k} ended without a result")
+            ok, got = pickle.loads(out)
+            if not ok:
+                raise got
+            shards.append(got)
     finally:
-        _SWEEP = None
-    count, results = 0, []
-    for k in range(len(branches)):
-        n, got = shards[k % stride][k // stride]
-        count += n
-        results += got
-    return count, results
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    merged = [shards[k % stride][k // stride] for k in range(len(branches))]
+    return sum(n for n, _ in merged), [x for _, got in merged for x in got]
 
 
 def _rank(word, r: int) -> int:
@@ -289,6 +299,19 @@ def _rank(word, r: int) -> int:
         rank = (rank * len(free) + k) * r + c - 1
         del free[k]
     return rank
+
+
+def _unrank(rank: int, n: int, r: int) -> list:
+    """The word of size n whose ``_rank`` is rank: its digits read off from
+    value n's color up to value 1's placement, then the placements taken
+    from the free times in value order."""
+    digits = []
+    for free in range(1, n + 1):
+        rank, c = divmod(rank, r)
+        rank, k = divmod(rank, free)
+        digits.append((k, c + 1))
+    times = list(range(1, n + 1))
+    return [(times.pop(k), c) for k, c in reversed(digits)]
 
 
 def pair_record(leaf: SweepLeaf) -> bytes:
@@ -365,21 +388,19 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
     missing and extra pair."""
     inst = alg.instantiation
     failures = []
-    count, entries = sweep(alg, [n], lambda leaf: (pair_record(leaf), tuple(leaf.word)),
-                           workers)
-    image: dict = {}
+    count, records = sweep(alg, [n], pair_record, workers)
+    gp_text = lambda k: sorted(_word_gp(n, _unrank(k, n, inst.r)).entries)
+    image: dict = {}    # record -> the sweep index of its first input
     collision = None
-    for key, word in entries:
-        if key not in image:
-            image[key] = word
-        elif collision is None:
-            collision = key, image[key], word
+    for k, key in enumerate(records):
+        first = image.setdefault(key, k)
+        if first != k and collision is None:
+            collision = key, first, k
     if collision is not None:
         key, first, second = collision
         failures.append(
             f"two inputs map to the same (P, Q) pair: "
-            f"gp={sorted(_word_gp(n, first).entries)} and "
-            f"gp={sorted(_word_gp(n, second).entries)} both give {_pair_text(key)}")
+            f"gp={gp_text(first)} and gp={gp_text(second)} both give {_pair_text(key)}")
 
     expected = set()
     expected_count = 0
@@ -409,5 +430,5 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
     if extra:
         key = min(extra, key=_pair_order)
         failures.append(f"{len(extra)} outputs are not valid same-shape pairs, e.g. "
-                        f"{_pair_text(key)} from gp={sorted(_word_gp(n, image[key]).entries)}")
+                        f"{_pair_text(key)} from gp={gp_text(image[key])}")
     return BijectionReport(alg.name, n, count, len(image), expected_count, tuple(failures))

@@ -6,7 +6,8 @@ the cell rule run backwards, over every cell from the northeast.  Both are
 the engines ``run_growth`` and ``invert_growth`` used before they visited
 only insertion and bump cells, kept here so that tests can compare the two
 on any input.  ``cell_forward`` is the six-case rule of one cell, the
-reference for ``grow_column``'s walk up a column.
+reference for ``grow_column``'s walk up a column.  ``check_by_covers`` is
+``GrowthDiagram.check`` as it read before it told covers by ``added_box``.
 """
 
 from typing import Optional
@@ -168,3 +169,27 @@ def invert_grid(alg, P: ColoredTableau, Q: ColoredTableau) -> GeneralizedPermuta
         if nodes[i][0].size:
             raise GrowthError("P/Q pair is outside the image (south border not empty)")
     return GeneralizedPermutation(n, m, frozenset(entries))
+
+
+def check_by_covers(g: GrowthDiagram) -> None:
+    """GrowthDiagram.check with each cover told by ``Shape.covers``."""
+    for i in range(g.n + 1):
+        if g.nodes[i][0].size:
+            raise GrowthError(f"south border node ({i},0) is not empty")
+    for j in range(g.m + 1):
+        if g.nodes[0][j].size:
+            raise GrowthError(f"west border node (0,{j}) is not empty")
+    for i in range(1, g.n + 1):
+        for j in range(g.m + 1):
+            a, b = g.nodes[i - 1][j], g.nodes[i][j]
+            if a != b and not b.covers(a):
+                raise GrowthError(f"nodes ({i-1},{j}) and ({i},{j}) not equal or cover")
+            if (g.hcolors[i][j] is None) != (a == b):
+                raise GrowthError(f"h-edge color mismatch at ({i},{j})")
+    for i in range(g.n + 1):
+        for j in range(1, g.m + 1):
+            a, b = g.nodes[i][j - 1], g.nodes[i][j]
+            if a != b and not b.covers(a):
+                raise GrowthError(f"nodes ({i},{j-1}) and ({i},{j}) not equal or cover")
+            if (g.vcolors[i][j] is None) != (a == b):
+                raise GrowthError(f"v-edge color mismatch at ({i},{j})")

@@ -6,8 +6,8 @@ import pytest
 from growthkit import lattice
 from growthkit.catalog import AlgorithmSpec, get_algorithm, list_algorithms
 from growthkit.growth import (
-    ColoredTableau, GeneralizedPermutation, GrowthError, border_column, grow_column,
-    extract_P, extract_Q, invert_growth, restrict, run_growth, shape_moves,
+    ColoredTableau, GeneralizedPermutation, GrowthDiagram, GrowthError, border_column,
+    grow_column, extract_P, extract_Q, invert_growth, restrict, run_growth, shape_moves,
 )
 from growthkit.insdiag import ALPHA, ColorPair, color_pair, diagram
 from growthkit.lattice import Geometry, Point, Shape, added_box, empty_shape
@@ -15,7 +15,7 @@ from growthkit.oracle import SweepLeaf, _box, _Steps, _Table, enumerate_gps, pai
 from growthkit.render import parse_gp, parse_tableau
 from figures import FIGURES
 from catalog_reference import rule_of
-from growth_reference import alpha, cell_forward, cell_inverse, fold_growth
+from growth_reference import alpha, cell_forward, cell_inverse, check_by_covers, fold_growth
 
 Q, O = Geometry.QUADRANT, Geometry.OCTANT
 E = empty_shape(Q)
@@ -194,6 +194,35 @@ class TestRunGrowth:
         for name, alg in list_algorithms().items():
             g = run_growth(alg, gp_of(alg, "2 1 3"))
             g.check()
+
+    @pytest.mark.parametrize("name", ["rs-row", "sagan1"])
+    def test_structural_check_names_the_fault_the_cover_check_names(self, name):
+        """Every grid with one node replaced, or one edge's color dropped or
+        added, fails check() with the message of the check by Shape.covers."""
+        alg = get_algorithm(name)
+        g = run_growth(alg, gp_of(alg, "2 1 3"))
+        grid = [list(map(list, field)) for field in (g.nodes, g.hcolors, g.vcolors)]
+
+        def verdict(check, k, i, j, value):
+            old, grid[k][i][j] = grid[k][i][j], value
+            broken = GrowthDiagram(g.n, g.m, *(tuple(map(tuple, f)) for f in grid), g.alphas)
+            grid[k][i][j] = old
+            try:
+                check(broken)
+            except GrowthError as e:
+                return str(e)
+            return None
+
+        faults = set()
+        for i in range(g.n + 1):
+            for j in range(g.m + 1):
+                cases = [(0, s) for s in lattice.shapes_up_to(alg.geometry, 4)]
+                cases += [(k, 1 if grid[k][i][j] is None else None) for k in (1, 2)]
+                for k, value in cases:
+                    want = verdict(check_by_covers, k, i, j, value)
+                    assert verdict(GrowthDiagram.check, k, i, j, value) == want
+                    faults.add(want)
+        assert None in faults and len(faults) > 20
 
 
 class TestFigureTableaux:

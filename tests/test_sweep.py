@@ -4,6 +4,8 @@ that do not depend on the worker count."""
 
 import dataclasses
 import os
+import signal
+import time
 from collections import Counter
 from itertools import permutations, product
 from math import factorial, perm
@@ -83,12 +85,86 @@ def test_reports_do_not_depend_on_workers(run):
 
 
 def test_workers_are_forked_processes_unless_fork_is_missing(monkeypatch):
-    alg = get_algorithm("rs-row")
+    """The caller sweeps shard 0, the branches 0, 2, ...; one forked child
+    sweeps the others."""
+    alg, me = get_algorithm("rs-row"), os.getpid()
     pid = lambda leaf: os.getpid()
     count, pids = sweep(alg, [3], pid, workers=2)
-    assert count == 6 and os.getpid() not in pids
-    monkeypatch.setattr(oracle, "_fork_context", lambda: None)
-    assert sweep(alg, [3], pid, workers=2) == (6, [os.getpid()] * 6)
+    child = pids[2]
+    assert count == 6 and child != me and pids == [me, me, child, child, me, me]
+    monkeypatch.setattr(oracle, "_fork", None)
+    assert sweep(alg, [3], pid, workers=2) == (6, [me] * 6)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("run,forks", [
+    (lambda w: check_transpose_duality(get_algorithm("rs-row"), get_algorithm("rs-col"),
+                                       n=0, workers=w), 0),
+    (lambda w: check_inversion_duality(get_algorithm("left-right"), get_algorithm("mixed"),
+                                       0, workers=w), 0),
+    (lambda w: check_transpose_duality(get_algorithm("rs-row"), get_algorithm("rs-col"),
+                                       n=1, workers=w), 0),
+    (lambda w: check_bijection(get_algorithm("rs-row"), 0, workers=w), 0),
+    (lambda w: check_bijection(get_algorithm("rs-row"), 1, workers=w), 0),
+    (lambda w: check_bijection(get_algorithm("left-right"), 0, workers=w), 0),
+    # two branches: one child, however many workers are asked for
+    (lambda w: check_bijection(get_algorithm("left-right"), 1, workers=w), 1),
+    (lambda w: check_bijection(get_algorithm("rs-row"), 2, workers=w), 1),
+], ids=["transpose-0", "inversion-0", "transpose-1", "bijection-rs-row-0",
+        "bijection-rs-row-1", "bijection-left-right-0", "bijection-left-right-1",
+        "bijection-rs-row-2"])
+def test_no_more_children_than_branches(monkeypatch, run, forks, workers):
+    serial = run(1)
+    calls = []
+    monkeypatch.setattr(oracle, "_fork", lambda: calls.append(None) or os.fork())
+    assert run(workers) == serial and serial.ok
+    assert len(calls) == forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failure_in_a_child_reaches_the_caller():
+    caller = os.getpid()
+
+    def visit(leaf):
+        if os.getpid() != caller:
+            raise ValueError(f"visit broke at {leaf.word}")
+
+    with pytest.raises(ValueError, match=r"visit broke at \[\(2, 1\), \(1, 1\)\]"):
+        sweep(get_algorithm("rs-row"), [2], visit, workers=2)
+    _no_child_left()
+
+
+def test_a_child_that_dies_is_an_error_in_the_caller():
+    caller = os.getpid()
+
+    def visit(leaf):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    with pytest.raises(RuntimeError, match="shard 1 ended without a result"):
+        sweep(get_algorithm("rs-row"), [2], visit, workers=2)
+    _no_child_left()
+
+
+def test_a_failure_in_the_caller_kills_and_reaps_the_child():
+    """The child would sleep for a minute on its first input: the caller's
+    failure must stop it, not wait for it."""
+    caller = os.getpid()
+
+    def visit(leaf):
+        if os.getpid() == caller:
+            raise ValueError("the caller's shard broke")
+        time.sleep(60)
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="the caller's shard broke"):
+        sweep(get_algorithm("rs-row"), [3], visit, workers=2)
+    assert time.monotonic() - start < 30
+    _no_child_left()
 
 
 @pytest.mark.parametrize("name,n", [("rs-row", 6), ("double-circle", 3)])
@@ -222,6 +298,15 @@ def test_rank_is_the_sweep_index(name):
     for n in range(5):
         count, ranks = sweep(alg, [n], lambda leaf: oracle._rank(leaf.word, alg.r))
         assert ranks == list(range(count))
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_unrank_inverts_rank(r):
+    for n in range(6):
+        for times in permutations(range(1, n + 1)):
+            for colors in product(range(1, r + 1), repeat=n):
+                word = list(zip(times, colors))
+                assert oracle._unrank(oracle._rank(word, r), n, r) == word
 
 
 @pytest.mark.parametrize("r,top", [(1, 5), (2, 5), (4, 4)])
