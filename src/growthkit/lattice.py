@@ -286,16 +286,6 @@ class Shape(Corners):
                 for r in range(1, len(self.rows) + 1)
                 for c in range(self.row_start(r), self.row_end(r) + 1)]
 
-    def leq(self, other: "Shape") -> bool:
-        """Containment of order ideals."""
-        if len(self.rows) > len(other.rows):
-            return False
-        return all(a <= b for a, b in zip(self.rows, other.rows))
-
-    def covers(self, other: "Shape") -> bool:
-        """True when self = other plus exactly one box."""
-        return other.leq(self) and self.size == other.size + 1
-
     def __str__(self):
         return format_shape(self)
 

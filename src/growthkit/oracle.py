@@ -16,6 +16,12 @@ and moves are looked up by ints, each worked out once per sweep from
 ``lattice.join`` and ``AlgorithmSpec.follow``, and each step's bytes come
 from a (box, color) table.  A leaf maps its numbers back to shapes only
 when asked for its growth.
+
+``check_bijection`` compares the image with the expected pairs, which it
+builds as records too, with no tableau built on the way:
+``tableau_records`` peels the largest value off each shape, at each
+deletion point in each of its colors (the chain recurrence of
+``sct_count``).
 """
 
 from __future__ import annotations
@@ -24,12 +30,10 @@ import os
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, permutations, product, repeat
-from operator import itemgetter
 from typing import Optional
 
 from .growth import (
-    ColoredTableau, GeneralizedPermutation, GrowthDiagram, Moves, border_column,
-    grow_column,
+    GeneralizedPermutation, GrowthDiagram, Moves, border_column, grow_column,
 )
 from .insdiag import color_pair
 from .lattice import (
@@ -45,35 +49,6 @@ def enumerate_gps(n: int, r: int):
             yield GeneralizedPermutation.from_word(list(zip(perm, colors)), n=n)
 
 
-def standard_fillings(shape: Shape) -> list[tuple]:
-    """All standard fillings, each as a sorted tuple of (point, value)."""
-    out = []
-
-    def peel(s, acc):
-        if s.size == 0:
-            out.append(tuple(sorted(acc)))
-            return
-        for p in deletion_points(s):
-            peel(remove_box(s, p), acc + [(p, s.size)])
-
-    peel(shape, [])
-    return out
-
-
-def enumerate_sct(inst: Instantiation, channel: Channel, shape: Shape) -> list[ColoredTableau]:
-    """All standard colored tableaux: standard fillings times per-box colors
-    bounded by w1 (ascending channel) or w2 (descending)."""
-    w = inst.w1 if channel is Channel.ASCENDING else inst.w2
-    boxes = shape.boxes()
-    tableaux = []
-    for filling in standard_fillings(shape):
-        values = dict(filling)
-        for colors in product(*(range(1, w(p) + 1) for p in boxes)):
-            cells = tuple((p, values[p], c) for p, c in zip(boxes, colors))
-            tableaux.append(ColoredTableau(shape, cells))
-    return tableaux
-
-
 def sct_count(inst: Instantiation, channel: Channel, shape: Shape) -> int:
     """Independent count via the chain recurrence f(s) = sum f(s - box),
     weighted by the color choices of the removed box."""
@@ -86,6 +61,25 @@ def sct_count(inst: Instantiation, channel: Channel, shape: Shape) -> int:
         return sum(w(p) * f(remove_box(s, p)) for p in deletion_points(s))
 
     return f(shape)
+
+
+def tableau_records(w):
+    """A function from a shape to its standard colored tableaux, box p's
+    colors bounded by w(p), each as its half of a record: its steps by
+    value.  The largest value sits at a deletion point p, in any of its w(p)
+    colors, on top of a tableau of shape s - p: the chain recurrence of
+    ``sct_count``, cached over shapes for this one w."""
+
+    @cache
+    def records(s: Shape) -> list[bytes]:
+        if s.size == 0:
+            return [b""]
+        return [r + step
+                for p in deletion_points(s)
+                for step in [bytes((p.row, p.col, c)) for c in range(1, w(p) + 1)]
+                for r in records(remove_box(s, p))]
+
+    return records
 
 
 def _word_gp(n: int, word) -> GeneralizedPermutation:
@@ -321,12 +315,6 @@ def pair_record(leaf: SweepLeaf) -> bytes:
     return b"".join([leaf.p, *map(leaf.table.steps.__getitem__, zip(boxes[1:], colors[1:]))])
 
 
-def tableau_record(t: ColoredTableau) -> bytes:
-    """A standard tableau as its half of a record: its cells by value."""
-    return bytes(x for p, _, c in sorted(t.cells, key=itemgetter(1))
-                 for x in (p.row, p.col, c))
-
-
 def nodes_record(leaf: SweepLeaf, by_rows: bool = False) -> bytes:
     """Every node of the leaf's growth, without colors: the steps of each
     column 1..n from south to north (its boxes), or by_rows, of each row
@@ -404,19 +392,16 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
 
     expected = set()
     expected_count = 0
+    p_records, q_records = tableau_records(inst.w1), tableau_records(inst.w2)
     for shape in shapes_of_size(inst.geometry, n):
-        ps = enumerate_sct(inst, Channel.ASCENDING, shape)
-        qs = enumerate_sct(inst, Channel.DESCENDING, shape)
+        ps, qs = p_records(shape), q_records(shape)
         f1, f2 = sct_count(inst, Channel.ASCENDING, shape), sct_count(inst, Channel.DESCENDING, shape)
         if len(ps) != f1 or len(qs) != f2:
             failures.append(
                 f"tableau counts disagree with the chain recurrence on {shape}: "
                 f"{len(ps)} vs {f1}, {len(qs)} vs {f2}")
         expected_count += f1 * f2
-        q_records = [tableau_record(q) for q in qs]
-        for p in ps:
-            kp = tableau_record(p)
-            expected.update(kp + kq for kq in q_records)
+        expected.update(p + q for p in ps for q in qs)
 
     if expected_count != count:
         failures.append(

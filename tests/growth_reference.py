@@ -20,6 +20,7 @@ from growthkit.insdiag import ColorPair, color_pair
 from growthkit.lattice import (
     Geometry, Shape, add_box, added_box, empty_shape, join, meet, remove_box,
 )
+from oracles import covers
 
 
 def alpha(gp: GeneralizedPermutation, i: int, j: int) -> int:
@@ -172,7 +173,7 @@ def invert_grid(alg, P: ColoredTableau, Q: ColoredTableau) -> GeneralizedPermuta
 
 
 def check_by_covers(g: GrowthDiagram) -> None:
-    """GrowthDiagram.check with each cover told by ``Shape.covers``."""
+    """GrowthDiagram.check with each cover told by ``oracles.covers``."""
     for i in range(g.n + 1):
         if g.nodes[i][0].size:
             raise GrowthError(f"south border node ({i},0) is not empty")
@@ -182,14 +183,14 @@ def check_by_covers(g: GrowthDiagram) -> None:
     for i in range(1, g.n + 1):
         for j in range(g.m + 1):
             a, b = g.nodes[i - 1][j], g.nodes[i][j]
-            if a != b and not b.covers(a):
+            if a != b and not covers(b, a):
                 raise GrowthError(f"nodes ({i-1},{j}) and ({i},{j}) not equal or cover")
             if (g.hcolors[i][j] is None) != (a == b):
                 raise GrowthError(f"h-edge color mismatch at ({i},{j})")
     for i in range(g.n + 1):
         for j in range(1, g.m + 1):
             a, b = g.nodes[i][j - 1], g.nodes[i][j]
-            if a != b and not b.covers(a):
+            if a != b and not covers(b, a):
                 raise GrowthError(f"nodes ({i},{j-1}) and ({i},{j}) not equal or cover")
             if (g.vcolors[i][j] is None) != (a == b):
                 raise GrowthError(f"v-edge color mismatch at ({i},{j})")

@@ -6,13 +6,58 @@ witnesses are written and ordered from the chains.  This is the direct
 reading of the check, kept independent of the bytes records of
 growthkit.oracle, so check_bijection can be compared against it
 report for report.
+
+The enumeration of standard colored tableaux is here too, as the reference
+for ``oracle.tableau_records``: ``standard_fillings`` lists the fillings,
+``enumerate_sct`` builds and validates a ``ColoredTableau`` for each
+filling and coloring, and ``tableau_record`` sorts a tableau's cells into
+its half of a record.
 """
 
-from growthkit.lattice import add_box, added_box, empty_shape, shapes_of_size
-from growthkit.oracle import (
-    BijectionReport, _word_gp, enumerate_sct, sct_count, sweep,
+from itertools import product
+from operator import itemgetter
+
+from growthkit.growth import ColoredTableau
+from growthkit.lattice import (
+    Shape, add_box, added_box, deletion_points, empty_shape, remove_box, shapes_of_size,
 )
-from growthkit.wdgg import Channel
+from growthkit.oracle import BijectionReport, _word_gp, sct_count, sweep
+from growthkit.wdgg import Channel, Instantiation
+
+
+def standard_fillings(shape: Shape) -> list[tuple]:
+    """All standard fillings, each as a sorted tuple of (point, value)."""
+    out = []
+
+    def peel(s, acc):
+        if s.size == 0:
+            out.append(tuple(sorted(acc)))
+            return
+        for p in deletion_points(s):
+            peel(remove_box(s, p), acc + [(p, s.size)])
+
+    peel(shape, [])
+    return out
+
+
+def enumerate_sct(inst: Instantiation, channel: Channel, shape: Shape) -> list[ColoredTableau]:
+    """All standard colored tableaux: standard fillings times per-box colors
+    bounded by w1 (ascending channel) or w2 (descending)."""
+    w = inst.w1 if channel is Channel.ASCENDING else inst.w2
+    boxes = shape.boxes()
+    tableaux = []
+    for filling in standard_fillings(shape):
+        values = dict(filling)
+        for colors in product(*(range(1, w(p) + 1) for p in boxes)):
+            cells = tuple((p, values[p], c) for p, c in zip(boxes, colors))
+            tableaux.append(ColoredTableau(shape, cells))
+    return tableaux
+
+
+def tableau_record(t: ColoredTableau) -> bytes:
+    """A standard tableau as its half of a record: its cells by value."""
+    return bytes(x for p, _, c in sorted(t.cells, key=itemgetter(1))
+                 for x in (p.row, p.col, c))
 
 
 def _image_entry(leaf):

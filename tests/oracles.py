@@ -4,10 +4,23 @@ These deliberately avoid the library's row-length arithmetic: maximal and
 cominimal points are found by scanning covers of explicit point sets, so the
 fast implementations can be checked against them.  ``sweep_rank`` is the
 direct formula for an input's index in sweep order, the reference for
-``oracle._rank``.
+``oracle._rank``.  ``leq`` and ``covers`` are containment and cover of two
+shapes read from their rows; the library tells a cover with ``added_box``.
 """
 
-from growthkit.lattice import Geometry, Point
+from growthkit.lattice import Geometry, Point, Shape
+
+
+def leq(a: Shape, b: Shape) -> bool:
+    """Containment of order ideals: a <= b."""
+    if len(a.rows) > len(b.rows):
+        return False
+    return all(x <= y for x, y in zip(a.rows, b.rows))
+
+
+def covers(a: Shape, b: Shape) -> bool:
+    """True when a = b plus exactly one box."""
+    return leq(b, a) and a.size == b.size + 1
 
 
 def covered_by(geometry: Geometry, p: Point) -> list[Point]:

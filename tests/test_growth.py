@@ -198,7 +198,7 @@ class TestRunGrowth:
     @pytest.mark.parametrize("name", ["rs-row", "sagan1"])
     def test_structural_check_names_the_fault_the_cover_check_names(self, name):
         """Every grid with one node replaced, or one edge's color dropped or
-        added, fails check() with the message of the check by Shape.covers."""
+        added, fails check() with the message of the check by oracles.covers."""
         alg = get_algorithm(name)
         g = run_growth(alg, gp_of(alg, "2 1 3"))
         grid = [list(map(list, field)) for field in (g.nodes, g.hcolors, g.vcolors)]

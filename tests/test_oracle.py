@@ -2,10 +2,9 @@ import pytest
 
 from growthkit.catalog import get_algorithm, list_algorithms
 from growthkit.lattice import Geometry, Shape, shapes_of_size
-from growthkit.oracle import (
-    check_bijection, enumerate_gps, enumerate_sct, sct_count, standard_fillings,
-)
+from growthkit.oracle import check_bijection, enumerate_gps, sct_count, tableau_records
 from growthkit.wdgg import BUILTIN_INSTANTIATIONS, Channel
+from oracle_reference import enumerate_sct, standard_fillings, tableau_record
 
 Q, O = Geometry.QUADRANT, Geometry.OCTANT
 
@@ -55,6 +54,21 @@ class TestEnumerateSct:
         # f(2,1) = 2, f(2,2) = 2, f(3,1) = 3, f(2,1,1) = 3
         f = lambda *rows: len(standard_fillings(Shape(Q, rows)))
         assert (f(2, 1), f(2, 2), f(3, 1), f(2, 1, 1)) == (2, 2, 3, 3)
+
+
+class TestTableauRecords:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_INSTANTIATIONS))
+    @pytest.mark.parametrize("channel", list(Channel))
+    def test_records_are_the_enumerated_tableaux(self, name, channel):
+        """Every shape up to size 7: the records are those of the tableaux
+        the reference enumerates, once each, as many as the count says."""
+        inst = BUILTIN_INSTANTIATIONS[name]
+        records = tableau_records(inst.w1 if channel is Channel.ASCENDING else inst.w2)
+        for n in range(8):
+            for shape in shapes_of_size(inst.geometry, n):
+                got = records(shape)
+                assert set(got) == {tableau_record(t) for t in enumerate_sct(inst, channel, shape)}
+                assert len(set(got)) == len(got) == sct_count(inst, channel, shape), shape
 
 
 class TestCheckBijection:
