@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from growthkit.catalog import AlgorithmSpec, get_algorithm, list_algorithms
@@ -6,12 +8,13 @@ from growthkit.insdiag import (
     parse_diagram, validate,
 )
 from growthkit.lattice import (
-    Geometry, Point, Shape, deletion_points, empty_shape, insertion_points,
-    shapes_up_to,
+    Geometry, Point, Shape, deletion_points, empty_shape, format_shape,
+    insertion_points, shapes_up_to,
 )
 from catalog_reference import SearchRule
 
 Q, O = Geometry.QUADRANT, Geometry.OCTANT
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestValidate:
@@ -145,7 +148,20 @@ class TestPsiInverse:
                         assert alg.unbump(s, q, out) == (p, pair)
 
 
+def catalog_diagrams_text(max_size: int = 3) -> str:
+    """Every catalog algorithm's diagram of every shape up to max_size, in
+    the text format, each under a ``# <algorithm> <shape>`` line."""
+    blocks = [f"# {name} {format_shape(s)}\n{format_diagram(alg.diagram(s))}\n"
+              for name, alg in sorted(list_algorithms().items())
+              for s in shapes_up_to(alg.geometry, max_size)]
+    return "\n".join(blocks)
+
+
 class TestTextFormat:
+    def test_catalog_diagrams_match_golden(self):
+        # the text itself, line order and spelling, not only what parses back
+        assert catalog_diagrams_text() == (GOLDEN / "diagrams-up-to-3.txt").read_text()
+
     def test_round_trip_catalog(self):
         for name, alg in list_algorithms().items():
             for s in shapes_up_to(alg.geometry, 5):
