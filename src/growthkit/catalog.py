@@ -1,10 +1,12 @@
 """The built-in insertion algorithms, each a table rule
 (``insdiag.TableRule``, the only kind of local rule) and the letters of its
 edge colors, from which ``render`` works out every mark.  ``AlgorithmSpec``
-asks its rule for one arrow at a time: the events for the box an arrow
-fills, the column walk for the shape it grows too (``follow``), and the
-picture book over a whole shape (``generator``).  Nothing here memoizes a
-move; a sweep keeps the moves it follows in its own table.
+asks its rule for one arrow at a time, by its key (an alpha color, or a
+deletion point and color pair): the events for the box an arrow fills
+(``arrow``) and the key of the arrow into a box (``unbump``), the column
+walk for the shape it grows too (``follow``), and the picture book for
+every key of a whole shape (``generator``).  Nothing here memoizes a move;
+a sweep keeps the moves it follows in its own table.
 
 The sides of the tables read only the corners of a shape
 (``lattice.Corners``): ``FIRST`` and ``LAST``, the first and last insertion
@@ -21,11 +23,11 @@ insertion point, through which ``TableRule.unbump`` inverts by lookup.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from itertools import chain
 
 from .insdiag import (
-    ALPHA, BUMP, Arrow, ColorPair, DiagramError, InsertionDiagram, Move, TableRule,
-    color_pair, color_pairs, diagram,
+    Arrow, ColorPair, DiagramError, InsertionDiagram, Key, Move, TableRule, color_pair,
+    color_pairs, diagram,
 )
 from .lattice import Corners, Geometry, Point, Shape, add_box
 from .render import tableau_suffixes
@@ -167,11 +169,10 @@ class AlgorithmSpec:
         """The rule mapped over the alpha colors and over the color grid of
         each deletion point of shape: its whole diagram."""
         rule, inst = self.rule, self.instantiation
-        arrows = [Arrow(ALPHA, *move, alpha_color=c) for c in range(1, inst.r + 1)
-                  if (move := rule.alpha(shape, c))]
-        arrows += [Arrow(BUMP, *move, source=(p, pair)) for p in shape.points()[1]
-                   for pair in color_pairs(inst, p) if (move := rule.bump(shape, p, pair))]
-        return diagram(shape, arrows)
+        keys = chain(range(1, inst.r + 1), ((p, pair) for p in shape.points()[1]
+                                            for pair in color_pairs(inst, p)))
+        return diagram(shape, [Arrow(key, *move) for key in keys
+                               if (move := rule.arrow(shape, key))])
 
     def diagram(self, shape: Shape) -> InsertionDiagram:
         """The whole insertion diagram of shape, generated on every call.
@@ -182,37 +183,29 @@ class AlgorithmSpec:
                 f"{self.name} runs on the {self.geometry}, got a {shape.geometry} shape")
         return self.generator(shape)
 
-    def follow(self, shape: Shape,
-               key: Union[int, tuple[Point, ColorPair]]) -> tuple[Shape, ColorPair, Point]:
-        """The shape grown by the arrow of key (an alpha color, or a
-        deletion point and its color pair) on shape, its out colors, and the
-        box it fills: the rule's ``insert`` or ``bump``, then ``add_box``,
-        which raises where the target is not an insertion point."""
+    def follow(self, shape: Shape, key: Key) -> tuple[Shape, ColorPair, Point]:
+        """The shape grown by the arrow of key on shape, its out colors, and
+        the box it fills: ``arrow``, then ``add_box``, which raises where
+        the target is not an insertion point."""
         if shape.geometry is not self.geometry:
             raise CatalogError(
                 f"{self.name} runs on the {self.geometry}, got a {shape.geometry} shape")
-        box, out = self.insert(shape, key) if key.__class__ is int else self.bump(shape, *key)
+        box, out = self.arrow(shape, key)
         return add_box(shape, box), out, box
 
     # One arrow per event, asked of the rule: run_growth and invert_growth.
 
-    def insert(self, shape: Corners, color: int) -> Move:
-        """The alpha arrow of color on shape: the box it fills, its out colors."""
-        move = self.rule.alpha(shape, color)
+    def arrow(self, shape: Corners, key: Key) -> Move:
+        """The arrow of key on shape: the box it fills, its out colors."""
+        move = self.rule.arrow(shape, key)
         if move is None:
-            raise DiagramError(f"no alpha arrow for color {color} on {shape}")
+            if key.__class__ is int:
+                raise DiagramError(f"no alpha arrow for color {key} on {shape}")
+            raise DiagramError(f"no bump arrow from {key[0]} {key[1]} on {shape}")
         return move
 
-    def bump(self, shape: Corners, p: Point, pair: ColorPair) -> Move:
-        """The bump arrow out of (p, pair) on shape: the box it fills, its out colors."""
-        move = self.rule.bump(shape, p, pair)
-        if move is None:
-            raise DiagramError(f"no bump arrow from {p} {pair} on {shape}")
-        return move
-
-    def unbump(self, shape: Corners, q: Point, out: ColorPair):
-        """The alpha color or the bump source (p, pair) of the arrow into
-        (q, out) on shape."""
+    def unbump(self, shape: Corners, q: Point, out: ColorPair) -> Key:
+        """The key of the arrow into (q, out) on shape."""
         got = self.rule.unbump(self.instantiation, shape, q, out)
         if got is None:
             raise DiagramError(f"no arrow into {q} {out} on {shape}")

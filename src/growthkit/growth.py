@@ -33,13 +33,14 @@ so its columns hold ints.
 
 ``run_growth`` and ``invert_growth`` visit the insertion and bump cells
 only, time by time, with P as a box -> (value, color) map and each row's
-values in order, and ask the algorithm's local rule for the one arrow each
-cell follows (``insert``, ``bump``, ``unbump``).  Every rule reads the
-corners it needs straight from P's rows (``lattice.Below``: a few
-``bisect``s per arrow, whatever the size of P), so no event builds a
-``Shape``; a table rule also inverts by lookup.  The diagram ``run_growth``
-returns carries P and Q, and builds its grid by the ``border_column`` +
-``grow_column`` fold when first read, with the walk the sweeps use.
+values in order, and ask the algorithm for the arrow of each cell's key
+(``arrow``: an alpha color, or a deletion point and color pair) or for the
+key of the arrow into a box (``unbump``).  Every rule reads the corners it
+needs straight from P's rows (``lattice.Below``: a few ``bisect``s per
+arrow, whatever the size of P), so no event builds a ``Shape``; a table
+rule also inverts by lookup.  The diagram ``run_growth`` returns carries P
+and Q, and builds its grid by the ``border_column`` + ``grow_column`` fold
+when first read, with the walk the sweeps use.
 """
 
 from __future__ import annotations
@@ -146,7 +147,7 @@ class ColoredTableau:
     def values(self) -> list[int]:
         return sorted(v for _, v, _ in self.cells)
 
-    def validate_colors(self, inst, channel_w) -> None:
+    def validate_colors(self, channel_w) -> None:
         """channel_w is inst.w1 for P tableaux, inst.w2 for Q tableaux."""
         for p, v, c in self.cells:
             if c > channel_w(p):
@@ -386,7 +387,7 @@ class _Filling:
 def run_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
     """The growth of gp, one insertion per time: the value follows its alpha
     arrow, then each occupant it lands on follows its bump arrow, each arrow
-    asked of alg (``insert``, ``bump``).  A failing cell ends the run of its
+    asked of alg by its key (``arrow``).  A failing cell ends the run of its
     value and the larger ones, as it ends those columns of the fold, so the
     failure raised is the one the fold meets first: the westmost, then the
     earliest."""
@@ -401,14 +402,14 @@ def run_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
             continue
         u = v
         try:
-            box, out = alg.insert(below(v), c)
+            box, out = alg.arrow(below(v), c)
             while True:
                 old = P.put(box, v, out.g1)
                 if old is None:
                     break
                 # u leaves box: the values <= u fill what they filled at j - 1
                 u, color = old
-                box, out = alg.bump(below(u), box, color_pair(color, out.g2))
+                box, out = alg.arrow(below(u), (box, color_pair(color, out.g2)))
                 v = u
             Q[box] = j, out.g2
         except ValueError as e:
@@ -463,8 +464,8 @@ def invert_growth(alg, P: ColoredTableau, Q: ColoredTableau) -> GeneralizedPermu
     if not P.is_standard() or not Q.is_standard():
         raise GrowthError("P and Q must be standard")
     inst = alg.instantiation
-    P.validate_colors(inst, inst.w1)
-    Q.validate_colors(inst, inst.w2)
+    P.validate_colors(inst.w1)
+    Q.validate_colors(inst.w2)
     filling = _Filling(alg.geometry, P.cells)
     below = partial(Below, filling.geometry, filling.rows)
     q_at = {j: (p, d) for p, j, d in Q.cells}
@@ -476,7 +477,7 @@ def invert_growth(alg, P: ColoredTableau, Q: ColoredTableau) -> GeneralizedPermu
         while u > limit:
             try:
                 got = alg.unbump(below(u), box, color_pair(color, d))
-                if isinstance(got, int):
+                if got.__class__ is int:
                     entries.add((u, j, got))
                     break
                 box, pair = got

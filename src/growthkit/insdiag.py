@@ -5,14 +5,18 @@ color and, for every deletion point p, one "bump" arrow per color pair on p.
 Together they define a bijection from (down-edges of x) + (alpha colors) onto
 the up-edges into x, which is exactly what the growth process consumes.
 
-A ``TableRule`` gives the same arrows one at a time, and the growth process
-asks it for the one arrow each insertion or bump follows.  It is the only
-local rule: a table from alpha colors and bump color pairs to a side and out
-colors.  A side reads only the corners of a shape (``lattice.Corners``),
-which a ``Shape`` gives from its rows and the event engine from a tableau's
-rows, and the rule inverts by lookup.  Whole diagrams are for display and
+One key picks out an arrow everywhere: an alpha color (an int), or a bump's
+deletion point and color pair, ``(p, pair)``.  An ``Arrow`` is its key and
+where it lands, (target, out colors), and prints as one line of the text
+format.  A ``TableRule`` gives the arrow of a key on a shape one at a time,
+``arrow(shape, key)``, and the growth process asks it for the one arrow
+each insertion or bump follows.  It is the only local rule: a table from
+alpha colors and bump color pairs to a side and out colors.  A side reads
+only the corners of a shape (``lattice.Corners``), which a ``Shape`` gives
+from its rows and the event engine from a tableau's rows, and the rule
+inverts by lookup, back to the key.  Whole diagrams are for display and
 checking: ``validate``, the textual format, and
-``catalog.AlgorithmSpec.generator``, the rule mapped over a shape's corners.
+``catalog.AlgorithmSpec.generator``, the rule mapped over a shape's keys.
 The tests keep a rule that inverts by search as the reference for the
 lookup (``tests/catalog_reference.py``).
 """
@@ -59,51 +63,38 @@ class ColorPair:
 color_pair = lru_cache(maxsize=256)(ColorPair)
 
 
-ALPHA = "alpha"
-BUMP = "bump"
+# An arrow's key: its alpha color, or its bump's deletion point and color pair.
+Key = Union[int, tuple[Point, ColorPair]]
 
 
 @dataclass(frozen=True, slots=True)
 class Arrow:
-    """One arrow of an insertion diagram.
+    """One arrow of an insertion diagram: the arrow of key, which ends at
+    (target, out)."""
 
-    kind "alpha": unanchored, selected by alpha_color, ends at (target, out).
-    kind "bump": leaves (source point, source colors), ends at (target, out).
-    """
-
-    kind: str
+    key: Key
     target: Point
     out: ColorPair
-    alpha_color: Optional[int] = None
-    source: Optional[tuple[Point, ColorPair]] = None
 
     def __post_init__(self):
-        if self.kind == ALPHA:
-            if self.alpha_color is None or self.source is not None:
-                raise DiagramError(f"malformed alpha arrow: {self}")
-        elif self.kind == BUMP:
-            if self.source is None or self.alpha_color is not None:
-                raise DiagramError(f"malformed bump arrow: {self}")
-            self.source[1].require_full()
-        else:
-            raise DiagramError(f"unknown arrow kind {self.kind!r}")
+        if self.key.__class__ is not int:
+            self.key[1].require_full()
         self.out.require_full()
 
     def __str__(self):
-        if self.kind == ALPHA:
-            return f"alpha {self.alpha_color} -> {self.target} {self.out}"
-        p, pair = self.source
+        if self.key.__class__ is int:
+            return f"alpha {self.key} -> {self.target} {self.out}"
+        p, pair = self.key
         return f"bump {p} {pair} -> {self.target} {self.out}"
 
 
 def alpha_arrow(color: int, target: Point, out_g1: int, out_g2: int) -> Arrow:
-    return Arrow(ALPHA, target, color_pair(out_g1, out_g2), alpha_color=color)
+    return Arrow(color, target, color_pair(out_g1, out_g2))
 
 
 def bump_arrow(source: Point, in_g1: int, in_g2: int,
                target: Point, out_g1: int, out_g2: int) -> Arrow:
-    return Arrow(BUMP, target, color_pair(out_g1, out_g2),
-                 source=(source, color_pair(in_g1, in_g2)))
+    return Arrow((source, color_pair(in_g1, in_g2)), target, color_pair(out_g1, out_g2))
 
 
 @dataclass(frozen=True)
@@ -135,18 +126,17 @@ def validate(inst: Instantiation, d: InsertionDiagram) -> DiagramReport:
     failures = []
     ins, dels = d.shape.points()
 
-    alphas = [a for a in d.arrows if a.kind == ALPHA]
-    seen_colors = sorted(a.alpha_color for a in alphas)
+    seen_colors = sorted(a.key for a in d.arrows if a.key.__class__ is int)
     if seen_colors != list(range(1, inst.r + 1)):
         failures.append(
             f"alpha arrows must cover colors 1..{inst.r} exactly once, got {seen_colors}")
 
-    bumps = [a for a in d.arrows if a.kind == BUMP]
-    for a in bumps:
-        if a.source[0] not in dels:
-            failures.append(f"bump source {a.source[0]} is not a deletion point")
+    sources = [a.key for a in d.arrows if a.key.__class__ is not int]
+    for p, _ in sources:
+        if p not in dels:
+            failures.append(f"bump source {p} is not a deletion point")
     for p in dels:
-        pairs = [a.source[1] for a in bumps if a.source[0] == p]
+        pairs = [pair for s, pair in sources if s == p]
         if len(pairs) != len(set(pairs)) or set(pairs) != set(color_pairs(inst, p)):
             failures.append(
                 f"deletion point {p} must emit one bump per pair in "
@@ -181,17 +171,15 @@ def _color_grid(w1: int, w2: int) -> tuple[ColorPair, ...]:
 @dataclass(frozen=True)
 class TableRule:
     """A local insertion rule as data: every shape's insertion diagram, one
-    arrow at a time.  ``alpha(shape, color)`` is where the alpha arrow of
-    that color lands and ``bump(shape, p, pair)`` where the bump arrow out
-    of (p, pair) lands, each as (target, out colors), or None where the
-    diagram has no such arrow.  ``table`` maps an alpha color, or the color
-    pair of a bump, to (side, out colors).  A side reads where the arrow
-    lands off the corners of the shape (``lattice.Corners``), as
-    ``side(shape, p, near)``: p is the bump's deletion point and near its
-    northeast and southwest neighbors (both None for an alpha arrow).  On
-    the octant, ``diagonal`` holds the bumps out of a diagonal deletion
-    point, in place of ``table``'s, and the entry an alpha arrow takes
-    instead when its target is diagonal.
+    arrow at a time.  ``arrow(shape, key)`` is where the arrow of key lands,
+    as (target, out colors), or None where the diagram has no such arrow.
+    ``table`` maps an alpha color, or the color pair of a bump, to (side,
+    out colors).  A side reads where the arrow lands off the corners of the
+    shape (``lattice.Corners``), as ``side(shape, p, near)``: p is the bump's
+    deletion point and near its northeast and southwest neighbors (both None
+    for an alpha arrow).  On the octant, ``diagonal`` holds the bumps out of
+    a diagonal deletion point, in place of ``table``'s, and the entry an
+    alpha arrow takes instead when its target is diagonal.
 
     The rule inverts by lookup: its entries by out colors, and for a bump
     entry the deletion points its side can send from to a given insertion
@@ -203,38 +191,37 @@ class TableRule:
     def __post_init__(self):
         by_out = {}
         for on_diagonal, t in ((False, self.table), (True, self.diagonal)):
-            for key, (side, out) in t.items():
-                by_out.setdefault(out, []).append((key, side, on_diagonal))
+            for entry, (side, out) in t.items():
+                by_out.setdefault(out, []).append((entry, side, on_diagonal))
         object.__setattr__(self, "_by_out", by_out)
 
-    def alpha(self, shape: Corners, color: int) -> Optional[Move]:
-        hit = self.table.get(color)
-        if hit and color in self.diagonal and hit[0](shape, None, None).diagonal:
-            hit = self.diagonal[color]
-        return hit and (hit[0](shape, None, None), hit[1])
-
-    def bump(self, shape: Corners, p: Point, pair: ColorPair) -> Optional[Move]:
+    def arrow(self, shape: Corners, key: Key) -> Optional[Move]:
+        if key.__class__ is int:
+            hit = self.table.get(key)
+            if hit and key in self.diagonal and hit[0](shape, None, None).diagonal:
+                hit = self.diagonal[key]
+            return hit and (hit[0](shape, None, None), hit[1])
+        p, pair = key
         hit = (self.diagonal if self.diagonal and p.diagonal else self.table).get(pair)
         near = hit and shape.neighbors(p)
         return near and (hit[0](shape, p, near), hit[1])
 
     def unbump(self, inst: Instantiation, shape: Corners, q: Point,
-               out: ColorPair) -> Union[int, tuple[Point, ColorPair], None]:
-        """The alpha color or the bump source (p, pair) whose arrow ends at
-        (q, out), None if no arrow does.  A diagonal entry can only come
-        from the last deletion point, the one deletion point that can be
-        diagonal."""
+               out: ColorPair) -> Optional[Key]:
+        """The key of the arrow that ends at (q, out), None if no arrow
+        does.  A diagonal entry can only come from the last deletion point,
+        the one deletion point that can be diagonal."""
         move = (q, out)
-        for key, side, on_diagonal in self._by_out.get(out, ()):
-            if key.__class__ is int:
-                if key <= inst.r and self.alpha(shape, key) == move:
-                    return key
+        for entry, side, on_diagonal in self._by_out.get(out, ()):
+            if entry.__class__ is int:
+                if entry <= inst.r and self.arrow(shape, entry) == move:
+                    return entry
                 continue
             sources = shape.flanks(shape.last)[-1:] if on_diagonal else side.sources(shape, q)
             for p in sources:
-                if (key.g1 <= inst.w1(p) and key.g2 <= inst.w2(p)
-                        and self.bump(shape, p, key) == move):
-                    return p, key
+                if (entry.g1 <= inst.w1(p) and entry.g2 <= inst.w2(p)
+                        and self.arrow(shape, key := (p, entry)) == move):
+                    return key
         return None
 
 
@@ -272,8 +259,5 @@ def parse_diagram(text: str, shape: Shape) -> InsertionDiagram:
 
 def format_diagram(d: InsertionDiagram) -> str:
     """Inverse of parse_diagram, one arrow per line, alpha arrows first."""
-    alphas = sorted((a for a in d.arrows if a.kind == ALPHA),
-                    key=lambda a: a.alpha_color)
-    bumps = sorted((a for a in d.arrows if a.kind == BUMP),
-                   key=lambda a: (a.source[0], a.source[1]))
-    return "\n".join(str(a) for a in alphas + bumps)
+    arrows = sorted(d.arrows, key=lambda a: (a.key.__class__ is not int, a.key))
+    return "\n".join(map(str, arrows))

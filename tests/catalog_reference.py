@@ -2,8 +2,8 @@
 catalog held local rules: each builds the whole arrow set of one shape.
 ``tests/test_rules.py`` holds the rules of ``growthkit.catalog`` to them.
 ``rule_of`` turns any such generator, the broken ones of the tests too,
-into a ``SearchRule``: a local rule given as two functions, which inverts
-by search and is the reference for ``TableRule``'s inverse by lookup.
+into a ``SearchRule``: a local rule given as one arrow function, which
+inverts by search and is the reference for ``TableRule``'s inverse by lookup.
 
 All generators work off the northeast-to-southwest alternation of insertion
 ("+") and deletion ("-") points.  For a deletion point, its "southwest
@@ -12,10 +12,10 @@ and its "northeast neighbor" is the previous one (one column further east).
 """
 
 from itertools import chain
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from growthkit.insdiag import (
-    ALPHA, ColorPair, InsertionDiagram, Move, alpha_arrow, bump_arrow, color_pairs, diagram,
+    ColorPair, InsertionDiagram, Key, Move, alpha_arrow, bump_arrow, color_pairs, diagram,
 )
 from growthkit.lattice import (
     Corners, Point, Shape, add_box, deletion_points, insertion_points, transpose,
@@ -26,33 +26,30 @@ from growthkit.wdgg import Instantiation
 class SearchRule:
     """A local insertion rule: every shape's insertion diagram, one arrow at
     a time, read off the shape's corners (``lattice.Corners``: a ``Shape``,
-    or the event engine's ``Below``).  ``alpha(shape, color)`` is where the
-    alpha arrow of that color lands and ``bump(shape, p, pair)`` where the
-    bump arrow out of (p, pair) lands, each as (target, out colors), or None
-    where the diagram has no such arrow."""
+    or the event engine's ``Below``).  ``arrow(shape, key)`` is where the
+    arrow of key (an alpha color, or a deletion point and color pair) lands,
+    as (target, out colors), or None where the diagram has no such arrow."""
 
-    __slots__ = ("alpha", "bump")
+    __slots__ = ("arrow",)
 
-    def __init__(self, alpha: Callable[[Corners, int], Optional[Move]],
-                 bump: Callable[[Corners, Point, ColorPair], Optional[Move]]):
-        self.alpha, self.bump = alpha, bump
+    def __init__(self, arrow: Callable[[Corners, Key], Optional[Move]]):
+        self.arrow = arrow
 
     def unbump(self, inst: Instantiation, shape: Corners, q: Point,
-               out: ColorPair) -> Union[int, tuple[Point, ColorPair], None]:
-        """The alpha color or the bump source whose arrow ends at (q, out),
-        None if no arrow does.  It searches: the alpha colors, then the
-        deletion points next to q, where most bumps come from, then the
-        rest.  The diagram of a valid rule is a bijection, so the first
-        match is the only one."""
+               out: ColorPair) -> Optional[Key]:
+        """The key of the arrow that ends at (q, out), None if no arrow
+        does.  It searches: the alpha colors, then the deletion points next
+        to q, where most bumps come from, then the rest.  The diagram of a
+        valid rule is a bijection, so the first match is the only one."""
         move = (q, out)
         for c in range(1, inst.r + 1):
-            if self.alpha(shape, c) == move:
+            if self.arrow(shape, c) == move:
                 return c
         near = shape.flanks(q)
         for p in chain(near, _others(shape, near)):
             for pair in color_pairs(inst, p):
-                if self.bump(shape, p, pair) == move:
-                    return p, pair
+                if self.arrow(shape, key := (p, pair)) == move:
+                    return key
         return None
 
 
@@ -251,10 +248,10 @@ def transposed(generator, inst, f, g):
         for a in base.arrows:
             target = a.target.transpose()
             og1, og2 = map_pair(a.out, target)
-            if a.kind == ALPHA:
-                arrows.append(alpha_arrow(f_inv[a.alpha_color], target, og1, og2))
+            if isinstance(a.key, int):
+                arrows.append(alpha_arrow(f_inv[a.key], target, og1, og2))
             else:
-                p, pair = a.source
+                p, pair = a.key
                 ig1, ig2 = map_pair(pair, p.transpose())
                 arrows.append(bump_arrow(p.transpose(), ig1, ig2, target, og1, og2))
         return diagram(shape, arrows)
@@ -273,12 +270,10 @@ def rule_of(generator) -> SearchRule:
     def arrow(shape, key):
         arrows = arrows_of.get(shape)
         if arrows is None:
-            arrows = arrows_of[shape] = {
-                a.alpha_color if a.kind == ALPHA else a.source: a
-                for a in generator(shape).arrows}
+            arrows = arrows_of[shape] = {a.key: a for a in generator(shape).arrows}
         a = arrows.get(key)
         if a is not None:
             add_box(shape, a.target)
             return a.target, a.out
 
-    return SearchRule(arrow, lambda shape, p, pair: arrow(shape, (p, pair)))
+    return SearchRule(arrow)

@@ -127,8 +127,8 @@ def invert_grid(alg, P: ColoredTableau, Q: ColoredTableau) -> GeneralizedPermuta
     if not P.is_standard() or not Q.is_standard():
         raise GrowthError("P and Q must be standard")
     inst = alg.instantiation
-    P.validate_colors(inst, inst.w1)
-    Q.validate_colors(inst, inst.w2)
+    P.validate_colors(inst.w1)
+    Q.validate_colors(inst.w2)
     n, m = P.size, Q.size
     nodes: list[list[Optional[Shape]]] = [[None] * (m + 1) for _ in range(n + 1)]
     hcol: list[list[Optional[int]]] = [[None] * (m + 1) for _ in range(n + 1)]

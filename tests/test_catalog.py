@@ -5,7 +5,7 @@ import pytest
 from growthkit.catalog import (
     AlgorithmSpec, CatalogError, generate, get_algorithm, list_algorithms,
 )
-from growthkit.insdiag import ALPHA, BUMP, ColorPair, validate
+from growthkit.insdiag import Arrow, ColorPair, validate
 from growthkit.lattice import Geometry, Point, Shape, empty_shape, shapes_up_to, transpose
 
 Q, O = Geometry.QUADRANT, Geometry.OCTANT
@@ -43,12 +43,11 @@ def arrows_of(name, shape):
 
 
 def bump_map(arrows):
-    return {(a.source[0], a.source[1]): (a.target, a.out)
-            for a in arrows if a.kind == BUMP}
+    return {a.key: (a.target, a.out) for a in arrows if not isinstance(a.key, int)}
 
 
 def alpha_map(arrows):
-    return {a.alpha_color: (a.target, a.out) for a in arrows if a.kind == ALPHA}
+    return {a.key: (a.target, a.out) for a in arrows if isinstance(a.key, int)}
 
 
 class TestTranscriptions:
@@ -141,24 +140,14 @@ class TestStructuralRelations:
             col = generate("rs-col", s)
             transposed = set()
             for a in row.arrows:
-                if a.kind == ALPHA:
-                    transposed.add((ALPHA, a.alpha_color, a.target.transpose(), a.out))
-                else:
-                    transposed.add((BUMP, a.source[0].transpose(), a.source[1],
-                                    a.target.transpose(), a.out))
-            got = set()
-            for a in col.arrows:
-                if a.kind == ALPHA:
-                    got.add((ALPHA, a.alpha_color, a.target, a.out))
-                else:
-                    got.add((BUMP, a.source[0], a.source[1], a.target, a.out))
-            assert got == transposed, s
+                key = a.key if isinstance(a.key, int) else (a.key[0].transpose(), a.key[1])
+                transposed.add(Arrow(key, a.target.transpose(), a.out))
+            assert col.arrows == transposed, s
 
     def test_jitter_and_left_right_share_geometry(self):
         for s in shapes_up_to(Q, 8):
             strip = lambda arrows: {
-                (a.kind, a.alpha_color, a.source and a.source[0], a.target)
-                for a in arrows}
+                (a.key if isinstance(a.key, int) else a.key[0], a.target) for a in arrows}
             assert strip(arrows_of("jitter", s)) == strip(arrows_of("left-right", s))
 
     def test_shifted_column_duals_swap_channels(self):
@@ -168,10 +157,6 @@ class TestStructuralRelations:
             dual = arrows_of("dual-shifted-column", s)
             swapped = set()
             for a in sc:
-                if a.kind == ALPHA:
-                    swapped.add((ALPHA, a.alpha_color, None, a.target, flip(a.out)))
-                else:
-                    swapped.add((BUMP, None, (a.source[0], flip(a.source[1])),
-                                 a.target, flip(a.out)))
-            got = {(a.kind, a.alpha_color, a.source, a.target, a.out) for a in dual}
-            assert got == swapped, s
+                key = a.key if isinstance(a.key, int) else (a.key[0], flip(a.key[1]))
+                swapped.add(Arrow(key, a.target, flip(a.out)))
+            assert dual == swapped, s

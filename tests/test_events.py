@@ -17,7 +17,7 @@ from growthkit.growth import (
     GeneralizedPermutation, GrowthError, extract_P, extract_Q, invert_growth,
     run_growth,
 )
-from growthkit.insdiag import ALPHA, BUMP, Arrow, diagram
+from growthkit.insdiag import Arrow, diagram
 from growthkit.oracle import enumerate_gps
 from growthkit.render import parse_gp
 from catalog_reference import rule_of
@@ -85,7 +85,7 @@ def _broken(base, keep, name="broken"):
 def _rewired(base, rewire):
     """base with every bump arrow a replaced by rewire(a)."""
     def generator(shape):
-        return diagram(shape, [rewire(a) if a.kind == BUMP else a
+        return diagram(shape, [rewire(a) if isinstance(a.key, tuple) else a
                                for a in base.generator(shape).arrows])
     return AlgorithmSpec("rewired", base.instantiation, rule_of(generator),
                          f"{base.name}, rewired")
@@ -100,10 +100,10 @@ def _failure(fn, *args):
 
 
 BROKEN = {
-    "no-bumps-on-size-2": lambda s, a: not (a.kind == BUMP and s.size == 2),
-    "no-bumps-from-row-1": lambda s, a: not (a.kind == BUMP and a.source[0].row == 1),
-    "no-color-2-bumps": lambda s, a: not (a.kind == BUMP and a.source[1].g2 == 2),
-    "no-alpha-on-size-3": lambda s, a: not (a.kind == ALPHA and s.size == 3),
+    "no-bumps-on-size-2": lambda s, a: not (isinstance(a.key, tuple) and s.size == 2),
+    "no-bumps-from-row-1": lambda s, a: not (isinstance(a.key, tuple) and a.key[0].row == 1),
+    "no-color-2-bumps": lambda s, a: not (isinstance(a.key, tuple) and a.key[1].g2 == 2),
+    "no-alpha-on-size-3": lambda s, a: not (isinstance(a.key, int) and s.size == 3),
 }
 
 
@@ -140,7 +140,7 @@ def test_broken_inverse_names_the_reference_cell(base, rule):
 def test_bad_target_names_the_fold_cell():
     # bumps out of the second row land on their source, not an insertion point
     bad = _rewired(get_algorithm("rs-row"), lambda a: Arrow(
-        BUMP, a.source[0] if a.source[0].row == 2 else a.target, a.out, source=a.source))
+        a.key, a.key[0] if a.key[0].row == 2 else a.target, a.out))
     seen = set()
     for gp in enumerate_gps(4, 1):
         want = _failure(fold_growth, bad, gp)
@@ -151,7 +151,7 @@ def test_bad_target_names_the_fold_cell():
 
 def test_missing_bump_names_its_cell():
     rs = get_algorithm("rs-row")
-    broken = _broken(rs, lambda s, a: not (a.kind == BUMP and a.source[0].row == 1))
+    broken = _broken(rs, lambda s, a: not (isinstance(a.key, tuple) and a.key[0].row == 1))
     # rs-row on 2 4 3 1: 3 bumps 4 at time 3, then 1 bumps 2 and 2 bumps 4
     # at time 4.  The fold meets column 2 first, so (2,4) is named, not (4,3).
     with pytest.raises(GrowthError, match=r"^cell \(2,4\): no bump arrow from \(1,1\) <1,1>"):
@@ -164,7 +164,7 @@ def test_missing_bump_names_its_cell():
 def test_inverse_failure_names_its_cell():
     rs = get_algorithm("rs-row")
     g = run_growth(rs, parse_gp("2 1", 1))
-    broken = _broken(rs, lambda s, a: a.kind == ALPHA)
+    broken = _broken(rs, lambda s, a: isinstance(a.key, int))
     msg = r"^cell \(2,2\) is outside the image: no arrow into \(2,1\) <1,1>"
     with pytest.raises(GrowthError, match=msg):
         invert_growth(broken, extract_P(g), extract_Q(g))

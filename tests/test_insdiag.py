@@ -1,10 +1,11 @@
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from growthkit.catalog import AlgorithmSpec, get_algorithm, list_algorithms
 from growthkit.insdiag import (
-    ColorPair, DiagramError, alpha_arrow, bump_arrow, diagram, format_diagram,
+    Arrow, ColorPair, DiagramError, alpha_arrow, bump_arrow, diagram, format_diagram,
     parse_diagram, validate,
 )
 from growthkit.lattice import (
@@ -30,7 +31,7 @@ class TestValidate:
     def test_missing_alpha_fails_first_constraint(self):
         alg = get_algorithm("rs-row")
         d = alg.diagram(Shape(Q, (2, 1)))
-        broken = diagram(d.shape, [a for a in d.arrows if a.kind != "alpha"])
+        broken = diagram(d.shape, [a for a in d.arrows if not isinstance(a.key, int)])
         report = validate(alg.instantiation, broken)
         assert not report.ok
         assert any("alpha" in f for f in report.failures)
@@ -60,42 +61,42 @@ class TestValidate:
 
 
 class TestPsiEvaluation:
-    """psi, the diagram's bijection, one arrow at a time: ``insert`` and
-    ``bump`` give the box an arrow fills, ``follow`` the shape it grows."""
+    """psi, the diagram's bijection, one arrow at a time: ``arrow`` gives
+    the box the arrow of a key fills, ``follow`` the shape it grows."""
 
     def test_insert_rs_row(self):
         alg = get_algorithm("rs-row")
-        assert alg.insert(Shape(Q, (3,)), 1) == (Point(1, 4), ColorPair(1, 1))
+        assert alg.arrow(Shape(Q, (3,)), 1) == (Point(1, 4), ColorPair(1, 1))
 
     def test_insert_sagan_empty(self):
         alg = get_algorithm("sagan1")
-        assert alg.insert(empty_shape(O), 1) == (Point(1, 1), ColorPair(1, 1))
+        assert alg.arrow(empty_shape(O), 1) == (Point(1, 1), ColorPair(1, 1))
 
     def test_insert_left_right_circled(self):
         alg = get_algorithm("left-right")
-        assert alg.insert(Shape(Q, (2, 2)), 2) == (Point(3, 1), ColorPair(1, 2))
+        assert alg.arrow(Shape(Q, (2, 2)), 2) == (Point(3, 1), ColorPair(1, 2))
 
     def test_bump_rs_row_goes_south(self):
         alg = get_algorithm("rs-row")
-        box, out = alg.bump(Shape(Q, (3,)), Point(1, 3), ColorPair(1, 1))
+        box, out = alg.arrow(Shape(Q, (3,)), (Point(1, 3), ColorPair(1, 1)))
         assert box == Point(2, 1)
 
     def test_bump_sagan_diagonal_returns_red(self):
         alg = get_algorithm("sagan1")
-        got = alg.bump(Shape(O, (3, 1)), Point(2, 2), ColorPair(1, 1))
+        got = alg.arrow(Shape(O, (3, 1)), (Point(2, 2), ColorPair(1, 1)))
         assert got == (Point(1, 4), ColorPair(1, 2))
 
     def test_bump_worley_diagonal_goes_east(self):
         alg = get_algorithm("worley-sagan")
-        got = alg.bump(Shape(O, (3, 1)), Point(2, 2), ColorPair(1, 1))
+        got = alg.arrow(Shape(O, (3, 1)), (Point(2, 2), ColorPair(1, 1)))
         assert got == (Point(2, 3), ColorPair(1, 2))
 
     def test_invalid_color_raises(self):
         alg = get_algorithm("rs-row")
         with pytest.raises(DiagramError):
-            alg.insert(empty_shape(Q), 2)
+            alg.arrow(empty_shape(Q), 2)
         with pytest.raises(DiagramError):
-            alg.bump(Shape(Q, (1,)), Point(1, 1), ColorPair(1, 2))
+            alg.arrow(Shape(Q, (1,)), (Point(1, 1), ColorPair(1, 2)))
 
     def test_each_arrow_grows_its_shape_once(self):
         alg = get_algorithm("left-right")
@@ -109,7 +110,7 @@ class TestPsiEvaluation:
         moves = {1: (Point(2, 1), ColorPair(1, 1)), 2: (Point(2, 2), ColorPair(1, 1))}
         lr = get_algorithm("left-right")
         alg = AlgorithmSpec("off", lr.instantiation,
-                            SearchRule(lambda s, c: moves.get(c), lambda s, p, pair: None), "")
+                            SearchRule(lambda s, key: moves.get(key)), "")
         shape = Shape(Q, (1,))
         assert alg.follow(shape, 1) == (Shape(Q, (1, 1)), ColorPair(1, 1), Point(2, 1))
         for _ in range(2):
@@ -138,13 +139,13 @@ class TestPsiInverse:
         inst = alg.instantiation
         for s in shapes_up_to(alg.geometry, 8):
             for c in range(1, inst.r + 1):
-                q, out = alg.insert(s, c)
+                q, out = alg.arrow(s, c)
                 assert alg.unbump(s, q, out) == c
             for p in deletion_points(s):
                 for g1 in range(1, inst.w1(p) + 1):
                     for g2 in range(1, inst.w2(p) + 1):
                         pair = ColorPair(g1, g2)
-                        q, out = alg.bump(s, p, pair)
+                        q, out = alg.arrow(s, (p, pair))
                         assert alg.unbump(s, q, out) == (p, pair)
 
 
@@ -187,3 +188,9 @@ class TestTextFormat:
             alpha_arrow(1, Point(1, 1), 1, None)
         with pytest.raises(DiagramError):
             bump_arrow(Point(1, 1), None, 1, Point(1, 2), 1, 1)
+
+    def test_an_arrow_is_its_key_and_where_it_lands(self):
+        assert [f.name for f in fields(Arrow)] == ["key", "target", "out"]
+        a = bump_arrow(Point(1, 2), 1, 2, Point(1, 3), 1, 2)
+        assert a == Arrow((Point(1, 2), ColorPair(1, 2)), Point(1, 3), ColorPair(1, 2))
+        assert alpha_arrow(2, Point(2, 1), 1, 2) == Arrow(2, Point(2, 1), ColorPair(1, 2))

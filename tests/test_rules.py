@@ -15,8 +15,10 @@ unshifted-1 table of the sides ``FIRST``, ``LAST``, ``NE`` and ``SW``, and a
 fixed sample of unshifted-2 tables.  A round trip at n = 2000 builds no
 ``Shape`` but the final one, with a table rule or with a ``SearchRule`` of
 the same arrows.  ``TableRule`` is the only rule of ``growthkit``;
-``SearchRule``, a pair of arrow functions that inverts by search, lives in
-``catalog_reference`` as the reference for the lookup.
+``SearchRule``, an arrow function that inverts by search, lives in
+``catalog_reference`` as the reference for the lookup.  One key, an alpha
+color or a deletion point and color pair, picks out an arrow in every layer:
+the rule, the column walk's move, the inverse and the text format.
 """
 
 import dataclasses
@@ -33,10 +35,10 @@ from growthkit.duality import identity, swap_uc, transpose_dual
 from growthkit.growth import (
     GeneralizedPermutation, extract_P, extract_Q, invert_growth, run_growth,
 )
-from growthkit.insdiag import ALPHA, DiagramError, TableRule, color_pair, validate
+from growthkit.insdiag import DiagramError, TableRule, color_pair, parse_diagram, validate
 from growthkit.lattice import (
-    Below, Geometry, Point, Shape, added_box, deletion_points, insertion_points, shapes_of_size,
-    shapes_up_to,
+    Below, Geometry, Point, Shape, add_box, added_box, deletion_points, insertion_points,
+    shapes_of_size, shapes_up_to,
 )
 from growthkit.oracle import check_bijection
 from growthkit.wdgg import BUILTIN_INSTANTIATIONS
@@ -70,8 +72,7 @@ def _inverts_every_arrow(alg, shape):
     d = alg.diagram(shape)
     assert d.arrows, shape
     for a in d.arrows:
-        want = a.alpha_color if a.kind == ALPHA else a.source
-        assert alg.unbump(shape, a.target, a.out) == want, (shape, str(a))
+        assert alg.unbump(shape, a.target, a.out) == a.key, (shape, str(a))
 
 
 @pytest.mark.parametrize("name", ALGORITHMS)
@@ -139,18 +140,14 @@ def test_run_and_invert_build_no_diagram(name, monkeypatch):
 
 def _asking(alg):
     """A copy of alg whose rule counts the arrows it is asked for by
-    (shape, alpha color or (p, pair))."""
+    (shape, key): the key an alpha color or (p, pair)."""
     asked, rule = Counter(), alg.rule
 
-    def alpha_of(shape, color):
-        asked[shape, color] += 1
-        return rule.alpha(shape, color)
+    def arrow(shape, key):
+        asked[shape, key] += 1
+        return rule.arrow(shape, key)
 
-    def bump(shape, p, pair):
-        asked[shape, (p, pair)] += 1
-        return rule.bump(shape, p, pair)
-
-    return dataclasses.replace(alg, rule=SearchRule(alpha_of, bump)), asked
+    return dataclasses.replace(alg, rule=SearchRule(arrow)), asked
 
 
 def _followed(g):
@@ -221,6 +218,18 @@ def test_table_inverse_is_the_search(alg):
                 want = SearchRule.unbump(rule, inst, shape, q, out)
                 assert rule.unbump(inst, shape, q, out) == want, (shape, q, out)
                 assert rule.unbump(inst, view, q, out) == want, (shape, q, out)
+
+
+@pytest.mark.parametrize("alg", _algorithms_and_duals())
+def test_one_key_across_the_layers(alg):
+    # an arrow's key gives it back from the rule, the column walk's move
+    # and the inverse, and its line of the text format parses back to it
+    for shape in shapes_up_to(alg.geometry, 6):
+        for a in alg.generator(shape).arrows:
+            assert alg.arrow(shape, a.key) == (a.target, a.out), (shape, str(a))
+            assert alg.follow(shape, a.key) == (add_box(shape, a.target), a.out, a.target)
+            assert alg.unbump(shape, a.target, a.out) == a.key, (shape, str(a))
+            assert parse_diagram(str(a), shape).arrows == {a}, (shape, str(a))
 
 
 ALPHA_SIDES, BUMP_SIDES = (FIRST, LAST), (FIRST, LAST, NE, SW)  # NE, SW read a bump's p
@@ -333,6 +342,6 @@ def test_n2000_round_trip_builds_only_the_final_shape(name, monkeypatch):
 def test_n2000_round_trip_of_a_rule_that_is_not_a_table(name, monkeypatch):
     # a SearchRule reads the same corners off P's rows, and inverts by search
     alg = get_algorithm(name)
-    plain = dataclasses.replace(alg, rule=SearchRule(alg.rule.alpha, alg.rule.bump))
+    plain = dataclasses.replace(alg, rule=SearchRule(alg.rule.arrow))
     built, P = _shapes_built_by_a_round_trip(plain, monkeypatch)
     assert len(built) == 1 and built[0] is P.shape
