@@ -62,7 +62,8 @@ GROWTH_GOLDENS = [("growth-left-right", "left-right", "6o 4o 7 5 2 3 1o"),
 
 
 class TestRenderGrowthGoldens:
-    @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("latex", "tex")])
+    @pytest.mark.parametrize("fmt,ext", [("text", "txt"), ("records", "jsonl"),
+                                         ("latex", "tex")])
     @pytest.mark.parametrize("case", GROWTH_GOLDENS, ids=[c[0] for c in GROWTH_GOLDENS])
     def test_byte_exact(self, case, fmt, ext):
         name, alg, perm = case
