@@ -13,12 +13,14 @@ many processes run the exhaustive sweeps, this one and the children it forks
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from math import factorial
 
 from . import catalog, duality, insdiag, oracle, render, wdgg
 from .growth import extract_P, extract_Q, invert_growth, run_growth
-from .lattice import parse_shape
+from .lattice import parse_shape, shapes_up_to
 
 
 def _workers() -> int:
@@ -145,7 +147,6 @@ def cmd_verify_diagram(args) -> int:
         if value is not None:
             raise ValueError(f"{flag} applies only to --file")
     alg = catalog.get_algorithm(args.algorithm)
-    from .lattice import shapes_up_to
     bad = 0
     checked = 0
     failures = []
@@ -166,12 +167,10 @@ def cmd_verify_diagram(args) -> int:
 def _summary(**fields) -> None:
     """The one JSON summary line of a verify subcommand.  It holds no
     timings, so the output is the same on every run."""
-    import json
     print(json.dumps(fields, sort_keys=True))
 
 
 def cmd_verify_bijection(args) -> int:
-    from math import factorial
     alg = catalog.get_algorithm(args.algorithm)
     workers = _workers()
     inputs = factorial(_size(args.n, "--n")) * alg.r ** args.n
@@ -219,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="insert a permutation and print P and Q")
     p.add_argument("--algorithm", required=True)
     p.add_argument("--perm", required=True, help='e.g. "2 3 4 1" or "6o 4o 7 5 2 3 1o"')
-    p.add_argument("--format", choices=["text", "records", "latex"], default="text")
+    p.add_argument("--format", choices=render.FORMATS, default="text")
     p.add_argument("--diagram", action="store_true", help="also print the growth diagram")
     p.set_defaults(func=cmd_run)
 
@@ -236,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", required=True)
     p.add_argument("--perm", required=True)
     p.add_argument("--what", choices=["growth", "p", "q"], default="growth")
-    p.add_argument("--format", choices=["text", "records", "latex"], default="text")
+    p.add_argument("--format", choices=render.FORMATS, default="text")
     p.set_defaults(func=cmd_render)
 
     v = sub.add_parser("verify", help="exhaustive checks")

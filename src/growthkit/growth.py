@@ -214,16 +214,6 @@ class GrowthDiagram:
     def __hash__(self):
         return hash((self.n, self.m, self.alphas))
 
-    # Renderers read the grid cell by cell, so these skip the properties.
-    def node(self, i: int, j: int) -> Shape:
-        return (self._grid or self._built())[0][i][j]
-
-    def hcolor(self, i: int, j: int) -> Optional[int]:
-        return (self._grid or self._built())[1][i][j]
-
-    def vcolor(self, i: int, j: int) -> Optional[int]:
-        return (self._grid or self._built())[2][i][j]
-
     @property
     def final_shape(self) -> Shape:
         return self._run[1].shape if self._run else self.nodes[self.n][self.m]

@@ -122,16 +122,18 @@ class DiagramReport:
 
 
 def validate(inst: Instantiation, d: InsertionDiagram) -> DiagramReport:
-    """Check the three constraints that make the arrows a bijection."""
+    """Check the three constraints that make the arrows a bijection, arrow
+    by arrow in ``format_diagram``'s order."""
     failures = []
     ins, dels = d.shape.points()
+    arrows = sorted(d.arrows, key=_arrow_order)
 
-    seen_colors = sorted(a.key for a in d.arrows if a.key.__class__ is int)
+    seen_colors = [a.key for a in arrows if a.key.__class__ is int]
     if seen_colors != list(range(1, inst.r + 1)):
         failures.append(
             f"alpha arrows must cover colors 1..{inst.r} exactly once, got {seen_colors}")
 
-    sources = [a.key for a in d.arrows if a.key.__class__ is not int]
+    sources = [a.key for a in arrows if a.key.__class__ is not int]
     for p, _ in sources:
         if p not in dels:
             failures.append(f"bump source {p} is not a deletion point")
@@ -142,11 +144,11 @@ def validate(inst: Instantiation, d: InsertionDiagram) -> DiagramReport:
                 f"deletion point {p} must emit one bump per pair in "
                 f"[{inst.w1(p)}]x[{inst.w2(p)}], got {sorted(map(str, pairs))}")
 
-    for a in d.arrows:
+    for a in arrows:
         if a.target not in ins:
             failures.append(f"arrow target {a.target} is not an insertion point")
     for q in ins:
-        outs = [a.out for a in d.arrows if a.target == q]
+        outs = [a.out for a in arrows if a.target == q]
         if len(outs) != len(set(outs)) or set(outs) != set(color_pairs(inst, q)):
             failures.append(
                 f"insertion point {q} must receive one arrow per pair in "
@@ -259,5 +261,9 @@ def parse_diagram(text: str, shape: Shape) -> InsertionDiagram:
 
 def format_diagram(d: InsertionDiagram) -> str:
     """Inverse of parse_diagram, one arrow per line, alpha arrows first."""
-    arrows = sorted(d.arrows, key=lambda a: (a.key.__class__ is not int, a.key))
-    return "\n".join(map(str, arrows))
+    return "\n".join(map(str, sorted(d.arrows, key=_arrow_order)))
+
+
+def _arrow_order(a: Arrow):
+    """Alpha arrows, then bumps, by key, then (in an invalid diagram) by target."""
+    return a.key.__class__ is not int, a.key, a.target, a.out

@@ -275,11 +275,6 @@ class Shape(Corners):
     def _height(self) -> int:
         return len(self.rows)
 
-    def contains(self, p: Point) -> bool:
-        if p.row > len(self.rows):
-            return False
-        return self.row_start(p.row) <= p.col <= self.row_end(p.row)
-
     def boxes(self) -> list[Point]:
         """Derived box-set view, row by row."""
         return [Point(r, c)

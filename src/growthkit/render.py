@@ -116,14 +116,15 @@ def parse_tableau(text: str, geometry: Geometry,
 def render_tableau(t: ColoredTableau, fmt: str = "text",
                    suffixes: Optional[dict[int, str]] = None,
                    channel: str = "P") -> str:
-    suffixes = suffixes or tableau_suffixes(1, channel)
-    if fmt == "text":
-        return _tableau_text(t, suffixes)
-    if fmt == "records":
-        return _tableau_records(t, channel)
-    if fmt == "latex":
-        return _tableau_latex(t, suffixes)
-    raise ParseError(f"unknown format {fmt!r}")
+    write = _writers(fmt)[0]
+    return write(t, suffixes or tableau_suffixes(1, channel), channel)
+
+
+def _writers(fmt: str):
+    """The (tableau, growth) writers of a format."""
+    if fmt not in FORMATS:
+        raise ParseError(f"unknown format {fmt!r}")
+    return FORMATS[fmt]
 
 
 def _tableau_rows(t: ColoredTableau):
@@ -133,7 +134,7 @@ def _tableau_rows(t: ColoredTableau):
     return [sorted(rows[r]) for r in sorted(rows)]
 
 
-def _tableau_text(t, suffixes) -> str:
+def _tableau_text(t, suffixes, _channel) -> str:
     if not t.cells:
         return "(empty)"
     entries = _tableau_rows(t)
@@ -147,7 +148,7 @@ def _tableau_text(t, suffixes) -> str:
     return "\n".join(lines)
 
 
-def _tableau_records(t, channel) -> str:
+def _tableau_records(t, _suffixes, channel) -> str:
     lines = [json.dumps({"kind": "tableau", "channel": channel,
                          "geometry": t.shape.geometry.value,
                          "shape": format_shape(t.shape)}, sort_keys=True)]
@@ -160,7 +161,7 @@ def _tableau_records(t, channel) -> str:
 _LATEX_MARK = {"": "", "o": "^\\circ", "b": "^\\bullet"}
 
 
-def _tableau_latex(t, suffixes) -> str:
+def _tableau_latex(t, suffixes, _channel) -> str:
     if not t.cells:
         return "\\emptyset"
     lines = ["\\begin{ytableau}"]
@@ -233,19 +234,10 @@ def parse_tableau_records(text: str, channel: Optional[str] = None) -> ColoredTa
 
 
 def render_growth(g: GrowthDiagram, fmt: str = "text", alg=None) -> str:
-    if fmt == "text":
-        return _growth_text(g, alg)
-    if fmt == "records":
-        return _growth_records(g, alg)
-    if fmt == "latex":
-        return _growth_latex(g, alg)
-    raise ParseError(f"unknown format {fmt!r}")
-
-
-def _edge_label(labels, lower, upper, color) -> str:
-    if color is None or labels is None:
-        return ""
-    return labels(added_box(lower, upper), color)
+    """g in fmt; with alg, its edges carry the algorithm's labels and its
+    alpha cells their names."""
+    write = _writers(fmt)[1]
+    return write(g, *_labelled(g, alg))
 
 
 def _palette(alg):
@@ -264,75 +256,69 @@ def _palette(alg):
     return labels(alg.instantiation.w1), labels(alg.instantiation.w2), names
 
 
-def _growth_text(g: GrowthDiagram, alg) -> str:
+def _labelled(g: GrowthDiagram, alg):
+    """What every growth writer lays out, from one pass over the grid (built,
+    or refused as too large, first): its nodes and each edge's label ("" where
+    it has none), indexed [i][j] as in GrowthDiagram, and each alpha cell's
+    name by (i, j)."""
+    nodes, hcolors, vcolors = g.nodes, g.hcolors, g.vcolors
+    h_label, v_label, alpha_names = _palette(alg)
+    hlabels, vlabels = [("",) * (g.m + 1)], []
+    for i, column in enumerate(nodes):
+        if i:
+            hlabels.append(_labels(h_label, nodes[i - 1], column, hcolors[i]))
+        vlabels.append([""] + _labels(v_label, column, column[1:], vcolors[i][1:]))
+    names = {(i, j): alpha_names.get(c, str(c)) for i, j, c in g.alphas.entries}
+    return nodes, hlabels, vlabels, names
+
+
+def _labels(label, lower, upper, colors) -> list[str]:
+    """Each edge's label: label(box, color) of lower[k] -> upper[k], or ""."""
+    return ["" if c is None or label is None else label(added_box(a, b), c)
+            for a, b, c in zip(lower, upper, colors)]
+
+
+def _growth_text(g: GrowthDiagram, nodes, hlabels, vlabels, names) -> str:
     """Fixed-width grid, Cartesian layout: north at the top."""
-    g1_labels, g2_labels, names = _palette(alg)
-    alpha_at = {(i, j): c for i, j, c in g.alphas.entries}
-    g.node(0, 0)    # the grid is built, or refused as too large, before the layout
-    nrows, ncols = 2 * g.m + 1, 2 * g.n + 1
-    grid = [["" for _ in range(ncols)] for _ in range(nrows)]
+    grid = []   # each node row, then the row below it; [1:]: nothing is west of column 0
     for j in range(g.m, -1, -1):
-        rr = 2 * (g.m - j)
-        for i in range(g.n + 1):
-            grid[rr][2 * i] = format_shape(g.node(i, j))
-            if i >= 1:
-                grid[rr][2 * i - 1] = _edge_label(
-                    g1_labels, g.node(i - 1, j), g.node(i, j), g.hcolor(i, j))
-        if j >= 1:
-            for i in range(g.n + 1):
-                lab = _edge_label(g2_labels, g.node(i, j - 1), g.node(i, j),
-                                  g.vcolor(i, j))
-                grid[rr + 1][2 * i] = lab or "|"
-                if i >= 1:
-                    a = alpha_at.get((i, j))
-                    grid[rr + 1][2 * i - 1] = names.get(a, str(a)) if a else ""
-    widths = [max([len(grid[r][c]) for r in range(nrows)] + [3 if c % 2 else 1])
-              for c in range(ncols)]
+        grid.append([s for i in range(g.n + 1)
+                     for s in (hlabels[i][j], format_shape(nodes[i][j]))][1:])
+        if j:
+            grid.append([s for i in range(g.n + 1)
+                         for s in (names.get((i, j), ""), vlabels[i][j] or "|")][1:])
+    widths = [max(3 if c % 2 else 1, *map(len, cells))
+              for c, cells in enumerate(zip(*grid))]
     lines = []
-    for r in range(nrows):
-        parts = []
-        for c in range(ncols):
-            cell, w = grid[r][c], widths[c]
-            if r % 2 == 0 and c % 2 == 1:  # horizontal edge: pad with dashes
-                parts.append(cell.center(w, "-"))
-            elif c % 2 == 1:               # alpha marker
-                parts.append(cell.center(w))
-            else:                          # node or vertical edge
-                parts.append(cell.ljust(w))
+    for r, row in enumerate(grid):
+        fill = " " if r % 2 else "-"    # a horizontal edge is padded with dashes
+        parts = [cell.center(w, fill) if c % 2 else cell.ljust(w)
+                 for c, (cell, w) in enumerate(zip(row, widths))]
         lines.append(" ".join(parts).rstrip())
     return "\n".join(lines)
 
 
-def _growth_records(g: GrowthDiagram, alg=None) -> str:
+def _growth_records(g: GrowthDiagram, nodes, hlabels, vlabels, _names) -> str:
     """Line-delimited records; colors are integers, plus the algorithm's
     label on edges of a labeled channel."""
-    g1_labels, g2_labels, _ = _palette(alg)
-    geometry = g.node(0, 0).geometry.value
     lines = [json.dumps({"kind": "growth", "n": g.n, "m": g.m,
-                         "geometry": geometry}, sort_keys=True)]
+                         "geometry": nodes[0][0].geometry.value}, sort_keys=True)]
     for i in range(g.n + 1):
         for j in range(g.m + 1):
             lines.append(json.dumps({"kind": "node", "i": i, "j": j,
-                                     "shape": format_shape(g.node(i, j))},
-                                    sort_keys=True))
+                                     "shape": format_shape(nodes[i][j])}, sort_keys=True))
 
-    def edge(kind, i, j, color, labels, lower, upper):
-        rec = {"kind": kind, "i": i, "j": j, "color": color}
-        label = _edge_label(labels, lower, upper, color)
-        if label:
-            rec["label"] = label
-        return json.dumps(rec, sort_keys=True)
+    def edges(kind, colors, labels, i_from, j_from):
+        for i in range(i_from, g.n + 1):
+            for j in range(j_from, g.m + 1):
+                if colors[i][j] is not None:
+                    rec = {"kind": kind, "i": i, "j": j, "color": colors[i][j]}
+                    if labels[i][j]:
+                        rec["label"] = labels[i][j]
+                    lines.append(json.dumps(rec, sort_keys=True))
 
-    for i in range(1, g.n + 1):
-        for j in range(g.m + 1):
-            if g.hcolor(i, j) is not None:
-                lines.append(edge("hedge", i, j, g.hcolor(i, j), g1_labels,
-                                  g.node(i - 1, j), g.node(i, j)))
-    for i in range(g.n + 1):
-        for j in range(1, g.m + 1):
-            if g.vcolor(i, j) is not None:
-                lines.append(edge("vedge", i, j, g.vcolor(i, j), g2_labels,
-                                  g.node(i, j - 1), g.node(i, j)))
+    edges("hedge", g.hcolors, hlabels, 1, 0)
+    edges("vedge", g.vcolors, vlabels, 0, 1)
     for i, j, c in sorted(g.alphas.entries):
         lines.append(json.dumps({"kind": "alpha", "i": i, "j": j, "color": c},
                                 sort_keys=True))
@@ -384,33 +370,32 @@ def parse_growth_records(text: str) -> GrowthDiagram:
     return g
 
 
-def _growth_latex(g: GrowthDiagram, alg) -> str:
-    g1_labels, g2_labels, names = _palette(alg)
-    alpha_at = {(i, j): c for i, j, c in g.alphas.entries}
+def _growth_latex(g: GrowthDiagram, nodes, hlabels, vlabels, names) -> str:
     lines = ["\\begin{tikzcd}[sep=small]"]
     rows = []
     for j in range(g.m, -1, -1):
         cells = []
         for i in range(g.n + 1):
-            shape = format_shape(g.node(i, j))
+            shape = format_shape(nodes[i][j])
             node = "\\emptyset" if shape == "0" else shape.replace(",", "")
             arrows = []
             if i < g.n:
-                lab = _edge_label(g1_labels, g.node(i, j), g.node(i + 1, j),
-                                  g.hcolor(i + 1, j))
+                lab = hlabels[i + 1][j]
                 arrows.append(f'\\ar[rr, "{lab}"]' if lab else "\\ar[rr]")
             if j > 0:
-                lab = _edge_label(g2_labels, g.node(i, j - 1), g.node(i, j),
-                                  g.vcolor(i, j))
+                lab = vlabels[i][j]
                 arrows.append(f'\\ar[dd, "{lab}"]' if lab else "\\ar[dd]")
             cells.append(" ".join([node] + arrows))
         rows.append(" && ".join(cells))
         if j > 0:
-            marks = []
-            for i in range(1, g.n + 1):
-                a = alpha_at.get((i, j))
-                marks.append(names.get(a, str(a)) if a else "")
+            marks = [names.get((i, j), "") for i in range(1, g.n + 1)]
             rows.append("& " + " && ".join(marks) + " &")
     lines.append(" \\\\\n".join(rows))
     lines.append("\\end{tikzcd}")
     return "\n".join(lines)
+
+
+# Each format's (tableau, growth) writer.
+FORMATS = {"text": (_tableau_text, _growth_text),
+           "records": (_tableau_records, _growth_records),
+           "latex": (_tableau_latex, _growth_latex)}

@@ -36,10 +36,9 @@ def constant_value(w: Callable[[Point], int]) -> Optional[int]:
     return getattr(w, "constant", None)
 
 
-def diagonal_weight(on_diagonal: int = 1, off_diagonal: int = 2) -> Callable[[Point], int]:
-    def w(p: Point) -> int:
-        return on_diagonal if p.diagonal else off_diagonal
-    return w
+def diagonal_weight(p: Point) -> int:
+    """The shifted channels' weight: 1 on the diagonal, 2 off it."""
+    return 1 if p.diagonal else 2
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ def verify_instantiation(inst: Instantiation, max_size: int) -> InstantiationRep
 
 def _make_builtins() -> dict[str, Instantiation]:
     q, o = Geometry.QUADRANT, Geometry.OCTANT
-    shifted = diagonal_weight()
+    shifted = diagonal_weight
     one = constant_weight(1)
     two = constant_weight(2)
     insts = [

@@ -102,7 +102,7 @@ def nodes_report(alg, n):
         ga, gb = run_growth(alg, gp), run_growth(alg, gp.inverse())
         for i in range(gp.n + 1):
             for j in range(gp.m + 1):
-                if gb.node(j, i) != ga.node(i, j):
+                if gb.nodes[j][i] != ga.nodes[i][j]:
                     return f"gp={sorted(gp.entries)} node ({i},{j})"
         return None
 

@@ -278,6 +278,26 @@ class TestVerify:
                              "--shape", "1", "--instantiation", "unshifted-1")
         assert rc == 1 and "FAIL" in out
 
+    def test_diagram_user_file_failures_follow_format_diagram(self, tmp_path):
+        # neither the file's order nor the arrow set's iteration order; the
+        # two arrows of alpha key 1 go by target
+        f = tmp_path / "psi.txt"
+        f.write_text("bump (3,3) <1,1> -> (2,2) <1,1>\nalpha 1 -> (3,1) <1,1>\n"
+                     "bump (2,2) <1,1> -> (3,3) <1,1>\nalpha 1 -> (2,3) <1,1>\n")
+        rc, out, _ = run_cli("verify", "diagram", "--file", str(f),
+                             "--shape", "1", "--instantiation", "unshifted-1")
+        assert rc == 1 and json.loads(out.splitlines()[-1])["failures"] == [
+            "alpha arrows must cover colors 1..1 exactly once, got [1, 1]",
+            "bump source (2,2) is not a deletion point",
+            "bump source (3,3) is not a deletion point",
+            "deletion point (1,1) must emit one bump per pair in [1]x[1], got []",
+            "arrow target (2,3) is not an insertion point",
+            "arrow target (3,1) is not an insertion point",
+            "arrow target (3,3) is not an insertion point",
+            "arrow target (2,2) is not an insertion point",
+            "insertion point (1,2) must receive one arrow per pair in [1]x[1], got []",
+            "insertion point (2,1) must receive one arrow per pair in [1]x[1], got []"]
+
     def test_bijection(self):
         rc, out, _ = run_cli("verify", "bijection", "--algorithm", "rs-row", "--n", "3")
         assert rc == 0 and "PASS" in out

@@ -9,7 +9,7 @@ from growthkit.duality import (
 from growthkit.insdiag import TableRule
 from growthkit.lattice import Geometry
 from growthkit.render import parse_gp
-from growthkit.wdgg import Instantiation, constant_weight, diagonal_weight
+from growthkit.wdgg import Instantiation, constant_weight
 
 
 def alg(name):
@@ -95,7 +95,7 @@ class TestTransposedTables:
     def test_rejects_weights_not_known_to_be_constant(self):
         rs = alg("rs-row")
         inst = Instantiation("quadrant-diagonal", Geometry.QUADRANT,
-                             constant_weight(1), diagonal_weight(1, 1), 1)
+                             constant_weight(1), lambda p: 1, 1)
         spec = AlgorithmSpec("rs-row-on-it", inst, rs.rule, "")
         with pytest.raises(DualityError, match="not constant"):
             transpose_dual(spec)

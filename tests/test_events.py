@@ -206,7 +206,7 @@ def test_grid_is_built_once_when_read(columns_grown):
     assert columns_grown == []
     ref = fold_growth(alg, gp)
     columns_grown.clear()
-    assert g.node(3, 4) == ref.node(3, 4) and columns_grown == list(range(1, 8))
+    assert g.nodes[3][4] == ref.nodes[3][4] and columns_grown == list(range(1, 8))
     assert (g.nodes, g.hcolors, g.vcolors) == (ref.nodes, ref.hcolors, ref.vcolors)
     assert columns_grown == list(range(1, 8))
     # equality reads the grids: jitter grows other colors from the same input

@@ -135,11 +135,11 @@ class TestCellInverse:
             g = run_growth(alg, gp)
             for i in range(1, n + 1):
                 for j in range(1, n + 1):
-                    x, y, z = g.node(i, j - 1), g.node(i - 1, j), g.node(i, j)
-                    b = (ColorPair(g.hcolor(i, j), g.vcolor(i, j))
+                    x, y, z = g.nodes[i][j - 1], g.nodes[i - 1][j], g.nodes[i][j]
+                    b = (ColorPair(g.hcolors[i][j], g.vcolors[i][j])
                          if z != x else None)
                     t, a, got = cell_inverse(alg, x, y, z, b)
-                    assert t == g.node(i - 1, j - 1)
+                    assert t == g.nodes[i - 1][j - 1]
                     assert got == alpha(gp, i, j)
 
 
@@ -157,23 +157,23 @@ class TestRunGrowth:
             0: "0 0 0 0 0", 1: "0 0 0 0 1", 2: "0 1 1 1 1,1",
             3: "0 1 2 2 2,1", 4: "0 1 2 3 3,1"}
         for i, text in expected.items():
-            got = " ".join(str(g.node(i, j)) for j in range(5))
+            got = " ".join(str(g.nodes[i][j]) for j in range(5))
             assert got == text, f"column {i}"
 
     def test_sagan_figure_nodes_and_colors(self):
         sg = get_algorithm("sagan1")
         g = run_growth(sg, gp_of(sg, "1 2 5 4 3"))
-        top = [str(g.node(i, 5)) for i in range(6)]
+        top = [str(g.nodes[i][5]) for i in range(6)]
         assert top == ["0", "1", "2", "3", "3,1", "4,1"]
         # east edge colors bottom-up: -, B, B, -, R  (B=1, R=2, diagonal -=1)
-        assert [g.vcolor(5, j) for j in range(1, 6)] == [1, 1, 1, 1, 2]
+        assert [g.vcolors[5][j] for j in range(1, 6)] == [1, 1, 1, 1, 2]
 
     def test_empty_steps_copy_state_east(self):
         gp = parse_gp("1 3 2 _ 4o", r=2)
         lr = get_algorithm("left-right")
         g = run_growth(lr, gp)
         assert g.m == 5
-        assert g.node(4, 4) == g.node(4, 3)
+        assert g.nodes[4][4] == g.nodes[4][3]
         assert extract_Q(g).values() == [1, 2, 3, 5]
 
     def test_color_out_of_range_for_algorithm(self):
@@ -291,7 +291,7 @@ class TestRestrict:
         g = run_growth(RS, gp_of(RS, "2 3 4 1"))
         assert restrict(g, g.n) == g
         zero = restrict(g, 0)
-        assert all(zero.node(0, j).size == 0 for j in range(zero.m + 1))
+        assert all(zero.nodes[0][j].size == 0 for j in range(zero.m + 1))
         with pytest.raises(GrowthError):
             restrict(g, 5)
 
@@ -324,12 +324,12 @@ class TestRowLocality:
             gp = gp_of(alg, "3 1 4 2" if alg.r < 4 else "3b 1 4ob 2o")
             g = run_growth(alg, gp)
             for j in range(1, g.m + 1):
-                nodes = [g.node(i, j - 1) for i in range(g.n + 1)]
-                hcols = [g.hcolor(i, j - 1) if i else None for i in range(g.n + 1)]
+                nodes = [g.nodes[i][j - 1] for i in range(g.n + 1)]
+                hcols = [g.hcolors[i][j - 1] if i else None for i in range(g.n + 1)]
                 north, north_h, east_v = _recompute_row(alg, nodes, hcols, g.alphas, j)
-                assert north == [g.node(i, j) for i in range(g.n + 1)]
-                assert north_h == [g.hcolor(i, j) if i else None for i in range(g.n + 1)]
-                assert east_v == [g.vcolor(i, j) for i in range(g.n + 1)]
+                assert north == [g.nodes[i][j] for i in range(g.n + 1)]
+                assert north_h == [g.hcolors[i][j] if i else None for i in range(g.n + 1)]
+                assert east_v == [g.vcolors[i][j] for i in range(g.n + 1)]
 
 
 def _spread(gp, values, times, n, m):

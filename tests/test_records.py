@@ -115,9 +115,9 @@ def test_nodes_record_reads_columns_or_rows():
             box, = set(hi.boxes()) - set(lo.boxes())
             return box.row, box.col, 0
 
-        columns = [steps(g.node(i, j - 1), g.node(i, j))
+        columns = [steps(g.nodes[i][j - 1], g.nodes[i][j])
                    for i in range(1, size + 1) for j in range(1, size + 1)]
-        rows = [steps(g.node(i - 1, j), g.node(i, j))
+        rows = [steps(g.nodes[i - 1][j], g.nodes[i][j])
                 for j in range(1, size + 1) for i in range(1, size + 1)]
         assert _cells(nodes_record(leaf)) == columns
         assert _cells(nodes_record(leaf, by_rows=True)) == rows

@@ -157,12 +157,12 @@ def _followed(g):
     out = Counter()
     for i in range(1, g.n + 1):
         for j in range(1, g.m + 1):
-            t, x, y = g.node(i - 1, j - 1), g.node(i, j - 1), g.node(i - 1, j)
+            t, x, y = g.nodes[i - 1][j - 1], g.nodes[i][j - 1], g.nodes[i - 1][j]
             c = alpha(g.alphas, i, j)
             if c:
                 out[x, c] += 1
             elif x == y != t:
-                pair = color_pair(g.hcolor(i, j - 1), g.vcolor(i - 1, j))
+                pair = color_pair(g.hcolors[i][j - 1], g.vcolors[i - 1][j])
                 out[x, (added_box(t, x), pair)] += 1
     return out
 

@@ -25,7 +25,7 @@ class TestWeights:
         assert weight_up(SHIFTED, empty_shape(O)) == [(Point(1, 1), 1, 1)]
 
     def test_diagonal_weight(self):
-        w = diagonal_weight()
+        w = diagonal_weight
         assert w(Point(3, 3)) == 1
         assert w(Point(1, 4)) == 2
 
