@@ -14,9 +14,10 @@ points (northeast to southwest); ``NE`` and ``SW``, the insertion points
 before and after the deletion point; ``MIRROR``, mclarnan-fairy's
 order-reversing match of the deletion points with the insertion points after
 the first, and ``MIRROR_T`` with those before the last; ``SW_OR_FIRST``,
-sagan1's ``SW`` unless that is diagonal, else ``FIRST``.  Each side carries
-its ``sources``, the deletion points whose bump it can send to a given
-insertion point, through which ``TableRule.unbump`` inverts by lookup.
+sagan1's ``SW`` unless that is diagonal, else ``FIRST``.  A side lands a
+bump only from a deletion point.  Each side carries its exact inverse,
+``sources(shape, q)``: the deletion points whose bump it sends to the point
+q, and no others, through which ``TableRule.unbump`` inverts by lookup.
 ``TRANSPOSED_SIDE`` maps each quadrant side to its transpose.
 """
 
@@ -38,52 +39,56 @@ class CatalogError(ValueError):
     pass
 
 
-def FIRST(shape, p, near):
-    return shape.first
+def FIRST(shape, p=None):
+    return shape.first if p is None or shape.deletes(p) else None
 
 
-def LAST(shape, p, near):
-    return shape.last
+def LAST(shape, p=None):
+    return shape.last if p is None or shape.deletes(p) else None
 
 
-def NE(shape, p, near):
-    return near[0]
+def NE(shape, p):
+    return shape.northeast(p)
 
 
-def SW(shape, p, near):
-    return near[1]
+def SW(shape, p):
+    return shape.southwest(p)
 
 
-def MIRROR(shape, p, near):
-    return _across(shape, p, 1)
+def MIRROR(shape, p):
+    return _across(shape, p, 1, 1)
 
 
-def MIRROR_T(shape, p, near):
-    return _across(shape, p, -1)
+def MIRROR_T(shape, p):
+    return _across(shape, p, -1, 1)
 
 
-def SW_OR_FIRST(shape, p, near):
-    return shape.first if near[1].diagonal else near[1]
+def SW_OR_FIRST(shape, p):
+    sw = shape.southwest(p)
+    return sw and (shape.first if sw.diagonal else sw)
 
 
-def _across(shape, x, shift):
-    """The corner across the alternation from x: the t-th deletion point and
-    the t-th insertion point from the last are across with shift 1 (MIRROR),
-    and with the insertion point before that with shift -1 (MIRROR_T).  The
-    match is its own inverse."""
+def _across(shape, x, shift, parity):
+    """The corner across the alternation from x, if x's index has this
+    parity: the t-th deletion point and the t-th insertion point from the
+    last are across with shift 1 (MIRROR), and with the insertion point
+    before that with shift -1 (MIRROR_T).  The match is its own inverse,
+    from the deletion points (parity 1) to the insertion points (parity 0)."""
     i = shape.index(x)
-    return None if i is None else shape.corner(shape.index(shape.last) - i + shift)
+    if i is not None and i % 2 == parity:
+        return shape.corner(shape.index(shape.last) - i + shift)
 
 
-# Each side's sources: the deletion points whose bump it can send to
-# insertion point q, a few candidates that unbump confirms one by one.
-FIRST.sources = LAST.sources = lambda shape, q: shape.points()[1]
-NE.sources = lambda shape, q: [p for p in shape.flanks(q) if p.row >= q.row]
-SW.sources = lambda shape, q: [p for p in shape.flanks(q) if p.row < q.row]
-MIRROR.sources = lambda shape, q: [p for p in [_across(shape, q, 1)] if p]
-MIRROR_T.sources = lambda shape, q: [p for p in [_across(shape, q, -1)] if p]
-SW_OR_FIRST.sources = lambda shape, q: SW.sources(shape, q) + (
-    shape.flanks(shape.last)[-1:] if q == shape.first else [])
+# Each side's sources: exactly the deletion points whose bump it sends to
+# the point q, in the order of deletion_points; FIRST and LAST list them all.
+FIRST.sources = lambda shape, q: shape.points()[1] if q == shape.first else []
+LAST.sources = lambda shape, q: shape.points()[1] if q == shape.last else []
+NE.sources = lambda shape, q: shape.ne_sources(q)
+SW.sources = lambda shape, q: shape.sw_sources(q)
+MIRROR.sources = lambda shape, q: [p for p in [_across(shape, q, 1, 0)] if p]
+MIRROR_T.sources = lambda shape, q: [p for p in [_across(shape, q, -1, 0)] if p]
+SW_OR_FIRST.sources = lambda shape, q: ([] if q.diagonal else shape.sw_sources(q)) + (
+    shape.sw_sources(shape.crossing()) if q == shape.first else [])
 
 
 TRANSPOSED_SIDE = {FIRST: LAST, LAST: FIRST, NE: SW, SW: NE, MIRROR: MIRROR_T, MIRROR_T: MIRROR}

@@ -14,9 +14,10 @@ each insertion or bump follows.  It is the only local rule: a table from
 alpha colors and bump color pairs to a side and out colors.  A side reads
 only the corners of a shape (``lattice.Corners``), which a ``Shape`` gives
 from its rows and the event engine from a tableau's rows, and the rule
-inverts by lookup, back to the key.  Whole diagrams are for display and
-checking: ``validate``, the textual format, and
-``catalog.AlgorithmSpec.generator``, the rule mapped over a shape's keys.
+inverts by lookup, back to the key, through each side's exact inverse.
+Whole diagrams are for display and checking: ``validate``, the textual
+format, and ``catalog.AlgorithmSpec.generator``, the rule mapped over a
+shape's keys.
 The tests keep a rule that inverts by search as the reference for the
 lookup (``tests/catalog_reference.py``).
 """
@@ -177,15 +178,16 @@ class TableRule:
     as (target, out colors), or None where the diagram has no such arrow.
     ``table`` maps an alpha color, or the color pair of a bump, to (side,
     out colors).  A side reads where the arrow lands off the corners of the
-    shape (``lattice.Corners``), as ``side(shape, p, near)``: p is the bump's
-    deletion point and near its northeast and southwest neighbors (both None
-    for an alpha arrow).  On the octant, ``diagonal`` holds the bumps out of
-    a diagonal deletion point, in place of ``table``'s, and the entry an
-    alpha arrow takes instead when its target is diagonal.
+    shape (``lattice.Corners``), as ``side(shape, p)`` for a bump out of p,
+    None where p is not a deletion point, and as ``side(shape)`` for an
+    alpha arrow.  On the octant, ``diagonal`` holds the bumps out of a
+    diagonal deletion point, in place of ``table``'s, and the entry an alpha
+    arrow takes instead when its target is diagonal.
 
-    The rule inverts by lookup: its entries by out colors, and for a bump
-    entry the deletion points its side can send from to a given insertion
-    point, ``side.sources(shape, q)``, each confirmed by one forward call."""
+    The rule inverts by lookup, with no forward call for a bump: its
+    entries by out colors, bumps first, and for a bump entry exactly the
+    deletion points its side sends to the point q, ``side.sources(shape,
+    q)``.  An alpha entry is one forward read."""
 
     table: dict
     diagonal: dict = field(default_factory=dict)
@@ -195,35 +197,37 @@ class TableRule:
         for on_diagonal, t in ((False, self.table), (True, self.diagonal)):
             for entry, (side, out) in t.items():
                 by_out.setdefault(out, []).append((entry, side, on_diagonal))
+        for entries in by_out.values():     # bumps first: they ask for no arrow
+            entries.sort(key=lambda e: e[0].__class__ is int)
         object.__setattr__(self, "_by_out", by_out)
 
     def arrow(self, shape: Corners, key: Key) -> Optional[Move]:
         if key.__class__ is int:
             hit = self.table.get(key)
-            if hit and key in self.diagonal and hit[0](shape, None, None).diagonal:
+            if hit and key in self.diagonal and hit[0](shape).diagonal:
                 hit = self.diagonal[key]
-            return hit and (hit[0](shape, None, None), hit[1])
+            return hit and (hit[0](shape), hit[1])
         p, pair = key
         hit = (self.diagonal if self.diagonal and p.diagonal else self.table).get(pair)
-        near = hit and shape.neighbors(p)
-        return near and (hit[0](shape, p, near), hit[1])
+        target = hit and hit[0](shape, p)
+        return target and (target, hit[1])
 
     def unbump(self, inst: Instantiation, shape: Corners, q: Point,
                out: ColorPair) -> Optional[Key]:
         """The key of the arrow that ends at (q, out), None if no arrow
-        does.  A diagonal entry can only come from the last deletion point,
-        the one deletion point that can be diagonal."""
-        move = (q, out)
+        does.  A diagonal entry can only come from the one diagonal point
+        that can be a corner, ``shape.crossing()``, which its side checks."""
         for entry, side, on_diagonal in self._by_out.get(out, ()):
             if entry.__class__ is int:
-                if entry <= inst.r and self.arrow(shape, entry) == move:
+                if entry <= inst.r and self.arrow(shape, entry) == (q, out):
                     return entry
                 continue
-            sources = shape.flanks(shape.last)[-1:] if on_diagonal else side.sources(shape, q)
-            for p in sources:
+            sources = ([p for p in [shape.crossing()] if side(shape, p) == q] if on_diagonal
+                       else side.sources(shape, q))
+            for p in sources:   # the first that holds the entry's colors, in its table
                 if (entry.g1 <= inst.w1(p) and entry.g2 <= inst.w2(p)
-                        and self.arrow(shape, key := (p, entry)) == move):
-                    return key
+                        and (on_diagonal or not (self.diagonal and p.diagonal))):
+                    return p, entry
         return None
 
 

@@ -10,10 +10,11 @@ and equality and hashing are by (geometry, rows).  A shape is validated
 once, when it is built, and carries its hash and size.
 
 Corner reads.  ``Corners`` is the one reader of a shape's alternation of
-insertion and deletion points: ``first`` and ``last``, ``neighbors(p)`` and
-``flanks(q)``, each from a row or two next to the corner; the index reads
-``index(x)`` and ``corner(i)``, for mclarnan-fairy; and ``points()``, every
-corner, which ``insertion_points`` and ``deletion_points`` list.
+insertion and deletion points: ``first``, ``last``, a deletion point's
+``northeast`` and ``southwest`` neighbors and their exact inverses, each
+from a row or two next to the corner; the index reads ``index(x)`` and
+``corner(i)``, for mclarnan-fairy; and ``points()``, every corner, which
+``insertion_points`` and ``deletion_points`` list.
 ``add_box`` checks its point with ``index`` and ``remove_box`` with the ends
 of the point's row and the next.  The reads work from row ends alone, and
 no shape caches their answers.  Two classes give the row ends: ``Shape``
@@ -79,9 +80,11 @@ class Geometry(Enum):
 
 class Corners:
     """The corners a local rule reads, from the row ends alone: ``first``
-    and ``last``, the first and last insertion points; ``neighbors(p)`` and
-    ``flanks(q)``, the points on either side of a deletion point and of an
-    insertion point in the alternation; ``index(x)`` and ``corner(i)``, a
+    and ``last``, the first and last insertion points; ``deletes(p)``;
+    ``northeast(p)`` and ``southwest(p)`` (both: ``neighbors(p)``), the
+    insertion points on either side of deletion point p in the alternation,
+    and their inverses ``ne_sources(q)`` and ``sw_sources(q)`` (both:
+    ``flanks(q)``); ``crossing()``; ``index(x)`` and ``corner(i)``, a
     corner's position in the alternation and the corner at a position;
     ``points()``, every insertion and deletion point.  A subclass gives
     ``_end(r)``, the last column of 1-based row r (None past the last row),
@@ -109,33 +112,56 @@ class Corners:
         return self._bottom(k, k and self._end(k)) or _point(self._run_start(k, k), k + 1)
 
     def neighbors(self, p: Point) -> Optional[tuple[Point, Optional[Point]]]:
-        """The insertion points on either side of deletion point p in the
-        alternation: its northeast neighbor, one column further east, and its
-        southwest neighbor, one row further south (None past the last insertion
-        point).  None when p is not a deletion point."""
-        r = p.row
-        end = self._end(r)
-        if end != p.col:
+        """Deletion point p's northeast and southwest neighbors, None when p
+        is not a deletion point."""
+        return (self.northeast(p), self.southwest(p)) if self.deletes(p) else None
+
+    def deletes(self, p: Point) -> bool:
+        """Whether p is a deletion point: it ends its row, and the next row
+        ends west of it."""
+        end = self._end(p.row)
+        return end == p.col and self._end(p.row + 1) != end
+
+    def northeast(self, p: Point) -> Optional[Point]:
+        """The insertion point before deletion point p in the alternation,
+        one column further east; None when p is not a deletion point."""
+        return _point(self._run_start(p.row, p.col), p.col + 1) if self.deletes(p) else None
+
+    def southwest(self, p: Point) -> Optional[Point]:
+        """The insertion point after deletion point p in the alternation,
+        one row further south; None when p is not a deletion point, or is
+        past the last insertion point."""
+        r, end = p.row, self._end(p.row)
+        if end != p.col or (below := self._end(r + 1)) == end:
             return None
-        below = self._end(r + 1)
-        if below == end:
-            return None
-        sw = self._bottom(r, end) if below is None else _point(r + 1, below + 1)
-        return _point(self._run_start(r, end), end + 1), sw
+        return self._bottom(r, end) if below is None else _point(r + 1, below + 1)
+
+    def ne_sources(self, q: Point) -> list[Point]:
+        """The deletion point whose northeast neighbor q is, if any: the
+        last row's end of the run q starts."""
+        r, end = q.row, self._end(q.row)
+        if end is None or q.col != end + 1 or (r > 1 and self._end(r - 1) == end):
+            return []
+        return [_point(self._run_end(r, end), end)]
+
+    def sw_sources(self, q: Point) -> list[Point]:
+        """The deletion point whose southwest neighbor q is, if any: the end
+        of the row above q."""
+        r = q.row - 1
+        p = r and (end := self._end(r)) and _point(r, end)
+        return [p] if p and self.southwest(p) == q else []
 
     def flanks(self, q: Point) -> list[Point]:
-        """The deletion points on either side of insertion point q in the
-        alternation, northeast first: those whose southwest and whose northeast
-        neighbor q is."""
-        r = q.row
-        end, out = self._end(r), []
-        if r > 1:
-            above = self._end(r - 1)
-            if above is not None and above != end:
-                out.append(_point(r - 1, above))
-        if end is not None:
-            out.append(_point(self._run_end(r, end), end))
-        return out
+        """The deletion points whose southwest and whose northeast neighbor
+        q is: those on either side of q in the alternation, northeast first."""
+        return self.sw_sources(q) + self.ne_sources(q)
+
+    def crossing(self) -> Point:
+        """(t, t) for the first row t that ends at or west of column t, a
+        row past the shape ending in column 0.  A row's end less its number
+        falls row by row, so no other point of the diagonal can be a corner."""
+        t = bisect_left(range(1, self._height() + 1), True, key=lambda r: self._end(r) <= r)
+        return _point(t + 1, t + 1)
 
     def points(self) -> tuple[list[Point], list[Point]]:
         """The insertion points and the deletion points, each northeast to
@@ -434,7 +460,7 @@ def format_shape(s: Shape) -> str:
     """Comma-separated part list; the empty shape is "0"."""
     if not s.rows:
         return "0"
-    return ",".join(str(r) for r in s.rows)
+    return ",".join(map(str, s.rows))
 
 
 def parse_shape(text: str, geometry: Geometry) -> Shape:

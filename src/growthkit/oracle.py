@@ -29,7 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, permutations, product, repeat
+from itertools import chain, repeat
 from typing import Optional
 
 from .growth import (
@@ -40,13 +40,6 @@ from .lattice import (
     Point, Shape, deletion_points, empty_shape, join, remove_box, shapes_of_size,
 )
 from .wdgg import Channel, Instantiation
-
-
-def enumerate_gps(n: int, r: int):
-    """All n! * r^n full n x n generalized permutations, each exactly once."""
-    for perm in permutations(range(1, n + 1)):
-        for colors in product(range(1, r + 1), repeat=n):
-            yield GeneralizedPermutation.from_word(list(zip(perm, colors)), n=n)
 
 
 def sct_count(inst: Instantiation, channel: Channel, shape: Shape) -> int:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import re
+from functools import cache
 from typing import Optional
 
 from .growth import ColoredTableau, GeneralizedPermutation, GrowthDiagram
@@ -299,35 +300,36 @@ def _growth_text(g: GrowthDiagram, nodes, hlabels, vlabels, names) -> str:
 
 
 def _growth_records(g: GrowthDiagram, nodes, hlabels, vlabels, _names) -> str:
-    """Line-delimited records; colors are integers, plus the algorithm's
-    label on edges of a labeled channel."""
-    lines = [json.dumps({"kind": "growth", "n": g.n, "m": g.m,
-                         "geometry": nodes[0][0].geometry.value}, sort_keys=True)]
+    """Line-delimited records, keys in sorted order; colors are integers,
+    plus the algorithm's label on edges of a labeled channel."""
+    encode = json.JSONEncoder().encode
+    lines = [encode({"geometry": nodes[0][0].geometry.value, "kind": "growth",
+                     "m": g.m, "n": g.n})]
     for i in range(g.n + 1):
         for j in range(g.m + 1):
-            lines.append(json.dumps({"kind": "node", "i": i, "j": j,
-                                     "shape": format_shape(nodes[i][j])}, sort_keys=True))
+            lines.append(encode({"i": i, "j": j, "kind": "node",
+                                 "shape": format_shape(nodes[i][j])}))
 
     def edges(kind, colors, labels, i_from, j_from):
         for i in range(i_from, g.n + 1):
             for j in range(j_from, g.m + 1):
                 if colors[i][j] is not None:
-                    rec = {"kind": kind, "i": i, "j": j, "color": colors[i][j]}
+                    rec = {"color": colors[i][j], "i": i, "j": j, "kind": kind}
                     if labels[i][j]:
                         rec["label"] = labels[i][j]
-                    lines.append(json.dumps(rec, sort_keys=True))
+                    lines.append(encode(rec))
 
     edges("hedge", g.hcolors, hlabels, 1, 0)
     edges("vedge", g.vcolors, vlabels, 0, 1)
     for i, j, c in sorted(g.alphas.entries):
-        lines.append(json.dumps({"kind": "alpha", "i": i, "j": j, "color": c},
-                                sort_keys=True))
+        lines.append(encode({"color": c, "i": i, "j": j, "kind": "alpha"}))
     return "\n".join(lines)
 
 
 def parse_growth_records(text: str) -> GrowthDiagram:
     header = None
     nodes = {}
+    shape_of = cache(parse_shape)       # each distinct shape text parsed once
     hcol = {}
     vcol = {}
     alphas = set()
@@ -348,7 +350,7 @@ def parse_growth_records(text: str) -> GrowthDiagram:
             raise ParseError(f"line {number}: ({at[0]},{at[1]}) is outside the "
                              f"{header[0] + 1} x {header[1] + 1} grid of the growth header")
         if kind == "node":
-            nodes[at] = parse_shape(_field(number, rec, "shape", str), header[2])
+            nodes[at] = shape_of(_field(number, rec, "shape", str), header[2])
         elif kind == "hedge":
             hcol[at] = _field(number, rec, "color", int)
         elif kind == "vedge":

@@ -14,15 +14,22 @@ filling and coloring, and ``tableau_record`` sorts a tableau's cells into
 its half of a record.
 """
 
-from itertools import product
+from itertools import permutations, product
 from operator import itemgetter
 
-from growthkit.growth import ColoredTableau
+from growthkit.growth import ColoredTableau, GeneralizedPermutation
 from growthkit.lattice import (
     Shape, add_box, added_box, deletion_points, empty_shape, remove_box, shapes_of_size,
 )
 from growthkit.oracle import BijectionReport, _word_gp, sct_count, sweep
 from growthkit.wdgg import Channel, Instantiation
+
+
+def enumerate_gps(n: int, r: int):
+    """All n! * r^n full n x n generalized permutations, each exactly once."""
+    for perm in permutations(range(1, n + 1)):
+        for colors in product(range(1, r + 1), repeat=n):
+            yield GeneralizedPermutation.from_word(list(zip(perm, colors)), n=n)
 
 
 def standard_fillings(shape: Shape) -> list[tuple]:

@@ -21,9 +21,10 @@ from growthkit.duality import (
 from growthkit.growth import extract_P, extract_Q, invert_growth, restrict, run_growth
 from growthkit.insdiag import validate
 from growthkit.lattice import shapes_up_to
-from growthkit.oracle import check_bijection, enumerate_gps
+from growthkit.oracle import check_bijection
 from growthkit.wdgg import BUILTIN_INSTANTIATIONS, verify_instantiation
 from figures import FIGURES
+from oracle_reference import enumerate_gps
 
 GOLDEN = Path(__file__).parent / "golden"
 

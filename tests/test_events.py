@@ -18,10 +18,10 @@ from growthkit.growth import (
     run_growth,
 )
 from growthkit.insdiag import Arrow, diagram
-from growthkit.oracle import enumerate_gps
 from growthkit.render import parse_gp
 from catalog_reference import rule_of
 from growth_reference import fold_growth, invert_grid
+from oracle_reference import enumerate_gps
 
 ALGORITHMS = sorted(list_algorithms())
 

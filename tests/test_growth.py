@@ -11,11 +11,12 @@ from growthkit.growth import (
 )
 from growthkit.insdiag import ColorPair, color_pair, diagram
 from growthkit.lattice import Geometry, Point, Shape, added_box, empty_shape
-from growthkit.oracle import SweepLeaf, _box, _Steps, _Table, enumerate_gps, pair_record
+from growthkit.oracle import SweepLeaf, _box, _Steps, _Table, pair_record
 from growthkit.render import parse_gp, parse_tableau
 from figures import FIGURES
 from catalog_reference import rule_of
 from growth_reference import alpha, cell_forward, cell_inverse, check_by_covers, fold_growth
+from oracle_reference import enumerate_gps
 
 Q, O = Geometry.QUADRANT, Geometry.OCTANT
 E = empty_shape(Q)
@@ -130,7 +131,6 @@ class TestCellInverse:
     def test_inverts_forward_on_all_cells(self, name):
         alg = get_algorithm(name)
         n = 3 if alg.r == 4 else 4
-        from growthkit.oracle import enumerate_gps
         for gp in enumerate_gps(n, alg.r):
             g = run_growth(alg, gp)
             for i in range(1, n + 1):
@@ -306,7 +306,6 @@ class TestRestrict:
     @pytest.mark.parametrize("name", ["rs-row", "sagan1", "worley-sagan", "mixed"])
     def test_restriction_coherence(self, name):
         alg = get_algorithm(name)
-        from growthkit.oracle import enumerate_gps
         for gp in enumerate_gps(4, alg.r):
             g = run_growth(alg, gp)
             for i_max in range(5):

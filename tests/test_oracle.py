@@ -2,9 +2,9 @@ import pytest
 
 from growthkit.catalog import get_algorithm, list_algorithms
 from growthkit.lattice import Geometry, Shape, shapes_of_size
-from growthkit.oracle import check_bijection, enumerate_gps, sct_count, tableau_records
+from growthkit.oracle import check_bijection, sct_count, tableau_records
 from growthkit.wdgg import BUILTIN_INSTANTIATIONS, Channel
-from oracle_reference import enumerate_sct, standard_fillings, tableau_record
+from oracle_reference import enumerate_gps, enumerate_sct, standard_fillings, tableau_record
 
 Q, O = Geometry.QUADRANT, Geometry.OCTANT
 

@@ -29,11 +29,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from growthkit.catalog import (
-    FIRST, LAST, NE, SW, AlgorithmSpec, get_algorithm, list_algorithms,
+    FIRST, LAST, MIRROR, MIRROR_T, NE, SW, SW_OR_FIRST, AlgorithmSpec, get_algorithm,
+    list_algorithms,
 )
 from growthkit.duality import identity, swap_uc, transpose_dual
 from growthkit.growth import (
-    GeneralizedPermutation, extract_P, extract_Q, invert_growth, run_growth,
+    ColoredTableau, GeneralizedPermutation, extract_P, extract_Q, invert_growth, run_growth,
 )
 from growthkit.insdiag import DiagramError, TableRule, color_pair, parse_diagram, validate
 from growthkit.lattice import (
@@ -218,6 +219,78 @@ def test_table_inverse_is_the_search(alg):
                 want = SearchRule.unbump(rule, inst, shape, q, out)
                 assert rule.unbump(inst, shape, q, out) == want, (shape, q, out)
                 assert rule.unbump(inst, view, q, out) == want, (shape, q, out)
+
+
+PAIRS = [color_pair(a, b) for a in range(1, 4) for b in range(1, 4)]
+SIDES = (FIRST, LAST, NE, SW, MIRROR, MIRROR_T, SW_OR_FIRST)
+
+
+def _around(shape):
+    """Every point in rows 1..k + 2 and columns 1..(the first row's end + 2),
+    k the number of rows: every corner, and the points off them nearby."""
+    k = len(shape.rows)
+    width = (shape.row_end(1) if k else 0) + 2
+    return [Point(r, c) for r in range(1, k + 3) for c in range(1, width + 1)]
+
+
+@pytest.mark.parametrize("geometry", list(Geometry), ids=str)
+def test_each_side_sources_are_exactly_what_it_sends_to_the_point(geometry):
+    # a side lands a bump only from a deletion point, and its sources are
+    # the deletion points it sends to q, for every point q, in the order of
+    # deletion_points, on shapes and on rows of values
+    for shape in shapes_up_to(geometry, 8):
+        dels = deletion_points(shape)
+        view = Below(geometry, _row_by_row(shape), shape.size + 1)
+        points = _around(shape)
+        for side in SIDES:
+            lands = {p: side(shape, p) for p in points}
+            assert {p for p, q in lands.items() if q is not None} <= set(dels), (side, shape)
+            for q in points:
+                want = [p for p in dels if lands[p] == q]
+                assert side.sources(shape, q) == want, (side.__name__, shape, q)
+                assert side.sources(view, q) == want, (side.__name__, shape, q)
+
+
+@pytest.mark.parametrize("alg", _algorithms_and_duals())
+def test_table_inverse_is_the_search_off_the_insertion_points(alg):
+    # every point near the shape, not only its insertion points: a lookup
+    # that dropped the forward check without exact sources fails here
+    rule, inst = alg.rule, alg.instantiation
+    for shape in shapes_up_to(alg.geometry, 5):
+        view = Below(alg.geometry, _row_by_row(shape), shape.size + 1)
+        for q in _around(shape):
+            for out in PAIRS:
+                want = SearchRule.unbump(rule, inst, shape, q, out)
+                assert rule.unbump(inst, shape, q, out) == want, (shape, q, out)
+                assert rule.unbump(inst, view, q, out) == want, (shape, q, out)
+
+
+@pytest.mark.parametrize("alg", _algorithms_and_duals())
+def test_an_off_diagonal_bump_inverts_without_a_forward_call(alg, monkeypatch):
+    shapes = list(shapes_up_to(alg.geometry, 6))
+    bumps = [(shape, a) for shape in shapes for a in alg.generator(shape).arrows
+             if a.key.__class__ is not int and not a.key[0].diagonal]
+    calls, arrow = [], TableRule.arrow
+    monkeypatch.setattr(TableRule, "arrow",
+                        lambda self, shape, key: calls.append(key) or arrow(self, shape, key))
+    for shape, a in bumps:
+        assert alg.unbump(shape, a.target, a.out) == a.key, (shape, str(a))
+        assert calls == [], (shape, str(a))
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_a_swapped_and_recolored_pair_inverts(name):
+    # (Q, P) of a run, every box recolored 1, is a pair the run did not
+    # give: it must invert, and its input must run back to it
+    alg, rng = get_algorithm(name), random.Random(f"swap-{name}")
+    values = list(range(1, 301))
+    rng.shuffle(values)
+    g = run_growth(alg, GeneralizedPermutation.from_word(
+        [(v, rng.randint(1, alg.r)) for v in values], n=300))
+    P, Q = (ColoredTableau(t.shape, tuple((p, v, 1) for p, v, _ in t.cells))
+            for t in (extract_Q(g), extract_P(g)))
+    back = run_growth(alg, invert_growth(alg, P, Q))
+    assert (extract_P(back), extract_Q(back)) == (P, Q)
 
 
 @pytest.mark.parametrize("alg", _algorithms_and_duals())

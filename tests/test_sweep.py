@@ -21,9 +21,10 @@ from growthkit.duality import (
 from growthkit.growth import run_growth
 from growthkit.insdiag import alpha_arrow, bump_arrow, diagram
 from growthkit.lattice import Point, deletion_points, insertion_points
-from growthkit.oracle import check_bijection, enumerate_gps, sweep
+from growthkit.oracle import check_bijection, sweep
 from growthkit.wdgg import BUILTIN_INSTANTIATIONS
 from catalog_reference import rule_of
+from oracle_reference import enumerate_gps
 from oracles import sweep_rank
 
 
