@@ -32,20 +32,20 @@ its per-sweep table (``oracle``), which works out each move and join once,
 so its columns hold ints.
 
 ``run_growth`` and ``invert_growth`` visit the insertion and bump cells
-only, time by time, with P as a box -> (value, color) map and each row's
-values in order, and ask the algorithm for the arrow of each cell's key
-(``arrow``: an alpha color, or a deletion point and color pair) or for the
-key of the arrow into a box (``unbump``).  Every rule reads the corners it
-needs straight from P's rows (``lattice.Below``: a few ``bisect``s per
-arrow, whatever the size of P), so no event builds a ``Shape``; a table
-rule also inverts by lookup.  The diagram ``run_growth`` returns carries P
-and Q, and builds its grid by the ``border_column`` + ``grow_column`` fold
-when first read, with the walk the sweeps use.
+only, time by time, with P held once, as its rows of values, and ask the
+algorithm for the arrow of each cell's key (``arrow``: an alpha color, or a
+deletion point and color pair) or for the key of the arrow into a box
+(``unbump``).  Every rule reads the corners it needs straight from P's rows
+(``lattice.Below``: a few ``bisect``s per arrow, whatever the size of P),
+so no event builds a ``Shape``; a table rule also inverts by lookup.  The
+diagram ``run_growth`` returns carries P and Q, and builds its grid by the
+``border_column`` + ``grow_column`` fold when first read, with the walk the
+sweeps use.
 """
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
@@ -347,31 +347,36 @@ def grow_column(moves: Moves, i: int, west: Column, time: int, color: int) -> Co
 
 
 class _Filling:
-    """A tableau changed in place: box -> (value, color), and each row's
-    values in ascending order, which is column order.  No row is kept
-    empty."""
+    """A tableau changed in place, held once: ``rows[r - 1]`` lists row r's
+    values west to east, ascending, so box (r, c) is place c - start of row r
+    (start r on the octant, 1 on the quadrant); ``colors`` maps each value
+    to its color.  No row is kept empty."""
 
     def __init__(self, geometry: Geometry, cells=()):
-        self.geometry, self.at, self.rows = geometry, {}, []
+        self.rows, self.colors, self._shifted = [], {}, geometry is Geometry.OCTANT
         for p, v, c in cells:
             self.put(p, v, c)
 
     def put(self, box: Point, value: int, color: int) -> Optional[tuple[int, int]]:
-        """Fill box and return the (value, color) it held, if any."""
-        old = self.pop(box)
-        self.at[box] = value, color
-        if box.row > len(self.rows):
-            self.rows.append([])
-        insort(self.rows[box.row - 1], value)
-        return old
+        """Fill box, at its row's end or on the larger value it displaces,
+        and return the (value, color) it held, if any."""
+        self.colors[value] = color
+        r, rows = box.row, self.rows
+        if r > len(rows):
+            rows.append([])
+        row, k = rows[r - 1], box.col - (r if self._shifted else 1)
+        if k == len(row):
+            row.append(value)
+            return None
+        old, row[k] = row[k], value
+        return old, self.colors.pop(old)
 
-    def pop(self, box: Point) -> Optional[tuple[int, int]]:
-        old = self.at.pop(box, None)
-        if old is not None:
-            self.rows[box.row - 1].remove(old[0])
-            while self.rows and not self.rows[-1]:
-                self.rows.pop()
-        return old
+    def pop(self, box: Point) -> tuple[int, int]:
+        """Empty box, the last of its row, and return its (value, color)."""
+        value = self.rows[box.row - 1].pop()
+        if not self.rows[-1]:       # only the last row can empty
+            self.rows.pop()
+        return value, self.colors.pop(value)
 
 
 def run_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
@@ -384,8 +389,8 @@ def run_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
     r = alg.instantiation.r
     if any(c > r for _, _, c in gp.entries):
         raise GrowthError(f"alpha colors must be <= r={r} for {alg.name}")
-    P, Q = _Filling(alg.geometry), {}
-    below = partial(Below, P.geometry, P.rows)
+    P, Q = _Filling(alg.geometry), []     # Q as (box, time, color) triples
+    below = partial(Below, alg.geometry, P.rows)
     limit, error = gp.n + 1, None      # values from limit on are dropped
     for v, j, c in sorted(gp.entries, key=itemgetter(1)):
         if v >= limit:
@@ -401,17 +406,19 @@ def run_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
                 u, color = old
                 box, out = alg.arrow(below(u), (box, color_pair(color, out.g2)))
                 v = u
-            Q[box] = j, out.g2
+            Q.append((box, j, out.g2))
         except ValueError as e:
             error, limit = GrowthError(f"cell ({u},{j}): {e}"), u
-            for box in [b for b, (w, _) in P.at.items() if w >= u]:
-                P.pop(box)
+            del P.rows[bisect_left(P.rows, u, key=itemgetter(0)):]
+            for row in P.rows:      # the values from u on end their rows
+                del row[bisect_left(row, u):]
     if error is not None:
         raise error
     shape = Shape(alg.geometry, map(len, P.rows))
+    cells = ((Point(r, shape.row_start(r) + k), v, P.colors[v])
+             for r, row in enumerate(P.rows, start=1) for k, v in enumerate(row))
     g = GrowthDiagram(gp.n, gp.m, None, None, None, gp)
-    g._run = (alg, ColoredTableau(shape, tuple((b, v, c) for b, (v, c) in P.at.items())),
-              ColoredTableau(shape, tuple((b, j, d) for b, (j, d) in Q.items())))
+    g._run = alg, ColoredTableau(shape, tuple(cells)), ColoredTableau(shape, tuple(Q))
     return g
 
 
@@ -457,12 +464,10 @@ def invert_growth(alg, P: ColoredTableau, Q: ColoredTableau) -> GeneralizedPermu
     P.validate_colors(inst.w1)
     Q.validate_colors(inst.w2)
     filling = _Filling(alg.geometry, P.cells)
-    below = partial(Below, filling.geometry, filling.rows)
-    q_at = {j: (p, d) for p, j, d in Q.cells}
+    below = partial(Below, alg.geometry, filling.rows)
     entries = set()
     limit, error = 0, None             # values up to limit are given up
-    for j in range(Q.size, 0, -1):
-        box, d = q_at[j]
+    for box, j, d in sorted(Q.cells, key=itemgetter(1), reverse=True):
         u, color = filling.pop(box)
         while u > limit:
             try:

@@ -14,14 +14,13 @@ insertion and deletion points: ``first``, ``last``, a deletion point's
 ``northeast`` and ``southwest`` neighbors and their exact inverses, each
 from a row or two next to the corner; the index reads ``index(x)`` and
 ``corner(i)``, for mclarnan-fairy; and ``points()``, every corner, which
-``insertion_points`` and ``deletion_points`` list.
-``add_box`` checks its point with ``index`` and ``remove_box`` with the ends
-of the point's row and the next.  The reads work from row ends alone, and
-no shape caches their answers.  Two classes give the row ends: ``Shape``
-from its rows, for the grid fold, the sweeps and the picture book; and
-``Below``, the entries of a tableau below a threshold, from the tableau's
-rows of values, one ``bisect`` per row end, for the event engine, which so
-builds no ``Shape`` per event.
+``insertion_points`` and ``deletion_points`` list.  ``add_box`` checks its
+point with ``index`` and ``remove_box`` with ``deletes``.  The reads work
+from row ends alone, and no shape caches their answers.  Two classes give
+the row ends: ``Shape`` from its rows, for the grid fold, the sweeps and the
+picture book; and ``Below``, the entries of a tableau below a threshold,
+from the tableau's rows of values, one ``bisect`` per row end, for the event
+engine, which so builds no ``Shape`` per event.
 """
 
 from __future__ import annotations
@@ -81,14 +80,14 @@ class Geometry(Enum):
 class Corners:
     """The corners a local rule reads, from the row ends alone: ``first``
     and ``last``, the first and last insertion points; ``deletes(p)``;
-    ``northeast(p)`` and ``southwest(p)`` (both: ``neighbors(p)``), the
-    insertion points on either side of deletion point p in the alternation,
-    and their inverses ``ne_sources(q)`` and ``sw_sources(q)`` (both:
-    ``flanks(q)``); ``crossing()``; ``index(x)`` and ``corner(i)``, a
-    corner's position in the alternation and the corner at a position;
-    ``points()``, every insertion and deletion point.  A subclass gives
-    ``_end(r)``, the last column of 1-based row r (None past the last row),
-    ``_height()``, the number of rows, and ``rows``, the row lengths.
+    ``northeast(p)`` and ``southwest(p)``, the insertion points on either
+    side of deletion point p in the alternation, and their inverses
+    ``ne_sources(q)`` and ``sw_sources(q)``; ``crossing()``; ``index(x)``
+    and ``corner(i)``, a corner's position in the alternation and the corner
+    at a position; ``points()``, every insertion and deletion point.  A
+    subclass gives ``_end(r)``, the last column of 1-based row r (None past
+    the last row), ``_height()``, the number of rows, and ``rows``, the row
+    lengths.
 
     Row ends weakly decrease, and the rows that end in one column form a
     run: the run's first row has its insertion point and its last row its
@@ -110,11 +109,6 @@ class Corners:
         row, unless that row is one box on the diagonal."""
         k = self._height()
         return self._bottom(k, k and self._end(k)) or _point(self._run_start(k, k), k + 1)
-
-    def neighbors(self, p: Point) -> Optional[tuple[Point, Optional[Point]]]:
-        """Deletion point p's northeast and southwest neighbors, None when p
-        is not a deletion point."""
-        return (self.northeast(p), self.southwest(p)) if self.deletes(p) else None
 
     def deletes(self, p: Point) -> bool:
         """Whether p is a deletion point: it ends its row, and the next row
@@ -150,11 +144,6 @@ class Corners:
         r = q.row - 1
         p = r and (end := self._end(r)) and _point(r, end)
         return [p] if p and self.southwest(p) == q else []
-
-    def flanks(self, q: Point) -> list[Point]:
-        """The deletion points whose southwest and whose northeast neighbor
-        q is: those on either side of q in the alternation, northeast first."""
-        return self.sw_sources(q) + self.ne_sources(q)
 
     def crossing(self) -> Point:
         """(t, t) for the first row t that ends at or west of column t, a
@@ -382,10 +371,9 @@ def add_box(s: Shape, p: Point) -> Shape:
 
 
 def remove_box(s: Shape, p: Point) -> Shape:
-    rows, r = s.rows, p.row
-    end = s._end(r)     # p ends row r, and the next row ends left of it
-    if end != p.col or s._end(r + 1) == end:
+    if not s.deletes(p):
         raise LatticeError(f"{p} is not a deletion point of {s}")
+    rows, r = s.rows, p.row
     if rows[r - 1] == 1:    # only the last row can have a removable single box
         return Shape(s.geometry, rows[:-1])
     return Shape(s.geometry, rows[:r - 1] + (rows[r - 1] - 1,) + rows[r:])

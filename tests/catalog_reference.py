@@ -21,6 +21,7 @@ from growthkit.lattice import (
     Corners, Point, Shape, add_box, deletion_points, insertion_points, transpose,
 )
 from growthkit.wdgg import Instantiation
+from oracles import flanks
 
 
 class SearchRule:
@@ -45,7 +46,7 @@ class SearchRule:
         for c in range(1, inst.r + 1):
             if self.arrow(shape, c) == move:
                 return c
-        near = shape.flanks(q)
+        near = flanks(shape, q)
         for p in chain(near, _others(shape, near)):
             for pair in color_pairs(inst, p):
                 if self.arrow(shape, key := (p, pair)) == move:

@@ -6,9 +6,14 @@ fast implementations can be checked against them.  ``sweep_rank`` is the
 direct formula for an input's index in sweep order, the reference for
 ``oracle._rank``.  ``leq`` and ``covers`` are containment and cover of two
 shapes read from their rows; the library tells a cover with ``added_box``.
+``neighbors`` and ``flanks`` pair ``lattice.Corners``' single-corner reads:
+a deletion point's two neighbors, and the deletion points on either side of
+an insertion point, which the tests hold to the alternation at once.
 """
 
-from growthkit.lattice import Geometry, Point, Shape
+from typing import Optional
+
+from growthkit.lattice import Corners, Geometry, Point, Shape
 
 
 def leq(a: Shape, b: Shape) -> bool:
@@ -21,6 +26,18 @@ def leq(a: Shape, b: Shape) -> bool:
 def covers(a: Shape, b: Shape) -> bool:
     """True when a = b plus exactly one box."""
     return leq(b, a) and a.size == b.size + 1
+
+
+def neighbors(shape: Corners, p: Point) -> Optional[tuple[Point, Optional[Point]]]:
+    """Deletion point p's northeast and southwest neighbors, None when p is
+    not a deletion point."""
+    return (shape.northeast(p), shape.southwest(p)) if shape.deletes(p) else None
+
+
+def flanks(shape: Corners, q: Point) -> list[Point]:
+    """The deletion points whose southwest and whose northeast neighbor q
+    is: those on either side of q in the alternation, northeast first."""
+    return shape.sw_sources(q) + shape.ne_sources(q)
 
 
 def covered_by(geometry: Geometry, p: Point) -> list[Point]:

@@ -12,7 +12,8 @@ import pytest
 
 from growthkit.catalog import get_algorithm
 from growthkit.cli import main
-from growthkit.render import parse_gp, render_growth
+from growthkit.growth import extract_P, extract_Q, run_growth
+from growthkit.render import parse_gp, render_growth, render_tableau
 from figures import FIGURES
 from growth_reference import fold_growth
 
@@ -115,6 +116,21 @@ class TestRunAndRender:
         recs = edit([json.loads(line) for line in out.splitlines()])
         with pytest.raises(ParseError):
             parse_growth_records("\n".join(json.dumps(r) for r in recs))
+
+    @pytest.mark.parametrize("fmt", ["text", "records"])
+    @pytest.mark.parametrize("what", ["p", "q"])
+    @pytest.mark.parametrize("name, perm", [("left-right", "6o 4o 7 5 2 3 1o"),
+                                            ("worley-sagan", "1 2 5 4 3")],
+                             ids=["quadrant", "octant"])
+    def test_render_a_tableau(self, name, perm, what, fmt):
+        alg = get_algorithm(name)
+        g = run_growth(alg, parse_gp(perm, alg.r))
+        tableau, suffixes = ((extract_P(g), alg.p_suffixes) if what == "p"
+                             else (extract_Q(g), alg.q_suffixes))
+        want = render_tableau(tableau, fmt, suffixes, what.upper())
+        rc, out, err = run_cli("render", "--algorithm", name, "--perm", perm,
+                               "--what", what, "--format", fmt)
+        assert (rc, out, err) == (0, want + "\n", "")
 
     def test_bad_permutation_is_reported(self):
         rc, _, err = run_cli("run", "--algorithm", "rs-row", "--perm", "1 1")
@@ -449,6 +465,19 @@ class TestVerify:
                                "--instantiation", "unshifted-1", "--max-size", size)
         assert (rc, out) == (2, "")
         assert err == "error: --file checks one diagram and takes no --max-size\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--file", "psi.txt"], "--file needs --shape and --instantiation"),
+        (["--file", "psi.txt", "--shape", "1", "--instantiation", "bogus"],
+         "unknown instantiation 'bogus'"),
+        ([], "need --algorithm or --file"),
+    ], ids=["file-alone", "unknown-instantiation", "no-mode"])
+    def test_diagram_argument_errors_exit_2(self, tmp_path, argv, message):
+        f = tmp_path / "psi.txt"
+        f.write_text("alpha 1 -> (1,2) <1,1>\n")
+        argv = [str(f) if a == "psi.txt" else a for a in argv]
+        rc, out, err = run_cli("verify", "diagram", *argv)
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
     def test_diagram_max_size_defaults_to_10(self):
         rc, out, _ = run_cli("verify", "diagram", "--algorithm", "rs-row")

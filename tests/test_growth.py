@@ -58,6 +58,14 @@ class TestColoredTableau:
         with pytest.raises(GrowthError):
             ColoredTableau(Shape(Q, (2,)), ((Point(1, 1), 1, 1), (Point(2, 1), 2, 1)))
 
+    @pytest.mark.parametrize("cells, message", [
+        (((Point(1, 1), 1, 1), (Point(1, 2), 1, 1)), "tableau values must be distinct"),
+        (((Point(1, 1), 1, 1), (Point(1, 2), 2, 0)), "tableau colors must be >= 1"),
+    ], ids=["repeated-value", "color-0"])
+    def test_rejects_repeated_values_and_colors_below_1(self, cells, message):
+        with pytest.raises(GrowthError, match=f"^{message}$"):
+            ColoredTableau(Shape(Q, (2,)), cells)
+
     def test_standard_flag(self):
         t = parse_tableau("1 3 4\n2", Q)
         assert t.is_standard()

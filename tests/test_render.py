@@ -101,6 +101,10 @@ class TestTableauRendering:
         t = parse_tableau("", Q)
         assert render_tableau(t) == "(empty)"
 
+    def test_empty_latex(self):
+        t = parse_tableau("", Q)
+        assert render_tableau(t, "latex") == "\\emptyset"
+
     def test_shifted_indent(self):
         alg = get_algorithm("sagan1")
         t = parse_tableau("1 2 3\n4 5", alg.geometry)
