@@ -5,13 +5,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from math import factorial
+from math import factorial, isqrt
 from typing import Callable, Optional
 
 from .catalog import TRANSPOSED_SIDE, AlgorithmSpec
 from .insdiag import TableRule, color_pair
 from .lattice import Geometry, Point, shapes_up_to
-from .oracle import _rank, nodes_record, pair_record, sweep
+from .oracle import _rank, _unrank, _word_gp, nodes_record, pair_record, sweep
 from .wdgg import constant_value
 
 
@@ -84,6 +84,22 @@ def _inverse(word, alpha: dict[int, int]) -> list:
     return out
 
 
+class _Transposed(dict):
+    """A step (row, col, color) of A's record -> the transposed step B's
+    record must hold: color mapped by g where B's weight w at the
+    transposed box is above 1.  Filled on first use."""
+
+    def __init__(self, w, g):
+        super().__init__()
+        self.w, self.g = w, g
+
+    def __missing__(self, step):
+        row, col, color = step
+        out = self[step] = bytes(
+            (col, row, self.g(color) if self.w(Point(col, row)) > 1 else color))
+        return out
+
+
 def _color_map(f, r_a: int, r_b: int, what: str = "alpha map") -> dict[int, int]:
     """The map f on A's colors 1..r_a, which it must send one to one into
     B's colors 1..r_b."""
@@ -119,18 +135,16 @@ def check_transpose_duality(algA: AlgorithmSpec, algB: AlgorithmSpec,
         if w is not None and w > 1:
             _color_map(g, w, w, "edge map")
 
-    def visit(image, leaf):
-        key = pair_record(leaf)
-        want = bytearray()
-        for k in range(0, len(key), 3):
-            row, col, color = key[k:k + 3]
-            w = instB.w1 if k < len(key) // 2 else instB.w2
-            want += bytes((col, row, g(color) if w(Point(col, row)) > 1 else color))
-        if image[leaf.n][_rank([(t, alpha[c]) for t, c in leaf.word], algB.r)] != want:
-            return f"gp={sorted(leaf.gp().entries)}"
-        return None
+    p, q = _Transposed(instB.w1, g), _Transposed(instB.w2, g)
 
-    return _check("transpose", algA, algB, n, pair_record, visit, workers)
+    def compare(a, b, word):
+        half = len(a) // 2
+        want = b"".join([p[a[k:k + 3]] for k in range(0, half, 3)]
+                        + [q[a[k:k + 3]] for k in range(half, len(a), 3)])
+        return None if want == b else ""
+
+    return _check("transpose", algA, algB, n, workers, pair_record,
+                  lambda word: [(t, alpha[c]) for t, c in word], compare)
 
 
 # Inversion-duality color maps: how P/Q of the inverse relate to Q/P of the
@@ -175,65 +189,106 @@ def check_inversion_duality(algA: AlgorithmSpec, algB: AlgorithmSpec, n: int,
                 f"no declared inversion color map for ({algA.name}, {algB.name})")
     alpha = _color_map(color_map.alpha_map, algA.r, algB.r)
     apart = algA.geometry is not algB.geometry  # then no two tableaux are equal
+    exact, circled_p = color_map.compare == "exact", color_map.circled_tableau == "P"
 
-    def visit(image, leaf):
-        key, word = pair_record(leaf), leaf.word
-        inverse = _inverse(word, alpha)
-        got = image[leaf.n][_rank(inverse, algB.r)]
-        half = len(key) // 2
-        want = key[half:] + key[:half]
-        if color_map.compare == "exact":
-            return None if got == want and not apart else f"gp={sorted(leaf.gp().entries)}"
-        if apart or got[0::3] != want[0::3] or got[1::3] != want[1::3]:
-            return f"gp={sorted(leaf.gp().entries)} (underlying tableaux differ)"
+    def compare(a, b, word):
+        half = len(a) // 2
+        want = a[half:] + a[:half]
+        if exact:
+            return None if b == want and not apart else ""
+        if apart or b[0::3] != want[0::3] or b[1::3] != want[1::3]:
+            return " (underlying tableaux differ)"
         # A circled value of A's P lands on its time; a circled time of
         # A's Q lands on the value inserted then.
-        start, place = (0, word) if color_map.circled_tableau == "P" else (half, inverse)
-        circled = lambda pq: [v for v in range(len(word)) if pq[start + 3 * v + 2] == 2]
-        want_circles = sorted(place[v][0] for v in circled(key))
-        got_circles = [v + 1 for v in circled(got)]
+        start = 0 if circled_p else half
+        circled = lambda pq: [v for v in range(half // 3) if pq[start + 3 * v + 2] == 2]
+        want_circles = circled(a)
+        if want_circles:
+            place = word() if circled_p else _inverse(word(), alpha)
+            want_circles = sorted(place[v][0] for v in want_circles)
+        got_circles = [v + 1 for v in circled(b)]
         if got_circles != want_circles:
-            return (f"gp={sorted(leaf.gp().entries)} (circles landed on {got_circles}, "
-                    f"expected {want_circles})")
+            return f" (circles landed on {got_circles}, expected {want_circles})"
         return None
 
-    return _check("inversion", algA, algB, n, pair_record, visit, workers)
+    return _check("inversion", algA, algB, n, workers, pair_record,
+                  lambda word: _inverse(word, alpha), compare)
 
 
-def check_inversion_nodes(alg: AlgorithmSpec, n: int) -> DualityReport:
+def check_inversion_nodes(alg: AlgorithmSpec, n: int, workers: int = 1) -> DualityReport:
     """Node-level inversion duality for trivially-colored algorithms:
     the inverse gp grows the same node values in transposed grid locations."""
     same = {c: c for c in range(1, alg.r + 1)}
 
-    def visit(image, leaf):
+    def compare(want, got, word):
         # Column i of A's growth, south to north, must be row i of B's, west
         # to east.  Both start empty, so the first step to differ (i outer,
         # j inner) is at the first node to differ.
-        want = nodes_record(leaf)
-        got = image[leaf.n][_rank(_inverse(leaf.word, same), alg.r)]
         if want == got:
             return None
         k = next(k for k, (a, b) in enumerate(zip(want, got)) if a != b) // 3
-        return f"gp={sorted(leaf.gp().entries)} node ({k // leaf.n + 1},{k % leaf.n + 1})"
+        size = isqrt(len(want) // 3)
+        return f" node ({k // size + 1},{k % size + 1})"
 
-    return _check("inversion-nodes", alg, alg, n, partial(nodes_record, by_rows=True),
-                  visit, 1)
+    return _check("inversion-nodes", alg, alg, n, workers, nodes_record,
+                  lambda word: _inverse(word, same), compare,
+                  partial(nodes_record, by_rows=True))
 
 
-def _check(kind, algA, algB, n, key, visit, workers) -> DualityReport:
-    """Sweep B over the sizes 1..n for its image, then sweep A over them.
+def _check(kind, algA, algB, n, workers, key, mapped, compare, key_b=None) -> DualityReport:
+    """Check A against B on every input of the sizes 1..n, sweeping each
+    distinct algorithm once.
 
-    ``image[size]`` lists B's record ``key(leaf)`` (bytes, 3 per step) of
-    each input of that size in sweep order.  ``visit(image, leaf)`` maps A's
-    input to B's, finds B's record at that input's sweep rank, compares it
-    with A's own record transformed as the duality says, and returns a
-    counterexample or None.  One sweep per side, not one per size: each
-    sweep with workers forks its children anew."""
-    sizes = range(1, n + 1)
-    _, keys = sweep(algB, sizes, key, workers)
-    image, start = {}, 0
-    for size in sizes:
-        count = factorial(size) * algB.r ** size
-        image[size], start = keys[start:start + count], start + count
-    checked, counterexamples = sweep(algA, sizes, partial(visit, image), workers)
+    A's record of an input is ``key(leaf)`` (bytes, 3 per step) and B's is
+    ``key_b(leaf)`` (default: ``key``).  ``mapped(word)`` is the word of
+    the input B must run for A's input ``word``, and ``compare(a, b, word)``
+    compares A's record with B's record of the mapped input, as the duality
+    says; it returns None, or the text that follows the input in the
+    counterexample.  Its ``word()`` gives A's input word.
+
+    When A is B, one sweep records B's record of each input, then A's if
+    A's key differs, then the sweep rank of the mapped input in 4 bytes;
+    the comparisons run over those records after the sweep, and an input's
+    word is rebuilt with ``_unrank`` only if ``compare`` asks for it.
+    Otherwise a sweep of B keeps its records in sweep order, and a sweep of
+    A looks up the mapped input's by rank and compares in its visits.
+    Either way the counterexamples come in A's sweep order."""
+    key_b = key_b or key
+    sizes, r = range(1, n + 1), algB.r
+    start, offset = 0, {}
+    for size in sizes:      # where each size's records start in sweep order
+        offset[size], start = start, start + factorial(size) * r ** size
+    if algA is algB:
+        both = key is not key_b
+
+        def visit(leaf):
+            rank = _rank(mapped(leaf.word), r).to_bytes(4, "big")
+            return key_b(leaf) + key(leaf) + rank if both else key_b(leaf) + rank
+
+        checked, records = sweep(algB, sizes, visit, workers)
+        counterexamples = []
+        for size in sizes:
+            first = offset[size]
+            width = (len(records[first]) - 4) // (2 if both else 1)
+            for k in range(factorial(size) * r ** size):
+                record = records[first + k]
+                word = partial(_unrank, k, size, r)
+                text = compare(record[-4 - width:-4],
+                               records[first + int.from_bytes(record[-4:], "big")][:width], word)
+                if text is not None:
+                    counterexamples.append(_witness(size, word(), text))
+    else:
+        _, image = sweep(algB, sizes, key_b, workers)
+
+        def visit(leaf):
+            word = leaf.word
+            text = compare(key(leaf), image[offset[leaf.n] + _rank(mapped(word), r)],
+                           lambda: word)
+            return None if text is None else _witness(leaf.n, word, text)
+
+        checked, counterexamples = sweep(algA, sizes, visit, workers)
     return DualityReport(kind, algA.name, algB.name, n, checked, tuple(counterexamples))
+
+
+def _witness(size: int, word, text: str) -> str:
+    return f"gp={sorted(_word_gp(size, word).entries)}{text}"

@@ -2,8 +2,11 @@
 Each report, counterexample texts and their order included, must equal the
 per-input reference that runs B on every input and compares tableaux."""
 
+import dataclasses
+
 import pytest
 
+from growthkit import duality, oracle
 from growthkit.catalog import get_algorithm
 from growthkit.duality import (
     DualityError, InversionColorMap, _swap_components, check_inversion_duality,
@@ -86,8 +89,69 @@ def test_transpose_reports_equal_the_reference(a, b, f, g, n):
                                      ("left-right", 3)])
 def test_inversion_nodes_reports_equal_the_reference(name, n):
     want = nodes_report(alg(name), n)
-    assert check_inversion_nodes(alg(name), n) == want
+    for workers in (1, 2):
+        assert check_inversion_nodes(alg(name), n, workers=workers) == want
     assert want.ok == (name != "left-right")
+
+
+def _copy(name):
+    """An equal algorithm that is not the catalog's object."""
+    return dataclasses.replace(alg(name))
+
+
+DOUBLE_CIRCLE = InversionColorMap(alpha_map=_swap_components)
+
+# (sweeps, the check at a worker count, its reference report)
+SWEEP_COUNT_CASES = {
+    "inversion-double-circle": (
+        1, lambda w: check_inversion_duality(alg("double-circle"), alg("double-circle"), 2,
+                                             workers=w),
+        lambda: inversion_report(alg("double-circle"), alg("double-circle"), 2, DOUBLE_CIRCLE)),
+    "transpose-left-right-swap-uc": (
+        1, lambda w: check_transpose_duality(alg("left-right"), alg("left-right"), swap_uc,
+                                             swap_uc, 3, workers=w),
+        lambda: transpose_report(alg("left-right"), alg("left-right"), swap_uc, swap_uc, 3)),
+    "inversion-nodes-rs-row": (
+        1, lambda w: check_inversion_nodes(alg("rs-row"), 4, workers=w),
+        lambda: nodes_report(alg("rs-row"), 4)),
+    "inversion-left-right-mixed": (
+        2, lambda w: check_inversion_duality(alg("left-right"), alg("mixed"), 3, workers=w),
+        lambda: inversion_report(alg("left-right"), alg("mixed"), 3, EXACT)),
+    "transpose-rs-row-rs-col": (
+        2, lambda w: check_transpose_duality(alg("rs-row"), alg("rs-col"), n=4, workers=w),
+        lambda: transpose_report(alg("rs-row"), alg("rs-col"), identity, identity, 4)),
+    # copies are distinct algorithms to the check, so each is swept
+    "inversion-double-circle-copies": (
+        2, lambda w: check_inversion_duality(_copy("double-circle"), _copy("double-circle"), 2,
+                                             workers=w),
+        lambda: inversion_report(alg("double-circle"), alg("double-circle"), 2, DOUBLE_CIRCLE)),
+    "transpose-left-right-copy": (
+        2, lambda w: check_transpose_duality(alg("left-right"), _copy("left-right"), swap_uc,
+                                             swap_uc, 3, workers=w),
+        lambda: transpose_report(alg("left-right"), alg("left-right"), swap_uc, swap_uc, 3)),
+    "inversion-sagan1-copy-wrong": (
+        2, lambda w: check_inversion_duality(_copy("sagan1"), alg("sagan1"), 3, color_map=EXACT,
+                                             workers=w),
+        lambda: inversion_report(alg("sagan1"), alg("sagan1"), 3, EXACT)),
+}
+
+
+@pytest.mark.parametrize("sweeps, run, reference", SWEEP_COUNT_CASES.values(),
+                         ids=SWEEP_COUNT_CASES)
+def test_each_distinct_algorithm_is_swept_once(monkeypatch, sweeps, run, reference):
+    """A check of an algorithm against itself sweeps it once, and reports
+    what the reference does at every worker count."""
+    want, calls = reference(), []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return oracle.sweep(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "sweep", counted)
+    for workers in (1, 2):
+        calls.clear()
+        assert run(workers) == want
+        assert len(calls) == sweeps
 
 
 def test_alpha_map_must_land_in_bs_colors():
