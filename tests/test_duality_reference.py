@@ -1,6 +1,7 @@
-"""The duality checks read B's side from a sweep of B and a rank lookup.
-Each report, counterexample texts and their order included, must equal the
-per-input reference that runs B on every input and compares tableaux."""
+"""The duality checks read B's side from B's sweep records by rank, in one
+sweep when A is B.  Each report, counterexample texts and their order
+included, must equal the per-input reference that runs B on every input and
+compares tableaux."""
 
 import dataclasses
 
