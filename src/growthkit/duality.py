@@ -3,9 +3,10 @@ checks of the tableau-level relationships they induce."""
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
-from functools import partial
-from math import factorial, isqrt
+from functools import cache, partial
+from math import factorial
 from typing import Callable, Optional
 
 from .catalog import TRANSPOSED_SIDE, AlgorithmSpec
@@ -84,20 +85,22 @@ def _inverse(word, alpha: dict[int, int]) -> list:
     return out
 
 
-class _Transposed(dict):
-    """A step (row, col, color) of A's record -> the transposed step B's
-    record must hold: color mapped by g where B's weight w at the
-    transposed box is above 1.  Filled on first use."""
+def _inverse_rank(alpha: dict[int, int], r: int, n: int):
+    """The function ``word -> _rank(_inverse(word, alpha), r)`` on words of
+    sizes up to n, which builds no inverse: the inverse gives time t the
+    digit (earlier values at later times) * r + alpha(color) - 1, of weight
+    (size - t)! * r^(size - t)."""
+    weights = [factorial(d) * r ** d for d in range(n + 1)]
 
-    def __init__(self, w, g):
-        super().__init__()
-        self.w, self.g = w, g
-
-    def __missing__(self, step):
-        row, col, color = step
-        out = self[step] = bytes(
-            (col, row, self.g(color) if self.w(Point(col, row)) > 1 else color))
+    def rank(word):
+        size, times, out = len(word), [], 0
+        for i, (t, c) in enumerate(word):   # times holds the i earlier times, sorted
+            k = bisect(times, t)
+            out += ((i - k) * r + alpha[c] - 1) * weights[size - t]
+            times.insert(k, t)
         return out
+
+    return rank
 
 
 def _color_map(f, r_a: int, r_b: int, what: str = "alpha map") -> dict[int, int]:
@@ -135,16 +138,21 @@ def check_transpose_duality(algA: AlgorithmSpec, algB: AlgorithmSpec,
         if w is not None and w > 1:
             _color_map(g, w, w, "edge map")
 
-    p, q = _Transposed(instB.w1, g), _Transposed(instB.w2, g)
+    @cache
+    def transposed(step, w):
+        # A's step (row, col, color) -> the step B's record must hold: the
+        # box transposed, the color mapped by g where B's weight w there is above 1
+        row, col, color = step
+        return bytes((col, row, g(color) if w(Point(col, row)) > 1 else color))
 
-    def compare(a, b, word):
+    def compare(a, b, size, word):
         half = len(a) // 2
-        want = b"".join([p[a[k:k + 3]] for k in range(0, half, 3)]
-                        + [q[a[k:k + 3]] for k in range(half, len(a), 3)])
+        want = b"".join([transposed(a[k:k + 3], instB.w1 if k < half else instB.w2)
+                         for k in range(0, len(a), 3)])
         return None if want == b else ""
 
     return _check("transpose", algA, algB, n, workers, pair_record,
-                  lambda word: [(t, alpha[c]) for t, c in word], compare)
+                  lambda word: _rank([(t, alpha[c]) for t, c in word], algB.r), compare)
 
 
 # Inversion-duality color maps: how P/Q of the inverse relate to Q/P of the
@@ -191,7 +199,7 @@ def check_inversion_duality(algA: AlgorithmSpec, algB: AlgorithmSpec, n: int,
     apart = algA.geometry is not algB.geometry  # then no two tableaux are equal
     exact, circled_p = color_map.compare == "exact", color_map.circled_tableau == "P"
 
-    def compare(a, b, word):
+    def compare(a, b, size, word):
         half = len(a) // 2
         want = a[half:] + a[:half]
         if exact:
@@ -212,39 +220,40 @@ def check_inversion_duality(algA: AlgorithmSpec, algB: AlgorithmSpec, n: int,
         return None
 
     return _check("inversion", algA, algB, n, workers, pair_record,
-                  lambda word: _inverse(word, alpha), compare)
+                  _inverse_rank(alpha, algB.r, n), compare)
 
 
-def check_inversion_nodes(alg: AlgorithmSpec, n: int, workers: int = 1) -> DualityReport:
+def check_inversion_nodes(alg: AlgorithmSpec, n: int) -> DualityReport:
     """Node-level inversion duality for trivially-colored algorithms:
     the inverse gp grows the same node values in transposed grid locations."""
     same = {c: c for c in range(1, alg.r + 1)}
 
-    def compare(want, got, word):
+    def compare(want, got, size, word):
         # Column i of A's growth, south to north, must be row i of B's, west
         # to east.  Both start empty, so the first step to differ (i outer,
         # j inner) is at the first node to differ.
         if want == got:
             return None
         k = next(k for k, (a, b) in enumerate(zip(want, got)) if a != b) // 3
-        size = isqrt(len(want) // 3)
         return f" node ({k // size + 1},{k % size + 1})"
 
-    return _check("inversion-nodes", alg, alg, n, workers, nodes_record,
-                  lambda word: _inverse(word, same), compare,
+    return _check("inversion-nodes", alg, alg, n, 1, nodes_record,
+                  _inverse_rank(same, alg.r, n), compare,
                   partial(nodes_record, by_rows=True))
 
 
-def _check(kind, algA, algB, n, workers, key, mapped, compare, key_b=None) -> DualityReport:
+def _check(kind, algA, algB, n, workers, key, mapped_rank, compare,
+           key_b=None) -> DualityReport:
     """Check A against B on every input of the sizes 1..n, sweeping each
     distinct algorithm once.
 
     A's record of an input is ``key(leaf)`` (bytes, 3 per step) and B's is
-    ``key_b(leaf)`` (default: ``key``).  ``mapped(word)`` is the word of
-    the input B must run for A's input ``word``, and ``compare(a, b, word)``
-    compares A's record with B's record of the mapped input, as the duality
-    says; it returns None, or the text that follows the input in the
-    counterexample.  Its ``word()`` gives A's input word.
+    ``key_b(leaf)`` (default: ``key``).  ``mapped_rank(word)`` is the sweep
+    rank (``_rank``) of the input B must run for A's input ``word``, and
+    ``compare(a, b, size, word)`` compares A's record of an input of that
+    size with B's record of the mapped input, as the duality says; it
+    returns None, or the text that follows the input in the counterexample.
+    Its ``word()`` gives A's input word.
 
     When A is B, one sweep records B's record of each input, then A's if
     A's key differs, then the sweep rank of the mapped input in 4 bytes;
@@ -262,7 +271,7 @@ def _check(kind, algA, algB, n, workers, key, mapped, compare, key_b=None) -> Du
         both = key is not key_b
 
         def visit(leaf):
-            rank = _rank(mapped(leaf.word), r).to_bytes(4, "big")
+            rank = mapped_rank(leaf.word).to_bytes(4, "big")
             return key_b(leaf) + key(leaf) + rank if both else key_b(leaf) + rank
 
         checked, records = sweep(algB, sizes, visit, workers)
@@ -274,7 +283,8 @@ def _check(kind, algA, algB, n, workers, key, mapped, compare, key_b=None) -> Du
                 record = records[first + k]
                 word = partial(_unrank, k, size, r)
                 text = compare(record[-4 - width:-4],
-                               records[first + int.from_bytes(record[-4:], "big")][:width], word)
+                               records[first + int.from_bytes(record[-4:], "big")][:width],
+                               size, word)
                 if text is not None:
                     counterexamples.append(_witness(size, word(), text))
     else:
@@ -282,7 +292,7 @@ def _check(kind, algA, algB, n, workers, key, mapped, compare, key_b=None) -> Du
 
         def visit(leaf):
             word = leaf.word
-            text = compare(key(leaf), image[offset[leaf.n] + _rank(mapped(word), r)],
+            text = compare(key(leaf), image[offset[leaf.n] + mapped_rank(word)], leaf.n,
                            lambda: word)
             return None if text is None else _witness(leaf.n, word, text)
 
