@@ -77,19 +77,12 @@ class DualityReport:
         return "\n".join([head] + [f"  {c}" for c in self.counterexamples[:10]])
 
 
-def _inverse(word, alpha: dict[int, int]) -> list:
-    """The word of the inverse input, its colors mapped by ``alpha``."""
-    out = [None] * len(word)
-    for i, (t, c) in enumerate(word, start=1):
-        out[t - 1] = (i, alpha[c])
-    return out
-
-
 def _inverse_rank(alpha: dict[int, int], r: int, n: int):
-    """The function ``word -> _rank(_inverse(word, alpha), r)`` on words of
-    sizes up to n, which builds no inverse: the inverse gives time t the
-    digit (earlier values at later times) * r + alpha(color) - 1, of weight
-    (size - t)! * r^(size - t)."""
+    """The function from a word of size up to n to the ``_rank`` of its
+    inverse input (value i at time t in color c becomes value t at time i
+    in color alpha[c]), without building the inverse: the inverse's digit
+    for value t is (earlier values at later times) * r + alpha[c] - 1, of
+    weight (size - t)! * r^(size - t)."""
     weights = [factorial(d) * r ** d for d in range(n + 1)]
 
     def rank(word):
@@ -209,11 +202,12 @@ def check_inversion_duality(algA: AlgorithmSpec, algB: AlgorithmSpec, n: int,
         # A circled value of A's P lands on its time; a circled time of
         # A's Q lands on the value inserted then.
         start = 0 if circled_p else half
-        circled = lambda pq: [v for v in range(half // 3) if pq[start + 3 * v + 2] == 2]
+        circled = lambda pq: [v for v in range(size) if pq[start + 3 * v + 2] == 2]
         want_circles = circled(a)
         if want_circles:
-            place = word() if circled_p else _inverse(word(), alpha)
-            want_circles = sorted(place[v][0] for v in want_circles)
+            times = [t for t, _ in word()]
+            want_circles = sorted(times[v] if circled_p else times.index(v + 1) + 1
+                                  for v in want_circles)
         got_circles = [v + 1 for v in circled(b)]
         if got_circles != want_circles:
             return f" (circles landed on {got_circles}, expected {want_circles})"
