@@ -12,7 +12,7 @@ from typing import Callable, Optional
 from .catalog import TRANSPOSED_SIDE, AlgorithmSpec
 from .insdiag import TableRule, color_pair
 from .lattice import Geometry, Point, shapes_up_to
-from .oracle import _rank, _unrank, _word_gp, nodes_record, pair_record, sweep
+from .oracle import _gp_text, _rank, _unrank, nodes_record, pair_record, sweep
 from .wdgg import constant_value
 
 
@@ -280,7 +280,7 @@ def _check(kind, algA, algB, n, workers, key, mapped_rank, compare,
                                records[first + int.from_bytes(record[-4:], "big")][:width],
                                size, word)
                 if text is not None:
-                    counterexamples.append(_witness(size, word(), text))
+                    counterexamples.append(_gp_text(size, word()) + text)
     else:
         _, image = sweep(algB, sizes, key_b, workers)
 
@@ -288,11 +288,7 @@ def _check(kind, algA, algB, n, workers, key, mapped_rank, compare,
             word = leaf.word
             text = compare(key(leaf), image[offset[leaf.n] + mapped_rank(word)], leaf.n,
                            lambda: word)
-            return None if text is None else _witness(leaf.n, word, text)
+            return None if text is None else _gp_text(leaf.n, word) + text
 
         checked, counterexamples = sweep(algA, sizes, visit, workers)
     return DualityReport(kind, algA.name, algB.name, n, checked, tuple(counterexamples))
-
-
-def _witness(size: int, word, text: str) -> str:
-    return f"gp={sorted(_word_gp(size, word).entries)}{text}"

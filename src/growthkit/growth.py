@@ -171,19 +171,19 @@ class GrowthDiagram:
     between (i, j) and (i, j-1) (valid for j >= 1).  Degenerate edges carry
     None.
 
-    A diagram from ``run_growth`` holds its P and Q and builds the grid from
-    its algorithm and alphas the first time ``nodes``, ``hcolors`` or
-    ``vcolors`` is read, then keeps it; a grid of more than ``GRID_CELLS``
-    cells raises ``GrowthError`` instead.  Equality compares the grids.
+    A diagram from ``run_growth`` is given its ``run``, (algorithm, P, Q),
+    and no grid.  It builds the grid from the algorithm and alphas the first
+    time ``nodes``, ``hcolors`` or ``vcolors`` is read, then keeps it; a
+    grid of more than ``GRID_CELLS`` cells raises ``GrowthError`` instead.
+    Equality compares the grids.
     """
 
     __slots__ = ("n", "m", "alphas", "_grid", "_run")
 
     def __init__(self, n: int, m: int, nodes, hcolors, vcolors,
-                 alphas: GeneralizedPermutation):
+                 alphas: GeneralizedPermutation, run=None):
         self.n, self.m, self.alphas = n, m, alphas
-        self._grid = None if nodes is None else (nodes, hcolors, vcolors)
-        self._run = None    # (algorithm, P, Q) of a diagram run_growth made
+        self._run, self._grid = run, None if nodes is None else (nodes, hcolors, vcolors)
 
     def _built(self):
         """(nodes, hcolors, vcolors), grown by the fold on first use."""
@@ -228,24 +228,18 @@ class GrowthDiagram:
         for j in range(self.m + 1):
             if nodes[0][j].size:
                 raise GrowthError(f"west border node (0,{j}) is not empty")
-        for i in range(1, self.n + 1):
-            west, column, colors = nodes[i - 1], nodes[i], hcolors[i]
-            for j in range(self.m + 1):
-                a, b = west[j], column[j]
-                same = a == b
-                if not same and not _covers(b, a):
-                    raise GrowthError(f"nodes ({i-1},{j}) and ({i},{j}) not equal or cover")
-                if (colors[j] is None) != same:
-                    raise GrowthError(f"h-edge color mismatch at ({i},{j})")
-        for i in range(self.n + 1):
-            column, colors = nodes[i], vcolors[i]
-            for j in range(1, self.m + 1):
-                a, b = column[j - 1], column[j]
-                same = a == b
-                if not same and not _covers(b, a):
-                    raise GrowthError(f"nodes ({i},{j-1}) and ({i},{j}) not equal or cover")
-                if (colors[j] is None) != same:
-                    raise GrowthError(f"v-edge color mismatch at ({i},{j})")
+        # the h-edges, from (i - 1, j) to (i, j), then the v-edges, from (i, j - 1)
+        for kind, edge_colors, di, dj in (("h", hcolors, 1, 0), ("v", vcolors, 0, 1)):
+            for i in range(di, self.n + 1):
+                lower, column, colors = nodes[i - di], nodes[i], edge_colors[i]
+                for j in range(dj, self.m + 1):
+                    a, b = lower[j - dj], column[j]
+                    same = a == b
+                    if not same and not _covers(b, a):
+                        raise GrowthError(
+                            f"nodes ({i - di},{j - dj}) and ({i},{j}) not equal or cover")
+                    if (colors[j] is None) != same:
+                        raise GrowthError(f"{kind}-edge color mismatch at ({i},{j})")
 
 
 def _covers(upper: Shape, lower: Shape) -> bool:
@@ -417,9 +411,8 @@ def run_growth(alg, gp: GeneralizedPermutation) -> GrowthDiagram:
     shape = Shape(alg.geometry, map(len, P.rows))
     cells = ((Point(r, shape.row_start(r) + k), v, P.colors[v])
              for r, row in enumerate(P.rows, start=1) for k, v in enumerate(row))
-    g = GrowthDiagram(gp.n, gp.m, None, None, None, gp)
-    g._run = alg, ColoredTableau(shape, tuple(cells)), ColoredTableau(shape, tuple(Q))
-    return g
+    run = alg, ColoredTableau(shape, tuple(cells)), ColoredTableau(shape, tuple(Q))
+    return GrowthDiagram(gp.n, gp.m, None, None, None, gp, run=run)
 
 
 def _chain_tableau(g: GrowthDiagram, chain, colors) -> ColoredTableau:

@@ -30,7 +30,6 @@ import os
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, repeat
-from typing import Optional
 
 from .growth import (
     GeneralizedPermutation, GrowthDiagram, Moves, border_column, grow_column,
@@ -39,21 +38,21 @@ from .insdiag import color_pair
 from .lattice import (
     Point, Shape, deletion_points, empty_shape, join, remove_box, shapes_of_size,
 )
-from .wdgg import Channel, Instantiation
 
 
-def sct_count(inst: Instantiation, channel: Channel, shape: Shape) -> int:
-    """Independent count via the chain recurrence f(s) = sum f(s - box),
-    weighted by the color choices of the removed box."""
-    w = inst.w1 if channel is Channel.ASCENDING else inst.w2
+def sct_count(w):
+    """A function from a shape to its number of standard colored tableaux,
+    box p's colors bounded by w(p): the chain recurrence f(s) = sum f(s - p)
+    over the deletion points p, times the w(p) colors of the removed box,
+    cached over shapes for this one w."""
 
     @cache
-    def f(s: Shape) -> int:
+    def count(s: Shape) -> int:
         if s.size == 0:
             return 1
-        return sum(w(p) * f(remove_box(s, p)) for p in deletion_points(s))
+        return sum(w(p) * count(remove_box(s, p)) for p in deletion_points(s))
 
-    return f(shape)
+    return count
 
 
 def tableau_records(w):
@@ -79,6 +78,12 @@ def _word_gp(n: int, word) -> GeneralizedPermutation:
     """The full n x n input whose value i sits at word[i - 1] = (time, color)."""
     return GeneralizedPermutation(
         n, n, frozenset((i, t, c) for i, (t, c) in enumerate(word, start=1)))
+
+
+def _gp_text(n: int, word) -> str:
+    """The input of a witness: "gp=" and the sorted entries of the full
+    n x n input that ``word`` gives (see ``_word_gp``)."""
+    return f"gp={sorted(_word_gp(n, word).entries)}"
 
 
 def _box(p: Point) -> int:
@@ -135,7 +140,7 @@ class _Table:
 
 
 class SweepLeaf:
-    """One full input of a sweep, with its growth.
+    """One full input of a sweep, on the n x n grid, with its growth.
 
     ``word[i - 1]`` is the (time, color) of value i, ``columns[i]`` is
     column i of the growth over the numbers of the sweep's ``table``, as
@@ -144,16 +149,14 @@ class SweepLeaf:
     value onto all three and pops it on leaving, so P's steps are built
     once per node, not once per leaf.  The sweep reuses this object from
     leaf to leaf, so read them during the visit only; the columns
-    themselves may be kept.  The grid is n x n unless m is given, as for a
-    partial input pushed by hand (time 0: the value is absent), whose
-    ``gp`` and ``growth`` are not defined.
+    themselves may be kept.
     """
 
     __slots__ = ("n", "table", "word", "columns", "p")
 
-    def __init__(self, table: _Table, n: int, m: Optional[int] = None):
+    def __init__(self, table: _Table, n: int):
         self.n, self.table, self.word, self.p = n, table, [], bytearray()
-        self.columns = [border_column(table.moves, n if m is None else m)]
+        self.columns = [border_column(table.moves, n)]
 
     def push(self, time: int, color: int) -> None:
         """Place the next value at (time, color): grow its column, and add
@@ -370,7 +373,7 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
     inst = alg.instantiation
     failures = []
     count, records = sweep(alg, [n], pair_record, workers)
-    gp_text = lambda k: sorted(_word_gp(n, _unrank(k, n, inst.r)).entries)
+    witness = lambda k: _gp_text(n, _unrank(k, n, inst.r))
     image: dict = {}    # record -> the sweep index of its first input
     collision = None
     for k, key in enumerate(records):
@@ -381,14 +384,15 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
         key, first, second = collision
         failures.append(
             f"two inputs map to the same (P, Q) pair: "
-            f"gp={gp_text(first)} and gp={gp_text(second)} both give {_pair_text(key)}")
+            f"{witness(first)} and {witness(second)} both give {_pair_text(key)}")
 
     expected = set()
     expected_count = 0
     p_records, q_records = tableau_records(inst.w1), tableau_records(inst.w2)
+    p_count, q_count = sct_count(inst.w1), sct_count(inst.w2)
     for shape in shapes_of_size(inst.geometry, n):
         ps, qs = p_records(shape), q_records(shape)
-        f1, f2 = sct_count(inst, Channel.ASCENDING, shape), sct_count(inst, Channel.DESCENDING, shape)
+        f1, f2 = p_count(shape), q_count(shape)
         if len(ps) != f1 or len(qs) != f2:
             failures.append(
                 f"tableau counts disagree with the chain recurrence on {shape}: "
@@ -408,5 +412,5 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
     if extra:
         key = min(extra, key=_pair_order)
         failures.append(f"{len(extra)} outputs are not valid same-shape pairs, e.g. "
-                        f"{_pair_text(key)} from gp={gp_text(image[key])}")
+                        f"{_pair_text(key)} from {witness(image[key])}")
     return BijectionReport(alg.name, n, count, len(image), expected_count, tuple(failures))

@@ -150,12 +150,12 @@ def _tableau_text(t, suffixes, _channel) -> str:
 
 
 def _tableau_records(t, _suffixes, channel) -> str:
-    lines = [json.dumps({"kind": "tableau", "channel": channel,
-                         "geometry": t.shape.geometry.value,
-                         "shape": format_shape(t.shape)}, sort_keys=True)]
+    """Line-delimited records, keys in sorted order, as ``_growth_records``."""
+    encode = json.JSONEncoder().encode
+    lines = [encode({"channel": channel, "geometry": t.shape.geometry.value,
+                     "kind": "tableau", "shape": format_shape(t.shape)})]
     for p, v, c in t.cells:
-        lines.append(json.dumps({"kind": "cell", "row": p.row, "col": p.col,
-                                 "value": v, "color": c}, sort_keys=True))
+        lines.append(encode({"col": p.col, "color": c, "kind": "cell", "row": p.row, "value": v}))
     return "\n".join(lines)
 
 

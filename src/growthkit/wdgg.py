@@ -1,4 +1,4 @@
-"""Weight/biweight functions, edge channels, and the weight-equation checks.
+"""Weight/biweight functions and the weight-equation checks.
 
 An instantiation fixes the geometry, the two weight functions (G1 and G2
 edge multiplicities), and the differential degree r.  The balance condition
@@ -12,12 +12,9 @@ to a size bound.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Optional
 
-from .lattice import (
-    Geometry, Point, Shape, deletion_points, insertion_points, shapes_up_to,
-)
+from .lattice import Geometry, Point, Shape, shapes_up_to
 
 
 class WeightError(ValueError):
@@ -60,21 +57,6 @@ class Instantiation:
         return self.w1(p) * self.w2(p)
 
 
-class Channel(Enum):
-    ASCENDING = "ascending"
-    DESCENDING = "descending"
-
-
-def weight_up(inst: Instantiation, s: Shape) -> list[tuple[Point, int, int]]:
-    """(point, w1, w2) for every insertion point of s."""
-    return [(p, inst.w1(p), inst.w2(p)) for p in insertion_points(s)]
-
-
-def weight_down(inst: Instantiation, s: Shape) -> list[tuple[Point, int, int]]:
-    """(point, w1, w2) for every deletion point of s."""
-    return [(p, inst.w1(p), inst.w2(p)) for p in deletion_points(s)]
-
-
 @dataclass(frozen=True)
 class WeightReport:
     shape: Shape
@@ -92,9 +74,9 @@ class WeightReport:
 
 def verify_weight_equation(inst: Instantiation, s: Shape) -> WeightReport:
     """Check the balance condition at one shape."""
-    lhs = sum(w1 * w2 for _, w1, w2 in weight_down(inst, s)) + inst.r
-    rhs = sum(w1 * w2 for _, w1, w2 in weight_up(inst, s))
-    return WeightReport(s, lhs, rhs)
+    insertions, deletions = s.points()
+    return WeightReport(s, sum(map(inst.weight, deletions)) + inst.r,
+                        sum(map(inst.weight, insertions)))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from growthkit.lattice import (
     Shape, add_box, added_box, deletion_points, empty_shape, remove_box, shapes_of_size,
 )
 from growthkit.oracle import BijectionReport, _word_gp, sct_count, sweep
-from growthkit.wdgg import Channel, Instantiation
 
 
 def enumerate_gps(n: int, r: int):
@@ -47,10 +46,9 @@ def standard_fillings(shape: Shape) -> list[tuple]:
     return out
 
 
-def enumerate_sct(inst: Instantiation, channel: Channel, shape: Shape) -> list[ColoredTableau]:
+def enumerate_sct(w, shape: Shape) -> list[ColoredTableau]:
     """All standard colored tableaux: standard fillings times per-box colors
-    bounded by w1 (ascending channel) or w2 (descending)."""
-    w = inst.w1 if channel is Channel.ASCENDING else inst.w2
+    bounded by w (w1 for the ascending channel, w2 for the descending)."""
     boxes = shape.boxes()
     tableaux = []
     for filling in standard_fillings(shape):
@@ -127,9 +125,9 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
     expected = set()
     expected_count = 0
     for shape in shapes_of_size(inst.geometry, n):
-        ps = enumerate_sct(inst, Channel.ASCENDING, shape)
-        qs = enumerate_sct(inst, Channel.DESCENDING, shape)
-        f1, f2 = sct_count(inst, Channel.ASCENDING, shape), sct_count(inst, Channel.DESCENDING, shape)
+        ps = enumerate_sct(inst.w1, shape)
+        qs = enumerate_sct(inst.w2, shape)
+        f1, f2 = sct_count(inst.w1)(shape), sct_count(inst.w2)(shape)
         if len(ps) != f1 or len(qs) != f2:
             failures.append(
                 f"tableau counts disagree with the chain recurrence on {shape}: "

@@ -10,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from growthkit.catalog import get_algorithm
+from growthkit import catalog
+from growthkit.catalog import SW, _11, AlgorithmSpec, get_algorithm
 from growthkit.cli import main
 from growthkit.growth import extract_P, extract_Q, run_growth
+from growthkit.insdiag import TableRule
 from growthkit.render import parse_gp, render_growth, render_tableau
 from figures import FIGURES
 from growth_reference import fold_growth
@@ -279,6 +281,28 @@ class TestVerify:
         rc, out, _ = run_cli("verify", "diagram", "--algorithm", "worley-sagan",
                              "--max-size", "6")
         assert rc == 0 and "PASS" in out
+
+    def test_diagram_algorithm_that_fails(self, monkeypatch):
+        """A table with no alpha arrow fails at every shape: each shape's
+        failures, then the tally and the summary."""
+        broken = AlgorithmSpec("broken", get_algorithm("rs-row").instantiation,
+                               TableRule({_11: (SW, _11)}), "no alpha arrow")
+        monkeypatch.setitem(catalog._REGISTRY, "broken", broken)
+        rc, out, _ = run_cli("verify", "diagram", "--algorithm", "broken", "--max-size", "1")
+        lines = out.splitlines()
+        assert rc == 1 and len(lines) == 8
+        assert (lines[0], lines[3]) == ("FAIL shape=0", "FAIL shape=1")
+        assert all(line.startswith("  ") for line in lines[1:3] + lines[4:6])
+        assert lines[6] == "FAIL diagrams algorithm=broken shapes<= 1 checked=2 failures=2"
+        summary = json.loads(lines[7])
+        assert summary["ok"] is False and len(summary["failures"]) == 4
+
+    def test_diagram_user_file_point_at_row_0(self, tmp_path):
+        f = tmp_path / "psi.txt"
+        f.write_text("bump (0,1) <1,1> -> (2,1) <1,1>\n")
+        rc, out, err = run_cli("verify", "diagram", "--file", str(f),
+                               "--shape", "1", "--instantiation", "unshifted-1")
+        assert (rc, out, err) == (2, "", "error: point coordinates must be >= 1, got (0,1)\n")
 
     def test_diagram_user_file_ok(self, tmp_path):
         f = tmp_path / "psi.txt"

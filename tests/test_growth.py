@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,7 +12,7 @@ from growthkit.growth import (
 )
 from growthkit.insdiag import ColorPair, color_pair, diagram
 from growthkit.lattice import Geometry, Point, Shape, added_box, empty_shape
-from growthkit.oracle import SweepLeaf, _box, _Steps, _Table, pair_record
+from growthkit.oracle import _box, _Steps, _Table, pair_record
 from growthkit.render import parse_gp, parse_tableau
 from figures import FIGURES
 from catalog_reference import rule_of
@@ -370,13 +371,15 @@ def _grid_by_cells(alg, gp):
 
 
 def _numbered_leaf(alg, gp):
-    """gp's growth as a sweep grows it: pushed value by value onto a leaf
-    over a new table of numbered shapes."""
-    entry_of = {i: (j, c) for i, j, c in gp.entries}
-    leaf = SweepLeaf(_Table(alg), gp.n, gp.m)
+    """gp's growth as a sweep grows it, over a new table of numbered shapes,
+    for any n x m input: its columns, folded by grow_column, and P's half of
+    its record, the step at each column's top, as a SweepLeaf holds them."""
+    table, entry_of = _Table(alg), {i: (j, c) for i, j, c in gp.entries}
+    columns = [border_column(table.moves, gp.m)]
     for i in range(1, gp.n + 1):
-        leaf.push(*entry_of.get(i, (0, 0)))
-    return leaf
+        columns.append(grow_column(table.moves, i, columns[-1], *entry_of.get(i, (0, 0))))
+    p = b"".join(table.steps[column[4][-1], column[1][-1]] for column in columns[1:])
+    return SimpleNamespace(table=table, columns=columns, p=p)
 
 
 def _shape_column(table, column):

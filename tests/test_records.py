@@ -5,14 +5,14 @@ check keyed by chains of shapes in oracle_reference."""
 import pytest
 
 import oracle_reference
-from growthkit.catalog import AlgorithmSpec, get_algorithm, list_algorithms
+from growthkit.catalog import LEFT_RIGHT, AlgorithmSpec, get_algorithm, list_algorithms
 from growthkit.growth import extract_P, extract_Q, run_growth
 from growthkit.insdiag import alpha_arrow, bump_arrow, diagram
-from growthkit.lattice import Point, deletion_points, insertion_points
+from growthkit.lattice import Geometry, Point, deletion_points, insertion_points
 from growthkit.oracle import (
     _box, _pair_order, _pair_text, _Steps, check_bijection, nodes_record, pair_record, sweep,
 )
-from growthkit.wdgg import BUILTIN_INSTANTIATIONS
+from growthkit.wdgg import BUILTIN_INSTANTIATIONS, Instantiation, constant_weight
 from catalog_reference import rule_of
 from test_sweep import _color_blind, _overcolored
 
@@ -80,6 +80,21 @@ def test_one_broken_algorithm_reaches_every_witness():
         "2 outputs are not valid same-shape pairs, e.g. P=1^2/2^2 Q=1/2 "
         "from gp=[(1, 2, 1), (2, 1, 1)]",
     )
+
+
+def test_a_graph_that_is_not_dual_fails_the_counting_identity():
+    """left-right's table on weights 1 and 1 with r = 2: n! * r^n inputs
+    against sum f1*f2 same-shape pairs, and every output whose Q has a
+    color 2 is not a valid pair."""
+    one = constant_weight(1)
+    bad = Instantiation("bad", Geometry.QUADRANT, one, one, r=2)
+    alg = AlgorithmSpec("bad", bad, LEFT_RIGHT, "not dual on purpose")
+    assert check_bijection(alg, 3).failures == (
+        "counting identity fails: sum f1*f2 = 6, n!*r^n = 48",
+        "42 outputs are not valid same-shape pairs, e.g. P=1/2/3 Q=1/2/3^2 "
+        "from gp=[(1, 2, 1), (2, 1, 1), (3, 3, 2)]",
+    )
+    _assert_same_reports(alg, range(1, 4))
 
 
 def _cells(record):

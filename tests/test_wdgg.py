@@ -1,10 +1,12 @@
 import pytest
 
-from growthkit.lattice import Geometry, Point, Shape, empty_shape, shapes_up_to
+from growthkit.lattice import (
+    Geometry, Point, Shape, empty_shape, insertion_points, shapes_up_to,
+)
 from growthkit.wdgg import (
     BUILTIN_INSTANTIATIONS, Instantiation, WeightError,
     constant_weight, diagonal_weight, verify_instantiation,
-    verify_weight_equation, weight_up,
+    verify_weight_equation,
 )
 
 Q, O = Geometry.QUADRANT, Geometry.OCTANT
@@ -12,17 +14,22 @@ ARCHETYPE = BUILTIN_INSTANTIATIONS["unshifted-1"]
 SHIFTED = BUILTIN_INSTANTIATIONS["shifted-1"]
 
 
+def _weights_up(inst, s):
+    """(point, w1, w2) for every insertion point of s."""
+    return [(p, inst.w1(p), inst.w2(p)) for p in insertion_points(s)]
+
+
 class TestWeights:
     def test_weight_up_shifted(self):
-        got = weight_up(SHIFTED, Shape(O, (3, 1)))
+        got = _weights_up(SHIFTED, Shape(O, (3, 1)))
         assert got == [(Point(1, 4), 1, 2), (Point(2, 3), 1, 2)]
 
     def test_weight_up_trivial(self):
-        got = weight_up(ARCHETYPE, Shape(Q, (2, 1)))
+        got = _weights_up(ARCHETYPE, Shape(Q, (2, 1)))
         assert [(w1, w2) for _, w1, w2 in got] == [(1, 1)] * 3
 
     def test_weight_up_empty_shifted(self):
-        assert weight_up(SHIFTED, empty_shape(O)) == [(Point(1, 1), 1, 1)]
+        assert _weights_up(SHIFTED, empty_shape(O)) == [(Point(1, 1), 1, 1)]
 
     def test_diagonal_weight(self):
         w = diagonal_weight
@@ -50,6 +57,13 @@ class TestWeightEquation:
         assert (report.lhs, report.rhs, report.ok) == (2, 1, False)
         full = verify_instantiation(bad, 3)
         assert not full.ok and full.failures[0].shape == empty_shape(Q)
+        assert str(verify_instantiation(bad, 2)).splitlines() == [
+            "FAIL instantiation=bad shapes<= 2 checked=4 failures=4",
+            "  FAIL shape=0 lhs=2 rhs=1",
+            "  FAIL shape=1 lhs=3 rhs=2",
+            "  FAIL shape=2 lhs=3 rhs=2",
+            "  FAIL shape=1,1 lhs=3 rhs=2",
+        ]
 
 
 class TestBuiltins:
