@@ -17,15 +17,19 @@ and moves are looked up by ints, each worked out once per sweep from
 from a (box, color) table.  A leaf maps its numbers back to shapes only
 when asked for its growth.
 
-``check_bijection`` compares the image with the expected pairs, which it
-builds as records too, with no tableau built on the way:
-``tableau_records`` peels the largest value off each shape, at each
-deletion point in each of its colors (the chain recurrence of
-``sct_count``).
+``check_bijection`` compares the image with the expected pairs without a
+set of either.  ``tableau_records`` lists each shape's tableau halves, with
+no tableau built on the way: it peels the largest value off each shape, at
+each deletion point in each of its colors (the chain recurrence of
+``sct_count``), so a half's place in its list is its rank.  A (P, Q) pair's
+index is its shape's base plus rank(P) * f2 + rank(Q), and the check marks
+one byte per pair; witness texts are built from the indices and the
+records that are no pair, and only on failure.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 from dataclasses import dataclass
 from functools import cache
@@ -369,48 +373,115 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
     """Grow every full gp and compare the image with all same-shape pairs of
     standard colored tableaux (set equality, not just counts).  Failures
     name witnesses: the first two inputs that collide, and the smallest
-    missing and extra pair."""
-    inst = alg.instantiation
-    failures = []
-    count, records = sweep(alg, [n], pair_record, workers)
-    witness = lambda k: _gp_text(n, _unrank(k, n, inst.r))
-    image: dict = {}    # record -> the sweep index of its first input
-    collision = None
-    for k, key in enumerate(records):
-        first = image.setdefault(key, k)
-        if first != k and collision is None:
-            collision = key, first, k
-    if collision is not None:
-        key, first, second = collision
-        failures.append(
-            f"two inputs map to the same (P, Q) pair: "
-            f"{witness(first)} and {witness(second)} both give {_pair_text(key)}")
+    missing and extra pair.
 
-    expected = set()
-    expected_count = 0
+    No set of pairs is built.  Each expected pair has an index: a tableau
+    half's rank is its place in ``tableau_records``, and shape λ's pairs
+    take base(λ) + rank(P) * f2(λ) + rank(Q), base(λ) being the number of
+    pairs of the shapes before λ.  Each input's visit finds its pair's
+    index, or keeps its whole record when that is no expected pair, and the
+    indices are marked in one byte per expected pair.  This is the set
+    comparison:
+
+    - ``tableau_records(w)(λ)`` lists each standard colored tableau of
+      shape λ once, in the chain recurrence's order (``sct_count(w)(λ)`` of
+      them, no duplicate, the enumerated tableaux), so the indices number
+      the expected pairs one to one by 0 .. sum f1 * f2 - 1;
+    - a record is an expected pair exactly when its P half is a w1 tableau
+      of some shape λ and its Q half a w2 tableau of λ, which is when the
+      visit finds both halves' ranks.
+
+    So the image is the marked indices and the kept records: two inputs
+    collide when they mark one index or keep one record, the missing pairs
+    are the unmarked indices, and the extra ones the kept records.  When
+    every input marks an index no other marks, nothing is kept per input.
+    Otherwise the inputs are swept again, each returning its index or
+    record in sweep order, and the witnesses are built from these: a pair
+    from its index, an input from its sweep index."""
+    inst = alg.instantiation
     p_records, q_records = tableau_records(inst.w1), tableau_records(inst.w2)
     p_count, q_count = sct_count(inst.w1), sct_count(inst.w2)
+    ranks = {}      # P half -> (the index of its first pair, the Q ranks of its shape)
+    blocks = []     # each shape's (base, P halves, Q halves)
+    counts, base, expected_count = [], 0, 0
     for shape in shapes_of_size(inst.geometry, n):
         ps, qs = p_records(shape), q_records(shape)
         f1, f2 = p_count(shape), q_count(shape)
         if len(ps) != f1 or len(qs) != f2:
-            failures.append(
+            counts.append(
                 f"tableau counts disagree with the chain recurrence on {shape}: "
                 f"{len(ps)} vs {f1}, {len(qs)} vs {f2}")
         expected_count += f1 * f2
-        expected.update(p + q for p in ps for q in qs)
+        q_ranks = {q: k for k, q in enumerate(qs)}
+        for k, p in enumerate(ps):
+            ranks[p] = base + k * len(qs), q_ranks
+        blocks.append((base, ps, qs))
+        base += len(ps) * len(qs)
+    half = 3 * n
 
+    def index(leaf):
+        record = pair_record(leaf)
+        hit = ranks.get(record[:half])
+        if hit is not None:
+            rank = hit[1].get(record[half:])
+            if rank is not None:
+                return hit[0] + rank
+        return record
+
+    def pair(i):
+        for start, ps, qs in blocks:
+            if i < start + len(ps) * len(qs):
+                p, q = divmod(i - start, len(qs))
+                return ps[p] + qs[q]
+
+    # The marks are shared with the sweep's forked children.  A visit that
+    # finds no index, or its index marked, returns it; two processes that
+    # mark one index at once may both not, but leave fewer marks than
+    # inputs.  Either way the inputs are swept again, in order.
+    with mmap.mmap(-1, base + 1) as shared:     # one byte more: no mapping is empty
+        def mark(leaf):
+            got = index(leaf)
+            if got.__class__ is not int or shared[got]:
+                return got
+            shared[got] = 1
+
+        count, outputs = sweep(alg, [n], mark, workers)
+        seen = bytearray(shared)
+    del seen[base:]
+    extra: dict = {}    # record -> the sweep index of its first input
+    collision = None
+    if outputs or seen.count(1) != count:
+        seen = bytearray(base)
+        _, outputs = sweep(alg, [n], index, workers)
+        for k, out in enumerate(outputs):
+            if out.__class__ is int:
+                if seen[out] and collision is None:
+                    collision = outputs.index(out), k, pair(out)
+                seen[out] = 1
+            else:
+                first = extra.setdefault(out, k)
+                if first != k and collision is None:
+                    collision = first, k, out
+    witness = lambda k: _gp_text(n, _unrank(k, n, inst.r))
+    failures = []
+    if collision is not None:
+        first, second, key = collision
+        failures.append(
+            f"two inputs map to the same (P, Q) pair: "
+            f"{witness(first)} and {witness(second)} both give {_pair_text(key)}")
+    failures += counts
     if expected_count != count:
         failures.append(
             f"counting identity fails: sum f1*f2 = {expected_count}, "
             f"n!*r^n = {count}")
-    missing = expected - image.keys()
-    extra = image.keys() - expected
-    if missing:
-        failures.append(f"{len(missing)} same-shape pairs are not reached, e.g. "
+    reached = seen.count(1)
+    if reached < base:
+        missing = (pair(i) for i, hit in enumerate(seen) if not hit)
+        failures.append(f"{base - reached} same-shape pairs are not reached, e.g. "
                         f"{_pair_text(min(missing, key=_pair_order))}")
     if extra:
         key = min(extra, key=_pair_order)
         failures.append(f"{len(extra)} outputs are not valid same-shape pairs, e.g. "
-                        f"{_pair_text(key)} from {witness(image[key])}")
-    return BijectionReport(alg.name, n, count, len(image), expected_count, tuple(failures))
+                        f"{_pair_text(key)} from {witness(extra[key])}")
+    return BijectionReport(alg.name, n, count, reached + len(extra), expected_count,
+                           tuple(failures))

@@ -2,9 +2,14 @@
 check_bijection must give the same report, witness texts and all, as the
 check keyed by chains of shapes in oracle_reference."""
 
+import mmap
+import time
+from types import SimpleNamespace
+
 import pytest
 
 import oracle_reference
+from growthkit import oracle
 from growthkit.catalog import LEFT_RIGHT, AlgorithmSpec, get_algorithm, list_algorithms
 from growthkit.growth import extract_P, extract_Q, run_growth
 from growthkit.insdiag import alpha_arrow, bump_arrow, diagram
@@ -55,7 +60,7 @@ def _broken(name):
 
 def _assert_same_reports(alg, sizes):
     for n in sizes:
-        for workers in (1, 2):
+        for workers in (1, 2, 3):
             assert (check_bijection(alg, n, workers=workers)
                     == oracle_reference.check_bijection(alg, n, workers=workers))
 
@@ -95,6 +100,44 @@ def test_a_graph_that_is_not_dual_fails_the_counting_identity():
         "from gp=[(1, 2, 1), (2, 1, 1), (3, 3, 2)]",
     )
     _assert_same_reports(alg, range(1, 4))
+
+
+class _Unread(mmap.mmap):
+    """Shared marks whose every mark reads as unmarked, as a mark made by
+    another process at the same moment may."""
+
+    def __getitem__(self, key):
+        return 0 if key.__class__ is int else super().__getitem__(key)
+
+
+def test_marks_lost_to_a_race_give_the_same_reports(monkeypatch):
+    """color-blind's inputs collide into valid pairs only, so with every
+    mark read as unmarked the first sweep returns nothing, and only the
+    count of marks shows the collisions."""
+    monkeypatch.setattr(oracle, "mmap", SimpleNamespace(mmap=_Unread))
+    _assert_same_reports(_broken("color-blind"), range(5))
+    _assert_same_reports(get_algorithm("left-right"), range(4))
+
+
+def test_shards_that_collide_at_once_give_the_serial_report():
+    """More workers than cores, all marking the same bytes: color-blind's
+    inputs that differ only in value 1's color collide across shards."""
+    alg = _broken("color-blind")
+    start = time.monotonic()
+    serial = check_bijection(alg, 5)
+    assert check_bijection(alg, 5, workers=4) == serial and not serial.ok
+    assert time.monotonic() - start < 60
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_passing_check_sweeps_once(monkeypatch, workers):
+    """The forked children mark the shared bytes too, so a check that
+    passes sweeps once and keeps nothing per input."""
+    calls = []
+    real = oracle.sweep
+    monkeypatch.setattr(oracle, "sweep", lambda *args: calls.append(args) or real(*args))
+    assert check_bijection(get_algorithm("rs-row"), 6, workers=workers).ok
+    assert len(calls) == 1
 
 
 def _cells(record):
