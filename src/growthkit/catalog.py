@@ -260,8 +260,3 @@ def get_algorithm(name: str) -> AlgorithmSpec:
     except KeyError:
         known = ", ".join(_REGISTRY)
         raise CatalogError(f"unknown algorithm {name!r} (known: {known})") from None
-
-
-def generate(name: str, shape: Shape) -> InsertionDiagram:
-    """The named algorithm's insertion diagram for one shape."""
-    return get_algorithm(name).diagram(shape)

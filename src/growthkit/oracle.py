@@ -280,7 +280,11 @@ def sweep(alg, sizes, visit, workers: int = 1) -> tuple[int, list]:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     merged = [shards[k % stride][k // stride] for k in range(len(branches))]
-    return sum(n for n, _ in merged), [x for _, got in merged for x in got]
+    results = []
+    for _, got in merged:
+        results.extend(got)
+        got.clear()     # copied: not held twice
+    return sum(n for n, _ in merged), results
 
 
 def _rank(word, r: int) -> int:
@@ -379,9 +383,8 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
     half's rank is its place in ``tableau_records``, and shape λ's pairs
     take base(λ) + rank(P) * f2(λ) + rank(Q), base(λ) being the number of
     pairs of the shapes before λ.  Each input's visit finds its pair's
-    index, or keeps its whole record when that is no expected pair, and the
-    indices are marked in one byte per expected pair.  This is the set
-    comparison:
+    index and marks it, in one byte per expected pair; a record that is no
+    expected pair marks nothing.  This is the set comparison:
 
     - ``tableau_records(w)(λ)`` lists each standard colored tableau of
       shape λ once, in the chain recurrence's order (``sct_count(w)(λ)`` of
@@ -391,13 +394,13 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
       of some shape λ and its Q half a w2 tableau of λ, which is when the
       visit finds both halves' ranks.
 
-    So the image is the marked indices and the kept records: two inputs
-    collide when they mark one index or keep one record, the missing pairs
-    are the unmarked indices, and the extra ones the kept records.  When
-    every input marks an index no other marks, nothing is kept per input.
-    Otherwise the inputs are swept again, each returning its index or
-    record in sweep order, and the witnesses are built from these: a pair
-    from its index, an input from its sweep index."""
+    So the marks alone decide: when there are as many as inputs, every
+    input gives an expected pair no other gives, the missing pairs are the
+    unmarked indices, and nothing is kept per input.  Otherwise the inputs
+    are swept again, each returning its index or record in sweep order: two
+    inputs collide when they give one index or one record, the extra pairs
+    are the records, and the witnesses are built from these, a pair from
+    its index, an input from its sweep index."""
     inst = alg.instantiation
     p_records, q_records = tableau_records(inst.w1), tableau_records(inst.w2)
     p_count, q_count = sct_count(inst.w1), sct_count(inst.w2)
@@ -434,23 +437,21 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
                 p, q = divmod(i - start, len(qs))
                 return ps[p] + qs[q]
 
-    # The marks are shared with the sweep's forked children.  A visit that
-    # finds no index, or its index marked, returns it; two processes that
-    # mark one index at once may both not, but leave fewer marks than
-    # inputs.  Either way the inputs are swept again, in order.
+    # The marks are shared with the sweep's forked children.  A collision,
+    # an output that is no pair and two processes marking one index at once
+    # all leave fewer marks than inputs, and then the inputs are swept
+    # again, in order.
     with mmap.mmap(-1, base + 1) as shared:     # one byte more: no mapping is empty
         def mark(leaf):
             got = index(leaf)
-            if got.__class__ is not int or shared[got]:
-                return got
-            shared[got] = 1
+            if got.__class__ is int:
+                shared[got] = 1
 
-        count, outputs = sweep(alg, [n], mark, workers)
-        seen = bytearray(shared)
-    del seen[base:]
+        count, _ = sweep(alg, [n], mark, workers)
+        seen = shared[:base]
     extra: dict = {}    # record -> the sweep index of its first input
     collision = None
-    if outputs or seen.count(1) != count:
+    if seen.count(1) != count:
         seen = bytearray(base)
         _, outputs = sweep(alg, [n], index, workers)
         for k, out in enumerate(outputs):

@@ -328,46 +328,45 @@ def _growth_records(g: GrowthDiagram, nodes, hlabels, vlabels, _names) -> str:
 
 def parse_growth_records(text: str) -> GrowthDiagram:
     header = None
-    nodes = {}
     shape_of = cache(parse_shape)       # each distinct shape text parsed once
-    hcol = {}
-    vcol = {}
     alphas = set()
     for number, rec in _records(text):
         kind = _field(number, rec, "kind", str)
         if kind == "growth":
-            header = (_field(number, rec, "n", int), _field(number, rec, "m", int),
-                      _geometry(number, rec))
-            if min(header[:2]) < 0:
+            if header is not None:
+                raise ParseError(f"line {number}: a second growth header record")
+            header = n, m, geometry = (_field(number, rec, "n", int),
+                                       _field(number, rec, "m", int), _geometry(number, rec))
+            if min(n, m) < 0:
                 raise ParseError(f"line {number}: n and m must be >= 0")
+            # Node shapes and h- and v-edge colors, flat by (i, j).  A record
+            # takes two characters or more, so a grid of more nodes than
+            # len(text) // 2 misses one among its first that many + 1: keep those.
+            size = min((n + 1) * (m + 1), len(text) // 2 + 1)
+            grids = {field: [None] * size for field in ("node", "hedge", "vedge")}
             continue
         if kind not in ("node", "hedge", "vedge", "alpha"):
             raise ParseError(f"unknown record kind {kind!r}")
-        at = _field(number, rec, "i", int), _field(number, rec, "j", int)
+        i, j = _field(number, rec, "i", int), _field(number, rec, "j", int)
         if header is None:
             raise ParseError(f"line {number}: {kind} record before the growth header")
-        if not (0 <= at[0] <= header[0] and 0 <= at[1] <= header[1]):
-            raise ParseError(f"line {number}: ({at[0]},{at[1]}) is outside the "
-                             f"{header[0] + 1} x {header[1] + 1} grid of the growth header")
-        if kind == "node":
-            nodes[at] = shape_of(_field(number, rec, "shape", str), header[2])
-        elif kind == "hedge":
-            hcol[at] = _field(number, rec, "color", int)
-        elif kind == "vedge":
-            vcol[at] = _field(number, rec, "color", int)
-        else:
-            alphas.add(at + (_field(number, rec, "color", int),))
+        if not (0 <= i <= n and 0 <= j <= m):
+            raise ParseError(f"line {number}: ({i},{j}) is outside the "
+                             f"{n + 1} x {m + 1} grid of the growth header")
+        value = (shape_of(_field(number, rec, "shape", str), geometry) if kind == "node"
+                 else _field(number, rec, "color", int))
+        if kind == "alpha":
+            alphas.add((i, j, value))
+        elif i * (m + 1) + j < size:
+            grids[kind][i * (m + 1) + j] = value
     if header is None:
         raise ParseError("missing growth header record")
-    n, m, _ = header
-    try:
-        node_grid = tuple(tuple(nodes[i, j] for j in range(m + 1)) for i in range(n + 1))
-    except KeyError as e:
-        raise ParseError(f"missing node record {e}") from None
-    hgrid = tuple(tuple(hcol.get((i, j)) for j in range(m + 1)) for i in range(n + 1))
-    vgrid = tuple(tuple(vcol.get((i, j)) for j in range(m + 1)) for i in range(n + 1))
-    gp = GeneralizedPermutation(n, m, frozenset(alphas))
-    g = GrowthDiagram(n, m, node_grid, hgrid, vgrid, gp)
+    if None in grids["node"]:
+        raise ParseError(f"missing node record {divmod(grids['node'].index(None), m + 1)}")
+    nodes, hcolors, vcolors = (tuple(tuple(grid[k:k + m + 1]) for k in range(0, size, m + 1))
+                               for grid in grids.values())
+    g = GrowthDiagram(n, m, nodes, hcolors, vcolors,
+                      GeneralizedPermutation(n, m, frozenset(alphas)))
     g.check()
     return g
 

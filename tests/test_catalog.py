@@ -3,7 +3,7 @@ from dataclasses import fields
 import pytest
 
 from growthkit.catalog import (
-    AlgorithmSpec, CatalogError, generate, get_algorithm, list_algorithms,
+    AlgorithmSpec, CatalogError, get_algorithm, list_algorithms,
 )
 from growthkit.insdiag import Arrow, ColorPair, validate
 from growthkit.lattice import Geometry, Point, Shape, empty_shape, shapes_up_to, transpose
@@ -33,13 +33,13 @@ class TestRegistry:
 
     def test_geometry_mismatch(self):
         with pytest.raises(CatalogError):
-            generate("rs-row", Shape(O, (2,)))
+            get_algorithm("rs-row").diagram(Shape(O, (2,)))
         with pytest.raises(CatalogError):
-            generate("sagan1", Shape(Q, (2,)))
+            get_algorithm("sagan1").diagram(Shape(Q, (2,)))
 
 
 def arrows_of(name, shape):
-    return generate(name, shape).arrows
+    return get_algorithm(name).diagram(shape).arrows
 
 
 def bump_map(arrows):
@@ -136,8 +136,8 @@ class TestStructuralRelations:
 
     def test_rs_col_is_transpose_of_rs_row(self):
         for s in shapes_up_to(Q, 10):
-            row = generate("rs-row", transpose(s))
-            col = generate("rs-col", s)
+            row = get_algorithm("rs-row").diagram(transpose(s))
+            col = get_algorithm("rs-col").diagram(s)
             transposed = set()
             for a in row.arrows:
                 key = a.key if isinstance(a.key, int) else (a.key[0].transpose(), a.key[1])

@@ -51,7 +51,7 @@ INVERSION_CASES = [
                               for a, b, n, m in INVERSION_CASES])
 def test_inversion_reports_equal_the_reference(a, b, n, color_map):
     want = inversion_report(alg(a), alg(b), n, color_map)
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         assert check_inversion_duality(alg(a), alg(b), n, color_map=color_map,
                                        workers=workers) == want
 
@@ -83,7 +83,7 @@ TRANSPOSE_CASES = [
                               for a, b, f, g, n in TRANSPOSE_CASES])
 def test_transpose_reports_equal_the_reference(a, b, f, g, n):
     want = transpose_report(alg(a), alg(b), f, g, n)
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         assert check_transpose_duality(alg(a), alg(b), f, g, n, workers=workers) == want
 
 
@@ -160,7 +160,7 @@ def test_each_distinct_algorithm_is_swept_once(monkeypatch, sweeps, run, referen
         return oracle.sweep(*args, **kwargs)
 
     monkeypatch.setattr(duality, "sweep", counted)
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         calls.clear()
         assert run(workers) == want
         assert len(calls) == sweeps

@@ -140,6 +140,25 @@ def test_a_passing_check_sweeps_once(monkeypatch, workers):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["rs-row", *sorted(BROKEN)])
+def test_the_marking_sweep_returns_nothing(monkeypatch, name):
+    """The marks alone decide: the first sweep keeps no result per input,
+    whether the check passes or sends a failing one to its second sweep."""
+    results = []
+    real = oracle.sweep
+
+    def sweep(*args):
+        got = real(*args)
+        results.append(got[1])
+        return got
+
+    monkeypatch.setattr(oracle, "sweep", sweep)
+    alg = get_algorithm(name) if name == "rs-row" else _broken(name)
+    report = check_bijection(alg, 5)
+    assert results[0] == []
+    assert len(results) == 1 + (not report.ok)
+
+
 def _cells(record):
     """The (row, col, color) of each step of a record half."""
     return [tuple(record[k:k + 3]) for k in range(0, len(record), 3)]

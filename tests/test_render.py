@@ -1,7 +1,7 @@
 import pytest
 
 from growthkit.catalog import get_algorithm, list_algorithms
-from growthkit.growth import extract_P, extract_Q, run_growth
+from growthkit.growth import GeneralizedPermutation, extract_P, extract_Q, run_growth
 from growthkit.lattice import Geometry
 from growthkit.render import (
     ParseError, alpha_suffixes, format_gp, parse_gp, parse_growth_records, parse_tableau,
@@ -199,6 +199,52 @@ class TestGrowthRendering:
     def test_records_reader_rejects_garbage(self):
         with pytest.raises(ParseError):
             parse_growth_records('{"kind": "node", "i": 0, "j": 0, "shape": "0"}')
+
+    @pytest.mark.parametrize("at, header", [
+        (1, '{"kind": "growth", "n": 3, "m": 3, "geometry": "quadrant"}'),
+        (5, '{"kind": "growth", "n": 1, "m": 1, "geometry": "quadrant"}'),
+        (None, '{"kind": "growth", "n": 3, "m": 3, "geometry": "quadrant"}'),
+    ], ids=["same-second", "smaller-midway", "same-last"])
+    def test_records_reader_refuses_a_second_header(self, at, header):
+        """The records before a second header are neither dropped nor kept."""
+        alg = get_algorithm("rs-row")
+        lines = render_growth(run_growth(alg, parse_gp("2 3 1", 1)), "records").splitlines()
+        lines.insert(len(lines) if at is None else at, header)
+        number = len(lines) if at is None else at + 1
+        with pytest.raises(ParseError, match=rf"^line {number}: a second growth header record$"):
+            parse_growth_records("\n".join(lines))
+
+    @pytest.mark.parametrize("n", [10 ** 6, 10 ** 20])
+    def test_records_reader_holds_no_grid_larger_than_its_text(self, n):
+        """A header may name a grid far larger than the records that follow:
+        the reader still names the first missing node."""
+        text = "\n".join([
+            '{"kind": "growth", "n": %d, "m": 0, "geometry": "quadrant"}' % n,
+            '{"kind": "node", "i": 0, "j": 0, "shape": "0"}',
+            '{"kind": "node", "i": 1, "j": 0, "shape": "0"}',
+            '{"kind": "node", "i": 3, "j": 0, "shape": "0"}'])
+        with pytest.raises(ParseError, match=r"^missing node record \(2, 0\)$"):
+            parse_growth_records(text)
+
+    def test_records_reader_peak_memory(self):
+        """Records fill one grid per field as they arrive: on a seeded rs-row
+        growth at n = 300 (11 MB of records) the reader's tracemalloc peak
+        stays under 40 MB.  Three dicts of every record peaked at 52 MB."""
+        import random
+        import tracemalloc
+        alg, rng = get_algorithm("rs-row"), random.Random(7)
+        values = list(range(1, 301))
+        rng.shuffle(values)
+        g = run_growth(alg, GeneralizedPermutation.from_word([(v, 1) for v in values], n=300))
+        text = render_growth(g, "records")
+        tracemalloc.start()
+        try:
+            parsed = parse_growth_records(text)
+            peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+        assert parsed == g
+        assert peak < 40, f"tracemalloc peak {peak:.1f} MB"
 
     def test_unknown_format(self):
         alg = get_algorithm("rs-row")
