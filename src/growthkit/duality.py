@@ -12,7 +12,7 @@ from typing import Callable, Optional
 from .catalog import TRANSPOSED_SIDE, AlgorithmSpec
 from .insdiag import TableRule, color_pair
 from .lattice import Geometry, Point, shapes_up_to
-from .oracle import _gp_text, _rank, _unrank, nodes_record, pair_record, sweep
+from .oracle import _gp_text, _unrank, nodes_record, pair_record, sweep
 from .wdgg import constant_value
 
 
@@ -78,14 +78,15 @@ class DualityReport:
 
 
 def _inverse_rank(alpha: dict[int, int], r: int, n: int):
-    """The function from a word of size up to n to the ``_rank`` of its
-    inverse input (value i at time t in color c becomes value t at time i
-    in color alpha[c]), without building the inverse: the inverse's digit
+    """The function from a sweep leaf of size up to n to the sweep rank of
+    its inverse input (value i at time t in color c becomes value t at time
+    i in color alpha[c]), without building the inverse: the inverse's digit
     for value t is (earlier values at later times) * r + alpha[c] - 1, of
     weight (size - t)! * r^(size - t)."""
     weights = [factorial(d) * r ** d for d in range(n + 1)]
 
-    def rank(word):
+    def rank(leaf):
+        word = leaf.word
         size, times, out = len(word), [], 0
         for i, (t, c) in enumerate(word):   # times holds the i earlier times, sorted
             k = bisect(times, t)
@@ -126,6 +127,7 @@ def check_transpose_duality(algA: AlgorithmSpec, algB: AlgorithmSpec,
             raise DualityError("transpose duality is only defined on the quadrant; "
                                f"{alg.name} runs on the {alg.geometry}")
     alpha = _color_map(f, algA.r, algB.r)
+    weights = [factorial(d) * algB.r ** d for d in range(n + 1)]
     instB = algB.instantiation
     for w in map(constant_value, (instB.w1, instB.w2)):
         if w is not None and w > 1:
@@ -144,8 +146,14 @@ def check_transpose_duality(algA: AlgorithmSpec, algB: AlgorithmSpec,
                          for k in range(0, len(a), 3)])
         return None if want == b else ""
 
-    return _check("transpose", algA, algB, n, workers, pair_record,
-                  lambda word: _rank([(t, alpha[c]) for t, c in word], algB.r), compare)
+    def mapped_rank(leaf):
+        # Recoloring by f changes only the color digits: value i's by
+        # f(c) - c, of weight (size - i)! * r^(size - i).
+        size = leaf.n
+        return leaf.rank + sum((alpha[c] - c) * weights[size - i]
+                               for i, (_, c) in enumerate(leaf.word, start=1))
+
+    return _check("transpose", algA, algB, n, workers, pair_record, mapped_rank, compare)
 
 
 # Inversion-duality color maps: how P/Q of the inverse relate to Q/P of the
@@ -222,71 +230,66 @@ def check_inversion_nodes(alg: AlgorithmSpec, n: int) -> DualityReport:
     the inverse gp grows the same node values in transposed grid locations."""
     same = {c: c for c in range(1, alg.r + 1)}
 
-    def compare(want, got, size, word):
-        # Column i of A's growth, south to north, must be row i of B's, west
-        # to east.  Both start empty, so the first step to differ (i outer,
-        # j inner) is at the first node to differ.
+    def compare(a, b, size, word):
+        # Column i of A's growth, south to north (A's first half), must be
+        # row i of B's, west to east (B's second half).  Both start empty,
+        # so the first step to differ (i outer, j inner) is at the first
+        # node to differ.
+        want, got = a[:len(a) // 2], b[len(b) // 2:]
         if want == got:
             return None
-        k = next(k for k, (a, b) in enumerate(zip(want, got)) if a != b) // 3
+        k = next(k for k, (x, y) in enumerate(zip(want, got)) if x != y) // 3
         return f" node ({k // size + 1},{k % size + 1})"
 
     return _check("inversion-nodes", alg, alg, n, 1, nodes_record,
-                  _inverse_rank(same, alg.r, n), compare,
-                  partial(nodes_record, by_rows=True))
+                  _inverse_rank(same, alg.r, n), compare)
 
 
-def _check(kind, algA, algB, n, workers, key, mapped_rank, compare,
-           key_b=None) -> DualityReport:
+def _check(kind, algA, algB, n, workers, key, mapped_rank, compare) -> DualityReport:
     """Check A against B on every input of the sizes 1..n, sweeping each
     distinct algorithm once.
 
-    A's record of an input is ``key(leaf)`` (bytes, 3 per step) and B's is
-    ``key_b(leaf)`` (default: ``key``).  ``mapped_rank(word)`` is the sweep
-    rank (``_rank``) of the input B must run for A's input ``word``, and
+    Each algorithm's record of an input is ``key(leaf)`` (bytes, 3 per
+    step).  ``mapped_rank(leaf)`` is the sweep rank (a leaf's ``rank``) of
+    the input B must run for A's input at that leaf, and
     ``compare(a, b, size, word)`` compares A's record of an input of that
     size with B's record of the mapped input, as the duality says; it
     returns None, or the text that follows the input in the counterexample.
     Its ``word()`` gives A's input word.
 
-    When A is B, one sweep records B's record of each input, then A's if
-    A's key differs, then the sweep rank of the mapped input in 4 bytes;
-    the comparisons run over those records after the sweep, and an input's
-    word is rebuilt with ``_unrank`` only if ``compare`` asks for it.
-    Otherwise a sweep of B keeps its records in sweep order, and a sweep of
-    A looks up the mapped input's by rank and compares in its visits.
-    Either way the counterexamples come in A's sweep order."""
-    key_b = key_b or key
+    When A is B, one sweep keeps each input's record, then the sweep rank
+    of the mapped input in 4 bytes; the comparisons run over those records
+    after the sweep, and an input's word is rebuilt with ``_unrank`` only
+    if ``compare`` asks for it.  Otherwise a sweep of B keeps its records
+    in sweep order, and a sweep of A looks up the mapped input's by rank
+    and compares in its visits.  Either way the counterexamples come in
+    A's sweep order."""
     sizes, r = range(1, n + 1), algB.r
     start, offset = 0, {}
     for size in sizes:      # where each size's records start in sweep order
         offset[size], start = start, start + factorial(size) * r ** size
     if algA is algB:
-        both = key is not key_b
-
         def visit(leaf):
-            rank = mapped_rank(leaf.word).to_bytes(4, "big")
-            return key_b(leaf) + key(leaf) + rank if both else key_b(leaf) + rank
+            return key(leaf) + mapped_rank(leaf).to_bytes(4, "big")
 
         checked, records = sweep(algB, sizes, visit, workers)
         counterexamples = []
         for size in sizes:
             first = offset[size]
-            width = (len(records[first]) - 4) // (2 if both else 1)
             for k in range(factorial(size) * r ** size):
                 record = records[first + k]
                 word = partial(_unrank, k, size, r)
-                text = compare(record[-4 - width:-4],
-                               records[first + int.from_bytes(record[-4:], "big")][:width],
+                text = compare(record[:-4],
+                               records[first + int.from_bytes(record[-4:], "big")][:-4],
                                size, word)
                 if text is not None:
                     counterexamples.append(_gp_text(size, word()) + text)
     else:
-        _, image = sweep(algB, sizes, key_b, workers)
+        _, image = sweep(algB, sizes, key, workers)
 
         def visit(leaf):
             word = leaf.word
-            text = compare(key(leaf), image[offset[leaf.n] + mapped_rank(word)], leaf.n,
+            text = compare(key(leaf), image[offset[leaf.n] + mapped_rank(leaf)], leaf.n,
                            lambda: word)
             return None if text is None else _gp_text(leaf.n, word) + text
 

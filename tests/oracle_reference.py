@@ -10,10 +10,11 @@ report for report.
 The enumeration of standard colored tableaux is here too, as the reference
 for ``oracle.tableau_records``: ``standard_fillings`` lists the fillings,
 ``enumerate_sct`` builds and validates a ``ColoredTableau`` for each
-filling and coloring, and ``tableau_record`` sorts a tableau's cells into
-its half of a record.
+filling and coloring, ``sct_count`` counts them by the chain recurrence,
+and ``tableau_record`` sorts a tableau's cells into its half of a record.
 """
 
+from functools import cache
 from itertools import permutations, product
 from operator import itemgetter
 
@@ -21,7 +22,7 @@ from growthkit.growth import ColoredTableau, GeneralizedPermutation
 from growthkit.lattice import (
     Shape, add_box, added_box, deletion_points, empty_shape, remove_box, shapes_of_size,
 )
-from growthkit.oracle import BijectionReport, _word_gp, sct_count, sweep
+from growthkit.oracle import BijectionReport, _word_gp, sweep
 
 
 def enumerate_gps(n: int, r: int):
@@ -57,6 +58,21 @@ def enumerate_sct(w, shape: Shape) -> list[ColoredTableau]:
             cells = tuple((p, values[p], c) for p, c in zip(boxes, colors))
             tableaux.append(ColoredTableau(shape, cells))
     return tableaux
+
+
+def sct_count(w):
+    """A function from a shape to its number of standard colored tableaux,
+    box p's colors bounded by w(p): the chain recurrence f(s) = sum f(s - p)
+    over the deletion points p, times the w(p) colors of the removed box,
+    cached over shapes for this one w."""
+
+    @cache
+    def count(s: Shape) -> int:
+        if s.size == 0:
+            return 1
+        return sum(w(p) * count(remove_box(s, p)) for p in deletion_points(s))
+
+    return count
 
 
 def tableau_record(t: ColoredTableau) -> bytes:

@@ -4,7 +4,7 @@ These deliberately avoid the library's row-length arithmetic: maximal and
 cominimal points are found by scanning covers of explicit point sets, so the
 fast implementations can be checked against them.  ``sweep_rank`` is the
 direct formula for an input's index in sweep order, the reference for
-``oracle._rank``.  ``leq`` and ``covers`` are containment and cover of two
+``oracle.SweepLeaf.rank``.  ``leq`` and ``covers`` are containment and cover of two
 shapes read from their rows; the library tells a cover with ``added_box``.
 ``neighbors`` and ``flanks`` pair ``lattice.Corners``' single-corner reads:
 a deletion point's two neighbors, and the deletion points on either side of

@@ -5,6 +5,7 @@ compares tableaux."""
 
 import dataclasses
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +16,7 @@ from growthkit.duality import (
     check_inversion_nodes, check_transpose_duality, identity, swap_uc,
 )
 from duality_reference import inversion_report, nodes_report, transpose_report
+from oracles import sweep_rank
 
 
 def alg(name):
@@ -98,12 +100,15 @@ def test_inversion_nodes_reports_equal_the_reference(name, n):
 @pytest.mark.parametrize("alpha, r, n", [({1: 1}, 1, 5), ({1: 2, 2: 1}, 2, 4),
                                          ({1: 1, 2: 3, 3: 2, 4: 4}, 4, 3)])
 def test_inverse_rank_is_the_rank_of_the_inverse(alpha, r, n):
+    """The inverse's rank, read off a leaf's word (here a stand-in that has
+    only the word), is the direct formula's rank of the inverse input."""
     rank = duality._inverse_rank(alpha, r, n)
     for size in range(n + 1):
         for k in range(factorial(size) * r ** size):
             word = oracle._unrank(k, size, r)
             inverse = sorted((t, i, alpha[c]) for i, (t, c) in enumerate(word, start=1))
-            assert rank(word) == oracle._rank([(i, c) for _, i, c in inverse], r)
+            assert (rank(SimpleNamespace(word=word))
+                    == sweep_rank([(i, c) for _, i, c in inverse], r))
 
 
 def _copy(name):

@@ -6,9 +6,11 @@ import pytest
 
 from growthkit.catalog import get_algorithm, list_algorithms
 from growthkit.lattice import Geometry, Point, Shape, deletion_points, remove_box, shapes_of_size
-from growthkit.oracle import check_bijection, sct_count, tableau_records
+from growthkit.oracle import check_bijection, tableau_records
 from growthkit.wdgg import BUILTIN_INSTANTIATIONS
-from oracle_reference import enumerate_gps, enumerate_sct, standard_fillings, tableau_record
+from oracle_reference import (
+    enumerate_gps, enumerate_sct, sct_count, standard_fillings, tableau_record,
+)
 
 Q, O = Geometry.QUADRANT, Geometry.OCTANT
 

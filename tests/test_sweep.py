@@ -297,8 +297,22 @@ def test_extra_output_names_a_pair_and_its_input():
 def test_rank_is_the_sweep_index(name):
     alg = get_algorithm(name)
     for n in range(5):
-        count, ranks = sweep(alg, [n], lambda leaf: oracle._rank(leaf.word, alg.r))
+        count, ranks = sweep(alg, [n], lambda leaf: sweep_rank(leaf.word, alg.r))
         assert ranks == list(range(count))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name,top", [("rs-row", 6), ("left-right", 6), ("double-circle", 4)])
+def test_each_leaf_carries_its_rank(name, top, workers):
+    """A leaf's rank, its branch's first plus the leaves visited before it
+    in the branch, is the direct formula's on every input (r = 1, 2 and 4),
+    whichever process sweeps its branch."""
+    alg = get_algorithm(name)
+    count, wrong = sweep(alg, range(top + 1), lambda leaf: (
+        None if leaf.rank == sweep_rank(leaf.word, alg.r) else (leaf.rank, list(leaf.word))),
+        workers)
+    assert count == sum(factorial(n) * alg.r ** n for n in range(top + 1))
+    assert wrong == []
 
 
 @pytest.mark.parametrize("r", [1, 2])
@@ -307,16 +321,7 @@ def test_unrank_inverts_rank(r):
         for times in permutations(range(1, n + 1)):
             for colors in product(range(1, r + 1), repeat=n):
                 word = list(zip(times, colors))
-                assert oracle._unrank(oracle._rank(word, r), n, r) == word
-
-
-@pytest.mark.parametrize("r,top", [(1, 5), (2, 5), (4, 4)])
-def test_rank_equals_the_direct_formula(r, top):
-    for n in range(top + 1):
-        for times in permutations(range(1, n + 1)):
-            for colors in product(range(1, r + 1), repeat=n):
-                word = list(zip(times, colors))
-                assert oracle._rank(word, r) == sweep_rank(word, r), word
+                assert oracle._unrank(sweep_rank(word, r), n, r) == word
 
 
 @pytest.mark.parametrize("name,n", [("rs-row", 6), ("double-circle", 3), ("worley-sagan", 5)])
