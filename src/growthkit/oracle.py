@@ -23,9 +23,9 @@ no tableau built on the way: it peels the largest value off each shape, at
 each deletion point in each of its colors (the chain recurrence f(s) =
 sum w(p) * f(s - p)), so a half's place in its list is its rank and the
 list's length is f.  A (P, Q) pair's index is its shape's base plus
-rank(P) * f2 + rank(Q), and the check marks one byte per pair; witness
-texts are built from the indices and the records that are no pair, and
-only on failure.
+rank(P) * f2 + rank(Q); the check keeps one 4-byte slot per input, its
+pair's index at its rank, and builds witness texts from the slots and the
+records that are no pair, only on failure.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ from .insdiag import color_pair
 from .lattice import (
     Point, Shape, deletion_points, empty_shape, join, remove_box, shapes_of_size,
 )
+
+NO_PAIR = 2 ** 32 - 1     # the slot of an input whose record is no pair
 
 
 def tableau_records(w):
@@ -356,14 +358,16 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
     """Grow every full gp and compare the image with all same-shape pairs of
     standard colored tableaux (set equality, not just counts).  Failures
     name witnesses: the first two inputs that collide, and the smallest
-    missing and extra pair.
+    missing and extra pair.  A size with more inputs or pairs than 4-byte
+    slots number below ``NO_PAIR`` raises ValueError before any work.
 
     No set of pairs is built.  Each expected pair has an index: a tableau
     half's rank is its place in ``tableau_records``, and shape λ's pairs
     take base(λ) + rank(P) * f2(λ) + rank(Q), base(λ) being the number of
     pairs of the shapes before λ.  Each input's visit finds its pair's
-    index and marks it, in one byte per expected pair; a record that is no
-    expected pair marks nothing.  This is the set comparison:
+    index and writes it into the input's slot, at its rank; a record that
+    is no expected pair writes ``NO_PAIR`` and is returned.  This is the set
+    comparison:
 
     - ``tableau_records(w)(λ)`` lists each standard colored tableau of
       shape λ once, in the chain recurrence's order (no duplicate, the
@@ -373,14 +377,15 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
       of some shape λ and its Q half a w2 tableau of λ, which is when the
       visit finds both halves' ranks.
 
-    So the marks alone decide: when there are as many as inputs, every
-    input gives an expected pair no other gives, the missing pairs are the
-    unmarked indices, and nothing is kept per input.  Otherwise the inputs
-    are swept again, each returning its index or record in sweep order: two
-    inputs collide when they give one index or one record, the extra pairs
-    are the records, and the witnesses are built from these, a pair from
-    its index, an input from its sweep index."""
+    So one pass over the slots in rank order decides: inputs collide when
+    they give one index or one record, the records are the extra pairs and
+    the indices in no slot the missing ones; a witness pair is rebuilt
+    from its index, a witness input from its rank."""
     inst = alg.instantiation
+    count = factorial(n) * inst.r ** n
+    if count >= NO_PAIR:
+        raise ValueError(f"n={n} is too large for {alg.name}: its {count} inputs would take "
+                         f"{4 * count} bytes of slots, which number at most {NO_PAIR - 1}")
     p_records, q_records = tableau_records(inst.w1), tableau_records(inst.w2)
     ranks = {}      # P half -> (the index of its first pair, the Q ranks of its shape)
     blocks = []     # each shape's (base, P halves, Q halves)
@@ -392,16 +397,9 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
             ranks[p] = base + k * len(qs), q_ranks
         blocks.append((base, ps, qs))
         base += len(ps) * len(qs)
-    half = 3 * n
-
-    def index(leaf):
-        record = pair_record(leaf)
-        hit = ranks.get(record[:half])
-        if hit is not None:
-            rank = hit[1].get(record[half:])
-            if rank is not None:
-                return hit[0] + rank
-        return record
+        if base >= NO_PAIR:
+            raise ValueError(f"n={n} is too large for {alg.name}: over {NO_PAIR - 1} pairs")
+    half, unranked = 3 * n, (NO_PAIR, {})     # unranked: a P half that is no tableau
 
     def pair(i):
         for start, ps, qs in blocks:
@@ -409,32 +407,29 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
                 p, q = divmod(i - start, len(qs))
                 return ps[p] + qs[q]
 
-    # The marks are shared with the sweep's forked children.  A collision,
-    # an output that is no pair and two processes marking one index at once
-    # all leave fewer marks than inputs, and then the inputs are swept
-    # again, in order.
-    with mmap.mmap(-1, base + 1) as shared:     # one byte more: no mapping is empty
-        def mark(leaf):
-            got = index(leaf)
-            if got.__class__ is int:
-                shared[got] = 1
+    # Shared with the forked children, each writing only its ranks' slots.
+    with mmap.mmap(-1, 4 * count) as shared, memoryview(shared).cast("I") as slots:
+        def visit(leaf):
+            record = pair_record(leaf)
+            first, q_ranks = ranks.get(record[:half], unranked)
+            rank = q_ranks.get(record[half:])
+            slots[leaf.rank] = NO_PAIR if rank is None else first + rank
+            return record if rank is None else None
 
-        count, _ = sweep(alg, [n], mark, workers)
-        seen = shared[:base]
-    extra: dict = {}    # record -> the sweep index of its first input
-    collision = None
-    if seen.count(1) != count:
+        records = iter(sweep(alg, [n], visit, workers)[1])
         seen = bytearray(base)
-        _, outputs = sweep(alg, [n], index, workers)
-        for k, out in enumerate(outputs):
-            if out.__class__ is int:
-                if seen[out] and collision is None:
-                    collision = outputs.index(out), k, pair(out)
-                seen[out] = 1
-            else:
-                first = extra.setdefault(out, k)
+        extra: dict = {}    # record -> the rank of its first input
+        collision = None
+        for k, i in enumerate(slots):
+            if i == NO_PAIR:
+                record = next(records)
+                first = extra.setdefault(record, k)
                 if first != k and collision is None:
-                    collision = first, k, out
+                    collision = first, k, record
+            else:
+                if seen[i] and collision is None:
+                    collision = next(j for j, x in enumerate(slots) if x == i), k, pair(i)
+                seen[i] = 1
     witness = lambda k: _gp_text(n, _unrank(k, n, inst.r))
     failures = []
     if collision is not None:

@@ -178,9 +178,14 @@ def _tableau_latex(t, suffixes, _channel) -> str:
     return "\n".join(lines)
 
 
+# A line and its end, at str.splitlines' boundaries; past the last end, a blank.
+_LINE = re.compile(r"([^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*)"
+                   r"(?:\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029])?")
+
+
 def _records(text: str):
-    """Each non-blank line's JSON object, with the line's 1-based number."""
-    for number, line in enumerate(text.splitlines(), start=1):
+    """Each non-blank line's JSON object and 1-based number, a line at a time."""
+    for number, line in enumerate((m[1] for m in _LINE.finditer(text)), start=1):
         if not line.strip():
             continue
         try:

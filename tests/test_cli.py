@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from growthkit import catalog
+from growthkit import catalog, oracle
 from growthkit.catalog import SW, _11, AlgorithmSpec, get_algorithm
 from growthkit.cli import main
 from growthkit.growth import extract_P, extract_Q, run_growth
@@ -341,6 +341,15 @@ class TestVerify:
     def test_bijection(self):
         rc, out, _ = run_cli("verify", "bijection", "--algorithm", "rs-row", "--n", "3")
         assert rc == 0 and "PASS" in out
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bijection_past_the_size_guard_exits_2(self, monkeypatch, workers):
+        monkeypatch.setattr(oracle, "sweep", None)
+        rc, out, err = run_cli("verify", "bijection", "--algorithm", "rs-row", "--n", "13",
+                               env={"GROWTHKIT_THREADS": workers})
+        assert rc == 2 and "Traceback" not in err
+        assert err == ("error: n=13 is too large for rs-row: its 6227020800 inputs would "
+                       "take 24908083200 bytes of slots, which number at most 4294967294\n")
 
     def test_threads_env_must_be_an_integer(self):
         rc, out, err = run_cli("verify", "bijection", "--algorithm", "rs-row",

@@ -11,10 +11,13 @@ import json
 
 from hypothesis import example, given, settings, strategies as st
 
+from growthkit.catalog import get_algorithm
+from growthkit.growth import extract_P, run_growth
 from growthkit.insdiag import parse_diagram
 from growthkit.lattice import Geometry, parse_shape
 from growthkit.render import (
-    parse_gp, parse_growth_records, parse_tableau, parse_tableau_records, tableau_suffixes,
+    parse_gp, parse_growth_records, parse_tableau, parse_tableau_records, render_growth,
+    render_tableau, tableau_suffixes,
 )
 
 FUZZ = settings(max_examples=150, deadline=1000, derandomize=True)
@@ -76,6 +79,37 @@ def test_parse_tableau_records(text, channel):
          '{"kind": "node", "i": 1, "j": 1, "shape": "%s"}' % HUGE)
 def test_parse_growth_records(text):
     raises_only_value_errors(parse_growth_records, text)
+
+
+# Every line boundary of str.splitlines, and the lines of a growth's and a
+# tableau's records, which parse.
+ENDS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_GROWTH = run_growth(get_algorithm("left-right"), parse_gp("2 1o", 2))
+VALID = [render_growth(_GROWTH, "records").split("\n"),
+         render_tableau(extract_P(_GROWTH), "records").split("\n")]
+LINES = st.one_of(
+    st.sampled_from(VALID),
+    st.lists(st.one_of(st.sampled_from(sum(VALID, [])), RECORD.map(json.dumps), TEXT),
+             max_size=8))
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@FUZZ
+@given(LINES, st.lists(st.sampled_from(ENDS), min_size=20, max_size=20))
+@example(VALID[0], ENDS * 2)
+@example(VALID[1], ENDS[::-1] * 2)
+def test_records_lines_end_where_str_splitlines_ends_them(lines, ends):
+    """The records readers split lines as str.splitlines does, with the
+    same line numbers: a text reads as its lines joined by "\\n" read."""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    for parse in (parse_growth_records, parse_tableau_records):
+        assert outcome(parse, text) == outcome(parse, "\n".join(text.splitlines()))
 
 
 @FUZZ

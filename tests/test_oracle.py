@@ -4,10 +4,11 @@ from itertools import takewhile
 
 import pytest
 
-from growthkit.catalog import get_algorithm, list_algorithms
+from growthkit import oracle
+from growthkit.catalog import RS_ROW, AlgorithmSpec, get_algorithm, list_algorithms
 from growthkit.lattice import Geometry, Point, Shape, deletion_points, remove_box, shapes_of_size
 from growthkit.oracle import check_bijection, tableau_records
-from growthkit.wdgg import BUILTIN_INSTANTIATIONS
+from growthkit.wdgg import BUILTIN_INSTANTIATIONS, Instantiation, constant_weight
 from oracle_reference import (
     enumerate_gps, enumerate_sct, sct_count, standard_fillings, tableau_record,
 )
@@ -141,3 +142,50 @@ class TestCheckBijection:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20, peak
+
+
+class _Refused(Exception):
+    """Raised where a check that was refused would have started work."""
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """check_bijection that raises _Refused when it lists a tableau or
+    starts a sweep."""
+
+    def refuse(*args):
+        raise _Refused
+
+    monkeypatch.setattr(oracle, "tableau_records", refuse)
+    monkeypatch.setattr(oracle, "sweep", refuse)
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("name,n,inputs", [
+        ("rs-row", 13, 6227020800),
+        ("left-right", 11, 81749606400),
+        ("double-circle", 9, 95126814720),
+    ])
+    def test_too_many_inputs_are_refused_before_any_work(self, no_work, name, n, inputs):
+        """n! * r^n inputs past what a 4-byte slot numbers below the sentinel
+        2^32 - 1: refused with the inputs and the bytes of their slots."""
+        with pytest.raises(ValueError, match=rf"^n={n} is too large for {name}: its {inputs} "
+                                             rf"inputs would take {4 * inputs} bytes of slots"):
+            check_bijection(get_algorithm(name), n)
+
+    @pytest.mark.parametrize("name,n", [("rs-row", 12), ("left-right", 10),
+                                        ("double-circle", 8)])
+    def test_the_largest_size_that_fits_goes_on(self, no_work, name, n):
+        with pytest.raises(_Refused):
+            check_bijection(get_algorithm(name), n)
+
+    def test_too_many_pairs_are_refused_before_the_sweep(self, monkeypatch):
+        """A graph that is not dual, with weight 30 on every box: 6 inputs at
+        n = 3 against 4 374 000 000 same-shape pairs."""
+        heavy = constant_weight(30)
+        alg = AlgorithmSpec("heavy", Instantiation("heavy", Q, heavy, heavy),
+                            RS_ROW, "not dual on purpose")
+        monkeypatch.setattr(oracle, "sweep", None)
+        with pytest.raises(ValueError, match=r"^n=3 is too large for heavy: "
+                                             r"over 4294967294 pairs$"):
+            check_bijection(alg, 3)

@@ -2,9 +2,8 @@
 check_bijection must give the same report, witness texts and all, as the
 check keyed by chains of shapes in oracle_reference."""
 
-import mmap
 import time
-from types import SimpleNamespace
+import tracemalloc
 
 import pytest
 
@@ -13,9 +12,12 @@ from growthkit import oracle
 from growthkit.catalog import LEFT_RIGHT, AlgorithmSpec, get_algorithm, list_algorithms
 from growthkit.growth import extract_P, extract_Q, run_growth
 from growthkit.insdiag import alpha_arrow, bump_arrow, diagram
-from growthkit.lattice import Geometry, Point, deletion_points, insertion_points
+from growthkit.lattice import (
+    Geometry, Point, deletion_points, insertion_points, shapes_of_size,
+)
 from growthkit.oracle import (
     _box, _pair_order, _pair_text, _Steps, check_bijection, nodes_record, pair_record, sweep,
+    tableau_records,
 )
 from growthkit.wdgg import BUILTIN_INSTANTIATIONS, Instantiation, constant_weight
 from catalog_reference import rule_of
@@ -102,34 +104,6 @@ def test_a_graph_that_is_not_dual_fails_the_counting_identity():
     _assert_same_reports(alg, range(1, 4))
 
 
-class _Lossy(mmap.mmap):
-    """Shared marks that drop every mark written to an even index, in this
-    process and in the sweep's forked children, as marks lost to a race
-    between processes would be."""
-
-    def __setitem__(self, key, value):
-        if key.__class__ is not int or key % 2:
-            super().__setitem__(key, value)
-
-
-def test_marks_lost_to_a_race_give_the_same_reports(monkeypatch):
-    """A lost mark may cost a second sweep, but never changes a verdict:
-    with the marks at even indices dropped, every check sweeps twice and
-    gives the reference's report, for color-blind (whose inputs collide
-    into valid pairs only) and for left-right (which passes)."""
-    calls = []
-    real = oracle.sweep
-    monkeypatch.setattr(oracle, "mmap", SimpleNamespace(mmap=_Lossy))
-    monkeypatch.setattr(oracle, "sweep", lambda *args: calls.append(args) or real(*args))
-    for alg, top in ((_broken("color-blind"), 4), (get_algorithm("left-right"), 3)):
-        for n in range(top + 1):
-            for workers in (1, 2, 3):
-                calls.clear()
-                assert (check_bijection(alg, n, workers=workers)
-                        == oracle_reference.check_bijection(alg, n, workers=workers))
-                assert len(calls) == 2, (alg.name, n, workers)
-
-
 def test_shards_that_collide_at_once_give_the_serial_report():
     """More workers than cores, all marking the same bytes: color-blind's
     inputs that differ only in value 1's color collide across shards."""
@@ -140,21 +114,8 @@ def test_shards_that_collide_at_once_give_the_serial_report():
     assert time.monotonic() - start < 60
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_passing_check_sweeps_once(monkeypatch, workers):
-    """The forked children mark the shared bytes too, so a check that
-    passes sweeps once and keeps nothing per input."""
-    calls = []
-    real = oracle.sweep
-    monkeypatch.setattr(oracle, "sweep", lambda *args: calls.append(args) or real(*args))
-    assert check_bijection(get_algorithm("rs-row"), 6, workers=workers).ok
-    assert len(calls) == 1
-
-
-@pytest.mark.parametrize("name", ["rs-row", *sorted(BROKEN)])
-def test_the_marking_sweep_returns_nothing(monkeypatch, name):
-    """The marks alone decide: the first sweep keeps no result per input,
-    whether the check passes or sends a failing one to its second sweep."""
+def _counting_sweeps(monkeypatch):
+    """The results of each sweep check_bijection calls, in call order."""
     results = []
     real = oracle.sweep
 
@@ -164,10 +125,60 @@ def test_the_marking_sweep_returns_nothing(monkeypatch, name):
         return got
 
     monkeypatch.setattr(oracle, "sweep", sweep)
+    return results
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_passing_check_sweeps_once(monkeypatch, workers):
+    """The forked children write the shared slots too, so a check that
+    passes sweeps once and keeps nothing per input."""
+    sweeps = _counting_sweeps(monkeypatch)
+    assert check_bijection(get_algorithm("rs-row"), 6, workers=workers).ok
+    assert sweeps == [[]]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(BROKEN))
+def test_a_failing_check_sweeps_once(monkeypatch, name, workers):
+    """A failing check names its witnesses from the slots of its one sweep,
+    with no second, ordered sweep."""
+    sweeps = _counting_sweeps(monkeypatch)
+    assert not check_bijection(_broken(name), 5, workers=workers).ok
+    assert len(sweeps) == 1
+
+
+@pytest.mark.parametrize("name", ["rs-row", *sorted(BROKEN)])
+def test_the_sweep_returns_only_the_records_that_are_no_pair(monkeypatch, name):
+    """A passing check's sweep returns nothing; a failing one returns the
+    records of its inputs that give no valid pair, one per such input, and
+    nothing for the inputs whose pair index sits in their slot."""
+    sweeps = _counting_sweeps(monkeypatch)
     alg = get_algorithm(name) if name == "rs-row" else _broken(name)
     report = check_bijection(alg, 5)
-    assert results[0] == []
-    assert len(results) == 1 + (not report.ok)
+    records, = sweeps
+    inst = alg.instantiation
+    pairs = {p + q for shape in shapes_of_size(inst.geometry, 5)
+             for p in tableau_records(inst.w1)(shape) for q in tableau_records(inst.w2)(shape)}
+    _, want = sweep(alg, [5], lambda leaf: None if pair_record(leaf) in pairs
+                    else pair_record(leaf))
+    assert records == want
+    if report.ok:
+        assert records == []
+
+
+def test_a_failing_check_keeps_almost_nothing_per_input():
+    """color-blind at n = 6 (46 080 inputs, all but 720 colliding): its one
+    sweep's slots are in the shared mapping, outside tracemalloc's count,
+    and no index or record is listed per input."""
+    alg = _broken("color-blind")
+    tracemalloc.start()
+    try:
+        report = check_bijection(alg, 6)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert not report.ok and report.gp_count == 46080
+    assert peak < 1, f"tracemalloc peak {peak:.2f} MB"
 
 
 def _cells(record):

@@ -227,9 +227,11 @@ class TestGrowthRendering:
             parse_growth_records(text)
 
     def test_records_reader_peak_memory(self):
-        """Records fill one grid per field as they arrive: on a seeded rs-row
-        growth at n = 300 (11 MB of records) the reader's tracemalloc peak
-        stays under 40 MB.  Three dicts of every record peaked at 52 MB."""
+        """Records fill one grid per field as they arrive, their lines read
+        one at a time: on a seeded rs-row growth at n = 300 (11 MB of
+        records) the reader's tracemalloc peak stays under 40 MB.  It is
+        about 12 MB; a list of every line took it to 32 MB, and three dicts
+        of every record to 52 MB."""
         import random
         import tracemalloc
         alg, rng = get_algorithm("rs-row"), random.Random(7)
