@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from math import factorial
 
 from . import catalog, duality, insdiag, oracle, render, wdgg
 from .growth import extract_P, extract_Q, invert_growth, run_growth
@@ -173,7 +172,7 @@ def _summary(**fields) -> None:
 def cmd_verify_bijection(args) -> int:
     alg = catalog.get_algorithm(args.algorithm)
     workers = _workers()
-    inputs = factorial(_size(args.n, "--n")) * alg.r ** args.n
+    inputs = oracle.bijection_inputs(alg, _size(args.n, "--n"))
     print(f"running algorithm={alg.name} n={args.n} inputs={inputs} workers={workers}")
     report = oracle.check_bijection(alg, args.n, workers=workers)
     print(report)

@@ -2,30 +2,26 @@
 colored tableau pairs, and the counting identity sum f1*f2 = n! * r^n.
 
 The checks run on ``sweep``, which grows every full colored permutation of a
-size depth-first by value.  Columns 0..i of a growth depend only on where
-values 1..i sit (restriction coherence), so inputs that agree on values
-1..i share those columns, and each node of the search tree grows just one
-new column and adds one step to P's half of the record.  Records are
-compact bytes, three per step, and every step is read off the boxes the
-columns carry (``growth.grow_column``), none worked out from two shapes.
+size depth-first by value over one table of numbered shapes (``_Table``).
+Columns 0..i of a growth depend only on where values 1..i sit (restriction
+coherence), so inputs that agree on values 1..i share those columns.
+Records are compact bytes, three per step, each step read off the boxes the
+columns carry (``growth.grow_column``).
 
-A sweep of size n meets only the shapes of size <= n, a finite part of the
-lattice.  Each ``sweep`` call numbers the shapes and boxes it meets in one
-table (``_Table``), and the column walk runs on those numbers: its joins
-and moves are looked up by ints, each worked out once per sweep from
-``lattice.join`` and ``AlgorithmSpec.follow``, and each step's bytes come
-from a (box, color) table.  A leaf maps its numbers back to shapes only
-when asked for its growth.
+A column's *state* is its Q half: each time's step, its box and descending
+color.  Its boxes fix its shapes and free times, and the next column reads
+nothing else, so a tree node's whole subtree follows from its state.  The
+table numbers states and keeps each edge (state, free time, color) as the
+child's number and P's step, so each is grown once per sweep and every
+other tree node is a lookup.  A state's subtree is walked on its first
+sight, so an edge's first lookup only comes under a column just grown for a
+new state, or under the border column: the walk keeps those on its path and
+no other column.  The table costs a Q half per state and, per edge, a
+4-byte child number and a reference to a shared step (88 119 states and
+182 406 edges for left-right's 645 120 inputs at n = 7).
 
 ``check_bijection`` compares the image with the expected pairs without a
-set of either.  ``tableau_records`` lists each shape's tableau halves, with
-no tableau built on the way: it peels the largest value off each shape, at
-each deletion point in each of its colors (the chain recurrence f(s) =
-sum w(p) * f(s - p)), so a half's place in its list is its rank and the
-list's length is f.  A (P, Q) pair's index is its shape's base plus
-rank(P) * f2 + rank(Q); the check keeps one 4-byte slot per input, its
-pair's index at its rank, and builds witness texts from the slots and the
-records that are no pair, only on failure.
+set of either: one 4-byte slot per input holds its pair's index.
 """
 
 from __future__ import annotations
@@ -95,19 +91,37 @@ class _Steps(dict):
         return step
 
 
-class _Table:
-    """The part of the lattice one sweep meets, as numbers: what the sweep's
-    column walk is passed (``moves``, a growth.Moves), and the steps of its
-    records.  A sweep of size n meets few shapes (45 quadrant shapes up to
-    size 7), so each is numbered on first sight, ``shapes`` maps a number
-    back to the Shape it was first seen as, and a box is ``_box`` of its
-    point.  The walk's joins and moves are memoized by their numbers, a move
-    filled on its first lookup from ``AlgorithmSpec.follow`` and a join from
-    ``lattice.join``; no lookup hashes a Shape, Point or ColorPair.  This is
-    the only memo of moves and joins: one table serves one ``sweep`` call,
-    the children it forks fill their own copies, and it goes with the sweep."""
+class _Level(dict):
+    """Column states of grid height m and depth d, numbered on first lookup
+    by their Q halves (this dict; ``halves`` by number), and their edges: a
+    state's by its k-th free time in color c is slot (state * (m - d) + k) *
+    r + c - 1 of ``children`` (the child's number) and ``steps`` (P's step)."""
 
-    __slots__ = ("moves", "shapes", "steps")
+    __slots__ = ("halves", "children", "steps", "blank")
+
+    def __init__(self, width: int):
+        from array import array     # imported here: a run or an inversion never loads it
+        self.halves, self.children, self.steps = [], array("i"), []
+        self.blank = array("i", [-1]) * width     # a new state's children, -1 until looked up
+
+    def __missing__(self, half: bytes) -> int:
+        x = self[half] = len(self.halves)
+        self.halves.append(half)
+        self.children += self.blank
+        self.steps += [None] * len(self.blank)
+        return x
+
+
+class _Table:
+    """The part of the lattice one sweep meets, as numbers: what its column
+    walk is passed (``moves``, a growth.Moves), the steps of its records,
+    and its column states (``levels[m, d]``).  A shape is numbered on first
+    sight (``shapes`` maps it back), a box is ``_box`` of its point, and a
+    move or join is filled on its first lookup from ``AlgorithmSpec.follow``
+    or ``lattice.join``.  This is the only memo of moves, joins and states,
+    one per ``sweep`` call; the children it forks fill their own copies."""
+
+    __slots__ = ("moves", "shapes", "steps", "levels")
 
     def __init__(self, alg):
         shapes, numbers = [], {}
@@ -123,7 +137,7 @@ class _Table:
             shape, out, box = alg.follow(shapes[x], key)
             return number(shape), out, _box(box)
 
-        self.shapes, self.steps = shapes, _Steps()
+        self.shapes, self.steps, self.levels = shapes, _Steps(), {}
         self.moves = Moves(
             alg.instantiation.r, number(empty_shape(alg.geometry)),
             cache(move),
@@ -131,47 +145,71 @@ class _Table:
                 x, (Point(box >> 8, box & 255), color_pair(g1, g2)))),
             cache(lambda x, y: number(join(shapes[x], shapes[y]))))
 
+    def half(self, column) -> bytes:
+        """A column's Q half: each time's step, its box and descending color."""
+        _, _, colors, boxes, _ = column
+        return b"".join(map(self.steps.__getitem__, zip(boxes[1:], colors[1:])))
+
 
 class SweepLeaf:
     """One full input of a sweep, on the n x n grid, with its growth.
 
-    ``word[i - 1]`` is the (time, color) of value i, ``columns[i]`` is
-    column i of the growth over the numbers of the sweep's ``table``, as
-    growth.grow_column returns it (``growth()`` maps them back to shapes),
-    and ``p`` is P's half of the leaf's record.  Each tree node pushes its
-    value onto all three and pops it on leaving, so P's steps are built
-    once per node, not once per leaf.  ``rank`` is the input's index among
-    the inputs of its size in sweep order.  The sweep reuses this object
-    from leaf to leaf, so read them during the visit only; the columns
-    themselves may be kept.
+    ``word[i - 1]`` is the (time, color) of value i, ``states[i]`` the state
+    of column i, and ``p`` and ``q`` P's and Q's halves of the leaf's record.
+    Each tree node pushes its value and pops it on leaving.  ``grown`` holds
+    the columns on the path grown for new states, None for the others;
+    ``columns`` grows them all again from the word (``growth()`` maps them
+    back to shapes).  ``rank`` is the input's index among the inputs of its
+    size in sweep order.  The sweep reuses this object: read it in the visit.
     """
 
-    __slots__ = ("n", "table", "word", "columns", "p", "rank")
+    __slots__ = ("n", "r", "table", "levels", "word", "grown", "states", "p", "rank")
 
     def __init__(self, table: _Table, n: int):
-        self.n, self.table, self.word, self.p = n, table, [], bytearray()
-        self.columns = [border_column(table.moves, n)]
+        self.n, self.r, self.table, self.word, self.p = n, table.moves.r, table, [], bytearray()
+        self.levels = [table.levels.setdefault((n, d), _Level((n - d) * self.r))
+                       for d in range(n + 1)]
+        self.grown, self.states = [border_column(table.moves, n)], [self.levels[0][bytes(3 * n)]]
 
-    def push(self, time: int, color: int) -> None:
-        """Place the next value at (time, color): grow its column, and add
-        the box it adds to the north edge, with that edge's color, to P."""
+    def push(self, k: int, time: int, color: int) -> None:
+        """Place the next value at (time, color), its parent's k-th free
+        time: grow the column on the edge's first lookup only."""
+        d, states = len(self.word), self.states
         self.word.append((time, color))
-        column = grow_column(self.table.moves, len(self.word), self.columns[-1], time, color)
-        self.columns.append(column)
-        self.p += self.table.steps[column[4][-1], column[1][-1]]
+        level = self.levels[d]
+        slot = (states[-1] * (self.n - d) + k) * self.r + color - 1
+        child, column = level.children[slot], None
+        if child < 0:   # a first lookup: its parent is new or the root, grown[-1] its column
+            table, below = self.table, self.levels[d + 1]
+            column = grow_column(table.moves, d + 1, self.grown[-1], time, color)
+            new = len(below.halves)     # the number of a state seen first here
+            child = level.children[slot] = below[table.half(column)]
+            level.steps[slot] = table.steps[column[4][-1], column[1][-1]]
+            if child != new:
+                column = None
+        self.grown.append(column)
+        states.append(child)
+        self.p += level.steps[slot]
 
     def pop(self) -> None:
-        self.word.pop()
-        self.columns.pop()
-        del self.p[-3:]
+        del self.word[-1], self.grown[-1], self.states[-1], self.p[-3:]
+
+    q = property(lambda self: self.levels[len(self.word)].halves[self.states[-1]])
+
+    @property
+    def columns(self) -> list:
+        columns = [border_column(self.table.moves, self.n)]
+        for i, (time, color) in enumerate(self.word, start=1):
+            columns.append(grow_column(self.table.moves, i, columns[-1], time, color))
+        return columns
 
     def gp(self) -> GeneralizedPermutation:
         return _word_gp(self.n, self.word)
 
     def growth(self) -> GrowthDiagram:
-        shape = self.table.shapes.__getitem__
-        nodes = tuple(tuple(map(shape, column[0])) for column in self.columns)
-        _, hcols, vcols, _, _ = zip(*self.columns)
+        shape, columns = self.table.shapes.__getitem__, self.columns
+        nodes = tuple(tuple(map(shape, column[0])) for column in columns)
+        _, hcols, vcols, _, _ = zip(*columns)
         return GrowthDiagram(self.n, self.n, nodes, hcols, vcols, self.gp())
 
 
@@ -182,32 +220,30 @@ def _sweep_branch(table: _Table, size: int, branch: int, visit) -> tuple[int, li
     branch * (size - 1)! * r^(size - 1), as a rank is a mixed-radix number
     whose digit for value i is (free times before its time) * r + color - 1,
     so each leaf's rank is the first plus the leaves visited before it."""
-    r = table.moves.r
+    r, leaf = table.moves.r, SweepLeaf(table, size)
     colors = range(1, r + 1)
-    leaf = SweepLeaf(table, size)
     leaf.rank = first = branch * factorial(size - 1) * r ** (size - 1) if size else 0
-    if size == 0:
-        got = visit(leaf)
-        return 1, [] if got is None else [got]
     results = []
 
-    def place(time, color, free):
-        # one tree node: value len(leaf.word) + 1 goes to (time, color)
-        leaf.push(time, color)
-        if free:
-            for k, t in enumerate(free):
-                rest = free[:k] + free[k + 1:]
-                for c in colors:
-                    place(t, c, rest)
-        else:
+    def below(free):
+        # the leaf's node: its children place the next value at each of
+        # its free times, in each color; with none free, it is a leaf
+        if not free:
             got = visit(leaf)
             if got is not None:
                 results.append(got)
             leaf.rank += 1
-        leaf.pop()
+        for k, t in enumerate(free):
+            rest = free[:k] + free[k + 1:]
+            for c in colors:
+                leaf.push(k, t, c)
+                below(rest)
+                leaf.pop()
 
     time, color = divmod(branch, r)
-    place(time + 1, color + 1, [t for t in range(1, size + 1) if t != time + 1])
+    if size:
+        leaf.push(time, time + 1, color + 1)
+    below([t for t in range(1, size + 1) if t != time + 1])
     return leaf.rank - first, results
 
 
@@ -219,10 +255,9 @@ def sweep(alg, sizes, visit, workers: int = 1) -> tuple[int, list]:
     and call ``visit`` on each as a SweepLeaf.
 
     Inputs come by size, then depth-first by value: value 1's time and
-    color, then value 2's, and so on, each tree node growing one column.
-    Returns the number of inputs and the visits' non-None results in that
-    order.  The columns are grown over one table of numbered shapes and
-    boxes (``_Table``), built here for this call.  With workers > 1 the
+    color, then value 2's, and so on.  Returns the number of inputs and the
+    visits' non-None results in that order.  The columns are grown over one
+    table (``_Table``), built here for this call.  With workers > 1 the
     (size, value-1 placement) branches are dealt round-robin to that many
     shards: this process sweeps shard 0, a forked child each other one over
     its own copy of the table.  The results are merged back in order, so
@@ -296,8 +331,7 @@ def _unrank(rank: int, n: int, r: int) -> list:
 def pair_record(leaf: SweepLeaf) -> bytes:
     """The leaf's (P, Q) pair: the steps of P (the north edge) by value,
     then of Q (the east column, its boxes and descending colors) by time."""
-    _, _, colors, boxes, _ = leaf.columns[-1]
-    return b"".join([leaf.p, *map(leaf.table.steps.__getitem__, zip(boxes[1:], colors[1:]))])
+    return bytes(leaf.p) + leaf.q
 
 
 def nodes_record(leaf: SweepLeaf) -> bytes:
@@ -354,6 +388,15 @@ class BijectionReport:
         return "\n".join([head] + [f"  {f}" for f in self.failures])
 
 
+def bijection_inputs(alg, n: int) -> int:
+    """n! * r^n, the inputs ``check_bijection(alg, n)`` sweeps; ValueError from ``NO_PAIR`` on."""
+    count = factorial(n) * alg.instantiation.r ** n
+    if count >= NO_PAIR:
+        raise ValueError(f"n={n} is too large for {alg.name}: its {count} inputs would take "
+                         f"{4 * count} bytes of slots, which number at most {NO_PAIR - 1}")
+    return count
+
+
 def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
     """Grow every full gp and compare the image with all same-shape pairs of
     standard colored tableaux (set equality, not just counts).  Failures
@@ -381,11 +424,7 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
     they give one index or one record, the records are the extra pairs and
     the indices in no slot the missing ones; a witness pair is rebuilt
     from its index, a witness input from its rank."""
-    inst = alg.instantiation
-    count = factorial(n) * inst.r ** n
-    if count >= NO_PAIR:
-        raise ValueError(f"n={n} is too large for {alg.name}: its {count} inputs would take "
-                         f"{4 * count} bytes of slots, which number at most {NO_PAIR - 1}")
+    inst, count = alg.instantiation, bijection_inputs(alg, n)
     p_records, q_records = tableau_records(inst.w1), tableau_records(inst.w2)
     ranks = {}      # P half -> (the index of its first pair, the Q ranks of its shape)
     blocks = []     # each shape's (base, P halves, Q halves)
@@ -399,7 +438,7 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
         base += len(ps) * len(qs)
         if base >= NO_PAIR:
             raise ValueError(f"n={n} is too large for {alg.name}: over {NO_PAIR - 1} pairs")
-    half, unranked = 3 * n, (NO_PAIR, {})     # unranked: a P half that is no tableau
+    unranked = NO_PAIR, {}      # a P half that is no tableau
 
     def pair(i):
         for start, ps, qs in blocks:
@@ -410,11 +449,10 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
     # Shared with the forked children, each writing only its ranks' slots.
     with mmap.mmap(-1, 4 * count) as shared, memoryview(shared).cast("I") as slots:
         def visit(leaf):
-            record = pair_record(leaf)
-            first, q_ranks = ranks.get(record[:half], unranked)
-            rank = q_ranks.get(record[half:])
+            first, q_ranks = ranks.get(bytes(leaf.p), unranked)
+            rank = q_ranks.get(leaf.q)
             slots[leaf.rank] = NO_PAIR if rank is None else first + rank
-            return record if rank is None else None
+            return pair_record(leaf) if rank is None else None
 
         records = iter(sweep(alg, [n], visit, workers)[1])
         seen = bytearray(base)

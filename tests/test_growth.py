@@ -372,14 +372,15 @@ def _grid_by_cells(alg, gp):
 
 def _numbered_leaf(alg, gp):
     """gp's growth as a sweep grows it, over a new table of numbered shapes,
-    for any n x m input: its columns, folded by grow_column, and P's half of
-    its record, the step at each column's top, as a SweepLeaf holds them."""
+    for any n x m input: its columns, folded by grow_column, P's half of its
+    record, the step at each column's top, and Q's, its last column's state
+    (``_Table.half``), as a SweepLeaf holds them."""
     table, entry_of = _Table(alg), {i: (j, c) for i, j, c in gp.entries}
     columns = [border_column(table.moves, gp.m)]
     for i in range(1, gp.n + 1):
         columns.append(grow_column(table.moves, i, columns[-1], *entry_of.get(i, (0, 0))))
     p = b"".join(table.steps[column[4][-1], column[1][-1]] for column in columns[1:])
-    return SimpleNamespace(table=table, columns=columns, p=p)
+    return SimpleNamespace(table=table, columns=columns, p=p, q=table.half(columns[-1]))
 
 
 def _shape_column(table, column):

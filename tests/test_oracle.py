@@ -143,6 +143,18 @@ class TestCheckBijection:
             tracemalloc.stop()
         assert peak < 2 ** 20, peak
 
+    def test_keeps_no_column_per_state(self):
+        """At rs-row n = 8 (40 320 inputs) the sweep's table of column
+        states keeps each state's Q half and its edges, no column: the
+        check's own allocations peak under 2 MB."""
+        tracemalloc.start()
+        try:
+            assert check_bijection(get_algorithm("rs-row"), 8).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, peak
+
 
 class _Refused(Exception):
     """Raised where a check that was refused would have started work."""

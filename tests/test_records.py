@@ -105,8 +105,9 @@ def test_a_graph_that_is_not_dual_fails_the_counting_identity():
 
 
 def test_shards_that_collide_at_once_give_the_serial_report():
-    """More workers than cores, all marking the same bytes: color-blind's
-    inputs that differ only in value 1's color collide across shards."""
+    """More workers than cores, each writing its inputs' own slots, many of
+    them one pair index: color-blind's inputs that differ only in value 1's
+    color collide across shards."""
     alg = _broken("color-blind")
     start = time.monotonic()
     serial = check_bijection(alg, 5)

@@ -8,7 +8,7 @@ import signal
 import time
 from collections import Counter
 from itertools import permutations, product
-from math import factorial, perm
+from math import factorial
 
 import pytest
 
@@ -47,18 +47,30 @@ def test_visits_every_input_once_with_its_growth(name):
         assert set(gps) == set(enumerate_gps(n, alg.r))
 
 
-def test_each_tree_node_grows_one_column(monkeypatch):
-    """Inputs that agree on values 1..i share columns 0..i: a size-n sweep
-    grows n!/(n-d)! * r^d columns at depth d, not n per input."""
+@pytest.mark.parametrize("name,n", [("left-right", 4), ("double-circle", 3),
+                                    ("shifted-column", 5)])
+def test_each_column_step_is_grown_once(monkeypatch, name, n):
+    """A node's subtree follows from its column's state, the steps of Q by
+    time, so a sweep grows one column per distinct (state, free time,
+    color) step: each input prefix's state is read here off the Q tableau
+    run_growth gives it, on the n-tall grid."""
     calls = []
     real = oracle.grow_column
     monkeypatch.setattr(oracle, "grow_column",
                         lambda *args: calls.append(args[1]) or real(*args))
-    alg = get_algorithm("left-right")
-    count, _ = sweep(alg, [4], lambda leaf: None)
-    assert count == 24 * 16
-    assert sorted(calls) == sorted(
-        d for d in range(1, 5) for _ in range(perm(4, d) * 2 ** d))
+    alg = get_algorithm(name)
+    count, _ = sweep(alg, [n], lambda leaf: None)
+    assert count == factorial(n) * alg.r ** n
+    steps = set()
+    for d in range(n):
+        for times in permutations(range(1, n + 1), d):
+            for colors in product(range(1, alg.r + 1), repeat=d):
+                prefix = growth.GeneralizedPermutation(
+                    d, n, frozenset((i, t, c) for i, (t, c) in enumerate(zip(times, colors), 1)))
+                state = growth.extract_Q(run_growth(alg, prefix)).cells
+                steps.update((d, state, t, c) for t in range(1, n + 1) if t not in times
+                             for c in range(1, alg.r + 1))
+    assert Counter(calls) == Counter(d + 1 for d, _, _, _ in steps)
 
 
 def test_sizes_come_in_order_and_results_keep_sweep_order():
