@@ -12,7 +12,7 @@ from typing import Callable, Optional
 from .catalog import TRANSPOSED_SIDE, AlgorithmSpec
 from .insdiag import TableRule, color_pair
 from .lattice import Geometry, Point, shapes_up_to
-from .oracle import _gp_text, _unrank, nodes_record, pair_record, sweep
+from .oracle import _gp_text, _unrank, bijection_inputs, nodes_record, pair_record, sweep
 from .wdgg import constant_value
 
 
@@ -265,6 +265,7 @@ def _check(kind, algA, algB, n, workers, key, mapped_rank, compare) -> DualityRe
     and compares in its visits.  Either way the counterexamples come in
     A's sweep order."""
     sizes, r = range(1, n + 1), algB.r
+    bijection_inputs(algB, n)   # ValueError where a size's ranks would not fit 4 bytes
     start, offset = 0, {}
     for size in sizes:      # where each size's records start in sweep order
         offset[size], start = start, start + factorial(size) * r ** size

@@ -1,27 +1,18 @@
 """Exhaustive small-n verification: bijectivity onto same-shape standard
 colored tableau pairs, and the counting identity sum f1*f2 = n! * r^n.
 
-The checks run on ``sweep``, which grows every full colored permutation of a
-size depth-first by value over one table of numbered shapes (``_Table``).
-Columns 0..i of a growth depend only on where values 1..i sit (restriction
-coherence), so inputs that agree on values 1..i share those columns.
-Records are compact bytes, three per step, each step read off the boxes the
-columns carry (``growth.grow_column``).
-
-A column's *state* is its Q half: each time's step, its box and descending
-color.  Its boxes fix its shapes and free times, and the next column reads
-nothing else, so a tree node's whole subtree follows from its state.  The
-table numbers states and keeps each edge (state, free time, color) as the
-child's number and P's step, so each is grown once per sweep and every
-other tree node is a lookup.  A state's subtree is walked on its first
-sight, so an edge's first lookup only comes under a column just grown for a
-new state, or under the border column: the walk keeps those on its path and
-no other column.  The table costs a Q half per state and, per edge, a
-4-byte child number and a reference to a shared step (88 119 states and
-182 406 edges for left-right's 645 120 inputs at n = 7).
-
-``check_bijection`` compares the image with the expected pairs without a
-set of either: one 4-byte slot per input holds its pair's index.
+The checks run on every full colored permutation of a size, one branch
+(value 1's time and color) at a time.  Columns 0..i of a growth depend only
+on where values 1..i sit, and a column's *state*, its Q half (each time's
+step: its box and descending color), fixes its shapes and free times, so a
+tree node's subtree follows from its state (Fomin's local-rule argument).
+A branch is swept in two phases over one table per sweep (``_Table``).
+``_grow_branch`` grows each edge (state, free time, color) once, on the
+state's first sight, into the state's row: the child's number and P's step
+(88 119 states and 182 406 edges for left-right's 645 120 inputs at n = 7).
+Then ``sweep`` visits the leaves one by one (``SweepLeaf``), or
+``check_bijection`` reads them level by level (``_leaf_halves``).  Records
+are bytes, three per step, read off the boxes the columns carry.
 """
 
 from __future__ import annotations
@@ -29,9 +20,11 @@ from __future__ import annotations
 import mmap
 import os
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain, repeat
+from functools import cache, partial
+from itertools import chain, compress, repeat
 from math import factorial
+from operator import add
+from struct import Struct
 
 from .growth import (
     GeneralizedPermutation, GrowthDiagram, Moves, border_column, grow_column,
@@ -42,6 +35,9 @@ from .lattice import (
 )
 
 NO_PAIR = 2 ** 32 - 1     # the slot of an input whose record is no pair
+_FAR = 1 << 62            # the code of a half that is no tableau (see check_bijection)
+_EDGE = Struct("ii")      # an edge in its state's row: the child's number, P's step
+_CHUNK = 1 << 10          # the most leaves a level read holds at once
 
 
 def tableau_records(w):
@@ -94,21 +90,19 @@ class _Steps(dict):
 class _Level(dict):
     """Column states of grid height m and depth d, numbered on first lookup
     by their Q halves (this dict; ``halves`` by number), and their edges: a
-    state's by its k-th free time in color c is slot (state * (m - d) + k) *
-    r + c - 1 of ``children`` (the child's number) and ``steps`` (P's step)."""
+    state's by its k-th free time in color c, j = k * r + c - 1, is at byte
+    8j of its row (``rows[state]``, None until grown): the child's number
+    and P's step, its three bytes as one int (``_EDGE``)."""
 
-    __slots__ = ("halves", "children", "steps", "blank")
+    __slots__ = ("halves", "rows")
 
-    def __init__(self, width: int):
-        from array import array     # imported here: a run or an inversion never loads it
-        self.halves, self.children, self.steps = [], array("i"), []
-        self.blank = array("i", [-1]) * width     # a new state's children, -1 until looked up
+    def __init__(self):
+        self.halves, self.rows = [], []
 
     def __missing__(self, half: bytes) -> int:
         x = self[half] = len(self.halves)
         self.halves.append(half)
-        self.children += self.blank
-        self.steps += [None] * len(self.blank)
+        self.rows.append(None)
         return x
 
 
@@ -119,7 +113,7 @@ class _Table:
     sight (``shapes`` maps it back), a box is ``_box`` of its point, and a
     move or join is filled on its first lookup from ``AlgorithmSpec.follow``
     or ``lattice.join``.  This is the only memo of moves, joins and states,
-    one per ``sweep`` call; the children it forks fill their own copies."""
+    one per sweep; the children it forks fill their own copies."""
 
     __slots__ = ("moves", "shapes", "steps", "levels")
 
@@ -151,48 +145,65 @@ class _Table:
         return b"".join(map(self.steps.__getitem__, zip(boxes[1:], colors[1:])))
 
 
+def _grow_branch(table: _Table, n: int, branch: int) -> list:
+    """Phase 1 of a sweep: grow each edge the branch's inputs follow once
+    per table, a state's on its first sight, in order, and a new child's
+    right after the edge that finds it, so a broken rule raises the first
+    input's GrowthError.  Returns the levels (n, 0..n)."""
+    moves, r = table.moves, table.moves.r
+    levels = [table.levels.setdefault((n, d), _Level()) for d in range(n + 1)]
+
+    def grow(d, column, row, edges):
+        # a new state's edges into its row: only its column and those on the
+        # walk's path are kept
+        below = levels[d + 1]
+        free = [t for t, box in enumerate(column[3]) if box is None][1:]
+        for j in edges:
+            k, c = divmod(j, r)
+            child = grow_column(moves, d + 1, column, free[k], c + 1)
+            x = below[table.half(child)]
+            _EDGE.pack_into(row, 8 * j, x, int.from_bytes(
+                table.steps[child[4][-1], child[1][-1]], "big"))
+            if d + 1 < n and below.rows[x] is None:
+                width = (n - d - 1) * r
+                below.rows[x] = bytes(grow(d + 1, child, bytearray(8 * width), range(width)))
+        return row
+
+    if n:   # the root's row holds the branch's edge alone
+        root = levels[0][bytes(3 * n)]
+        levels[0].rows[root] = grow(0, border_column(moves, n), bytearray(8 * n * r), [branch])
+    return levels
+
+
 class SweepLeaf:
     """One full input of a sweep, on the n x n grid, with its growth.
 
     ``word[i - 1]`` is the (time, color) of value i, ``states[i]`` the state
     of column i, and ``p`` and ``q`` P's and Q's halves of the leaf's record.
-    Each tree node pushes its value and pops it on leaving.  ``grown`` holds
-    the columns on the path grown for new states, None for the others;
-    ``columns`` grows them all again from the word (``growth()`` maps them
-    back to shapes).  ``rank`` is the input's index among the inputs of its
-    size in sweep order.  The sweep reuses this object: read it in the visit.
+    Each tree node pushes its value, a lookup in the grown table, and pops
+    it on leaving.  ``columns`` grows the leaf's columns again from the word
+    (``growth()`` maps them back to shapes).  ``rank`` is the input's index
+    among the inputs of its size in sweep order.  The sweep reuses this
+    object: read it in the visit.
     """
 
-    __slots__ = ("n", "r", "table", "levels", "word", "grown", "states", "p", "rank")
+    __slots__ = ("n", "r", "table", "levels", "word", "states", "p", "rank")
 
     def __init__(self, table: _Table, n: int):
         self.n, self.r, self.table, self.word, self.p = n, table.moves.r, table, [], bytearray()
-        self.levels = [table.levels.setdefault((n, d), _Level((n - d) * self.r))
-                       for d in range(n + 1)]
-        self.grown, self.states = [border_column(table.moves, n)], [self.levels[0][bytes(3 * n)]]
+        self.levels = [table.levels[n, d] for d in range(n + 1)]
+        self.states = [self.levels[0][bytes(3 * n)]]
 
     def push(self, k: int, time: int, color: int) -> None:
-        """Place the next value at (time, color), its parent's k-th free
-        time: grow the column on the edge's first lookup only."""
-        d, states = len(self.word), self.states
+        """Place the next value at (time, color), its parent's k-th free time."""
+        child, step = _EDGE.unpack_from(self.levels[len(self.word)].rows[self.states[-1]],
+                                        8 * (k * self.r + color - 1))
         self.word.append((time, color))
-        level = self.levels[d]
-        slot = (states[-1] * (self.n - d) + k) * self.r + color - 1
-        child, column = level.children[slot], None
-        if child < 0:   # a first lookup: its parent is new or the root, grown[-1] its column
-            table, below = self.table, self.levels[d + 1]
-            column = grow_column(table.moves, d + 1, self.grown[-1], time, color)
-            new = len(below.halves)     # the number of a state seen first here
-            child = level.children[slot] = below[table.half(column)]
-            level.steps[slot] = table.steps[column[4][-1], column[1][-1]]
-            if child != new:
-                column = None
-        self.grown.append(column)
-        states.append(child)
-        self.p += level.steps[slot]
+        self.states.append(child)
+        self.p += step.to_bytes(3, "big")
 
     def pop(self) -> None:
-        del self.word[-1], self.grown[-1], self.states[-1], self.p[-3:]
+        del self.word[-1], self.states[-1], self.p[-3:]
 
     q = property(lambda self: self.levels[len(self.word)].halves[self.states[-1]])
 
@@ -213,17 +224,16 @@ class SweepLeaf:
         return GrowthDiagram(self.n, self.n, nodes, hcols, vcols, self.gp())
 
 
-def _sweep_branch(table: _Table, size: int, branch: int, visit) -> tuple[int, list]:
-    """Visit the inputs of one size whose value 1 takes the branch-th
-    (time, color) placement: their number, and the visits' non-None results
-    in sweep order.  They are the contiguous ranks from the branch's first,
-    branch * (size - 1)! * r^(size - 1), as a rank is a mixed-radix number
-    whose digit for value i is (free times before its time) * r + color - 1,
-    so each leaf's rank is the first plus the leaves visited before it."""
+def _visit_leaves(table: _Table, size: int, branch: int, visit) -> tuple[int, list]:
+    """Phase 2 of ``sweep``: visit the inputs of one size whose value 1
+    takes the branch-th placement: their number, and the visits' non-None
+    results in sweep order.  Their ranks run on from branch * (size - 1)! *
+    r^(size - 1): a rank's digit for value i is (free times before its
+    time) * r + color - 1."""
+    _grow_branch(table, size, branch)
     r, leaf = table.moves.r, SweepLeaf(table, size)
-    colors = range(1, r + 1)
+    colors, results = range(1, r + 1), []
     leaf.rank = first = branch * factorial(size - 1) * r ** (size - 1) if size else 0
-    results = []
 
     def below(free):
         # the leaf's node: its children place the next value at each of
@@ -250,19 +260,14 @@ def _sweep_branch(table: _Table, size: int, branch: int, visit) -> tuple[int, li
 _fork = getattr(os, "fork", None)   # None where the platform cannot fork
 
 
-def sweep(alg, sizes, visit, workers: int = 1) -> tuple[int, list]:
-    """Grow every full input of each size in ``sizes`` (n! * r^n of size n)
-    and call ``visit`` on each as a SweepLeaf.
-
-    Inputs come by size, then depth-first by value: value 1's time and
-    color, then value 2's, and so on.  Returns the number of inputs and the
-    visits' non-None results in that order.  The columns are grown over one
-    table (``_Table``), built here for this call.  With workers > 1 the
-    (size, value-1 placement) branches are dealt round-robin to that many
+def _sweep_branches(alg, sizes, reader, workers: int) -> tuple[int, list]:
+    """Sweep each (size, value-1 placement) branch of ``sizes`` over one
+    table built here: ``reader(table, size, branch)`` grows the branch
+    (``_grow_branch``), reads it, and gives its number of inputs and a list
+    of results.  Returns the inputs counted and the results in sweep order.
+    With workers > 1 the branches are dealt round-robin to that many
     shards: this process sweeps shard 0, a forked child each other one over
-    its own copy of the table.  The results are merged back in order, so
-    they do not depend on the worker count; without fork, all run here.
-    """
+    its own copy of the table; without fork, all run here."""
     branches = [(size, b) for size in sizes
                 for b in range(size * alg.instantiation.r or 1)]
     stride = max(1, min(workers, len(branches))) if _fork else 1
@@ -270,8 +275,8 @@ def sweep(alg, sizes, visit, workers: int = 1) -> tuple[int, list]:
 
     def shard(k):
         # A forked child inherits this frame, so nothing in it needs to
-        # pickle (visits are closures, specs and tables hold closures).
-        return [_sweep_branch(table, size, b, visit) for size, b in branches[k::stride]]
+        # pickle (readers are closures, specs and tables hold closures).
+        return [reader(table, size, b) for size, b in branches[k::stride]]
 
     children = []   # (pid, the read end of its pipe)
     try:
@@ -313,6 +318,42 @@ def sweep(alg, sizes, visit, workers: int = 1) -> tuple[int, list]:
         results.extend(got)
         got.clear()     # copied: not held twice
     return sum(n for n, _ in merged), results
+
+
+def sweep(alg, sizes, visit, workers: int = 1) -> tuple[int, list]:
+    """Call ``visit`` on every full input of each size in ``sizes`` (n! *
+    r^n of size n) as a SweepLeaf, by size, then depth-first by value.
+    Returns the number of inputs and the visits' non-None results in that
+    order, whatever the number of ``workers``."""
+    return _sweep_branches(alg, sizes, partial(_visit_leaves, visit=visit), workers)
+
+
+def _leaf_halves(table: _Table, n: int, branch: int):
+    """Phase 2 of ``check_bijection``: the P and Q halves of the branch's
+    inputs in rank order, two lists per group of at most ``_CHUNK``, read
+    level by level with no call per input: level d + 1's states are level
+    d's children, row by row, their P halves their parents' and a step."""
+    levels, r = _grow_branch(table, n, branch), table.moves.r
+    step = {int.from_bytes(s, "big"): s for s in table.steps.values()}.__getitem__
+
+    def below(d, rows, ps, width):
+        # level d's nodes in rank order, by their P halves and rows of edges
+        edge = memoryview(rows).cast("i")
+        ps = list(map(add, chain.from_iterable(map(repeat, ps, repeat(width))),
+                      map(step, edge[1::2])))
+        if d + 1 == n:
+            yield ps, list(map(levels[n].halves.__getitem__, edge[0::2]))
+            return
+        states, rows, width = edge[0::2], levels[d + 1].rows, (n - d - 1) * r
+        group = max(1, _CHUNK // (factorial(n - d - 1) * r ** (n - d - 1)))
+        for k in range(0, len(ps), group):
+            yield from below(d + 1, b"".join(map(rows.__getitem__, states[k:k + group])),
+                             ps[k:k + group], width)
+
+    if n:
+        yield from below(0, levels[0].rows[0][8 * branch:8 * branch + 8], [b""], 1)
+    else:
+        yield [b""], [b""]
 
 
 def _unrank(rank: int, n: int, r: int) -> list:
@@ -404,41 +445,34 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
     missing and extra pair.  A size with more inputs or pairs than 4-byte
     slots number below ``NO_PAIR`` raises ValueError before any work.
 
-    No set of pairs is built.  Each expected pair has an index: a tableau
-    half's rank is its place in ``tableau_records``, and shape λ's pairs
-    take base(λ) + rank(P) * f2(λ) + rank(Q), base(λ) being the number of
-    pairs of the shapes before λ.  Each input's visit finds its pair's
-    index and writes it into the input's slot, at its rank; a record that
-    is no expected pair writes ``NO_PAIR`` and is returned.  This is the set
-    comparison:
-
-    - ``tableau_records(w)(λ)`` lists each standard colored tableau of
-      shape λ once, in the chain recurrence's order (no duplicate, the
-      enumerated tableaux), so f1 and f2 are its lists' lengths and the
-      indices number the expected pairs one to one by 0 .. sum f1 * f2 - 1;
-    - a record is an expected pair exactly when its P half is a w1 tableau
-      of some shape λ and its Q half a w2 tableau of λ, which is when the
-      visit finds both halves' ranks.
-
-    So one pass over the slots in rank order decides: inputs collide when
-    they give one index or one record, the records are the extra pairs and
-    the indices in no slot the missing ones; a witness pair is rebuilt
-    from its index, a witness input from its rank."""
+    No set of pairs is built.  ``tableau_records(w)(λ)`` lists each
+    standard colored tableau of shape λ once, so shape λ's pairs take the
+    indices base(λ) + rank(P) * f2(λ) + rank(Q), one to one, base(λ) being
+    the number of pairs of the shapes before λ.  A P half codes base(λ) +
+    rank(P) * f2(λ) + λ's number * 2^34, a Q half rank(Q) - λ's number *
+    2^34, and a half that is no tableau ``_FAR``: a record is an expected
+    pair exactly when the sum of its halves' codes is in 0 .. NO_PAIR - 1,
+    and then it is the pair's index.  Each input's slot, at its rank, holds
+    it, or ``NO_PAIR`` (``_leaf_halves``).  So one pass over the slots in
+    rank order decides: inputs collide when they give one index or one
+    record, the records are the extra pairs and the indices in no slot the
+    missing ones; a witness pair is rebuilt from its index, a witness input
+    from its rank."""
+    from array import array     # imported here: a run or an inversion never loads it
     inst, count = alg.instantiation, bijection_inputs(alg, n)
+    inputs = count // (n * inst.r or 1)     # of each branch
     p_records, q_records = tableau_records(inst.w1), tableau_records(inst.w2)
-    ranks = {}      # P half -> (the index of its first pair, the Q ranks of its shape)
+    p_codes, q_codes = {}, {}   # each tableau half -> its code
     blocks = []     # each shape's (base, P halves, Q halves)
     base = 0        # at the end, the expected count sum f1 * f2
-    for shape in shapes_of_size(inst.geometry, n):
+    for number, shape in enumerate(shapes_of_size(inst.geometry, n)):
         ps, qs = p_records(shape), q_records(shape)
-        q_ranks = {q: k for k, q in enumerate(qs)}
-        for k, p in enumerate(ps):
-            ranks[p] = base + k * len(qs), q_ranks
+        p_codes.update((p, base + k * len(qs) + (number << 34)) for k, p in enumerate(ps))
+        q_codes.update((q, k - (number << 34)) for k, q in enumerate(qs))
         blocks.append((base, ps, qs))
         base += len(ps) * len(qs)
         if base >= NO_PAIR:
             raise ValueError(f"n={n} is too large for {alg.name}: over {NO_PAIR - 1} pairs")
-    unranked = NO_PAIR, {}      # a P half that is no tableau
 
     def pair(i):
         for start, ps, qs in blocks:
@@ -446,15 +480,20 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
                 p, q = divmod(i - start, len(qs))
                 return ps[p] + qs[q]
 
-    # Shared with the forked children, each writing only its ranks' slots.
+    # Shared with the forked children, each writing only its branches' slots.
     with mmap.mmap(-1, 4 * count) as shared, memoryview(shared).cast("I") as slots:
-        def visit(leaf):
-            first, q_ranks = ranks.get(bytes(leaf.p), unranked)
-            rank = q_ranks.get(leaf.q)
-            slots[leaf.rank] = NO_PAIR if rank is None else first + rank
-            return pair_record(leaf) if rank is None else None
+        def read(table, size, branch):
+            first, records = branch * inputs, []
+            for ps, qs in _leaf_halves(table, size, branch):
+                codes = array("I", map(min, map(abs, map(
+                    add, map(p_codes.get, ps, repeat(_FAR)), map(q_codes.get, qs, repeat(_FAR)))),
+                    repeat(NO_PAIR)))
+                slots[first:first + len(codes)] = codes
+                first += len(codes)
+                records += map(b"".join, compress(zip(ps, qs), map(NO_PAIR.__eq__, codes)))
+            return inputs, records
 
-        records = iter(sweep(alg, [n], visit, workers)[1])
+        records = iter(_sweep_branches(alg, [n], read, workers)[1])
         seen = bytearray(base)
         extra: dict = {}    # record -> the rank of its first input
         collision = None

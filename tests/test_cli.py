@@ -351,6 +351,18 @@ class TestVerify:
         assert err == ("error: n=13 is too large for rs-row: its 6227020800 inputs would "
                        "take 24908083200 bytes of slots, which number at most 4294967294\n")
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_duality_past_the_size_guard_exits_2(self, monkeypatch, workers):
+        """A mapped rank takes 4 bytes: n = 13 at r = 1 is refused before
+        any sweep, with the bijection check's threshold and message."""
+        monkeypatch.setattr(oracle, "sweep", None)
+        monkeypatch.setattr(oracle, "_sweep_branches", None)
+        rc, out, err = run_cli("verify", "duality", "--kind", "inversion", "--a", "rs-row",
+                               "--n", "13", env={"GROWTHKIT_THREADS": workers})
+        assert rc == 2 and "Traceback" not in err and out == ""
+        assert err == ("error: n=13 is too large for rs-row: its 6227020800 inputs would "
+                       "take 24908083200 bytes of slots, which number at most 4294967294\n")
+
     def test_threads_env_must_be_an_integer(self):
         rc, out, err = run_cli("verify", "bijection", "--algorithm", "rs-row",
                                "--n", "3", env={"GROWTHKIT_THREADS": "abc"})

@@ -1,5 +1,6 @@
 import pytest
 
+from growthkit import oracle
 from growthkit.catalog import AlgorithmSpec, get_algorithm
 from growthkit.duality import (
     DualityError, InversionColorMap, check_inversion_duality, check_inversion_nodes,
@@ -174,3 +175,28 @@ class TestInversionDualityChecks:
             alg("sagan1"), alg("sagan1"), 3, color_map=InversionColorMap()).ok
         assert not check_inversion_duality(
             alg("sagan1"), alg("shifted-mixed"), 5, color_map=InversionColorMap()).ok
+
+
+class TestSizeGuard:
+    """A size whose n! * r^n inputs a 4-byte rank cannot number below 2^32 - 1
+    (the threshold of oracle.bijection_inputs) is refused before any sweep."""
+
+    @pytest.fixture(autouse=True)
+    def no_sweep(self, monkeypatch):
+        monkeypatch.setattr(oracle, "sweep", None)
+        monkeypatch.setattr(oracle, "_sweep_branches", None)
+
+    @pytest.mark.parametrize("check", [
+        lambda n: check_inversion_duality(alg("rs-row"), alg("rs-row"), n),
+        lambda n: check_inversion_duality(alg("left-right"), alg("mixed"), n - 2),
+        lambda n: check_transpose_duality(alg("rs-row"), alg("rs-col"), n=n, workers=2),
+        lambda n: check_inversion_nodes(alg("rs-row"), n),
+    ], ids=["inversion", "inversion-r2", "transpose", "nodes"])
+    def test_too_many_inputs_are_refused_before_any_sweep(self, check):
+        with pytest.raises(ValueError, match=r"^n=1[13] is too large for (rs-row|rs-col|mixed): "
+                                             r"its \d+ inputs would take \d+ bytes of slots"):
+            check(13)
+
+    def test_the_largest_size_that_fits_goes_on_to_sweep(self):
+        with pytest.raises(TypeError):      # the sweep, patched away
+            check_inversion_duality(alg("rs-row"), alg("rs-row"), 12)

@@ -170,6 +170,7 @@ def no_work(monkeypatch):
 
     monkeypatch.setattr(oracle, "tableau_records", refuse)
     monkeypatch.setattr(oracle, "sweep", refuse)
+    monkeypatch.setattr(oracle, "_sweep_branches", refuse)
 
 
 class TestSizeGuard:
@@ -198,6 +199,7 @@ class TestSizeGuard:
         alg = AlgorithmSpec("heavy", Instantiation("heavy", Q, heavy, heavy),
                             RS_ROW, "not dual on purpose")
         monkeypatch.setattr(oracle, "sweep", None)
+        monkeypatch.setattr(oracle, "_sweep_branches", None)
         with pytest.raises(ValueError, match=r"^n=3 is too large for heavy: "
                                              r"over 4294967294 pairs$"):
             check_bijection(alg, 3)

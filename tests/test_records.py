@@ -2,6 +2,7 @@
 check_bijection must give the same report, witness texts and all, as the
 check keyed by chains of shapes in oracle_reference."""
 
+import sys
 import time
 import tracemalloc
 
@@ -16,8 +17,8 @@ from growthkit.lattice import (
     Geometry, Point, deletion_points, insertion_points, shapes_of_size,
 )
 from growthkit.oracle import (
-    _box, _pair_order, _pair_text, _Steps, check_bijection, nodes_record, pair_record, sweep,
-    tableau_records,
+    SweepLeaf, _box, _pair_order, _pair_text, _Steps, check_bijection, nodes_record, pair_record,
+    sweep, tableau_records,
 )
 from growthkit.wdgg import BUILTIN_INSTANTIATIONS, Instantiation, constant_weight
 from catalog_reference import rule_of
@@ -116,16 +117,17 @@ def test_shards_that_collide_at_once_give_the_serial_report():
 
 
 def _counting_sweeps(monkeypatch):
-    """The results of each sweep check_bijection calls, in call order."""
+    """The results of each sweep check_bijection makes, in call order:
+    every sweep goes through the one function that shards branches."""
     results = []
-    real = oracle.sweep
+    real = oracle._sweep_branches
 
     def sweep(*args):
         got = real(*args)
         results.append(got[1])
         return got
 
-    monkeypatch.setattr(oracle, "sweep", sweep)
+    monkeypatch.setattr(oracle, "_sweep_branches", sweep)
     return results
 
 
@@ -165,6 +167,62 @@ def test_the_sweep_returns_only_the_records_that_are_no_pair(monkeypatch, name):
     assert records == want
     if report.ok:
         assert records == []
+
+
+def _level_read(alg, n, workers):
+    """Each input's (P half, Q half) as check_bijection's level read gives
+    them, in rank order, over the sweep's branches and workers."""
+
+    def read(table, size, branch):
+        halves = [pq for ps, qs in oracle._leaf_halves(table, size, branch) for pq in zip(ps, qs)]
+        return len(halves), halves
+
+    return oracle._sweep_branches(alg, [n], read, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name", [*sorted(list_algorithms()), *sorted(BROKEN)])
+def test_the_level_read_gives_each_rank_the_sweeps_pair(name, workers):
+    """The two readers of a grown table agree: at every rank, the level
+    read's halves are those of the leaf sweep's pair_record."""
+    alg = _broken(name) if name in BROKEN else get_algorithm(name)
+    top = 5 if name in BROKEN else 4 if alg.r == 4 else 6
+    for n in range(top + 1):
+        count, records = sweep(alg, [n], pair_record, workers)
+        want = [(record[:3 * n], record[3 * n:]) for record in records]
+        assert _level_read(alg, n, workers) == (count, want)
+
+
+@pytest.mark.parametrize("name", ["rs-row", "color-blind"])
+def test_check_bijection_builds_no_leaf_and_calls_nothing_per_input(monkeypatch, name):
+    """No SweepLeaf is built, and in the sweep, outside the growth of each
+    distinct column step, the oracle's Python calls (reading the levels a
+    group at a time) number far fewer than the inputs."""
+    def no_leaf(*args):
+        raise AssertionError("check_bijection built a SweepLeaf")
+
+    calls, sweep_branches, grow = [], oracle._sweep_branches, oracle._grow_branch
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == oracle.__file__:
+            calls.append(frame.f_code.co_name)
+
+    def profiled(run, on):
+        def wrapped(*args):
+            sys.setprofile(profile if on else None)
+            try:
+                return run(*args)
+            finally:
+                sys.setprofile(None if on else profile)
+        return wrapped
+
+    monkeypatch.setattr(SweepLeaf, "__init__", no_leaf)
+    monkeypatch.setattr(oracle, "_sweep_branches", profiled(sweep_branches, True))
+    monkeypatch.setattr(oracle, "_grow_branch", profiled(grow, False))
+    alg = _broken(name) if name in BROKEN else get_algorithm(name)
+    report = check_bijection(alg, 7 if alg.r == 1 else 5)
+    assert report.gp_count >= 3840 and report.ok == (name == "rs-row")
+    assert calls and len(calls) < report.gp_count / 20, (len(calls), report.gp_count)
 
 
 def test_a_failing_check_keeps_almost_nothing_per_input():
