@@ -5,14 +5,15 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from math import factorial
 from typing import Callable, Optional
 
 from .catalog import TRANSPOSED_SIDE, AlgorithmSpec
 from .insdiag import TableRule, color_pair
 from .lattice import Geometry, Point, shapes_up_to
-from .oracle import _gp_text, _unrank, bijection_inputs, nodes_record, pair_record, sweep
+from . import oracle
+from .oracle import _gp_text, _unrank, bijection_inputs, nodes_records, pair_records
 from .wdgg import constant_value
 
 
@@ -78,15 +79,14 @@ class DualityReport:
 
 
 def _inverse_rank(alpha: dict[int, int], r: int, n: int):
-    """The function from a sweep leaf of size up to n to the sweep rank of
-    its inverse input (value i at time t in color c becomes value t at time
-    i in color alpha[c]), without building the inverse: the inverse's digit
-    for value t is (earlier values at later times) * r + alpha[c] - 1, of
-    weight (size - t)! * r^(size - t)."""
+    """The function from an input's word, of size up to n, and its rank to
+    the sweep rank of its inverse input (value i at time t in color c
+    becomes value t at time i in color alpha[c]), without building the
+    inverse: the inverse's digit for value t is (earlier values at later
+    times) * r + alpha[c] - 1, of weight (size - t)! * r^(size - t)."""
     weights = [factorial(d) * r ** d for d in range(n + 1)]
 
-    def rank(leaf):
-        word = leaf.word
+    def rank(word, _):      # the input's own rank is not needed
         size, times, out = len(word), [], 0
         for i, (t, c) in enumerate(word):   # times holds the i earlier times, sorted
             k = bisect(times, t)
@@ -120,6 +120,7 @@ def check_transpose_duality(algA: AlgorithmSpec, algB: AlgorithmSpec,
                             n: int = 4, workers: int = 1) -> DualityReport:
     """For every full gp of each size <= n: B run on the f-recolored gp must
     produce the transposes of A's tableaux, with edge colors mapped by g."""
+    bijection_inputs(algB, n)   # first: a size too large is refused before any work
     if algA.instantiation.r != algB.instantiation.r:
         raise DualityError("transpose duality requires matching differential degrees")
     for alg in (algA, algB):
@@ -146,14 +147,14 @@ def check_transpose_duality(algA: AlgorithmSpec, algB: AlgorithmSpec,
                          for k in range(0, len(a), 3)])
         return None if want == b else ""
 
-    def mapped_rank(leaf):
+    def mapped_rank(word, k):
         # Recoloring by f changes only the color digits: value i's by
         # f(c) - c, of weight (size - i)! * r^(size - i).
-        size = leaf.n
-        return leaf.rank + sum((alpha[c] - c) * weights[size - i]
-                               for i, (_, c) in enumerate(leaf.word, start=1))
+        size = len(word)
+        return k + sum((alpha[c] - c) * weights[size - i]
+                       for i, (_, c) in enumerate(word, start=1))
 
-    return _check("transpose", algA, algB, n, workers, pair_record, mapped_rank, compare)
+    return _check("transpose", algA, algB, n, workers, pair_records, mapped_rank, compare)
 
 
 # Inversion-duality color maps: how P/Q of the inverse relate to Q/P of the
@@ -191,6 +192,7 @@ def check_inversion_duality(algA: AlgorithmSpec, algB: AlgorithmSpec, n: int,
                             workers: int = 1) -> DualityReport:
     """For every full gp of each size <= n: B run on the (recolored) inverse
     must produce A's Q and P tableaux, up to the pair's declared color map."""
+    bijection_inputs(algB, n)   # first: a size too large is refused before any work
     if color_map is None:
         color_map = INVERSION_PAIRS.get((algA.name, algB.name))
         if color_map is None:
@@ -213,7 +215,7 @@ def check_inversion_duality(algA: AlgorithmSpec, algB: AlgorithmSpec, n: int,
         circled = lambda pq: [v for v in range(size) if pq[start + 3 * v + 2] == 2]
         want_circles = circled(a)
         if want_circles:
-            times = [t for t, _ in word()]
+            times = [t for t, _ in word]
             want_circles = sorted(times[v] if circled_p else times.index(v + 1) + 1
                                   for v in want_circles)
         got_circles = [v + 1 for v in circled(b)]
@@ -221,13 +223,14 @@ def check_inversion_duality(algA: AlgorithmSpec, algB: AlgorithmSpec, n: int,
             return f" (circles landed on {got_circles}, expected {want_circles})"
         return None
 
-    return _check("inversion", algA, algB, n, workers, pair_record,
+    return _check("inversion", algA, algB, n, workers, pair_records,
                   _inverse_rank(alpha, algB.r, n), compare)
 
 
 def check_inversion_nodes(alg: AlgorithmSpec, n: int) -> DualityReport:
     """Node-level inversion duality for trivially-colored algorithms:
     the inverse gp grows the same node values in transposed grid locations."""
+    bijection_inputs(alg, n)    # first: a size too large is refused before any work
     same = {c: c for c in range(1, alg.r + 1)}
 
     def compare(a, b, size, word):
@@ -241,58 +244,36 @@ def check_inversion_nodes(alg: AlgorithmSpec, n: int) -> DualityReport:
         k = next(k for k, (x, y) in enumerate(zip(want, got)) if x != y) // 3
         return f" node ({k // size + 1},{k % size + 1})"
 
-    return _check("inversion-nodes", alg, alg, n, 1, nodes_record,
+    return _check("inversion-nodes", alg, alg, n, 1, nodes_records,
                   _inverse_rank(same, alg.r, n), compare)
 
 
-def _check(kind, algA, algB, n, workers, key, mapped_rank, compare) -> DualityReport:
-    """Check A against B on every input of the sizes 1..n, sweeping each
-    distinct algorithm once.
+def _check(kind, algA, algB, n, workers, read, mapped_rank, compare) -> DualityReport:
+    """Check A against B on every input of the sizes 1..n, reading each
+    distinct algorithm's records once.
 
-    Each algorithm's record of an input is ``key(leaf)`` (bytes, 3 per
-    step).  ``mapped_rank(leaf)`` is the sweep rank (a leaf's ``rank``) of
-    the input B must run for A's input at that leaf, and
-    ``compare(a, b, size, word)`` compares A's record of an input of that
-    size with B's record of the mapped input, as the duality says; it
-    returns None, or the text that follows the input in the counterexample.
-    Its ``word()`` gives A's input word.
-
-    When A is B, one sweep keeps each input's record, then the sweep rank
-    of the mapped input in 4 bytes; the comparisons run over those records
-    after the sweep, and an input's word is rebuilt with ``_unrank`` only
-    if ``compare`` asks for it.  Otherwise a sweep of B keeps its records
-    in sweep order, and a sweep of A looks up the mapped input's by rank
-    and compares in its visits.  Either way the counterexamples come in
-    A's sweep order."""
-    sizes, r = range(1, n + 1), algB.r
-    bijection_inputs(algB, n)   # ValueError where a size's ranks would not fit 4 bytes
-    start, offset = 0, {}
-    for size in sizes:      # where each size's records start in sweep order
-        offset[size], start = start, start + factorial(size) * r ** size
-    if algA is algB:
-        def visit(leaf):
-            return key(leaf) + mapped_rank(leaf).to_bytes(4, "big")
-
-        checked, records = sweep(algB, sizes, visit, workers)
-        counterexamples = []
-        for size in sizes:
-            first = offset[size]
-            for k in range(factorial(size) * r ** size):
-                record = records[first + k]
-                word = partial(_unrank, k, size, r)
-                text = compare(record[:-4],
-                               records[first + int.from_bytes(record[-4:], "big")][:-4],
-                               size, word)
-                if text is not None:
-                    counterexamples.append(_gp_text(size, word()) + text)
-    else:
-        _, image = sweep(algB, sizes, key, workers)
-
-        def visit(leaf):
-            word = leaf.word
-            text = compare(key(leaf), image[offset[leaf.n] + mapped_rank(leaf)], leaf.n,
-                           lambda: word)
-            return None if text is None else _gp_text(leaf.n, word) + text
-
-        checked, counterexamples = sweep(algA, sizes, visit, workers)
+    ``read`` is a reader for ``oracle._sweep_branches`` (``pair_records``
+    or ``nodes_records``): it gives each input's record, bytes, 3 per step,
+    in rank order.  B's records are read first, and A's are the same list
+    when A is B, or a second read otherwise.  Then one loop compares every
+    input of A in rank order, size by size, its word rebuilt once
+    (``_unrank``): ``mapped_rank(word, k)`` is the rank of the input B must
+    run for A's input ``word`` of rank k, and ``compare(a, b, size, word)``
+    compares A's record of that input with B's record of the mapped input,
+    as the duality says.  It returns None, or the text that follows the
+    input in the counterexample, so the counterexamples come in A's sweep
+    order."""
+    sizes = range(1, n + 1)
+    checked, b_records = oracle._sweep_branches(algB, sizes, read, workers)
+    a_records = b_records
+    if algA is not algB:
+        checked, a_records = oracle._sweep_branches(algA, sizes, read, workers)
+    a_records, first, counterexamples = iter(a_records), 0, []
+    for size in sizes:
+        for k, record in zip(range(factorial(size) * algA.r ** size), a_records):
+            word = _unrank(k, size, algA.r)
+            text = compare(record, b_records[first + mapped_rank(word, k)], size, word)
+            if text is not None:
+                counterexamples.append(_gp_text(size, word) + text)
+        first += factorial(size) * algB.r ** size
     return DualityReport(kind, algA.name, algB.name, n, checked, tuple(counterexamples))

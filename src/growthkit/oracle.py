@@ -10,9 +10,11 @@ A branch is swept in two phases over one table per sweep (``_Table``).
 ``_grow_branch`` grows each edge (state, free time, color) once, on the
 state's first sight, into the state's row: the child's number and P's step
 (88 119 states and 182 406 edges for left-right's 645 120 inputs at n = 7).
-Then ``sweep`` visits the leaves one by one (``SweepLeaf``), or
-``check_bijection`` reads them level by level (``_leaf_halves``).  Records
-are bytes, three per step, read off the boxes the columns carry.
+Then one reader reads the leaves level by level (``_leaf_halves``), with no
+call per input: ``check_bijection`` codes their halves into slots by rank,
+and ``pair_records`` gives the duality checks their records in rank order.
+``nodes_records`` grows each input's columns again from its rank's word.
+Records are bytes, three per step, read off the boxes the columns carry.
 """
 
 from __future__ import annotations
@@ -20,14 +22,14 @@ from __future__ import annotations
 import mmap
 import os
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import chain, compress, repeat
 from math import factorial
 from operator import add
 from struct import Struct
 
 from .growth import (
-    GeneralizedPermutation, GrowthDiagram, Moves, border_column, grow_column,
+    GeneralizedPermutation, Moves, border_column, grow_column,
 )
 from .insdiag import color_pair
 from .lattice import (
@@ -175,99 +177,17 @@ def _grow_branch(table: _Table, n: int, branch: int) -> list:
     return levels
 
 
-class SweepLeaf:
-    """One full input of a sweep, on the n x n grid, with its growth.
-
-    ``word[i - 1]`` is the (time, color) of value i, ``states[i]`` the state
-    of column i, and ``p`` and ``q`` P's and Q's halves of the leaf's record.
-    Each tree node pushes its value, a lookup in the grown table, and pops
-    it on leaving.  ``columns`` grows the leaf's columns again from the word
-    (``growth()`` maps them back to shapes).  ``rank`` is the input's index
-    among the inputs of its size in sweep order.  The sweep reuses this
-    object: read it in the visit.
-    """
-
-    __slots__ = ("n", "r", "table", "levels", "word", "states", "p", "rank")
-
-    def __init__(self, table: _Table, n: int):
-        self.n, self.r, self.table, self.word, self.p = n, table.moves.r, table, [], bytearray()
-        self.levels = [table.levels[n, d] for d in range(n + 1)]
-        self.states = [self.levels[0][bytes(3 * n)]]
-
-    def push(self, k: int, time: int, color: int) -> None:
-        """Place the next value at (time, color), its parent's k-th free time."""
-        child, step = _EDGE.unpack_from(self.levels[len(self.word)].rows[self.states[-1]],
-                                        8 * (k * self.r + color - 1))
-        self.word.append((time, color))
-        self.states.append(child)
-        self.p += step.to_bytes(3, "big")
-
-    def pop(self) -> None:
-        del self.word[-1], self.states[-1], self.p[-3:]
-
-    q = property(lambda self: self.levels[len(self.word)].halves[self.states[-1]])
-
-    @property
-    def columns(self) -> list:
-        columns = [border_column(self.table.moves, self.n)]
-        for i, (time, color) in enumerate(self.word, start=1):
-            columns.append(grow_column(self.table.moves, i, columns[-1], time, color))
-        return columns
-
-    def gp(self) -> GeneralizedPermutation:
-        return _word_gp(self.n, self.word)
-
-    def growth(self) -> GrowthDiagram:
-        shape, columns = self.table.shapes.__getitem__, self.columns
-        nodes = tuple(tuple(map(shape, column[0])) for column in columns)
-        _, hcols, vcols, _, _ = zip(*columns)
-        return GrowthDiagram(self.n, self.n, nodes, hcols, vcols, self.gp())
-
-
-def _visit_leaves(table: _Table, size: int, branch: int, visit) -> tuple[int, list]:
-    """Phase 2 of ``sweep``: visit the inputs of one size whose value 1
-    takes the branch-th placement: their number, and the visits' non-None
-    results in sweep order.  Their ranks run on from branch * (size - 1)! *
-    r^(size - 1): a rank's digit for value i is (free times before its
-    time) * r + color - 1."""
-    _grow_branch(table, size, branch)
-    r, leaf = table.moves.r, SweepLeaf(table, size)
-    colors, results = range(1, r + 1), []
-    leaf.rank = first = branch * factorial(size - 1) * r ** (size - 1) if size else 0
-
-    def below(free):
-        # the leaf's node: its children place the next value at each of
-        # its free times, in each color; with none free, it is a leaf
-        if not free:
-            got = visit(leaf)
-            if got is not None:
-                results.append(got)
-            leaf.rank += 1
-        for k, t in enumerate(free):
-            rest = free[:k] + free[k + 1:]
-            for c in colors:
-                leaf.push(k, t, c)
-                below(rest)
-                leaf.pop()
-
-    time, color = divmod(branch, r)
-    if size:
-        leaf.push(time, time + 1, color + 1)
-    below([t for t in range(1, size + 1) if t != time + 1])
-    return leaf.rank - first, results
-
-
 _fork = getattr(os, "fork", None)   # None where the platform cannot fork
 
 
 def _sweep_branches(alg, sizes, reader, workers: int) -> tuple[int, list]:
     """Sweep each (size, value-1 placement) branch of ``sizes`` over one
-    table built here: ``reader(table, size, branch)`` grows the branch
-    (``_grow_branch``), reads it, and gives its number of inputs and a list
-    of results.  Returns the inputs counted and the results in sweep order.
-    With workers > 1 the branches are dealt round-robin to that many
-    shards: this process sweeps shard 0, a forked child each other one over
-    its own copy of the table; without fork, all run here."""
+    table built here: ``reader(table, size, branch)`` reads the branch (most
+    readers grow it first, ``_grow_branch``) and gives its number of inputs
+    and a list of results.  Returns the inputs counted and the results in
+    sweep order.  With workers > 1 the branches are dealt round-robin to
+    that many shards: this process sweeps shard 0, a forked child each other
+    one over its own copy of the table; without fork, all run here."""
     branches = [(size, b) for size in sizes
                 for b in range(size * alg.instantiation.r or 1)]
     stride = max(1, min(workers, len(branches))) if _fork else 1
@@ -320,14 +240,6 @@ def _sweep_branches(alg, sizes, reader, workers: int) -> tuple[int, list]:
     return sum(n for n, _ in merged), results
 
 
-def sweep(alg, sizes, visit, workers: int = 1) -> tuple[int, list]:
-    """Call ``visit`` on every full input of each size in ``sizes`` (n! *
-    r^n of size n) as a SweepLeaf, by size, then depth-first by value.
-    Returns the number of inputs and the visits' non-None results in that
-    order, whatever the number of ``workers``."""
-    return _sweep_branches(alg, sizes, partial(_visit_leaves, visit=visit), workers)
-
-
 def _leaf_halves(table: _Table, n: int, branch: int):
     """Phase 2 of ``check_bijection``: the P and Q halves of the branch's
     inputs in rank order, two lists per group of at most ``_CHUNK``, read
@@ -369,20 +281,36 @@ def _unrank(rank: int, n: int, r: int) -> list:
     return [(times.pop(k), c) for k, c in reversed(digits)]
 
 
-def pair_record(leaf: SweepLeaf) -> bytes:
-    """The leaf's (P, Q) pair: the steps of P (the north edge) by value,
-    then of Q (the east column, its boxes and descending colors) by time."""
-    return bytes(leaf.p) + leaf.q
+def pair_records(table: _Table, n: int, branch: int) -> tuple[int, list]:
+    """A reader for ``_sweep_branches``: the branch's number of inputs and
+    their (P, Q) records in rank order, each the steps of P (the north edge)
+    by value, then of Q (the east column, its boxes and descending colors)
+    by time, read level by level (``_leaf_halves``)."""
+    records = []
+    for ps, qs in _leaf_halves(table, n, branch):
+        records += map(add, ps, qs)
+    return len(records), records
 
 
-def nodes_record(leaf: SweepLeaf) -> bytes:
-    """Every node of the leaf's growth, without colors, read twice: the
-    steps of each column 1..n from south to north (its boxes), then of each
-    row 1..n from west to east (each column's hboxes at that height)."""
-    columns = leaf.columns[1:]
-    lines = chain((c[3][1:] for c in columns), zip(*(c[4][1:] for c in columns)))
-    return b"".join(map(leaf.table.steps.__getitem__,
-                        zip(chain.from_iterable(lines), repeat(None))))
+def nodes_records(table: _Table, n: int, branch: int) -> tuple[int, list]:
+    """A reader for ``_sweep_branches``: the branch's number of inputs and,
+    in rank order, every node of each one's growth, without colors, read
+    twice: the steps of each column 1..n from south to north (its boxes),
+    then of each row 1..n from west to east (each column's hboxes at that
+    height).  Each input's columns are grown again from its word over the
+    table's moves."""
+    moves, r = table.moves, table.moves.r
+    count = factorial(n - 1) * r ** (n - 1) if n else 1
+    records = []
+    for rank in range(branch * count, (branch + 1) * count):
+        column, columns = border_column(moves, n), []
+        for i, (time, color) in enumerate(_unrank(rank, n, r), start=1):
+            column = grow_column(moves, i, column, time, color)
+            columns.append(column)
+        lines = chain((c[3][1:] for c in columns), zip(*(c[4][1:] for c in columns)))
+        records.append(b"".join(map(table.steps.__getitem__,
+                                    zip(chain.from_iterable(lines), repeat(None)))))
+    return count, records
 
 
 def _pair_text(record: bytes) -> str:
@@ -430,11 +358,17 @@ class BijectionReport:
 
 
 def bijection_inputs(alg, n: int) -> int:
-    """n! * r^n, the inputs ``check_bijection(alg, n)`` sweeps; ValueError from ``NO_PAIR`` on."""
-    count = factorial(n) * alg.instantiation.r ** n
-    if count >= NO_PAIR:
-        raise ValueError(f"n={n} is too large for {alg.name}: its {count} inputs would take "
-                         f"{4 * count} bytes of slots, which number at most {NO_PAIR - 1}")
+    """n! * r^n, the inputs ``check_bijection(alg, n)`` sweeps; ValueError
+    from ``NO_PAIR`` on, decided as the product of sizes 1..n passes it, so
+    no number larger than that is built."""
+    count = 1
+    for size in range(1, n + 1):
+        count *= size * alg.instantiation.r
+        if count >= NO_PAIR:    # before size n, a lower bound: each later factor is >= 2
+            over = "" if size == n else "over "
+            raise ValueError(f"n={n} is too large for {alg.name}: its {over}{count} inputs "
+                             f"would take {over}{4 * count} bytes of slots, which number "
+                             f"at most {NO_PAIR - 1}")
     return count
 
 

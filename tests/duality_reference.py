@@ -6,24 +6,12 @@ image keys and rank lookup, so the checks in growthkit.duality can be
 compared against it report for report.
 """
 
-from itertools import permutations, product
-
 from growthkit.duality import DualityReport
 from growthkit.growth import (
     ColoredTableau, GeneralizedPermutation, extract_P, extract_Q, run_growth,
 )
 from growthkit.lattice import transpose
-
-
-def sweep_order_gps(n: int, r: int):
-    """Every full gp of size n, in the sweep's order: by value 1's (time,
-    color), then value 2's, and so on."""
-    words = sorted(tuple(zip(times, colors))
-                   for times in permutations(range(1, n + 1))
-                   for colors in product(range(1, r + 1), repeat=n))
-    for word in words:
-        yield GeneralizedPermutation(
-            n, n, frozenset((i, t, c) for i, (t, c) in enumerate(word, start=1)))
+from oracles import sweep_order_gps
 
 
 def _recolor(gp, f):

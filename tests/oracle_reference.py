@@ -1,10 +1,11 @@
 """Reference for check_bijection: the image keyed by chains of shapes.
 
-Each (P, Q) pair is a tuple of Shape chains with their colors, by value,
+Each input, in sweep order, is grown by run_growth (the event engine), and
+its (P, Q) pair is a tuple of Shape chains with their colors, by value,
 compared as a set against the chains of every enumerated tableau pair, and
 witnesses are written and ordered from the chains.  This is the direct
-reading of the check, kept independent of the bytes records of
-growthkit.oracle, so check_bijection can be compared against it
+reading of the check, kept independent of the sweep table and the bytes
+records of growthkit.oracle, so check_bijection can be compared against it
 report for report.
 
 The enumeration of standard colored tableaux is here too, as the reference
@@ -18,11 +19,14 @@ from functools import cache
 from itertools import permutations, product
 from operator import itemgetter
 
-from growthkit.growth import ColoredTableau, GeneralizedPermutation
+from growthkit.growth import (
+    ColoredTableau, GeneralizedPermutation, extract_P, extract_Q, run_growth,
+)
 from growthkit.lattice import (
     Shape, add_box, added_box, deletion_points, empty_shape, remove_box, shapes_of_size,
 )
-from growthkit.oracle import BijectionReport, _word_gp, sweep
+from growthkit.oracle import BijectionReport
+from oracles import sweep_order_gps
 
 
 def enumerate_gps(n: int, r: int):
@@ -81,13 +85,20 @@ def tableau_record(t: ColoredTableau) -> bytes:
                  for x in (p.row, p.col, c))
 
 
-def _image_entry(leaf):
-    """The leaf's (P, Q) key and its word.  P is the north edge and Q the
-    east column, each as a chain: the shapes at 0..n and the colors of the
-    edges into them (None into the first)."""
-    m, g = leaf.n, leaf.growth()
+def pair_halves(alg, n: int) -> list[tuple[bytes, bytes]]:
+    """Each input's (P half, Q half) of its record, in sweep order: the
+    tableaux of its run_growth, each sorted into its half."""
+    return [(tableau_record(extract_P(g)), tableau_record(extract_Q(g)))
+            for g in (run_growth(alg, gp) for gp in sweep_order_gps(n, alg.r))]
+
+
+def _image_entry(alg, gp):
+    """The (P, Q) key of gp's growth under run_growth.  P is the north edge
+    and Q the east column, each as a chain: the shapes at 0..m and the
+    colors of the edges into them (None into the first)."""
+    m, g = gp.m, run_growth(alg, gp)
     p = (tuple(c[m] for c in g.nodes), tuple(c[m] for c in g.hcolors))
-    return (p, (g.nodes[-1], g.vcolors[-1])), tuple(leaf.word)
+    return p, (g.nodes[-1], g.vcolors[-1])
 
 
 def _chain_key(t):
@@ -120,23 +131,24 @@ def _pair_order(key):
             for chain, colors in key]
 
 
-def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
+def check_bijection(alg, n: int) -> BijectionReport:
     inst = alg.instantiation
     failures = []
-    count, entries = sweep(alg, [n], _image_entry, workers)
-    image: dict = {}
+    count, image = 0, {}    # (P, Q) key -> the first gp that gives it
     collision = None
-    for key, word in entries:
+    for gp in sweep_order_gps(n, inst.r):
+        count += 1
+        key = _image_entry(alg, gp)
         if key not in image:
-            image[key] = word
+            image[key] = gp
         elif collision is None:
-            collision = key, image[key], word
+            collision = key, image[key], gp
     if collision is not None:
         key, first, second = collision
         failures.append(
             f"two inputs map to the same (P, Q) pair: "
-            f"gp={sorted(_word_gp(n, first).entries)} and "
-            f"gp={sorted(_word_gp(n, second).entries)} both give {_pair_text(key)}")
+            f"gp={sorted(first.entries)} and gp={sorted(second.entries)} "
+            f"both give {_pair_text(key)}")
 
     expected = set()
     expected_count = 0
@@ -166,5 +178,5 @@ def check_bijection(alg, n: int, workers: int = 1) -> BijectionReport:
     if extra:
         key = min(extra, key=_pair_order)
         failures.append(f"{len(extra)} outputs are not valid same-shape pairs, e.g. "
-                        f"{_pair_text(key)} from gp={sorted(_word_gp(n, image[key]).entries)}")
+                        f"{_pair_text(key)} from gp={sorted(image[key].entries)}")
     return BijectionReport(alg.name, n, count, len(image), expected_count, tuple(failures))

@@ -4,15 +4,18 @@ These deliberately avoid the library's row-length arithmetic: maximal and
 cominimal points are found by scanning covers of explicit point sets, so the
 fast implementations can be checked against them.  ``sweep_rank`` is the
 direct formula for an input's index in sweep order, the reference for
-``oracle.SweepLeaf.rank``.  ``leq`` and ``covers`` are containment and cover of two
+``oracle._unrank``, and ``sweep_order_gps`` lists the inputs of a size in
+that order, for the per-input references.  ``leq`` and ``covers`` are containment and cover of two
 shapes read from their rows; the library tells a cover with ``added_box``.
 ``neighbors`` and ``flanks`` pair ``lattice.Corners``' single-corner reads:
 a deletion point's two neighbors, and the deletion points on either side of
 an insertion point, which the tests hold to the alternation at once.
 """
 
+from itertools import permutations, product
 from typing import Optional
 
+from growthkit.growth import GeneralizedPermutation
 from growthkit.lattice import Corners, Geometry, Point, Shape
 
 
@@ -93,3 +96,14 @@ def sweep_rank(word, r: int) -> int:
         earlier = sum(1 for u, _ in word[:i] if u < t)
         rank = (rank * (len(word) - i) + t - 1 - earlier) * r + c - 1
     return rank
+
+
+def sweep_order_gps(n: int, r: int):
+    """Every full gp of size n, in the sweep's order: by value 1's (time,
+    color), then value 2's, and so on."""
+    words = sorted(tuple(zip(times, colors))
+                   for times in permutations(range(1, n + 1))
+                   for colors in product(range(1, r + 1), repeat=n))
+    for word in words:
+        yield GeneralizedPermutation(
+            n, n, frozenset((i, t, c) for i, (t, c) in enumerate(word, start=1)))

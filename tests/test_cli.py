@@ -2,6 +2,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -344,7 +345,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_bijection_past_the_size_guard_exits_2(self, monkeypatch, workers):
-        monkeypatch.setattr(oracle, "sweep", None)
+        monkeypatch.setattr(oracle, "_sweep_branches", None)
         rc, out, err = run_cli("verify", "bijection", "--algorithm", "rs-row", "--n", "13",
                                env={"GROWTHKIT_THREADS": workers})
         assert rc == 2 and "Traceback" not in err and out == ""
@@ -355,13 +356,27 @@ class TestVerify:
     def test_duality_past_the_size_guard_exits_2(self, monkeypatch, workers):
         """A mapped rank takes 4 bytes: n = 13 at r = 1 is refused before
         any sweep, with the bijection check's threshold and message."""
-        monkeypatch.setattr(oracle, "sweep", None)
         monkeypatch.setattr(oracle, "_sweep_branches", None)
         rc, out, err = run_cli("verify", "duality", "--kind", "inversion", "--a", "rs-row",
                                "--n", "13", env={"GROWTHKIT_THREADS": workers})
         assert rc == 2 and "Traceback" not in err and out == ""
         assert err == ("error: n=13 is too large for rs-row: its 6227020800 inputs would "
                        "take 24908083200 bytes of slots, which number at most 4294967294\n")
+
+    @pytest.mark.parametrize("check", [
+        ["bijection", "--algorithm", "rs-row", "--n", "2000"],
+        ["duality", "--kind", "transpose", "--a", "rs-row", "--b", "rs-col", "--n", "20000"],
+    ], ids=["bijection", "transpose"])
+    def test_a_huge_size_is_refused_at_once(self, check):
+        """The guard stops multiplying once the inputs pass the slots, so
+        it prints no number past that and builds no rank weights."""
+        start = time.monotonic()
+        rc, out, err = run_cli("verify", *check)
+        assert time.monotonic() - start < 2
+        assert rc == 2 and out == "" and err.count("\n") == 1
+        assert re.fullmatch(r"error: n=\d+ is too large for rs-(row|col): its over \d+ inputs "
+                            r"would take over \d+ bytes of slots, which number at most "
+                            r"4294967294\n", err), err
 
     def test_threads_env_must_be_an_integer(self):
         rc, out, err = run_cli("verify", "bijection", "--algorithm", "rs-row",

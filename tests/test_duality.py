@@ -183,7 +183,6 @@ class TestSizeGuard:
 
     @pytest.fixture(autouse=True)
     def no_sweep(self, monkeypatch):
-        monkeypatch.setattr(oracle, "sweep", None)
         monkeypatch.setattr(oracle, "_sweep_branches", None)
 
     @pytest.mark.parametrize("check", [

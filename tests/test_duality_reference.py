@@ -5,7 +5,6 @@ compares tableaux."""
 
 import dataclasses
 from math import factorial
-from types import SimpleNamespace
 
 import pytest
 
@@ -100,15 +99,14 @@ def test_inversion_nodes_reports_equal_the_reference(name, n):
 @pytest.mark.parametrize("alpha, r, n", [({1: 1}, 1, 5), ({1: 2, 2: 1}, 2, 4),
                                          ({1: 1, 2: 3, 3: 2, 4: 4}, 4, 3)])
 def test_inverse_rank_is_the_rank_of_the_inverse(alpha, r, n):
-    """The inverse's rank, read off a leaf's word (here a stand-in that has
-    only the word), is the direct formula's rank of the inverse input."""
+    """The inverse's rank, read off an input's word, is the direct
+    formula's rank of the inverse input."""
     rank = duality._inverse_rank(alpha, r, n)
     for size in range(n + 1):
         for k in range(factorial(size) * r ** size):
             word = oracle._unrank(k, size, r)
             inverse = sorted((t, i, alpha[c]) for i, (t, c) in enumerate(word, start=1))
-            assert (rank(SimpleNamespace(word=word))
-                    == sweep_rank([(i, c) for _, i, c in inverse], r))
+            assert rank(word, k) == sweep_rank([(i, c) for _, i, c in inverse], r)
 
 
 def _copy(name):
@@ -160,11 +158,13 @@ def test_each_distinct_algorithm_is_swept_once(monkeypatch, sweeps, run, referen
     what the reference does at every worker count."""
     want, calls = reference(), []
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return oracle.sweep(*args, **kwargs)
+    real = oracle._sweep_branches
 
-    monkeypatch.setattr(duality, "sweep", counted)
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "_sweep_branches", counted)
     for workers in (1, 2, 3):
         calls.clear()
         assert run(workers) == want

@@ -12,7 +12,7 @@ from growthkit.growth import (
 )
 from growthkit.insdiag import ColorPair, color_pair, diagram
 from growthkit.lattice import Geometry, Point, Shape, added_box, empty_shape
-from growthkit.oracle import _box, _Steps, _Table, pair_record
+from growthkit.oracle import _box, _Steps, _Table
 from growthkit.render import parse_gp, parse_tableau
 from figures import FIGURES
 from catalog_reference import rule_of
@@ -374,7 +374,7 @@ def _numbered_leaf(alg, gp):
     """gp's growth as a sweep grows it, over a new table of numbered shapes,
     for any n x m input: its columns, folded by grow_column, P's half of its
     record, the step at each column's top, and Q's, its last column's state
-    (``_Table.half``), as a SweepLeaf holds them."""
+    (``_Table.half``), as the sweep's level read joins them."""
     table, entry_of = _Table(alg), {i: (j, c) for i, j, c in gp.entries}
     columns = [border_column(table.moves, gp.m)]
     for i in range(1, gp.n + 1):
@@ -425,7 +425,7 @@ class TestColumnWalk:
                 assert hboxes == tuple(
                     None if lo == hi else added_box(lo, hi) for lo, hi in zip(west[0], nodes))
             east, _, colors, _, _ = columns[-1]
-            record = pair_record(leaf)
+            record = leaf.p + leaf.q
             assert record[:3 * gp.n] == chain([c[0][m] for c in columns],
                                               [c[1][m] for c in columns[1:]])
             assert record[3 * gp.n:] == chain(east, colors[1:])

@@ -169,7 +169,6 @@ def no_work(monkeypatch):
         raise _Refused
 
     monkeypatch.setattr(oracle, "tableau_records", refuse)
-    monkeypatch.setattr(oracle, "sweep", refuse)
     monkeypatch.setattr(oracle, "_sweep_branches", refuse)
 
 
@@ -198,7 +197,6 @@ class TestSizeGuard:
         heavy = constant_weight(30)
         alg = AlgorithmSpec("heavy", Instantiation("heavy", Q, heavy, heavy),
                             RS_ROW, "not dual on purpose")
-        monkeypatch.setattr(oracle, "sweep", None)
         monkeypatch.setattr(oracle, "_sweep_branches", None)
         with pytest.raises(ValueError, match=r"^n=3 is too large for heavy: "
                                              r"over 4294967294 pairs$"):

@@ -17,12 +17,13 @@ from growthkit.lattice import (
     Geometry, Point, deletion_points, insertion_points, shapes_of_size,
 )
 from growthkit.oracle import (
-    SweepLeaf, _box, _pair_order, _pair_text, _Steps, check_bijection, nodes_record, pair_record,
-    sweep, tableau_records,
+    _box, _pair_order, _pair_text, _Steps, check_bijection, nodes_records, pair_records,
+    tableau_records,
 )
 from growthkit.wdgg import BUILTIN_INSTANTIATIONS, Instantiation, constant_weight
 from catalog_reference import rule_of
-from test_sweep import _color_blind, _overcolored
+from oracles import sweep_order_gps
+from test_sweep import _color_blind, _overcolored, level_read, reference_halves
 
 
 def _color_blind_overcolored(shape):
@@ -63,9 +64,9 @@ def _broken(name):
 
 def _assert_same_reports(alg, sizes):
     for n in sizes:
+        want = oracle_reference.check_bijection(alg, n)
         for workers in (1, 2, 3):
-            assert (check_bijection(alg, n, workers=workers)
-                    == oracle_reference.check_bijection(alg, n, workers=workers))
+            assert check_bijection(alg, n, workers=workers) == want
 
 
 @pytest.mark.parametrize("name", sorted(list_algorithms()))
@@ -162,45 +163,32 @@ def test_the_sweep_returns_only_the_records_that_are_no_pair(monkeypatch, name):
     inst = alg.instantiation
     pairs = {p + q for shape in shapes_of_size(inst.geometry, 5)
              for p in tableau_records(inst.w1)(shape) for q in tableau_records(inst.w2)(shape)}
-    _, want = sweep(alg, [5], lambda leaf: None if pair_record(leaf) in pairs
-                    else pair_record(leaf))
+    want = [p + q for p, q in reference_halves(alg, 5) if p + q not in pairs]
     assert records == want
     if report.ok:
         assert records == []
 
 
-def _level_read(alg, n, workers):
-    """Each input's (P half, Q half) as check_bijection's level read gives
-    them, in rank order, over the sweep's branches and workers."""
-
-    def read(table, size, branch):
-        halves = [pq for ps, qs in oracle._leaf_halves(table, size, branch) for pq in zip(ps, qs)]
-        return len(halves), halves
-
-    return oracle._sweep_branches(alg, [n], read, workers)
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("name", [*sorted(list_algorithms()), *sorted(BROKEN)])
 def test_the_level_read_gives_each_rank_the_sweeps_pair(name, workers):
-    """The two readers of a grown table agree: at every rank, the level
-    read's halves are those of the leaf sweep's pair_record."""
+    """At every rank, the level read's halves are those of the P and Q that
+    run_growth grows from the input of that rank, and the duality checks'
+    reader joins them into the input's record."""
     alg = _broken(name) if name in BROKEN else get_algorithm(name)
     top = 5 if name in BROKEN else 4 if alg.r == 4 else 6
     for n in range(top + 1):
-        count, records = sweep(alg, [n], pair_record, workers)
-        want = [(record[:3 * n], record[3 * n:]) for record in records]
-        assert _level_read(alg, n, workers) == (count, want)
+        want = reference_halves(alg, n)
+        assert level_read(alg, [n], workers) == (len(want), want)
+        assert oracle._sweep_branches(alg, [n], pair_records, workers) == (
+            len(want), [p + q for p, q in want])
 
 
 @pytest.mark.parametrize("name", ["rs-row", "color-blind"])
 def test_check_bijection_builds_no_leaf_and_calls_nothing_per_input(monkeypatch, name):
-    """No SweepLeaf is built, and in the sweep, outside the growth of each
-    distinct column step, the oracle's Python calls (reading the levels a
-    group at a time) number far fewer than the inputs."""
-    def no_leaf(*args):
-        raise AssertionError("check_bijection built a SweepLeaf")
-
+    """In the sweep, outside the growth of each distinct column step, the
+    oracle's Python calls (reading the levels a group at a time) number far
+    fewer than the inputs."""
     calls, sweep_branches, grow = [], oracle._sweep_branches, oracle._grow_branch
 
     def profile(frame, event, arg):
@@ -216,7 +204,6 @@ def test_check_bijection_builds_no_leaf_and_calls_nothing_per_input(monkeypatch,
                 sys.setprofile(None if on else profile)
         return wrapped
 
-    monkeypatch.setattr(SweepLeaf, "__init__", no_leaf)
     monkeypatch.setattr(oracle, "_sweep_branches", profiled(sweep_branches, True))
     monkeypatch.setattr(oracle, "_grow_branch", profiled(grow, False))
     alg = _broken(name) if name in BROKEN else get_algorithm(name)
@@ -248,38 +235,33 @@ def _cells(record):
 @pytest.mark.parametrize("name", ["rs-row", "left-right", "worley-sagan", "double-circle"])
 def test_tableaux_record_is_p_then_q_by_value(name):
     alg = get_algorithm(name)
-
-    def visit(leaf):
-        g = run_growth(alg, leaf.gp())
-        record = pair_record(leaf)
+    _, records = oracle._sweep_branches(alg, [3], pair_records, 1)
+    for record, gp in zip(records, sweep_order_gps(3, alg.r), strict=True):
+        g = run_growth(alg, gp)
         for half, t in ((record[:len(record) // 2], extract_P(g)),
                         (record[len(record) // 2:], extract_Q(g))):
             by_value = sorted(t.cells, key=lambda cell: cell[1])
             assert _cells(half) == [(p.row, p.col, c) for p, _, c in by_value]
 
-    sweep(alg, [3], visit)
-
 
 def test_nodes_record_reads_columns_or_rows():
-    alg = get_algorithm("rs-row")
+    alg, size = get_algorithm("rs-row"), 3
 
-    def visit(leaf):
-        g = leaf.growth()
-        size = leaf.n
+    def steps(lo, hi):
+        if lo == hi:
+            return 0, 0, 0
+        box, = set(hi.boxes()) - set(lo.boxes())
+        return box.row, box.col, 0
 
-        def steps(lo, hi):
-            if lo == hi:
-                return 0, 0, 0
-            box, = set(hi.boxes()) - set(lo.boxes())
-            return box.row, box.col, 0
-
+    count, records = oracle._sweep_branches(alg, [size], nodes_records, 1)
+    assert count == 6
+    for record, gp in zip(records, sweep_order_gps(size, alg.r), strict=True):
+        g = run_growth(alg, gp)
         columns = [steps(g.nodes[i][j - 1], g.nodes[i][j])
                    for i in range(1, size + 1) for j in range(1, size + 1)]
         rows = [steps(g.nodes[i - 1][j], g.nodes[i][j])
                 for j in range(1, size + 1) for i in range(1, size + 1)]
-        assert _cells(nodes_record(leaf)) == columns + rows
-
-    sweep(alg, [3], visit)
+        assert _cells(record) == columns + rows
 
 
 def test_a_step_that_adds_no_box_is_zero():
@@ -291,11 +273,12 @@ def test_a_step_that_adds_no_box_is_zero():
 @pytest.mark.parametrize("name,n", [("rs-row", 4), ("left-right", 3), ("double-circle", 3),
                                     ("worley-sagan", 4)])
 def test_witness_text_and_order_equal_the_reference(name, n):
-    """Every leaf's record gives the text its Shape chains give, and the
+    """Every input's record gives the text its Shape chains give, and the
     records sort as the chains do."""
     alg = get_algorithm(name)
-    _, pairs = sweep(alg, [n], lambda leaf: (pair_record(leaf),
-                                             oracle_reference._image_entry(leaf)[0]))
+    _, records = oracle._sweep_branches(alg, [n], pair_records, 1)
+    pairs = list(zip(records, (oracle_reference._image_entry(alg, gp)
+                               for gp in sweep_order_gps(n, alg.r)), strict=True))
     for record, chains in pairs:
         assert _pair_text(record) == oracle_reference._pair_text(chains)
     order = sorted(range(len(pairs)), key=lambda k: _pair_order(pairs[k][0]))

@@ -1,6 +1,6 @@
-"""The incremental sweep behind the exhaustive checks: it must visit every
-full input once, grow the same diagrams run_growth does, and give reports
-that do not depend on the worker count."""
+"""The incremental sweep behind the exhaustive checks: its level read must
+give every full input's record once, at its rank, as run_growth grows it,
+and the reports must not depend on the worker count."""
 
 import dataclasses
 import os
@@ -8,7 +8,6 @@ import signal
 import time
 from collections import Counter
 from itertools import permutations, product
-from math import factorial
 
 import pytest
 
@@ -21,30 +20,46 @@ from growthkit.duality import (
 from growthkit.growth import run_growth
 from growthkit.insdiag import alpha_arrow, bump_arrow, diagram
 from growthkit.lattice import Point, deletion_points, insertion_points
-from growthkit.oracle import check_bijection, sweep
+from growthkit.oracle import check_bijection
 from growthkit.wdgg import BUILTIN_INSTANTIATIONS
 from catalog_reference import rule_of
-from oracle_reference import enumerate_gps
+from oracle_reference import pair_halves
 from oracles import sweep_rank
 
 
-def _sizes(alg):
-    return range(0, 4 if alg.r == 4 else 5)
+def level_read(alg, sizes, workers=1):
+    """Each input's (P half, Q half) as the level read gives them, in rank
+    order, size by size, over the sweep's branches and workers."""
+
+    def read(table, size, branch):
+        halves = [pq for ps, qs in oracle._leaf_halves(table, size, branch) for pq in zip(ps, qs)]
+        return len(halves), halves
+
+    return oracle._sweep_branches(alg, sizes, read, workers)
+
+
+_halves = {}   # (algorithm name, n) -> its pair_halves
+
+
+def reference_halves(alg, n):
+    """``pair_halves``, each input's halves from run_growth's tableaux by
+    rank, worked out once per algorithm name and size in a run."""
+    key = alg.name, n
+    if key not in _halves:
+        _halves[key] = pair_halves(alg, n)
+    return _halves[key]
 
 
 @pytest.mark.parametrize("name", sorted(list_algorithms()))
 def test_visits_every_input_once_with_its_growth(name):
+    """One read of the sizes 0..5 (0..4 at r = 4), at every worker count:
+    rank k's halves, size by size, are those of the P and Q run_growth
+    grows from the input ``_unrank(k)``, the direct formula's rank k."""
     alg = get_algorithm(name)
-    for n in _sizes(alg):
-        def visit(leaf):
-            gp = leaf.gp()
-            assert leaf.growth() == run_growth(alg, gp)
-            return gp
-
-        count, gps = sweep(alg, [n], visit)
-        assert count == len(gps) == factorial(n) * alg.r ** n
-        assert len(set(gps)) == len(gps)
-        assert set(gps) == set(enumerate_gps(n, alg.r))
+    sizes = range(4 if alg.r == 4 else 6)
+    want = [pq for n in sizes for pq in reference_halves(alg, n)]
+    for workers in (1, 2, 3):
+        assert level_read(alg, sizes, workers) == (len(want), want)
 
 
 @pytest.mark.parametrize("name,n", [("left-right", 4), ("double-circle", 3),
@@ -59,8 +74,8 @@ def test_each_column_step_is_grown_once(monkeypatch, name, n):
     monkeypatch.setattr(oracle, "grow_column",
                         lambda *args: calls.append(args[1]) or real(*args))
     alg = get_algorithm(name)
-    count, _ = sweep(alg, [n], lambda leaf: None)
-    assert count == factorial(n) * alg.r ** n
+    count, _ = level_read(alg, [n])
+    assert count == len(reference_halves(alg, n))
     steps = set()
     for d in range(n):
         for times in permutations(range(1, n + 1), d):
@@ -71,13 +86,6 @@ def test_each_column_step_is_grown_once(monkeypatch, name, n):
                 steps.update((d, state, t, c) for t in range(1, n + 1) if t not in times
                              for c in range(1, alg.r + 1))
     assert Counter(calls) == Counter(d + 1 for d, _, _, _ in steps)
-
-
-def test_sizes_come_in_order_and_results_keep_sweep_order():
-    alg = get_algorithm("rs-row")
-    count, words = sweep(alg, [2, 1], lambda leaf: tuple(leaf.word))
-    assert count == 3
-    assert words == [((1, 1), (2, 1)), ((2, 1), (1, 1)), ((1, 1),)]
 
 
 @pytest.mark.parametrize("run", [
@@ -97,16 +105,27 @@ def test_reports_do_not_depend_on_workers(run):
     assert run(2) == serial and run(3) == serial
 
 
+def _reading(at):
+    """A reader for ``_sweep_branches`` that grows and reads each branch, then
+    calls ``at(branch)`` and gives one result per input: the pid that read it."""
+
+    def read(table, size, branch):
+        count = sum(len(ps) for ps, _ in oracle._leaf_halves(table, size, branch))
+        at(branch)
+        return count, [os.getpid()] * count
+
+    return read
+
+
 def test_workers_are_forked_processes_unless_fork_is_missing(monkeypatch):
     """The caller sweeps shard 0, the branches 0, 2, ...; one forked child
     sweeps the others."""
-    alg, me = get_algorithm("rs-row"), os.getpid()
-    pid = lambda leaf: os.getpid()
-    count, pids = sweep(alg, [3], pid, workers=2)
+    alg, me, pid = get_algorithm("rs-row"), os.getpid(), _reading(lambda branch: None)
+    count, pids = oracle._sweep_branches(alg, [3], pid, 2)
     child = pids[2]
     assert count == 6 and child != me and pids == [me, me, child, child, me, me]
     monkeypatch.setattr(oracle, "_fork", None)
-    assert sweep(alg, [3], pid, workers=2) == (6, [me] * 6)
+    assert oracle._sweep_branches(alg, [3], pid, 2) == (6, [me] * 6)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -142,40 +161,40 @@ def _no_child_left():
 def test_a_failure_in_a_child_reaches_the_caller():
     caller = os.getpid()
 
-    def visit(leaf):
+    def at(branch):
         if os.getpid() != caller:
-            raise ValueError(f"visit broke at {leaf.word}")
+            raise ValueError(f"the read broke at branch {branch}")
 
-    with pytest.raises(ValueError, match=r"visit broke at \[\(2, 1\), \(1, 1\)\]"):
-        sweep(get_algorithm("rs-row"), [2], visit, workers=2)
+    with pytest.raises(ValueError, match="the read broke at branch 1"):
+        oracle._sweep_branches(get_algorithm("rs-row"), [2], _reading(at), 2)
     _no_child_left()
 
 
 def test_a_child_that_dies_is_an_error_in_the_caller():
     caller = os.getpid()
 
-    def visit(leaf):
+    def at(branch):
         if os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
 
     with pytest.raises(RuntimeError, match="shard 1 ended without a result"):
-        sweep(get_algorithm("rs-row"), [2], visit, workers=2)
+        oracle._sweep_branches(get_algorithm("rs-row"), [2], _reading(at), 2)
     _no_child_left()
 
 
 def test_a_failure_in_the_caller_kills_and_reaps_the_child():
-    """The child would sleep for a minute on its first input: the caller's
+    """The child would sleep for a minute on its first branch: the caller's
     failure must stop it, not wait for it."""
     caller = os.getpid()
 
-    def visit(leaf):
+    def at(branch):
         if os.getpid() == caller:
             raise ValueError("the caller's shard broke")
         time.sleep(60)
 
     start = time.monotonic()
     with pytest.raises(ValueError, match="the caller's shard broke"):
-        sweep(get_algorithm("rs-row"), [3], visit, workers=2)
+        oracle._sweep_branches(get_algorithm("rs-row"), [3], _reading(at), 2)
     assert time.monotonic() - start < 30
     _no_child_left()
 
@@ -303,28 +322,6 @@ def test_extra_output_names_a_pair_and_its_input():
         "2 outputs are not valid same-shape pairs, e.g. P=1/2 Q=1^2/2^2 "
         "from gp=[(1, 2, 1), (2, 1, 1)]",
     )
-
-
-@pytest.mark.parametrize("name", ["rs-row", "left-right", "double-circle"])
-def test_rank_is_the_sweep_index(name):
-    alg = get_algorithm(name)
-    for n in range(5):
-        count, ranks = sweep(alg, [n], lambda leaf: sweep_rank(leaf.word, alg.r))
-        assert ranks == list(range(count))
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("name,top", [("rs-row", 6), ("left-right", 6), ("double-circle", 4)])
-def test_each_leaf_carries_its_rank(name, top, workers):
-    """A leaf's rank, its branch's first plus the leaves visited before it
-    in the branch, is the direct formula's on every input (r = 1, 2 and 4),
-    whichever process sweeps its branch."""
-    alg = get_algorithm(name)
-    count, wrong = sweep(alg, range(top + 1), lambda leaf: (
-        None if leaf.rank == sweep_rank(leaf.word, alg.r) else (leaf.rank, list(leaf.word))),
-        workers)
-    assert count == sum(factorial(n) * alg.r ** n for n in range(top + 1))
-    assert wrong == []
 
 
 @pytest.mark.parametrize("r", [1, 2])
