@@ -23,7 +23,7 @@ from growthkit.lattice import Point, deletion_points, insertion_points
 from growthkit.oracle import check_bijection
 from growthkit.wdgg import BUILTIN_INSTANTIATIONS
 from catalog_reference import rule_of
-from oracle_reference import pair_halves
+from oracle_reference import pair_halves, tableau_record
 from oracles import sweep_rank
 
 
@@ -60,6 +60,51 @@ def test_visits_every_input_once_with_its_growth(name):
     want = [pq for n in sizes for pq in reference_halves(alg, n)]
     for workers in (1, 2, 3):
         assert level_read(alg, sizes, workers) == (len(want), want)
+
+
+def _halves_of(alg, n, word):
+    """The (P half, Q half) of the growth run_growth gives the word."""
+    g = run_growth(alg, growth.GeneralizedPermutation(
+        n, n, frozenset((i, t, c) for i, (t, c) in enumerate(word, start=1))))
+    return tableau_record(growth.extract_P(g)), tableau_record(growth.extract_Q(g))
+
+
+def test_sizes_come_in_order_and_results_keep_sweep_order():
+    alg = get_algorithm("rs-row")
+    words = [((1, 1), (2, 1)), ((2, 1), (1, 1)), ((1, 1),)]
+    assert level_read(alg, [2, 1]) == (3, [_halves_of(alg, len(w), w) for w in words])
+
+
+def by_sweep_rank(alg, n):
+    """Each input's halves of size n, put at the index the direct formula
+    ``sweep_rank`` gives its word."""
+    words = sorted(tuple(zip(times, colors)) for times in permutations(range(1, n + 1))
+                   for colors in product(range(1, alg.r + 1), repeat=n))
+    want = [None] * len(words)
+    for word, halves in zip(words, reference_halves(alg, n)):   # both by sorted word
+        want[sweep_rank(word, alg.r)] = halves
+    return want
+
+
+@pytest.mark.parametrize("name", ["rs-row", "left-right", "double-circle"])
+def test_rank_is_the_sweep_index(name):
+    alg = get_algorithm(name)
+    for n in range(5):
+        want = by_sweep_rank(alg, n)
+        assert None not in want
+        assert level_read(alg, [n]) == (len(want), want)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name,top", [("rs-row", 6), ("left-right", 6), ("double-circle", 4)])
+def test_each_leaf_carries_its_rank(name, top, workers):
+    """The record the level read gives at a rank, its branch's first plus
+    the inputs read before it in the branch, is that of the input the
+    direct formula puts there (r = 1, 2 and 4), whichever process reads
+    its branch."""
+    alg = get_algorithm(name)
+    want = [pq for n in range(top + 1) for pq in by_sweep_rank(alg, n)]
+    assert level_read(alg, range(top + 1), workers) == (len(want), want)
 
 
 @pytest.mark.parametrize("name,n", [("left-right", 4), ("double-circle", 3),
